@@ -12,8 +12,7 @@ from .basis import (BasisKind, HaarTypeBasis, build_canonical_haar,
 from .errors import (AdmissibilityError, BasisError, ConfigError, HaarsgError,
                      SolverAbort)
 from .galerkin import (Admissibility, GalerkinTensor, abs_modes, build_tensors,
-                       check_commuting, convex_root_objective,
-                       eigen_derivative_check, from_spectrum, galerkin_matrix,
+                       convex_root_objective, from_spectrum, galerkin_matrix,
                        galerkin_product, is_admissible, jacobian_abs,
                        jacobian_pnorm, jacobian_power, moment_modes,
                        nth_root_modes, pnorm_modes, power_modes, project,

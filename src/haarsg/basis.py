@@ -20,6 +20,8 @@ import numpy as np
 from .errors import BasisError
 
 MAX_HAAR_LEVEL = 12
+#: largest basis size K+1 of any kind: that of the finest classical Haar level
+MAX_BASIS_SIZE = 2 ** (MAX_HAAR_LEVEL + 1)
 ORTHOGONALITY_TOL = 1e-12
 
 
@@ -179,8 +181,8 @@ def custom_basis(H: np.ndarray) -> HaarTypeBasis:
     """Wrap a user matrix as a piecewise-constant Haar-type basis.
 
     The matrix must have an all-ones first row and orthogonal rows of norm
-    sqrt(K+1); the commutation of the derived Galerkin tensors is verified
-    when tensors are built.
+    sqrt(K+1).  These row checks suffice: every Galerkin matrix of the basis
+    is then diagonal in the frame H / sqrt(K+1), so they all commute.
     """
     H = np.asarray(H, dtype=float)
     if H.ndim != 2 or H.shape[0] != H.shape[1] or H.shape[0] < 2:

@@ -20,7 +20,7 @@ from . import output
 from .config import parse_config
 from .errors import ConfigError, SolverAbort
 from .experiments import build_basis, build_grid, run_experiment, run_level_sweep
-from .galerkin import build_tensors, project
+from .galerkin import build_tensors, galerkin_matrix, project
 from .models import get_preset
 from .reference import (ExactScalarReference, collocation_reference,
                         monte_carlo_reference, mse)
@@ -56,8 +56,9 @@ def _cmd_basis(args) -> int:
     tensors = build_tensors(basis)
     out_dir = config.out_dir
     output.write_matrix_csv(basis.H, os.path.join(out_dir, "H.csv"))
-    for k in range(tensors.size):
-        output.write_matrix_csv(tensors.M[k], os.path.join(out_dir, f"M_{k:03d}.csv"))
+    for k, e_k in enumerate(np.eye(tensors.size)):
+        output.write_matrix_csv(galerkin_matrix(tensors, e_k),
+                                os.path.join(out_dir, f"M_{k:03d}.csv"))
     print(f"wrote H.csv and {tensors.size} tensor matrices to {out_dir}")
     return 0
 
@@ -126,12 +127,10 @@ def _cmd_reference(args) -> int:
     elif kind == "collocation":
         ref = collocation_reference(preset, tensors, refine=config.ref_refine,
                                     t_final=t_final, grid=grid, cfl=config.cfl)
-        rows = []
-        for i, x in enumerate(ref.grid.x_centers):
-            for j, xi in enumerate(ref.xi_nodes):
-                rows.append([float(x), float(xi), float(ref.values[i, 1, j]
-                                                        if preset.components > 1
-                                                        else ref.values[i, 0, j])])
+        qoi = ref.values[:, preset.qoi_component, :]
+        rows = [[float(x), float(xi), float(qoi[i, j])]
+                for i, x in enumerate(ref.grid.x_centers)
+                for j, xi in enumerate(ref.xi_nodes)]
         path = os.path.join(out_dir, "reference_collocation.csv")
         output.write_table_csv(path, ["x", "xi", "value"], rows)
     elif kind == "monte-carlo":
@@ -162,8 +161,7 @@ def _cmd_mse(args) -> int:
                                           t_final=t, grid=grid, cfl=config.cfl)
     else:
         raise ConfigError(f"reference kind {kind!r} does not support mse")
-    value = mse(field, tensors, reference, component=max(0, preset.components - 1)
-                if preset.name == "psystem-riemann" else 0)
+    value = mse(field, tensors, reference, component=preset.qoi_component)
     print(format(value, ".17g"))
     return 0
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 
+from .basis import MAX_BASIS_SIZE, MAX_HAAR_LEVEL
 from .errors import ConfigError
 from .models import PRESETS
 
@@ -128,14 +129,17 @@ def validate_config(config: RunConfig) -> None:
     if config.basis_kind not in BASIS_KINDS:
         raise ConfigError(f"`basis.kind` must be one of {BASIS_KINDS}",
                           key="basis.kind")
-    if config.basis_kind == "classical-haar" and not 0 <= config.basis_level <= 12:
-        raise ConfigError(f"`basis.level` must lie in [0, 12], got {config.basis_level}",
-                          key="basis.level")
-    if config.basis_kind in ("canonical-haar", "dct") and (config.basis_size or 0) < 2:
-        raise ConfigError("`basis.size` >= 2 required for this basis kind",
-                          key="basis.size")
-    if config.basis_kind == "piecewise-linear" and (config.basis_subdomains or 0) < 1:
-        raise ConfigError("`basis.subdomains` >= 1 required", key="basis.subdomains")
+    if config.basis_kind == "classical-haar" and not 0 <= config.basis_level <= MAX_HAAR_LEVEL:
+        raise ConfigError(f"`basis.level` must lie in [0, {MAX_HAAR_LEVEL}], "
+                          f"got {config.basis_level}", key="basis.level")
+    if (config.basis_kind in ("canonical-haar", "dct")
+            and not 2 <= (config.basis_size or 0) <= MAX_BASIS_SIZE):
+        raise ConfigError(f"`basis.size` must lie in [2, {MAX_BASIS_SIZE}] for this "
+                          f"basis kind, got {config.basis_size}", key="basis.size")
+    if (config.basis_kind == "piecewise-linear"
+            and not 1 <= (config.basis_subdomains or 0) <= MAX_BASIS_SIZE // 2):
+        raise ConfigError(f"`basis.subdomains` must lie in [1, {MAX_BASIS_SIZE // 2}], "
+                          f"got {config.basis_subdomains}", key="basis.subdomains")
     if config.nx is not None and config.nx < 8:
         raise ConfigError(f"`grid.nx` must be >= 8, got {config.nx}", key="grid.nx")
     if config.ny is not None and config.ny < 8:
@@ -177,14 +181,17 @@ def render_config(config: RunConfig) -> str:
 
 
 def with_level(config: RunConfig, level: int) -> RunConfig:
-    """Copy of the config at another resolution level.
+    """Validated copy of the config at another resolution level.
 
     classical-haar uses the level directly; dct and canonical-haar match the
     size 2^(level+1) so level sweeps compare equal numbers of basis elements;
     piecewise-linear matches with 2^level subdomains.
     """
     if config.basis_kind == "classical-haar":
-        return replace(config, basis_level=level)
-    if config.basis_kind in ("dct", "canonical-haar"):
-        return replace(config, basis_size=2 ** (level + 1))
-    return replace(config, basis_subdomains=2 ** level)
+        config = replace(config, basis_level=level)
+    elif config.basis_kind in ("dct", "canonical-haar"):
+        config = replace(config, basis_size=2 ** (level + 1))
+    else:
+        config = replace(config, basis_subdomains=2 ** level)
+    validate_config(config)
+    return config

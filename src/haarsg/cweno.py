@@ -13,11 +13,6 @@ import math
 
 import numpy as np
 
-try:
-    import numba
-except ImportError:  # pragma: no cover - numba is a hard dependency, but keep a fallback
-    numba = None
-
 EPS_DEFAULT = 1e-6
 POWER_DEFAULT = 2
 #: optimal linear weights: central / one-sided
@@ -92,21 +87,9 @@ def cweno3_face_values(u: np.ndarray, eps: float = EPS_DEFAULT,
     ``u`` is indexed (x-cell, y-cell, ...) and the result drops one cell per
     side in both directions; output shape is (4, 2, nx-2, ny-2, ...) with
     face order (west, east, south, north) and Gauss points ordered by
-    increasing tangential coordinate.
-
-    Dispatches to a fused single-pass kernel when numba is available; the
-    vectorized numpy path below is the reference implementation.
+    increasing tangential coordinate.  Every stage is a vectorized numpy
+    pass over the whole array, trailing axes included.
     """
-    if numba is not None:
-        trailing = u.shape[2:]
-        flat = u.reshape(u.shape[0], u.shape[1], -1)
-        out = np.empty((4, 2, u.shape[0] - 2, u.shape[1] - 2, flat.shape[2]))
-        _face_values_kernel(np.ascontiguousarray(flat), float(eps), int(power), out)
-        return out.reshape(out.shape[:4] + trailing)
-    return _face_values_numpy(u, eps, power)
-
-
-def _face_values_numpy(u: np.ndarray, eps: float, power: int) -> np.ndarray:
     uc = u[1:-1, 1:-1]
     uw, ue = u[:-2, 1:-1], u[2:, 1:-1]
     us, un = u[1:-1, :-2], u[1:-1, 2:]
@@ -167,80 +150,3 @@ def _face_values_numpy(u: np.ndarray, eps: float, power: int) -> np.ndarray:
         np.add(base, slope, out=out[fi, 1])
     return out
 
-
-if numba is not None:
-    @numba.njit(cache=True, fastmath=False, nogil=True)
-    def _face_values_kernel(u, eps, power, out):  # pragma: no cover - checked against numpy path
-        nx = u.shape[0] - 2
-        ny = u.shape[1] - 2
-        nq = u.shape[2]
-        g = GAUSS_OFFSET
-        gg = g * g
-        for i in range(1, nx + 1):
-            for j in range(1, ny + 1):
-                for q in range(nq):
-                    uc = u[i, j, q]
-                    bxw = uc - u[i - 1, j, q]
-                    bxe = u[i + 1, j, q] - uc
-                    bys = uc - u[i, j - 1, q]
-                    byn = u[i, j + 1, q] - uc
-                    b = 0.5 * (bxw + bxe)
-                    c = 0.5 * (bys + byn)
-                    dxx = 0.5 * (bxe - bxw)
-                    dyy = 0.5 * (byn - bys)
-                    f = 0.25 * ((u[i + 1, j + 1, q] - u[i - 1, j + 1, q])
-                                - (u[i + 1, j - 1, q] - u[i - 1, j - 1, q]))
-                    beta_c = (b * b + c * c
-                              + (52.0 / 3.0) * (dxx * dxx + dyy * dyy)
-                              + (26.0 / 3.0) * f * f)
-                    bxw2 = bxw * bxw
-                    bxe2 = bxe * bxe
-                    bys2 = bys * bys
-                    byn2 = byn * byn
-                    if power == 3:
-                        t = eps + beta_c
-                        a_c = D_CENTRAL_2D / (t * t * t)
-                        t = eps + bxw2 + bys2
-                        a_sw = D_SECTOR_2D / (t * t * t)
-                        t = eps + bxe2 + bys2
-                        a_se = D_SECTOR_2D / (t * t * t)
-                        t = eps + bxw2 + byn2
-                        a_nw = D_SECTOR_2D / (t * t * t)
-                        t = eps + bxe2 + byn2
-                        a_ne = D_SECTOR_2D / (t * t * t)
-                    else:
-                        a_c = D_CENTRAL_2D / (eps + beta_c) ** power
-                        a_sw = D_SECTOR_2D / (eps + bxw2 + bys2) ** power
-                        a_se = D_SECTOR_2D / (eps + bxe2 + bys2) ** power
-                        a_nw = D_SECTOR_2D / (eps + bxw2 + byn2) ** power
-                        a_ne = D_SECTOR_2D / (eps + bxe2 + byn2) ** power
-                    inv = 1.0 / (a_c + a_sw + a_se + a_nw + a_ne)
-                    wc = a_c * inv
-                    wsw = a_sw * inv
-                    wse = a_se * inv
-                    wnw = a_nw * inv
-                    wne = a_ne * inv
-                    A = uc - wc * ((dxx + dyy) / 6.0)
-                    B = wc * b + (wsw + wnw) * bxw + (wse + wne) * bxe
-                    C = wc * c + (wsw + wse) * bys + (wnw + wne) * byn
-                    DXX = (2.0 * wc) * dxx
-                    DYY = (2.0 * wc) * dyy
-                    F = (2.0 * wc) * f
-                    ii = i - 1
-                    jj = j - 1
-                    base = A - 0.5 * B + 0.25 * DXX + gg * DYY
-                    slope = (C - 0.5 * F) * g
-                    out[0, 0, ii, jj, q] = base - slope
-                    out[0, 1, ii, jj, q] = base + slope
-                    base = A + 0.5 * B + 0.25 * DXX + gg * DYY
-                    slope = (C + 0.5 * F) * g
-                    out[1, 0, ii, jj, q] = base - slope
-                    out[1, 1, ii, jj, q] = base + slope
-                    base = A - 0.5 * C + 0.25 * DYY + gg * DXX
-                    slope = (B - 0.5 * F) * g
-                    out[2, 0, ii, jj, q] = base - slope
-                    out[2, 1, ii, jj, q] = base + slope
-                    base = A + 0.5 * C + 0.25 * DYY + gg * DXX
-                    slope = (B + 0.5 * F) * g
-                    out[3, 0, ii, jj, q] = base - slope
-                    out[3, 1, ii, jj, q] = base + slope

@@ -140,11 +140,12 @@ def run_experiment(config: RunConfig, threads: int = 1, out_dir: str | None = No
                                               t_final, config.seed, threads=threads)
     result.reference = reference
 
+    qoi = preset.qoi_component
     if t_final > 0.0 and reference is not None:
         if isinstance(reference, (ExactScalarReference, CollocationReference)):
-            result.mse_value = mse(field, tensors, reference)
+            result.mse_value = mse(field, tensors, reference, component=qoi)
             if isinstance(reference, CollocationReference):
-                result.l1_value = l1_distance(field, tensors, reference)
+                result.l1_value = l1_distance(field, tensors, reference, component=qoi)
             if write_outputs:
                 path = os.path.join(out_dir, "error_metrics.csv")
                 row = [basis.kind.value, basis.size, float(result.mse_value)]
@@ -166,7 +167,7 @@ def run_experiment(config: RunConfig, threads: int = 1, out_dir: str | None = No
         row = grid.ny // 2
         prof_path = os.path.join(out_dir, "profile_x2_0.csv")
         output.write_profile_csv(prof_path, grid.x_centers,
-                                 {"mean": mean[:, row, 0], "std": std[:, row, 0]})
+                                 {"mean": mean[:, row, qoi], "std": std[:, row, qoi]})
         result.artifacts.append(prof_path)
 
     result.seconds = time.perf_counter() - started

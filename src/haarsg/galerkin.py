@@ -1,10 +1,13 @@
-"""Galerkin tensors, spectral transforms and closed-form nonlinear gPC operations.
+"""Galerkin eigenframe, spectral transforms and closed-form nonlinear gPC operations.
 
 Every Haar-type basis shares one constant eigenvector frame Hn, so the
 Galerkin matrix of any mode vector u is P(u) = Hn diag(d) Hn.T where the
-spectrum d depends linearly on u.  For piecewise-constant bases d holds the
-realizations of the expansion on the stochastic cells; all nonlinear
-operations reduce to entrywise maps on d followed by the inverse transform.
+spectrum d depends linearly on u.  Because all P(u) are diagonal in the same
+frame they commute by construction, and only the frame and the two linear
+maps u <-> d are stored; no (K+1)^3 triple-product tensor is built.  For
+piecewise-constant bases d holds the realizations of the expansion on the
+stochastic cells; all nonlinear operations reduce to entrywise maps on d
+followed by the inverse transform.
 """
 
 from __future__ import annotations
@@ -16,10 +19,9 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .basis import BasisKind, HaarTypeBasis
-from .errors import AdmissibilityError, BasisError
+from .basis import HaarTypeBasis
+from .errors import AdmissibilityError
 
-COMMUTATION_TOL = 1e-10
 #: spectrum values above this (tiny negative) threshold count as nonnegative
 SEMI_POSITIVE_TOL = -1e-13
 
@@ -35,16 +37,16 @@ class Admissibility(Enum):
 
 @dataclass(frozen=True)
 class GalerkinTensor:
-    """Precomputed triple-product matrices and the shared eigenvector frame.
+    """The shared eigenvector frame of all Galerkin matrices of a basis.
 
-    ``M[k]`` is the symmetric matrix of triple products of wavelet k with all
-    pairs; ``Hn`` the orthogonal eigenvector matrix; ``eig_map`` the linear
-    map modes -> spectrum (eigenvalues of P, indexed by stochastic cell) and
-    ``eig_inv`` its closed-form inverse.
+    ``Hn`` is the orthogonal eigenvector matrix; ``eig_map`` the linear map
+    modes -> spectrum (eigenvalues of P, indexed by stochastic cell) and
+    ``eig_inv`` its closed-form inverse.  The Galerkin matrix of any mode
+    vector follows from these as Hn diag(eig_map u) Hn.T, so the (K+1)^3
+    triple products are never stored.
     """
 
     basis: HaarTypeBasis
-    M: np.ndarray
     Hn: np.ndarray
     eig_map: np.ndarray
     eig_inv: np.ndarray
@@ -55,57 +57,29 @@ class GalerkinTensor:
 
 
 def build_tensors(basis: HaarTypeBasis) -> GalerkinTensor:
-    """Assemble the Galerkin tensors of a basis.
+    """Assemble the eigenframe of a basis in O((K+1)^2) memory.
 
-    Piecewise-constant kinds use the exact cell sums
-    M_k[i,j] = (1/(K+1)) sum_l H[i,l] H[j,l] H[k,l]; the piecewise-linear
-    kind uses the exact closed-form block integrals.  A custom basis is
-    additionally validated by the commutation check.
+    Piecewise-constant kinds (custom included) have M_k = Hn diag(H[k]) Hn.T,
+    so every M_k is diagonalized by the same orthogonal Hn and the spectrum
+    of P(u) is H.T u, the realizations on the stochastic cells.  The
+    piecewise-linear kind has one 2x2 block sqrt(N) [[a, b], [b, a]] per
+    subdomain, all diagonalized by the block eigenvectors (1, +-1)/sqrt(2).
+    Commutation therefore holds by construction for every basis that passes
+    the row checks of :mod:`haarsg.basis`.
     """
     n = basis.size
     if basis.is_piecewise_constant:
-        H = basis.H
-        M = np.einsum("il,jl,kl->kij", H, H, H) / n
-        M[0] = np.eye(n)  # exact: row 0 is all ones and rows are orthogonal
-        eig_map = H.T.copy()
-        eig_inv = H.copy() / n
+        eig_map = basis.H.T.copy()
+        eig_inv = basis.H / n
     else:
-        nsub = basis.subdomains
-        root = np.sqrt(float(nsub))
-        m0 = root * np.eye(2)
-        m1 = root * np.array([[0.0, 1.0], [1.0, 0.0]])
-        M = np.zeros((n, n, n))
-        eig_map = np.zeros((n, n))
-        block_map = root * np.array([[1.0, 1.0], [1.0, -1.0]])
-        for b in range(nsub):
-            s = slice(2 * b, 2 * b + 2)
-            M[2 * b][s, s] = m0
-            M[2 * b + 1][s, s] = m1
-            eig_map[s, s] = block_map
-        eig_inv = np.kron(np.eye(nsub), np.array([[1.0, 1.0], [1.0, -1.0]]) / (2.0 * root))
-    for a in (M, eig_map, eig_inv):
+        root = np.sqrt(float(basis.subdomains))
+        block = np.array([[1.0, 1.0], [1.0, -1.0]])
+        eye = np.eye(basis.subdomains)
+        eig_map = np.kron(eye, root * block) + 0.0  # clear kron's negative zeros
+        eig_inv = np.kron(eye, block / (2.0 * root))
+    for a in (eig_map, eig_inv):
         a.setflags(write=False)
-    tensors = GalerkinTensor(basis, M, basis.normalized, eig_map, eig_inv)
-    if basis.kind is BasisKind.CUSTOM:
-        ok, worst = check_commuting(tensors)
-        if not ok:
-            raise BasisError(f"custom basis tensors do not commute (worst pair {worst:.3e})")
-    return tensors
-
-
-def check_commuting(tensors: GalerkinTensor | np.ndarray,
-                    tol: float = COMMUTATION_TOL) -> tuple[bool, float]:
-    """Pairwise commutator check of the precomputed matrices M_k.
-
-    Returns (all pairs commute within ``tol``, worst max-norm found).
-    """
-    M = tensors.M if isinstance(tensors, GalerkinTensor) else np.asarray(tensors)
-    worst = 0.0
-    for i in range(len(M) - 1):
-        rest = M[i + 1:]
-        comm = M[i] @ rest - rest @ M[i]
-        worst = max(worst, float(np.abs(comm).max()))
-    return worst < tol, worst
+    return GalerkinTensor(basis, basis.normalized, eig_map, eig_inv)
 
 
 # ---------------------------------------------------------------------------
@@ -122,8 +96,12 @@ def from_spectrum(t: GalerkinTensor, spectrum: np.ndarray) -> np.ndarray:
 
 
 def galerkin_matrix(t: GalerkinTensor, modes: np.ndarray) -> np.ndarray:
-    """P(u) = sum_k u_k M_k."""
-    return np.einsum("k,kij->ij", np.asarray(modes, dtype=float), t.M)
+    """P(u) = sum_k u_k M_k = Hn diag(d(u)) Hn.T.
+
+    Assembled as eig_inv diag(d) eig_map, the matrix of v -> u * v under
+    :func:`galerkin_product`; the unnormalized maps keep exact entries exact.
+    """
+    return (t.eig_inv * to_spectrum(t, modes)) @ t.eig_map
 
 
 def galerkin_product(t: GalerkinTensor, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -306,22 +284,3 @@ def is_admissible(t: GalerkinTensor, u: np.ndarray) -> tuple[Admissibility, floa
         return Admissibility.SEMI_POSITIVE, dmin
     return Admissibility.INDEFINITE, dmin
 
-
-def eigen_derivative_check(t: GalerkinTensor, u: np.ndarray, q: np.ndarray,
-                           step: float = 1e-6) -> float:
-    """Residual of the eigenvalue-derivative identity, a pure test utility.
-
-    The left side differentiates alpha -> D(alpha) (Hn.T q) by central finite
-    differences per coordinate; the right side is Hn.T P(q) exactly.
-    """
-    u = np.asarray(u, dtype=float)
-    q = np.asarray(q, dtype=float)
-    w = t.Hn.T @ q
-    n = t.size
-    lhs = np.empty((n, n))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = step
-        lhs[:, j] = (to_spectrum(t, u + e) - to_spectrum(t, u - e)) / (2.0 * step) * w
-    rhs = t.Hn.T @ galerkin_matrix(t, q)
-    return float(np.abs(lhs - rhs).max())

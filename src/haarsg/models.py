@@ -119,12 +119,10 @@ class LinearAdvection(ModelSystem):
 class LevelSet2D(ModelSystem):
     """2D level-set transport: flux_i = v ||grad phi||_2 in component i.
 
-    ``v_values`` holds the realizations of the random speed; ``v_modes`` the
-    projected modes (kept for reporting).
+    ``v_values`` holds the realizations of the random speed.
     """
 
     v_values: np.ndarray = field(default_factory=lambda: np.array([1.0]))
-    v_modes: np.ndarray | None = None
     name: str = "level-set-2d"
     components: int = 2
     space_dim: int = 2
@@ -179,7 +177,6 @@ class PSystem1D:
     gamma1: float = 5.0 / 3.0
     gamma2: float = 4.0 / 3.0
     vstar_values: np.ndarray = field(default_factory=lambda: np.array([1.25]))
-    vstar_modes: np.ndarray | None = None
     name: str = "p-system-1d"
     components: int = 2
     space_dim: int = 1
@@ -368,7 +365,11 @@ def _centers(lo: float, hi: float, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ExperimentPreset:
-    """One of the paper-style experiments: model, domain and initial data."""
+    """One of the paper-style experiments: model, domain and initial data.
+
+    ``qoi_component`` is the state component that errors and Monte Carlo
+    envelopes are measured on.
+    """
 
     name: str
     space_dim: int
@@ -379,6 +380,7 @@ class ExperimentPreset:
     reference: str
     ny: int | None = None
     boundary: str = "transmissive"
+    qoi_component: int = 0
     make_model: Callable[[GalerkinTensor], object] = None
     make_det_model: Callable[[np.ndarray], object] = None
     galerkin_initial: Callable = None
@@ -452,14 +454,12 @@ def make_scalar_model(t: GalerkinTensor) -> ScalarLipschitz:
 
 
 def make_levelset_model(t: GalerkinTensor) -> LevelSet2D:
-    v_modes = project(t, _levelset_speed)
-    return LevelSet2D(v_values=to_spectrum(t, v_modes), v_modes=v_modes)
+    return LevelSet2D(v_values=to_spectrum(t, project(t, _levelset_speed)))
 
 
 def make_psystem_model(t: GalerkinTensor, gamma1=5.0 / 3.0, gamma2=4.0 / 3.0) -> PSystem1D:
-    vs_modes = project(t, _psystem_vstar)
     return PSystem1D(gamma1=gamma1, gamma2=gamma2,
-                     vstar_values=to_spectrum(t, vs_modes), vstar_modes=vs_modes)
+                     vstar_values=to_spectrum(t, project(t, _psystem_vstar)))
 
 
 def make_euler_model(t: GalerkinTensor, gamma=4.0 / 3.0) -> Euler2D:
@@ -484,6 +484,7 @@ PRESETS: dict[str, ExperimentPreset] = {
     "psystem-riemann": ExperimentPreset(
         name="psystem-riemann", space_dim=1, components=2,
         domain=((-3.0, 3.0),), nx=400, t_final=1.0, reference="collocation",
+        qoi_component=1,  # specific volume: the pressure kink sits at v = v*
         make_model=make_psystem_model,
         make_det_model=lambda xi: PSystem1D(vstar_values=_psystem_vstar(np.asarray(xi))),
         galerkin_initial=lambda t, grid: _psystem_initial(t, grid.x_centers),

@@ -9,7 +9,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .basis import HaarTypeBasis, evaluate_wavelet
 from .errors import SolverAbort
-from .galerkin import GalerkinTensor, to_spectrum
+from .galerkin import GalerkinTensor
 from .models import ExperimentPreset
 from .solver import Grid, GpcField, SemiDiscreteSystem, advance
 
@@ -120,10 +120,10 @@ class MonteCarloEnvelope:
 
 
 def monte_carlo_reference(preset: ExperimentPreset, n_samples: int, grid: Grid,
-                          t_final: float, seed: int, component: int = 0,
-                          chunk: int = 8, cfl: float = 0.45,
+                          t_final: float, seed: int, chunk: int = 8, cfl: float = 0.45,
                           threads: int = 1) -> MonteCarloEnvelope:
-    """Seeded Monte Carlo envelope along the x-profile (y = 0 row in 2D).
+    """Seeded Monte Carlo envelope of the preset's quantity of interest
+    along the x-profile (y = 0 row in 2D).
 
     Samples are drawn up front from one seeded generator so the set is
     reproducible; failing samples are excluded and counted.  Chunks of
@@ -138,6 +138,7 @@ def monte_carlo_reference(preset: ExperimentPreset, n_samples: int, grid: Grid,
     profiles = np.empty((n_samples, grid.nx))
     valid = np.ones(n_samples, dtype=bool)
     row = grid.ny // 2 if grid.space_dim == 2 else None
+    component = preset.qoi_component
 
     def extract(data):
         if row is None:
@@ -193,7 +194,6 @@ def mse(field: GpcField, tensors: GalerkinTensor, reference, component: int = 0)
     spatial integral uses the midpoint rule on the solver cells.
     """
     xs = field.grid.x_centers
-    realizations = to_spectrum(tensors, field.data[:, component, :])
     if isinstance(reference, ExactScalarReference):
         ncell = tensors.size if tensors.basis.is_piecewise_constant \
             else tensors.basis.subdomains

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from galerkin_reference import triple_products, worst_commutator
 from haarsg import (BasisError, build_canonical_haar, build_classical_haar,
                     build_dct, build_piecewise_linear, build_tensors,
-                    check_commuting, custom_basis, evaluate_wavelet)
+                    custom_basis, evaluate_wavelet, galerkin_matrix)
 
 ALL_BASES = (
     [build_classical_haar(j) for j in range(5)]
@@ -57,9 +58,8 @@ def test_canonical_haar_size3_norms_and_orthogonality():
 
 
 def test_canonical_haar_size8_commutes():
-    tensors = build_tensors(build_canonical_haar(8))
-    ok, worst = check_commuting(tensors)
-    assert ok, worst
+    worst = worst_commutator(triple_products(build_canonical_haar(8)))
+    assert worst < 1e-10, worst
 
 
 def test_canonical_block_rotation():
@@ -83,8 +83,7 @@ def test_dct_orthogonality_size4():
 
 
 def test_dct_size8_tensors_commute():
-    ok, worst = check_commuting(build_tensors(build_dct(8)))
-    assert ok and worst < 1e-10
+    assert worst_commutator(triple_products(build_dct(8))) < 1e-10
 
 
 def test_size_validation():
@@ -118,8 +117,15 @@ def test_normalized_matrix_is_orthogonal(basis):
 
 @pytest.mark.parametrize("basis", ALL_BASES, ids=lambda b: f"{b.kind.value}-{b.size}")
 def test_tensors_commute(basis):
-    ok, worst = check_commuting(build_tensors(basis))
-    assert ok, f"worst commutator {worst:.3e}"
+    worst = worst_commutator(triple_products(basis))
+    assert worst < 1e-10, f"worst commutator {worst:.3e}"
+
+
+@pytest.mark.parametrize("basis", ALL_BASES, ids=lambda b: f"{b.kind.value}-{b.size}")
+def test_galerkin_matrix_matches_triple_products(basis):
+    tensors = build_tensors(basis)
+    for k, m in enumerate(triple_products(basis)):
+        assert np.abs(galerkin_matrix(tensors, np.eye(basis.size)[k]) - m).max() < 1e-12
 
 
 def test_evaluate_wavelet_examples():

@@ -97,9 +97,17 @@ def test_validation_ranges():
     base = "[run]\npreset = scalar-oleinik\n"
     for snippet in ("[grid]\nnx = 4\n", "[output]\nstride = -1\n",
                     "[reference]\nkind = psychic\n", "[grid]\nboundary = magic\n",
-                    "[run]\nt_final = -1.0\n"):
+                    "[run]\nt_final = -1.0\n", "[basis]\nlevel = 13\n",
+                    "[basis]\nkind = dct\nsize = 40000\n",
+                    "[basis]\nkind = canonical-haar\nsize = 8193\n",
+                    "[basis]\nkind = piecewise-linear\nsubdomains = 4097\n"):
         with pytest.raises(ConfigError):
             parse_config(base + snippet)
+    # every kind reaches the K+1 = 8192 of the finest classical Haar level
+    for snippet in ("[basis]\nlevel = 12\n", "[basis]\nkind = dct\nsize = 8192\n",
+                    "[basis]\nkind = canonical-haar\nsize = 8192\n",
+                    "[basis]\nkind = piecewise-linear\nsubdomains = 4096\n"):
+        parse_config(base + snippet)
 
 
 def test_render_roundtrip():
@@ -114,6 +122,9 @@ def test_with_level_variants():
     assert with_level(config, 3).basis_level == 3
     dct = RunConfig(preset="scalar-oleinik", basis_kind="dct", basis_size=4)
     assert with_level(dct, 3).basis_size == 16
+    for too_fine in (config, dct):
+        with pytest.raises(ConfigError):
+            with_level(too_fine, 13)
 
 
 def test_write_field_csv_modes(tmp_path):
@@ -216,6 +227,9 @@ def test_cli_bad_config_exit_code(tmp_path):
     cfg = _write_config(tmp_path, "[run]\npreset = scalar-oleinik\ncfl = 2.0\n")
     assert main(["run", "--config", cfg]) == 2
     assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == 2
+    huge = _write_config(tmp_path, MINIMAL + "[basis]\nkind = dct\nsize = 40000\n")
+    assert main(["basis", "--config", huge]) == 2
+    assert main(["run", "--config", cfg, "--level-sweep", "0..13"]) == 2
 
 
 def test_cli_snapshots_with_stride(tmp_path):
@@ -234,6 +248,20 @@ def test_cli_mse_roundtrip(tmp_path):
     assert main(["run", "--config", cfg, "--out", out]) == 0
     field_csv = os.path.join(out, "field_final.csv")
     assert main(["mse", "--config", cfg, "--field", field_csv]) == 0
+
+
+def test_psystem_run_and_mse_measure_the_same_component(tmp_path, capsys):
+    cfg = _write_config(tmp_path, "[run]\npreset = psystem-riemann\nt_final = 0.1\n"
+                                  "[basis]\nlevel = 1\n[grid]\nnx = 40\n"
+                                  "[reference]\nkind = collocation\nrefine = 2\n")
+    out = str(tmp_path / "ps_out")
+    assert main(["run", "--config", cfg, "--out", out]) == 0
+    with open(os.path.join(out, "run_manifest.json")) as handle:
+        manifest = json.load(handle)
+    capsys.readouterr()
+    field_csv = os.path.join(out, "field_final.csv")
+    assert main(["mse", "--config", cfg, "--field", field_csv]) == 0
+    assert float(capsys.readouterr().out) == pytest.approx(manifest["mse"], rel=1e-12)
 
 
 def test_cli_reference_exact(tmp_path):

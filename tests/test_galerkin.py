@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
+from galerkin_reference import (eigen_derivative_check, triple_products,
+                                worst_commutator)
 from haarsg import (Admissibility, AdmissibilityError, abs_modes,
                     build_classical_haar, build_dct, build_piecewise_linear,
-                    build_tensors, check_commuting, convex_root_objective,
-                    eigen_derivative_check, evaluate_wavelet, from_spectrum,
-                    galerkin_matrix, galerkin_product, is_admissible,
-                    jacobian_abs, jacobian_pnorm, jacobian_power, moment_modes,
-                    nth_root_modes, pnorm_modes, power_modes, project,
-                    sign_modes, to_spectrum)
+                    build_tensors, convex_root_objective, evaluate_wavelet,
+                    from_spectrum, galerkin_matrix, galerkin_product,
+                    is_admissible, jacobian_abs, jacobian_pnorm, jacobian_power,
+                    moment_modes, nth_root_modes, pnorm_modes, power_modes,
+                    project, sign_modes, to_spectrum)
 
 T0 = build_tensors(build_classical_haar(0))
 T2 = build_tensors(build_classical_haar(2))
@@ -30,39 +31,33 @@ def spectral_projection(t, func, modes):
 
 
 def test_build_tensors_level0():
-    assert np.array_equal(T0.M[0], np.eye(2))
-    assert np.allclose(T0.M[1], [[0.0, 1.0], [1.0, 0.0]], atol=1e-15)
+    M = triple_products(T0.basis)
+    assert np.array_equal(M[0], np.eye(2))
+    assert np.allclose(M[1], [[0.0, 1.0], [1.0, 0.0]], atol=1e-15)
 
 
 def test_m0_is_identity_for_piecewise_constant():
     for t in PC_TENSORS:
-        assert np.array_equal(t.M[0], np.eye(t.size))
+        assert np.abs(triple_products(t.basis)[0] - np.eye(t.size)).max() < 1e-15
+        assert np.abs(galerkin_matrix(t, np.eye(t.size)[0]) - np.eye(t.size)).max() < 1e-15
 
 
 def test_tensors_symmetric_and_diagonalized():
     for t in PC_TENSORS + (TP,):
-        for k in range(t.size):
-            assert np.array_equal(t.M[k], t.M[k].T)
-            d = t.Hn.T @ t.M[k] @ t.Hn
+        for m in triple_products(t.basis):
+            assert np.abs(m - m.T).max() < 1e-15
+            d = t.Hn.T @ m @ t.Hn
             assert np.abs(d - np.diag(np.diag(d))).max() < 1e-12
 
 
-def test_check_commuting_detects_perturbation():
-    M = np.array(T2.M, copy=True)
-    M[3, 0, 5] += 1e-3
-    ok, worst = check_commuting(M)
-    assert not ok and worst > 1e-5
-
-
 def test_piecewise_linear_blocks():
-    t1 = build_tensors(build_piecewise_linear(1))
-    assert np.array_equal(t1.M[0], np.eye(2))
-    m1 = t1.M[1]
-    assert np.array_equal(m1, m1.T)
+    M = triple_products(build_piecewise_linear(1))
+    assert np.abs(M[0] - np.eye(2)).max() < 1e-15
+    m1 = M[1]
+    assert np.abs(m1 - m1.T).max() < 1e-15
     w, v = np.linalg.eigh(m1)
     assert np.abs(v @ v.T - np.eye(2)).max() < 1e-14
-    ok, _ = check_commuting(build_tensors(build_piecewise_linear(2)))
-    assert ok
+    assert worst_commutator(triple_products(build_piecewise_linear(2))) < 1e-10
 
 
 def test_galerkin_matrix_examples():

@@ -132,7 +132,7 @@ def test_collocation_reference_matches_exact_scalar():
 def test_monte_carlo_single_sample_and_deterministic_envelope():
     preset = get_preset("psystem-riemann")
     grid = Grid(nx=60, x_bounds=(-3.0, 3.0))
-    env = monte_carlo_reference(preset, 1, grid, 0.05, seed=7, component=1)
+    env = monte_carlo_reference(preset, 1, grid, 0.05, seed=7)
     assert np.array_equal(env.minimum, env.maximum)
     assert np.array_equal(env.minimum, env.mean)
     assert env.failed == 0

@@ -5,7 +5,7 @@ from haarsg import (Grid, GpcField, LinearAdvection, ScalarLipschitz,
                     SemiDiscreteSystem, SolverAbort, advance,
                     build_classical_haar, build_tensors, fill_ghosts,
                     source_quadrature, ssprk3_step)
-from haarsg.cweno import _face_values_numpy, cweno3_edges, cweno3_face_values
+from haarsg.cweno import cweno3_edges, cweno3_face_values
 
 
 def test_grid_properties_and_validation():
@@ -70,15 +70,6 @@ def test_cweno_2d_constants_and_planes_exact():
     i, j = 2, 3
     expected = 2.0 * (i + 1 - 0.5) + -3.0 * (j + 1 - g) + 0.5
     assert vals[0, 0, i, j, 0] == pytest.approx(expected, abs=1e-12)
-
-
-def test_cweno_2d_kernel_matches_numpy_reference():
-    rng = np.random.default_rng(1)
-    u = rng.normal(size=(10, 9, 3, 4))
-    for eps, power in ((1e-6, 2), (1e-4, 3)):
-        a = cweno3_face_values(u, eps, power)
-        b = _face_values_numpy(u, eps, power)
-        assert np.abs(a - b).max() < 1e-13
 
 
 def test_llf_consistency_and_antisymmetry():
