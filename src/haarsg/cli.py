@@ -19,11 +19,11 @@ import numpy as np
 from . import output
 from .config import parse_config
 from .errors import ConfigError, SolverAbort
-from .experiments import build_basis, build_grid, run_experiment, run_level_sweep
+from .experiments import (build_basis, build_grid, build_reference, reference_kind,
+                          run_experiment, run_level_sweep)
 from .galerkin import build_tensors, galerkin_matrix, project
 from .models import get_preset
-from .reference import (ExactScalarReference, collocation_reference,
-                        monte_carlo_reference, mse)
+from .reference import CollocationReference, ExactScalarReference, mse
 from .solver import GpcField
 
 _EXPR_NAMES = {
@@ -89,9 +89,12 @@ def _cmd_project(args) -> int:
 def _parse_sweep(text: str) -> tuple[int, int]:
     lo, _, hi = text.partition("..")
     try:
-        return int(lo), int(hi)
+        lo, hi = int(lo), int(hi)
     except ValueError:
         raise ConfigError(f"--level-sweep expects J0..J1, got {text!r}") from None
+    if not 0 <= lo <= hi:
+        raise ConfigError(f"--level-sweep needs 0 <= J0 <= J1, got {text!r}")
+    return lo, hi
 
 
 def _cmd_run(args) -> int:
@@ -111,35 +114,30 @@ def _cmd_run(args) -> int:
 def _cmd_reference(args) -> int:
     config = _apply_overrides(_load_config(args.config), args)
     preset = get_preset(config.preset)
+    if reference_kind(config) == "none":
+        raise ConfigError(f"preset {preset.name} has no reference configured")
     tensors = build_tensors(build_basis(config))
     grid = build_grid(config)
     t_final = config.t_final if config.t_final is not None else preset.t_final
-    kind = config.reference if config.reference is not None else preset.reference
+    ref = build_reference(config, tensors, grid, t_final, threads=args.threads)
     out_dir = config.out_dir
     os.makedirs(out_dir, exist_ok=True)
-    if kind == "exact":
-        ref = ExactScalarReference()
+    if isinstance(ref, ExactScalarReference):
         nodes = tensors.basis.cell_midpoints()
         rows = [[float(x), float(xi), float(ref.value(t_final, x, xi))]
                 for x in grid.x_centers for xi in nodes]
         path = os.path.join(out_dir, "reference_exact.csv")
         output.write_table_csv(path, ["x", "xi", "value"], rows)
-    elif kind == "collocation":
-        ref = collocation_reference(preset, tensors, refine=config.ref_refine,
-                                    t_final=t_final, grid=grid, cfl=config.cfl)
+    elif isinstance(ref, CollocationReference):
         qoi = ref.values[:, preset.qoi_component, :]
         rows = [[float(x), float(xi), float(qoi[i, j])]
                 for i, x in enumerate(ref.grid.x_centers)
                 for j, xi in enumerate(ref.xi_nodes)]
         path = os.path.join(out_dir, "reference_collocation.csv")
         output.write_table_csv(path, ["x", "xi", "value"], rows)
-    elif kind == "monte-carlo":
-        env = monte_carlo_reference(preset, config.ref_samples, grid, t_final,
-                                    config.seed)
-        path = os.path.join(out_dir, "mc_envelope.csv")
-        output.write_envelope_csv(env, path)
     else:
-        raise ConfigError(f"preset {preset.name} has no reference configured")
+        path = os.path.join(out_dir, "mc_envelope.csv")
+        output.write_envelope_csv(ref, path)
     print(f"wrote {path}")
     return 0
 
@@ -147,20 +145,16 @@ def _cmd_reference(args) -> int:
 def _cmd_mse(args) -> int:
     config = _apply_overrides(_load_config(args.config), args)
     preset = get_preset(config.preset)
+    kind = reference_kind(config)
+    if kind not in ("exact", "collocation"):
+        raise ConfigError(f"reference kind {kind!r} does not support mse")
     tensors = build_tensors(build_basis(config))
     grid = build_grid(config)
     t, xs, ys, data = output.read_field_csv(args.field)
     if ys is not None:
         raise ConfigError("mse comparison is defined for 1D fields")
     field = GpcField(grid=grid, data=data, time=t)
-    kind = config.reference if config.reference is not None else preset.reference
-    if kind == "exact":
-        reference = ExactScalarReference()
-    elif kind == "collocation":
-        reference = collocation_reference(preset, tensors, refine=config.ref_refine,
-                                          t_final=t, grid=grid, cfl=config.cfl)
-    else:
-        raise ConfigError(f"reference kind {kind!r} does not support mse")
+    reference = build_reference(config, tensors, grid, t)
     value = mse(field, tensors, reference, component=preset.qoi_component)
     print(format(value, ".17g"))
     return 0

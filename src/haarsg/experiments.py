@@ -49,6 +49,36 @@ def build_grid(config: RunConfig) -> Grid:
                 boundary_x=boundary, boundary_y=boundary)
 
 
+def reference_kind(config: RunConfig) -> str:
+    """The configured reference kind, else the preset's."""
+    if config.reference is not None:
+        return config.reference
+    return get_preset(config.preset).reference
+
+
+def build_reference(config: RunConfig, tensors: GalerkinTensor | None, grid: Grid,
+                    t_final: float, threads: int = 1):
+    """The reference a configuration asks for at ``t_final``; None for "none".
+
+    A collocation reference solves at the stochastic nodes of the classical
+    Haar basis of `reference.level` when that is set, else at those of
+    ``tensors`` (read only then), on ``grid`` refined by `reference.refine`.
+    """
+    preset = get_preset(config.preset)
+    kind = reference_kind(config)
+    if kind == "exact":
+        return ExactScalarReference()
+    if kind == "collocation":
+        if config.ref_level is not None:
+            tensors = build_tensors(build_classical_haar(config.ref_level))
+        return collocation_reference(preset, tensors, refine=config.ref_refine,
+                                     t_final=t_final, grid=grid, cfl=config.cfl)
+    if kind == "monte-carlo":
+        return monte_carlo_reference(preset, config.ref_samples, grid, t_final,
+                                     config.seed, threads=threads)
+    return None
+
+
 @dataclass
 class ExperimentResult:
     config: RunConfig
@@ -124,20 +154,8 @@ def run_experiment(config: RunConfig, threads: int = 1, out_dir: str | None = No
         result.artifacts += [final_path, stats_path]
 
     reference = reference_override
-    ref_kind = config.reference if config.reference is not None else preset.reference
-    if t_final > 0.0 and reference is None and ref_kind != "none":
-        if ref_kind == "exact":
-            reference = ExactScalarReference()
-        elif ref_kind == "collocation":
-            ref_level = config.ref_level
-            ref_tensors = tensors
-            if ref_level is not None:
-                ref_tensors = build_tensors(build_classical_haar(ref_level))
-            reference = collocation_reference(preset, ref_tensors, refine=config.ref_refine,
-                                              t_final=t_final, grid=grid, cfl=config.cfl)
-        elif ref_kind == "monte-carlo":
-            reference = monte_carlo_reference(preset, config.ref_samples, grid,
-                                              t_final, config.seed, threads=threads)
+    if t_final > 0.0 and reference is None:
+        reference = build_reference(config, tensors, grid, t_final, threads=threads)
     result.reference = reference
 
     qoi = preset.qoi_component
@@ -203,15 +221,12 @@ def run_level_sweep(config: RunConfig, level_lo: int, level_hi: int,
     preset = get_preset(config.preset)
     levels = list(range(level_lo, level_hi + 1))
     reference_override = None
-    ref_kind = config.reference if config.reference is not None else preset.reference
-    if ref_kind == "collocation":
+    if reference_kind(config) == "collocation":
         finest = with_level(config, level_hi)
-        ref_level = config.ref_level if config.ref_level is not None else level_hi
-        ref_tensors = build_tensors(build_classical_haar(ref_level))
+        if finest.ref_level is None:
+            finest = replace(finest, ref_level=level_hi)
         t_final = config.t_final if config.t_final is not None else preset.t_final
-        reference_override = collocation_reference(
-            preset, ref_tensors, refine=config.ref_refine, t_final=t_final,
-            grid=build_grid(finest), cfl=config.cfl)
+        reference_override = build_reference(finest, None, build_grid(finest), t_final)
 
     member_configs = [with_level(config, j) for j in levels]
     results: list[ExperimentResult | None] = [None] * len(levels)

@@ -27,6 +27,7 @@ SEMI_POSITIVE_TOL = -1e-13
 
 PROJECT_PANELS = 8
 PROJECT_GAUSS_POINTS = 5
+_GAUSS_NODES, _GAUSS_WEIGHTS = leggauss(PROJECT_GAUSS_POINTS)
 
 
 class Admissibility(Enum):
@@ -115,51 +116,69 @@ def galerkin_product(t: GalerkinTensor, a: np.ndarray, b: np.ndarray) -> np.ndar
 # ---------------------------------------------------------------------------
 # projection
 
-def _cell_quadrature(a: float, b: float, breakpoints) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss nodes/weights on [a, b], panels split at breakpoints."""
-    xg, wg = leggauss(PROJECT_GAUSS_POINTS)
-    edges = [a]
+def _pieces(ncell: int, breakpoints) -> tuple[np.ndarray, np.ndarray]:
+    """Left ends and stochastic cells of the pieces between breakpoints.
+
+    A breakpoint splits only the cell it lies strictly inside, and is
+    dropped within 1e-15 of the previous edge of that cell.  The pieces
+    come out in ascending order, so each cell's pieces are contiguous.
+    """
+    cell_edges = np.arange(ncell + 1) / ncell
+    lo, cells = [cell_edges[:-1]], [np.arange(ncell)]
+    last_edge = {}
     for brk in sorted(breakpoints):
-        if a < brk < b and brk - edges[-1] > 1e-15:
-            edges.append(brk)
-    edges.append(b)
-    nodes, weights = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        panel_edges = np.linspace(lo, hi, PROJECT_PANELS + 1)
-        for p0, p1 in zip(panel_edges[:-1], panel_edges[1:]):
-            half = 0.5 * (p1 - p0)
-            nodes.append(half * xg + 0.5 * (p0 + p1))
-            weights.append(half * wg)
-    return np.concatenate(nodes), np.concatenate(weights)
+        # cell_edges[c] <= brk < cell_edges[c + 1]; the 1e-15 rule drops brk
+        # on the left edge, NaN and values outside [0, 1) get no cell
+        c = int(np.searchsorted(cell_edges, brk, side="right")) - 1
+        if 0 <= c < ncell and brk - last_edge.get(c, cell_edges[c]) > 1e-15:
+            last_edge[c] = brk
+            lo.append([brk])
+            cells.append([c])
+    lo, cells = np.concatenate(lo), np.concatenate(cells)
+    order = np.argsort(lo)
+    return lo[order], cells[order]
 
 
 def project(t: GalerkinTensor, f: Callable[[np.ndarray], np.ndarray],
             breakpoints: Sequence[float] = ()) -> np.ndarray:
     """gPC modes of a function of xi: u_k = <f, phi_k> under the uniform law.
 
-    Cell integrals use composite 5-point Gauss-Legendre with 8 panels per
-    stochastic cell; ``breakpoints`` splits panels exactly at known
-    discontinuities of ``f`` so piecewise-smooth data projects exactly.
+    One pass: ``f`` is evaluated once, on the composite 5-point Gauss-Legendre
+    nodes (rule computed once, at import) of 8 panels per piece of every
+    stochastic cell.  ``breakpoints`` cut a cell into pieces exactly at
+    known discontinuities of ``f`` so piecewise-smooth data projects
+    exactly; only breakpoints strictly inside a cell split it, and one
+    within 1e-15 of the previous edge is dropped.  The per-cell integrals
+    come from one segmented sum and are mapped to modes by one product
+    with ``H`` (piecewise-constant kinds) or the per-subdomain pair of
+    local modes (piecewise-linear).
     """
     basis = t.basis
     ncell = basis.size if basis.is_piecewise_constant else basis.subdomains
-    modes = np.zeros(basis.size)
-    for c in range(ncell):
-        a, b = c / ncell, (c + 1) / ncell
-        nodes, weights = _cell_quadrature(a, b, breakpoints)
-        vals = np.asarray(f(nodes), dtype=float)
-        if vals.shape != nodes.shape:
-            vals = np.broadcast_to(vals, nodes.shape)
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("projected function returned non-finite values")
-        if basis.is_piecewise_constant:
-            modes += basis.H[:, c] * np.sum(weights * vals)
-        else:
-            n = basis.subdomains
-            p0 = np.sqrt(n) * np.ones_like(nodes)
-            p1 = np.sqrt(3 * n) * (2 * n * nodes - 2 * c - 1)
-            modes[2 * c] = np.sum(weights * vals * p0)
-            modes[2 * c + 1] = np.sum(weights * vals * p1)
+    lo, cells = _pieces(ncell, breakpoints)
+    hi = np.append(lo[1:], 1.0)
+    panel_edges = np.linspace(lo, hi, PROJECT_PANELS + 1, axis=1)
+    p0, p1 = panel_edges[:, :-1, None], panel_edges[:, 1:, None]
+    half = 0.5 * (p1 - p0)
+    nodes = (half * _GAUSS_NODES + 0.5 * (p0 + p1)).ravel()
+    weights = (half * _GAUSS_WEIGHTS).ravel()
+    vals = np.asarray(f(nodes), dtype=float)
+    if vals.shape != nodes.shape:
+        vals = np.broadcast_to(vals, nodes.shape)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("projected function returned non-finite values")
+    # each cell's pieces are contiguous: segment starts where the cell changes
+    per_piece = PROJECT_PANELS * PROJECT_GAUSS_POINTS
+    starts = np.flatnonzero(np.diff(cells, prepend=-1)) * per_piece
+    weighted = weights * vals
+    if basis.is_piecewise_constant:
+        return basis.H @ np.add.reduceat(weighted, starts)
+    n = basis.subdomains
+    node_cells = np.repeat(cells, per_piece)
+    modes = np.empty(basis.size)
+    modes[0::2] = np.add.reduceat(weighted * np.sqrt(n), starts)
+    modes[1::2] = np.add.reduceat(
+        weighted * (np.sqrt(3 * n) * (2 * n * nodes - 2 * node_cells - 1)), starts)
     return modes
 
 

@@ -518,7 +518,9 @@ def get_preset(name: str) -> ExperimentPreset:
 
 
 def initial_data(model, preset: ExperimentPreset, t: GalerkinTensor, grid):
-    """Project the preset's xi-dependent initial condition cell by cell."""
+    """Galerkin initial field of the preset: its xi-dependent initial data
+    projected onto the basis of ``t`` (one ``project`` call per x cell for
+    the scalar preset)."""
     from .solver import GpcField
     if preset.space_dim != grid.space_dim:
         raise ValueError(f"preset {preset.name} needs a {preset.space_dim}D grid")

@@ -13,6 +13,10 @@ from .galerkin import GalerkinTensor
 from .models import ExperimentPreset
 from .solver import Grid, GpcField, SemiDiscreteSystem, advance
 
+#: stochastic cells per pass of the exact-reference ``mse``
+MSE_BLOCK_CELLS = 16
+_GAUSS_NODES, _GAUSS_WEIGHTS = leggauss(5)
+
 
 def exact_scalar(t: float, x, xi):
     """Pointwise entropy solution of the scalar experiment.
@@ -190,20 +194,23 @@ def mse(field: GpcField, tensors: GalerkinTensor, reference, component: int = 0)
     """Integrated mean squared error against a reference random field.
 
     The xi-expectation is an exact sum over stochastic cells with 5-point
-    Gauss quadrature inside each cell (the reference may vary there); the
-    spatial integral uses the midpoint rule on the solver cells.
+    Gauss quadrature inside each cell (the reference may vary there),
+    evaluated ``MSE_BLOCK_CELLS`` cells at a time so the temporaries stay
+    (nx, 5 * MSE_BLOCK_CELLS); the spatial integral uses the midpoint rule
+    on the solver cells.
     """
     xs = field.grid.x_centers
     if isinstance(reference, ExactScalarReference):
         ncell = tensors.size if tensors.basis.is_piecewise_constant \
             else tensors.basis.subdomains
-        xg, wg = leggauss(5)
+        modes = field.data[:, component, :]
         exp_err = np.zeros(xs.size)
-        for c in range(ncell):
-            a, b = c / ncell, (c + 1) / ncell
-            nodes = 0.5 * (b - a) * xg + 0.5 * (a + b)
-            weights = 0.5 * (b - a) * wg
-            vals = expansion_values(tensors, field.data[:, component, :], nodes)
+        for first in range(0, ncell, MSE_BLOCK_CELLS):
+            cells = np.arange(first, min(first + MSE_BLOCK_CELLS, ncell))[:, None]
+            a, b = cells / ncell, (cells + 1) / ncell
+            nodes = (0.5 * (b - a) * _GAUSS_NODES + 0.5 * (a + b)).ravel()
+            weights = (0.5 * (b - a) * _GAUSS_WEIGHTS).ravel()
+            vals = expansion_values(tensors, modes, nodes)
             ref = reference.value(field.time, xs[:, None], nodes[None, :])
             exp_err += ((vals - ref) ** 2) @ weights
         return float(exp_err.sum() * field.grid.dx)

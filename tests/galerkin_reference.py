@@ -1,14 +1,18 @@
-"""Test-only oracles for the Galerkin eigenframe.
+"""Test-only oracles for the Galerkin eigenframe and the projection.
 
 They compute from the wavelets themselves what ``haarsg.galerkin`` derives
 from the shared eigenframe, so tests can check the one against the other.
+``project_reference`` is the cell-by-cell projection that the vectorized
+``haarsg.project`` replaced, kept as its oracle.
 """
 
 import math
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from haarsg import evaluate_wavelet, galerkin_matrix, to_spectrum
+from haarsg.galerkin import PROJECT_GAUSS_POINTS, PROJECT_PANELS
 
 
 def triple_products(basis) -> np.ndarray:
@@ -59,3 +63,45 @@ def eigen_derivative_check(t, u: np.ndarray, q: np.ndarray, step: float = 1e-6) 
         lhs[:, j] = (to_spectrum(t, u + e) - to_spectrum(t, u - e)) / (2.0 * step) * w
     rhs = t.Hn.T @ galerkin_matrix(t, q)
     return float(np.abs(lhs - rhs).max())
+
+
+def _cell_quadrature(a: float, b: float, breakpoints) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss nodes/weights on [a, b], panels split at breakpoints."""
+    xg, wg = leggauss(PROJECT_GAUSS_POINTS)
+    edges = [a]
+    for brk in sorted(breakpoints):
+        if a < brk < b and brk - edges[-1] > 1e-15:
+            edges.append(brk)
+    edges.append(b)
+    nodes, weights = [], []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        panel_edges = np.linspace(lo, hi, PROJECT_PANELS + 1)
+        for p0, p1 in zip(panel_edges[:-1], panel_edges[1:]):
+            half = 0.5 * (p1 - p0)
+            nodes.append(half * xg + 0.5 * (p0 + p1))
+            weights.append(half * wg)
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+def project_reference(t, f, breakpoints=()) -> np.ndarray:
+    """gPC modes of a function of xi, one stochastic cell at a time."""
+    basis = t.basis
+    ncell = basis.size if basis.is_piecewise_constant else basis.subdomains
+    modes = np.zeros(basis.size)
+    for c in range(ncell):
+        a, b = c / ncell, (c + 1) / ncell
+        nodes, weights = _cell_quadrature(a, b, breakpoints)
+        vals = np.asarray(f(nodes), dtype=float)
+        if vals.shape != nodes.shape:
+            vals = np.broadcast_to(vals, nodes.shape)
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("projected function returned non-finite values")
+        if basis.is_piecewise_constant:
+            modes += basis.H[:, c] * np.sum(weights * vals)
+        else:
+            n = basis.subdomains
+            p0 = np.sqrt(n) * np.ones_like(nodes)
+            p1 = np.sqrt(3 * n) * (2 * n * nodes - 2 * c - 1)
+            modes[2 * c] = np.sum(weights * vals * p0)
+            modes[2 * c + 1] = np.sum(weights * vals * p1)
+    return modes

@@ -232,6 +232,12 @@ def test_cli_bad_config_exit_code(tmp_path):
     assert main(["run", "--config", cfg, "--level-sweep", "0..13"]) == 2
 
 
+@pytest.mark.parametrize("sweep", ["3..1", "-1..1", "-2..-1"])
+def test_cli_reversed_or_negative_level_sweep_is_a_config_error(tmp_path, sweep):
+    cfg = _write_config(tmp_path, FULL)
+    assert main(["run", "--config", cfg, f"--level-sweep={sweep}"]) == 2
+
+
 def test_cli_snapshots_with_stride(tmp_path):
     text = FULL.replace("t_final = 0.1", "t_final = 0.02").replace(
         "stride = 0", "stride = 2")
@@ -262,6 +268,26 @@ def test_psystem_run_and_mse_measure_the_same_component(tmp_path, capsys):
     field_csv = os.path.join(out, "field_final.csv")
     assert main(["mse", "--config", cfg, "--field", field_csv]) == 0
     assert float(capsys.readouterr().out) == pytest.approx(manifest["mse"], rel=1e-12)
+
+
+def test_reference_level_gives_run_and_mse_the_same_reference(tmp_path, capsys):
+    cfg = _write_config(tmp_path, "[run]\npreset = psystem-riemann\nt_final = 0.1\n"
+                                  "[basis]\nlevel = 1\n[grid]\nnx = 40\n"
+                                  "[reference]\nkind = collocation\nrefine = 2\n"
+                                  "level = 3\n")
+    out = str(tmp_path / "ref_level_out")
+    assert main(["run", "--config", cfg, "--out", out]) == 0
+    with open(os.path.join(out, "run_manifest.json")) as handle:
+        manifest = json.load(handle)
+    capsys.readouterr()
+    field_csv = os.path.join(out, "field_final.csv")
+    assert main(["mse", "--config", cfg, "--field", field_csv]) == 0
+    assert float(capsys.readouterr().out) == pytest.approx(manifest["mse"], rel=1e-12)
+    ref_out = str(tmp_path / "ref_dump")
+    assert main(["reference", "--config", cfg, "--out", ref_out]) == 0
+    rows = np.loadtxt(os.path.join(ref_out, "reference_collocation.csv"),
+                      delimiter=",", skiprows=1)
+    assert np.unique(rows[:, 1]).size == 16  # the level-3 nodes, not the run's 4
 
 
 def test_cli_reference_exact(tmp_path):

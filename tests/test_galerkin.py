@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from galerkin_reference import (eigen_derivative_check, triple_products,
-                                worst_commutator)
+from galerkin_reference import (eigen_derivative_check, project_reference,
+                                triple_products, worst_commutator)
 from haarsg import (Admissibility, AdmissibilityError, abs_modes,
                     build_classical_haar, build_dct, build_piecewise_linear,
                     build_tensors, convex_root_objective, evaluate_wavelet,
@@ -10,6 +10,7 @@ from haarsg import (Admissibility, AdmissibilityError, abs_modes,
                     is_admissible, jacobian_abs, jacobian_pnorm, jacobian_power,
                     moment_modes, nth_root_modes, pnorm_modes, power_modes,
                     project, sign_modes, to_spectrum)
+from test_basis import ALL_BASES
 
 T0 = build_tensors(build_classical_haar(0))
 T2 = build_tensors(build_classical_haar(2))
@@ -143,6 +144,39 @@ def test_project_breakpoints_make_discontinuity_exact():
 def test_project_rejects_non_finite():
     with pytest.raises(ValueError):
         project(T0, lambda xi: np.where(xi > 0.4, np.inf, 1.0))
+
+
+#: breakpoint sets as functions of the stochastic cell count n
+BREAKPOINT_CASES = {
+    "none": lambda n: (),
+    "inside": lambda n: ((n // 2 + 0.37) / n,),
+    "on-edge": lambda n: ((n // 2) / n,),
+    "two-in-cell": lambda n: ((n // 2 + 0.6) / n, (n // 2 + 0.25) / n),
+    "within-1e-15": lambda n: ((n // 2 + 0.4) / n, (n // 2 + 0.4) / n + 5e-16),
+    "outside": lambda n: (-0.2, 1.3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BREAKPOINT_CASES))
+@pytest.mark.parametrize("basis", ALL_BASES, ids=lambda b: f"{b.kind.value}-{b.size}")
+def test_project_matches_per_cell_reference(basis, case):
+    t = build_tensors(basis)
+    ncell = basis.size if basis.is_piecewise_constant else basis.subdomains
+    breaks = BREAKPOINT_CASES[case](ncell)
+    calls = []
+
+    def f(xi):
+        calls.append(xi.size)
+        jumps = sum(np.where(xi < b, -1.0, 2.0) for b in breaks)
+        return np.cos(3.0 * xi) + xi ** 2 + jumps
+
+    modes = project(t, f, breakpoints=breaks)
+    assert len(calls) == 1  # one evaluation on every node, not one per cell
+    expected = project_reference(t, f, breakpoints=breaks)
+    assert np.abs(modes - expected).max() <= 1e-14
+    # the same pieces: a dropped or extra breakpoint changes the node count
+    # even where its effect on the integrals is below rounding
+    assert calls[0] == sum(calls[1:])
 
 
 def test_power_examples():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from haarsg import (ExactScalarReference, Grid, GpcField, build_classical_haar,
-                    build_tensors, exact_scalar, expansion_values, get_preset,
+                    build_dct, build_piecewise_linear, build_tensors, exact_scalar, expansion_values, get_preset,
                     initial_data, l1_distance, mean_std, monte_carlo_reference,
                     mse, collocation_reference, SemiDiscreteSystem, advance)
 from haarsg.reference import preset_grid, solve_deterministic_batch
@@ -82,6 +82,36 @@ def test_mse_constant_offset():
     field = GpcField(grid, data, 1.0)
     # constant offset c over length L: mse = c^2 L
     assert mse(field, T2, OffsetReference()) == pytest.approx(0.25 * 4.0, abs=1e-12)
+
+
+def _exact_mse_per_cell(field, t, reference):
+    """The exact-reference mse one stochastic cell at a time (oracle)."""
+    xs = field.grid.x_centers
+    ncell = t.size if t.basis.is_piecewise_constant else t.basis.subdomains
+    xg, wg = np.polynomial.legendre.leggauss(5)
+    exp_err = np.zeros(xs.size)
+    for c in range(ncell):
+        a, b = c / ncell, (c + 1) / ncell
+        nodes = 0.5 * (b - a) * xg + 0.5 * (a + b)
+        weights = 0.5 * (b - a) * wg
+        vals = expansion_values(t, field.data[:, 0, :], nodes)
+        ref = reference.value(field.time, xs[:, None], nodes[None, :])
+        exp_err += ((vals - ref) ** 2) @ weights
+    return float(exp_err.sum() * field.grid.dx)
+
+
+@pytest.mark.parametrize("basis", [build_classical_haar(5), build_dct(40),
+                                   build_piecewise_linear(20)],
+                         ids=lambda b: f"{b.kind.value}-{b.size}")
+def test_exact_mse_matches_per_cell_sum(basis):
+    # 64, 40 and 20 stochastic cells: whole blocks, and blocks with a tail
+    t = build_tensors(basis)
+    grid = Grid(nx=30, x_bounds=(-2.0, 2.0))
+    data = np.random.default_rng(3).normal(size=(30, 1, t.size))
+    field = GpcField(grid, data, 0.2)
+    reference = ExactScalarReference()
+    expected = _exact_mse_per_cell(field, t, reference)
+    assert mse(field, t, reference) == pytest.approx(expected, rel=1e-13)
 
 
 def test_mean_std_matches_cell_statistics():
