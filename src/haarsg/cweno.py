@@ -5,6 +5,11 @@ linear polynomials; the 2D one blends a full quadratic with four sectorial
 planes and is evaluated at the two Gauss points of every face, so that face
 flux integrals retain third order without dimensional splitting.  Nonlinear
 weights use Jiang-Shu style smoothness indicators.
+
+The 2D reconstruction runs in strips of whole rows along the x axis, each
+strip about ``STRIP_BYTES`` of input, so that its temporaries stay in a
+core's cache; every operation is elementwise, so the result does not depend
+on where the strips are cut.
 """
 
 from __future__ import annotations
@@ -22,6 +27,20 @@ D_CENTRAL_2D = 0.5
 D_SECTOR_2D = 0.125
 
 GAUSS_OFFSET = 0.5 / math.sqrt(3.0)  # face Gauss points at +- this, cell widths normalized
+
+#: byte budget of one strip of rows in the 2D reconstruction and the LLF
+#: flux.  On a 100x100 Euler grid with 8 modes, 128-512 KiB ran within 8 %
+#: of each other and a third faster than whole arrays.  512 KiB keeps the 1D
+#: LLF of 400 cells x 128 modes in one strip; split into several, it made
+#: the allocator return and re-fault a third more pages per step.
+STRIP_BYTES = 512 * 1024
+
+
+def strips(n: int, row_bytes: int) -> list[tuple[int, int]]:
+    """(start, stop) of consecutive strips covering ``n`` rows of ``row_bytes``
+    bytes each: as many rows per strip as fit in ``STRIP_BYTES``, at least one."""
+    rows = max(1, STRIP_BYTES // max(row_bytes, 1))
+    return [(i, min(i + rows, n)) for i in range(0, n, rows)]
 
 
 def _weight(d: float, beta: np.ndarray, eps: float, power: int) -> np.ndarray:
@@ -87,9 +106,20 @@ def cweno3_face_values(u: np.ndarray, eps: float = EPS_DEFAULT,
     ``u`` is indexed (x-cell, y-cell, ...) and the result drops one cell per
     side in both directions; output shape is (4, 2, nx-2, ny-2, ...) with
     face order (west, east, south, north) and Gauss points ordered by
-    increasing tangential coordinate.  Every stage is a vectorized numpy
-    pass over the whole array, trailing axes included.
+    increasing tangential coordinate.  The output is filled strip by strip:
+    output rows ``i:j`` along x come from input rows ``i:j+2``, with about
+    ``STRIP_BYTES`` of input rows per strip; trailing axes are carried along.
     """
+    nx = u.shape[0] - 2
+    out = np.empty((4, 2, nx, u.shape[1] - 2) + u.shape[2:], dtype=u.dtype)
+    for i, j in strips(nx, u[0].nbytes):
+        _face_values_strip(u[i:j + 2], eps, power, out[:, :, i:j])
+    return out
+
+
+def _face_values_strip(u: np.ndarray, eps: float, power: int, out: np.ndarray) -> None:
+    """Face values of the interior rows of ``u`` into ``out``, shaped
+    (4, 2, rows of u - 2, ny-2, ...)."""
     uc = u[1:-1, 1:-1]
     uw, ue = u[:-2, 1:-1], u[2:, 1:-1]
     us, un = u[1:-1, :-2], u[1:-1, 2:]
@@ -135,7 +165,6 @@ def cweno3_face_values(u: np.ndarray, eps: float = EPS_DEFAULT,
     F = (2.0 * wc) * f
 
     g = GAUSS_OFFSET
-    out = np.empty((4, 2) + uc.shape, dtype=u.dtype)
     # west/east faces: xi = -+1/2, eta = -+g
     for fi, xi in ((0, -0.5), (1, 0.5)):
         base = A + B * xi + DXX * (xi * xi) + DYY * (g * g)
@@ -148,5 +177,3 @@ def cweno3_face_values(u: np.ndarray, eps: float = EPS_DEFAULT,
         slope = (B + F * eta) * g
         np.subtract(base, slope, out=out[fi, 0])
         np.add(base, slope, out=out[fi, 1])
-    return out
-

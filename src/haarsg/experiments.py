@@ -121,10 +121,13 @@ def run_experiment(config: RunConfig, threads: int = 1, out_dir: str | None = No
     admissibility_min = [np.inf]
     snapshots = []
 
-    def monitor(t, current):
+    def monitor(t, current) -> bool:
+        """Track the admissibility minimum; False when the model has none."""
         vals = model.admissibility_values(system._to_values(current.data))
-        if vals is not None:
-            admissibility_min[0] = min(admissibility_min[0], float(vals.min()))
+        if vals is None:
+            return False
+        admissibility_min[0] = min(admissibility_min[0], float(vals.min()))
+        return True
 
     step_count = [0]
 
@@ -133,10 +136,10 @@ def run_experiment(config: RunConfig, threads: int = 1, out_dir: str | None = No
         if config.stride and step_count[0] % config.stride == 0:
             snapshots.append(GpcField(grid=grid, data=current.data.copy(), time=t))
 
-    monitor(0.0, field)
+    # a model without an admissibility constraint is not watched after step 0
+    callbacks = (snapshotter, monitor) if monitor(0.0, field) else (snapshotter,)
     if t_final > 0.0:
-        field = advance(system, field, t_final, cfl=config.cfl,
-                        callbacks=(snapshotter, monitor))
+        field = advance(system, field, t_final, cfl=config.cfl, callbacks=callbacks)
     result.field = field
     result.steps = step_count[0]
     result.admissibility_min = admissibility_min[0]

@@ -205,6 +205,31 @@ def test_cli_run_tiny_experiment(tmp_path):
     assert manifest["mse"] is not None
 
 
+@pytest.mark.parametrize("preset, watched", [("scalar-oleinik", False),
+                                             ("psystem-riemann", True)])
+def test_admissibility_monitor_transforms_only_when_watching(tmp_path, monkeypatch,
+                                                             preset, watched):
+    from haarsg.experiments import run_experiment
+    from haarsg.solver import SemiDiscreteSystem
+    config = parse_config(f"[run]\npreset = {preset}\nt_final = 0.05\n"
+                          "[basis]\nkind = classical-haar\nlevel = 1\n[grid]\nnx = 40\n"
+                          f"[reference]\nkind = none\n[output]\ndirectory = {tmp_path}\n")
+    field_transforms = []
+    to_values = SemiDiscreteSystem._to_values
+
+    def counting(self, modes):
+        if modes.shape[0] == 40:  # the whole field, not interface states
+            field_transforms.append(modes.shape)
+        return to_values(self, modes)
+
+    monkeypatch.setattr(SemiDiscreteSystem, "_to_values", counting)
+    result = run_experiment(config, write_outputs=False)
+    # compute_dt transforms the field once per step; the monitor once at
+    # step 0 and, when it has something to watch, after every step
+    assert len(field_transforms) == 1 + result.steps * (2 if watched else 1)
+    assert np.isfinite(result.admissibility_min) == watched
+
+
 def test_cli_run_t_final_zero_dumps_initial_data(tmp_path):
     cfg = _write_config(tmp_path, FULL.replace("t_final = 0.1", "t_final = 0.0"))
     out = str(tmp_path / "dump_out")

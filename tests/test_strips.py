@@ -1,0 +1,88 @@
+"""The 2D reconstruction and the LLF flux run in strips along x; the result
+must not depend on where the strips are cut, and must equal the whole-array
+oracles in ``solver_reference`` bit for bit."""
+
+import numpy as np
+import pytest
+from solver_reference import face_values_reference, llf_reference
+
+from haarsg import (AdmissibilityError, Euler2D, Grid, ScalarLipschitz,
+                    SemiDiscreteSystem, build_classical_haar, build_tensors,
+                    from_spectrum)
+from haarsg import cweno
+
+HUGE = 1 << 40
+
+
+@pytest.mark.parametrize("trailing", [(), (2,), (3, 8), (1, 128)])
+@pytest.mark.parametrize("rows_out, rows_per_strip",
+                         [(6, 8), (6, 2), (7, 3), (5, 1)],
+                         ids=["one-strip", "even-strips", "ragged-strip", "row-strips"])
+def test_face_values_match_whole_array_oracle(monkeypatch, trailing, rows_out,
+                                              rows_per_strip):
+    rng = np.random.default_rng(rows_out * 10 + len(trailing))
+    u = rng.normal(size=(rows_out + 2, 9) + trailing)
+    u[rows_out // 2:] += 3.0  # a jump, so the nonlinear weights differ from cell to cell
+    # a budget between two whole rows still gives rows_per_strip rows
+    monkeypatch.setattr(cweno, "STRIP_BYTES", rows_per_strip * u[0].nbytes + u[0].nbytes // 2)
+    starts = [i for i, _ in cweno.strips(rows_out, u[0].nbytes)]
+    assert starts == list(range(0, rows_out, rows_per_strip))
+    for eps, power in ((cweno.EPS_DEFAULT, cweno.POWER_DEFAULT), (0.01, 3)):
+        got = cweno.cweno3_face_values(u, eps, power)
+        assert np.array_equal(got, face_values_reference(u, eps, power))
+
+
+def test_face_values_default_budget_gives_several_strips():
+    u = np.random.default_rng(7).normal(size=(104, 104, 3, 8))
+    assert len(cweno.strips(102, u[0].nbytes)) > 1
+    assert np.array_equal(cweno.cweno3_face_values(u, 0.01, 3),
+                          face_values_reference(u, 0.01, 3))
+
+
+def _euler_system(coupled: bool):
+    grid = Grid(nx=13, x_bounds=(-1.0, 1.0), ny=10, y_bounds=(-1.0, 1.5))
+    rng = np.random.default_rng(11 if coupled else 12)
+    m = 8 if coupled else 5
+    values = np.empty((13, 10, 3, m))
+    values[..., 0, :] = rng.uniform(0.5, 2.0, size=(13, 10, m))
+    values[..., 1:, :] = rng.normal(scale=0.3, size=(13, 10, 2, m))
+    if not coupled:
+        return SemiDiscreteSystem(Euler2D(), grid), values
+    tensors = build_tensors(build_classical_haar(2))
+    return SemiDiscreteSystem(Euler2D(), grid, tensors=tensors), from_spectrum(tensors, values)
+
+
+def _scalar_system(coupled: bool):
+    grid = Grid(nx=40, x_bounds=(-1.0, 1.0))
+    rng = np.random.default_rng(13)
+    tensors = build_tensors(build_classical_haar(3))
+    data = rng.normal(size=(40, 1, tensors.size))
+    return SemiDiscreteSystem(ScalarLipschitz(), grid, tensors=tensors), data
+
+
+@pytest.mark.parametrize("make, coupled", [(_euler_system, True), (_euler_system, False),
+                                           (_scalar_system, True)],
+                         ids=["euler-galerkin", "euler-batch", "scalar-galerkin"])
+def test_rhs_is_strip_invariant_and_matches_whole_array_oracle(monkeypatch, make, coupled):
+    system, data = make(coupled)
+    got = {}
+    for budget in (1, HUGE):
+        monkeypatch.setattr(cweno, "STRIP_BYTES", budget)
+        got[budget] = system.rhs(data, 0.0)
+    assert np.array_equal(got[1], got[HUGE])
+    monkeypatch.setattr(cweno, "cweno3_face_values", face_values_reference)
+    monkeypatch.setattr(SemiDiscreteSystem, "_llf", llf_reference)
+    assert np.array_equal(got[1], system.rhs(data, 0.0))
+
+
+def test_admissibility_error_names_the_global_minimum(monkeypatch):
+    system, _ = _euler_system(coupled=False)
+    states = np.ones((2, 14, 10, 3, 4))
+    states[0, 1, 2, 0, 3] = -0.5   # first strip
+    states[1, 9, 5, 0, 1] = -2.0   # a later strip, and lower
+    monkeypatch.setattr(cweno, "STRIP_BYTES", 1)
+    assert len(system._x_strips(states)) == 14
+    with pytest.raises(AdmissibilityError) as err:
+        system._llf(states, np.ones_like(states), axis=0)
+    assert err.value.where == (1, 9, 5)
+    assert err.value.index == 1
