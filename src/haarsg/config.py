@@ -140,6 +140,9 @@ def validate_config(config: RunConfig) -> None:
             and not 1 <= (config.basis_subdomains or 0) <= MAX_BASIS_SIZE // 2):
         raise ConfigError(f"`basis.subdomains` must lie in [1, {MAX_BASIS_SIZE // 2}], "
                           f"got {config.basis_subdomains}", key="basis.subdomains")
+    if config.ref_level is not None and not 0 <= config.ref_level <= MAX_HAAR_LEVEL:
+        raise ConfigError(f"`reference.level` must lie in [0, {MAX_HAAR_LEVEL}], "
+                          f"got {config.ref_level}", key="reference.level")
     if config.nx is not None and config.nx < 8:
         raise ConfigError(f"`grid.nx` must be >= 8, got {config.nx}", key="grid.nx")
     if config.ny is not None and config.ny < 8:

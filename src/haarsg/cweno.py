@@ -7,9 +7,18 @@ flux integrals retain third order without dimensional splitting.  Nonlinear
 weights use Jiang-Shu style smoothness indicators.
 
 The 2D reconstruction runs in strips of whole rows along the x axis, each
-strip about ``STRIP_BYTES`` of input, so that its temporaries stay in a
+strip about ``STRIP_BYTES`` of input, so that its intermediates stay in a
 core's cache; every operation is elementwise, so the result does not depend
 on where the strips are cut.
+
+Work arrays: both reconstructions write every intermediate and their
+results into arrays of the ``Workspace`` they are given (seven arrays of
+the output's size for the 1D edges, sixteen of one strip's size for the 2D
+faces) and allocate nothing else.  The caller owns the workspace: the
+solver's ``advance`` keeps one for the whole call and drops it on return.
+A result is valid only until the next call with the same workspace.
+Called without one, a function makes a fresh workspace, so it then
+allocates all of its arrays for that call alone.
 """
 
 from __future__ import annotations
@@ -17,6 +26,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .workspace import Workspace
 
 EPS_DEFAULT = 1e-6
 POWER_DEFAULT = 2
@@ -29,11 +40,14 @@ D_SECTOR_2D = 0.125
 GAUSS_OFFSET = 0.5 / math.sqrt(3.0)  # face Gauss points at +- this, cell widths normalized
 
 #: byte budget of one strip of rows in the 2D reconstruction and the LLF
-#: flux.  On a 100x100 Euler grid with 8 modes, 128-512 KiB ran within 8 %
-#: of each other and a third faster than whole arrays.  512 KiB keeps the 1D
-#: LLF of 400 cells x 128 modes in one strip; split into several, it made
-#: the allocator return and re-fault a third more pages per step.
-STRIP_BYTES = 512 * 1024
+#: flux.  With the reconstruction in work arrays, 128 KiB gave the fastest
+#: 100x100 Euler right-hand side (about 85 ms against 100 ms at 512 KiB) and
+#: the smallest set of strip-sized arrays; it also keeps the temporaries of
+#: the model's flux and speed bound in the 1D LLF (400 cells x 128 modes, four
+#: strips) small enough that the allocator reuses their pages instead of
+#: returning and re-faulting them (a scalar level-6 run: 26k minor page
+#: faults at 128 KiB, 200k at 256 KiB, 360k at 512 KiB).
+STRIP_BYTES = 128 * 1024
 
 
 def strips(n: int, row_bytes: int) -> list[tuple[int, int]]:
@@ -43,64 +57,104 @@ def strips(n: int, row_bytes: int) -> list[tuple[int, int]]:
     return [(i, min(i + rows, n)) for i in range(0, n, rows)]
 
 
-def _weight(d: float, beta: np.ndarray, eps: float, power: int) -> np.ndarray:
+def _weight(d: float, beta: np.ndarray, eps: float, power: int,
+            out: np.ndarray | None = None, tmp: np.ndarray | None = None) -> np.ndarray:
     """Unnormalized nonlinear weight d / (eps + beta)^power.
 
     Integer powers are expanded by hand; float pow on full arrays costs
-    roughly 8x an elementwise multiply.
+    roughly 8x an elementwise multiply.  The result goes into ``out`` (which
+    may be ``beta``) and the power into ``tmp``; either is allocated when
+    not given.
     """
-    t = eps + beta
-    if power == 2:
-        den = t * t
-    elif power == 3:
-        den = t * t * t
+    t = np.add(beta, eps, out=out)
+    den = np.multiply(t, t, out=tmp) if power in (2, 3, 4) else np.power(t, power, out=tmp)
+    if power == 3:
+        den *= t
     elif power == 4:
-        t2 = t * t
-        den = t2 * t2
-    else:
-        den = t ** power
-    return d / den
+        den *= den
+    return np.divide(d, den, out=out)
 
 
 def cweno3_edges(u: np.ndarray, eps: float = EPS_DEFAULT,
-                 power: int = POWER_DEFAULT) -> tuple[np.ndarray, np.ndarray]:
+                 power: int = POWER_DEFAULT,
+                 work: Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Edge values (at the left/right cell faces) from 3-cell stencils.
 
     ``u`` is indexed by cell along axis 0 and may carry trailing axes; the
     result drops one cell on each end: entry i corresponds to cell i+1 of
     the input.  Returns ``(left, right)`` evaluated at x_{i-1/2}, x_{i+1/2}.
+    Both are arrays of ``work``, and so are the seven scratch arrays that
+    every intermediate is written into.
     """
+    if work is None:
+        work = Workspace()
+    shape = (u.shape[0] - 2,) + u.shape[1:]
+    s = [work.array(f"edges.{i}", shape) for i in range(7)]
+    left = work.array("edges.left", shape)
+    right = work.array("edges.right", shape)
     um, u0, up = u[:-2], u[1:-1], u[2:]
-    dl = u0 - um
-    dr = up - u0
-    curv = um - 2.0 * u0 + up
+    dl = np.subtract(u0, um, out=s[0])
+    dr = np.subtract(up, u0, out=s[1])
+    curv = np.multiply(u0, 2.0, out=s[2])
+    np.subtract(um, curv, out=curv)
+    curv += up
 
-    sum_lr = dl + dr
-    beta_c = (13.0 / 12.0) * curv * curv + 0.25 * sum_lr * sum_lr
+    # beta_c = (13/12) curv^2 + 0.25 (dl + dr)^2
+    sum_lr = np.add(dl, dr, out=s[3])
+    quarter = np.multiply(sum_lr, 0.25, out=s[4])
+    quarter *= sum_lr
+    beta_c = np.multiply(curv, 13.0 / 12.0, out=s[3])
+    beta_c *= curv
+    beta_c += quarter
 
-    al = _weight(D_SIDE_1D, dl * dl, eps, power)
-    ar = _weight(D_SIDE_1D, dr * dr, eps, power)
-    ac = _weight(D_CENTRAL_1D, beta_c, eps, power)
-    inv = 1.0 / (al + ar + ac)
-    wl, wr, wc = al * inv, ar * inv, ac * inv
+    # s[5] holds the powers of the weights, then 1 / (al + ar + ac)
+    wl = _weight(D_SIDE_1D, np.multiply(dl, dl, out=s[4]), eps, power, out=s[4], tmp=s[5])
+    wr = _weight(D_SIDE_1D, np.multiply(dr, dr, out=s[6]), eps, power, out=s[6], tmp=s[5])
+    wc = _weight(D_CENTRAL_1D, beta_c, eps, power, out=beta_c, tmp=s[5])
+    inv = np.add(wl, wr, out=s[5])
+    inv += wc
+    np.divide(1.0, inv, out=inv)
+    wl *= inv
+    wr *= inv
+    wc *= inv
 
     # candidates: one-sided linears and the central polynomial
     # P_opt = 2 P_parab - (P_L + P_R)/2, a parabola with coefficients
-    # a = u0 - curv/12, b = (up - um)/2, c = curv (in normalized coordinates)
-    b = 0.5 * (up - um)
-    a_opt = u0 - curv / 12.0
-    pl_left, pl_right = u0 - 0.5 * dl, u0 + 0.5 * dl
-    pr_left, pr_right = u0 - 0.5 * dr, u0 + 0.5 * dr
-    pc_right = a_opt + 0.5 * b + 0.25 * curv
-    pc_left = a_opt - 0.5 * b + 0.25 * curv
-
-    left = wl * pl_left + wr * pr_left + wc * pc_left
-    right = wl * pl_right + wr * pr_right + wc * pc_right
+    # a = u0 - curv/12, b = (up - um)/2, c = curv (in normalized coordinates);
+    # left = wl pl_left + wr pr_left + wc pc_left, and the same on the right
+    half_dl, half_dr = dl, dr
+    half_dl *= 0.5
+    half_dr *= 0.5
+    np.subtract(u0, half_dl, out=left)
+    left *= wl
+    np.add(u0, half_dl, out=right)
+    right *= wl
+    term = s[0]  # half_dl is spent
+    np.subtract(u0, half_dr, out=term)
+    term *= wr
+    left += term
+    np.add(u0, half_dr, out=term)
+    term *= wr
+    right += term
+    half_b = np.subtract(up, um, out=s[1])  # half_dr is spent
+    half_b *= 0.5
+    half_b *= 0.5
+    a_opt = np.divide(curv, 12.0, out=s[4])  # wl is spent
+    np.subtract(u0, a_opt, out=a_opt)
+    quarter_curv = curv
+    quarter_curv *= 0.25
+    # pc_left = a_opt - b/2 + curv/4, pc_right = a_opt + b/2 + curv/4
+    for side, sign in ((left, np.subtract), (right, np.add)):
+        sign(a_opt, half_b, out=term)
+        term += quarter_curv
+        term *= wc
+        side += term
     return left, right
 
 
 def cweno3_face_values(u: np.ndarray, eps: float = EPS_DEFAULT,
-                       power: int = POWER_DEFAULT) -> np.ndarray:
+                       power: int = POWER_DEFAULT,
+                       work: Workspace | None = None) -> np.ndarray:
     """Truly-2D reconstruction at the 2 Gauss points of each of the 4 faces.
 
     ``u`` is indexed (x-cell, y-cell, ...) and the result drops one cell per
@@ -109,71 +163,119 @@ def cweno3_face_values(u: np.ndarray, eps: float = EPS_DEFAULT,
     increasing tangential coordinate.  The output is filled strip by strip:
     output rows ``i:j`` along x come from input rows ``i:j+2``, with about
     ``STRIP_BYTES`` of input rows per strip; trailing axes are carried along.
+    The output is an array of ``work``; the strips' temporaries are not.
     """
+    if work is None:
+        work = Workspace()
     nx = u.shape[0] - 2
-    out = np.empty((4, 2, nx, u.shape[1] - 2) + u.shape[2:], dtype=u.dtype)
+    out = work.array("faces", (4, 2, nx, u.shape[1] - 2) + u.shape[2:], u.dtype)
     for i, j in strips(nx, u[0].nbytes):
-        _face_values_strip(u[i:j + 2], eps, power, out[:, :, i:j])
+        _face_values_strip(u[i:j + 2], eps, power, out[:, :, i:j], work)
     return out
 
 
-def _face_values_strip(u: np.ndarray, eps: float, power: int, out: np.ndarray) -> None:
+def _face_values_strip(u: np.ndarray, eps: float, power: int, out: np.ndarray,
+                       work: Workspace) -> None:
     """Face values of the interior rows of ``u`` into ``out``, shaped
-    (4, 2, rows of u - 2, ny-2, ...)."""
+    (4, 2, rows of u - 2, ny-2, ...); every intermediate goes into one of
+    sixteen strip-sized scratch arrays of ``work``."""
+    shape = (u.shape[0] - 2, u.shape[1] - 2) + u.shape[2:]
+    s = [work.array(f"faces.{i}", shape) for i in range(16)]
     uc = u[1:-1, 1:-1]
     uw, ue = u[:-2, 1:-1], u[2:, 1:-1]
     us, un = u[1:-1, :-2], u[1:-1, 2:]
 
     # one-sided slopes feed both the sectorial planes and the central betas
-    bxw = uc - uw
-    bxe = ue - uc
-    bys = uc - us
-    byn = un - uc
-    b = 0.5 * (bxw + bxe)
-    c = 0.5 * (bys + byn)
-    dxx = 0.5 * (bxe - bxw)
-    dyy = 0.5 * (byn - bys)
-    f = 0.25 * ((u[2:, 2:] - u[:-2, 2:]) - (u[2:, :-2] - u[:-2, :-2]))
+    bxw = np.subtract(uc, uw, out=s[0])
+    bxe = np.subtract(ue, uc, out=s[1])
+    bys = np.subtract(uc, us, out=s[2])
+    byn = np.subtract(un, uc, out=s[3])
+    b = np.add(bxw, bxe, out=s[4])
+    b *= 0.5
+    c = np.add(bys, byn, out=s[5])
+    c *= 0.5
+    dxx = np.subtract(bxe, bxw, out=s[6])
+    dxx *= 0.5
+    dyy = np.subtract(byn, bys, out=s[7])
+    dyy *= 0.5
+    # f = 0.25 * ((u[2:, 2:] - u[:-2, 2:]) - (u[2:, :-2] - u[:-2, :-2]))
+    f = np.subtract(u[2:, 2:], u[:-2, 2:], out=s[8])
+    t = np.subtract(u[2:, :-2], u[:-2, :-2], out=s[9])
+    f -= t
+    f *= 0.25
 
     # optimal central candidate P_opt = 2 Q - mean(planes): quadratic terms
-    # double, linear terms stay, constant a_opt = uc - (dxx + dyy)/6
-    beta_c = (b * b + c * c
-              + (52.0 / 3.0) * (dxx * dxx + dyy * dyy)
-              + (26.0 / 3.0) * f * f)
-    bxw2 = bxw * bxw
-    bxe2 = bxe * bxe
-    bys2 = bys * bys
-    byn2 = byn * byn
-    a_c = _weight(D_CENTRAL_2D, beta_c, eps, power)
-    a_sw = _weight(D_SECTOR_2D, bxw2 + bys2, eps, power)
-    a_se = _weight(D_SECTOR_2D, bxe2 + bys2, eps, power)
-    a_nw = _weight(D_SECTOR_2D, bxw2 + byn2, eps, power)
-    a_ne = _weight(D_SECTOR_2D, bxe2 + byn2, eps, power)
-    inv = 1.0 / (a_c + a_sw + a_se + a_nw + a_ne)
-    wc = a_c * inv
-    wsw = a_sw * inv
-    wse = a_se * inv
-    wnw = a_nw * inv
-    wne = a_ne * inv
+    # double, linear terms stay, constant a_opt = uc - (dxx + dyy)/6;
+    # beta_c = b^2 + c^2 + (52/3) (dxx^2 + dyy^2) + (26/3) f^2
+    beta_c = np.multiply(b, b, out=s[10])
+    beta_c += np.multiply(c, c, out=t)
+    np.multiply(dxx, dxx, out=t)
+    t += np.multiply(dyy, dyy, out=s[11])
+    t *= 52.0 / 3.0
+    beta_c += t
+    np.multiply(f, 26.0 / 3.0, out=t)
+    t *= f
+    beta_c += t
+    bxw2 = np.multiply(bxw, bxw, out=s[9])
+    bxe2 = np.multiply(bxe, bxe, out=s[11])
+    bys2 = np.multiply(bys, bys, out=s[12])
+    byn2 = np.multiply(byn, byn, out=s[13])
+    # s[14] holds the powers of the weights; each square is overwritten by
+    # the last weight that needs it
+    pw = s[14]
+    a_c = _weight(D_CENTRAL_2D, beta_c, eps, power, out=beta_c, tmp=pw)
+    a_sw = _weight(D_SECTOR_2D, np.add(bxw2, bys2, out=s[15]), eps, power, out=s[15], tmp=pw)
+    a_se = _weight(D_SECTOR_2D, np.add(bxe2, bys2, out=bys2), eps, power, out=bys2, tmp=pw)
+    a_nw = _weight(D_SECTOR_2D, np.add(bxw2, byn2, out=bxw2), eps, power, out=bxw2, tmp=pw)
+    a_ne = _weight(D_SECTOR_2D, np.add(bxe2, byn2, out=byn2), eps, power, out=byn2, tmp=pw)
+    inv = np.add(a_c, a_sw, out=pw)
+    inv += a_se
+    inv += a_nw
+    inv += a_ne
+    np.divide(1.0, inv, out=inv)
+    wc, wsw, wse, wnw, wne = a_c, a_sw, a_se, a_nw, a_ne
+    for w in (wc, wsw, wse, wnw, wne):
+        w *= inv
 
-    # blended polynomial coefficients (planes share the constant uc)
-    A = uc - wc * ((dxx + dyy) / 6.0)
-    B = wc * b + (wsw + wnw) * bxw + (wse + wne) * bxe
-    C = wc * c + (wsw + wse) * bys + (wnw + wne) * byn
-    DXX = (2.0 * wc) * dxx
-    DYY = (2.0 * wc) * dyy
-    F = (2.0 * wc) * f
+    # blended polynomial coefficients (planes share the constant uc):
+    # A = uc - wc (dxx + dyy) / 6
+    A = np.add(dxx, dyy, out=s[14])  # inv is spent
+    A /= 6.0
+    A *= wc
+    np.subtract(uc, A, out=A)
+    # B = wc b + (wsw + wnw) bxw + (wse + wne) bxe, C likewise along y
+    t = s[11]  # bxe2 is spent
+    B, C = b, c
+    for coef, (w1, w2, slope1), (w3, w4, slope2) in (
+            (B, (wsw, wnw, bxw), (wse, wne, bxe)),
+            (C, (wsw, wse, bys), (wnw, wne, byn))):
+        coef *= wc
+        np.add(w1, w2, out=t)
+        t *= slope1
+        coef += t
+        np.add(w3, w4, out=t)
+        t *= slope2
+        coef += t
+    # DXX = (2 wc) dxx, DYY = (2 wc) dyy, F = (2 wc) f
+    wc *= 2.0
+    DXX, DYY, F = dxx, dyy, f
+    for coef in (DXX, DYY, F):
+        coef *= wc
 
     g = GAUSS_OFFSET
-    # west/east faces: xi = -+1/2, eta = -+g
-    for fi, xi in ((0, -0.5), (1, 0.5)):
-        base = A + B * xi + DXX * (xi * xi) + DYY * (g * g)
-        slope = (C + F * xi) * g
-        np.subtract(base, slope, out=out[fi, 0])
-        np.add(base, slope, out=out[fi, 1])
-    # south/north faces: eta = -+1/2, xi = -+g
-    for fi, eta in ((2, -0.5), (3, 0.5)):
-        base = A + C * eta + DYY * (eta * eta) + DXX * (g * g)
-        slope = (B + F * eta) * g
+    base, slope = s[0], s[1]  # bxw and bxe are spent
+    # west/east faces: xi = -+1/2, eta = -+g; south/north: eta = -+1/2, xi = -+g.
+    # base = A + normal * h + normal2 * h^2 + tangent2 * g^2,
+    # slope = (tangent + F * h) * g
+    for fi, h, (normal, tangent, normal2, tangent2) in (
+            (0, -0.5, (B, C, DXX, DYY)), (1, 0.5, (B, C, DXX, DYY)),
+            (2, -0.5, (C, B, DYY, DXX)), (3, 0.5, (C, B, DYY, DXX))):
+        np.multiply(normal, h, out=base)
+        np.add(A, base, out=base)
+        base += np.multiply(normal2, h * h, out=slope)
+        base += np.multiply(tangent2, g * g, out=slope)
+        np.multiply(F, h, out=slope)
+        np.add(tangent, slope, out=slope)
+        slope *= g
         np.subtract(base, slope, out=out[fi, 0])
         np.add(base, slope, out=out[fi, 1])

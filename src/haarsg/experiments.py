@@ -118,17 +118,7 @@ def run_experiment(config: RunConfig, threads: int = 1, out_dir: str | None = No
     field = initial_data(model, preset, tensors, grid)
     system = SemiDiscreteSystem(model, grid, tensors=tensors)
 
-    admissibility_min = [np.inf]
     snapshots = []
-
-    def monitor(t, current) -> bool:
-        """Track the admissibility minimum; False when the model has none."""
-        vals = model.admissibility_values(system._to_values(current.data))
-        if vals is None:
-            return False
-        admissibility_min[0] = min(admissibility_min[0], float(vals.min()))
-        return True
-
     step_count = [0]
 
     def snapshotter(t, current):
@@ -136,13 +126,17 @@ def run_experiment(config: RunConfig, threads: int = 1, out_dir: str | None = No
         if config.stride and step_count[0] % config.stride == 0:
             snapshots.append(GpcField(grid=grid, data=current.data.copy(), time=t))
 
-    # a model without an admissibility constraint is not watched after step 0
-    callbacks = (snapshotter, monitor) if monitor(0.0, field) else (snapshotter,)
     if t_final > 0.0:
-        field = advance(system, field, t_final, cfl=config.cfl, callbacks=callbacks)
+        field = advance(system, field, t_final, cfl=config.cfl, callbacks=(snapshotter,))
     result.field = field
     result.steps = step_count[0]
-    result.admissibility_min = admissibility_min[0]
+    # compute_dt has checked every state but the last, unless no step ran;
+    # the last one is transformed only for a model with a constraint
+    result.admissibility_min = system.admissibility_min
+    if result.steps == 0 or np.isfinite(result.admissibility_min):
+        vals = model.admissibility_values(system._to_values(field.data))
+        if vals is not None:
+            result.admissibility_min = min(result.admissibility_min, float(vals.min()))
 
     if write_outputs:
         os.makedirs(out_dir, exist_ok=True)

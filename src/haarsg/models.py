@@ -318,11 +318,15 @@ def check_admissible(model, t: GalerkinTensor, state: np.ndarray) -> None:
     check_admissible_values(model, to_spectrum(t, state))
 
 
-def check_admissible_values(model, values: np.ndarray) -> None:
-    """Like :func:`check_admissible` but on realization values directly."""
+def check_admissible_values(model, values: np.ndarray) -> float:
+    """Like :func:`check_admissible` but on realization values directly.
+
+    Returns the minimum admissibility value, inf for a model without a
+    constraint.
+    """
     vals = model.admissibility_values(values)
     if vals is None:
-        return
+        return np.inf
     vmin = vals.min()
     if vmin <= 0.0:
         where = np.unravel_index(int(np.argmin(vals)), vals.shape)
@@ -330,6 +334,7 @@ def check_admissible_values(model, values: np.ndarray) -> None:
             f"{model.name}: inadmissible state, min positivity value {vmin:.6e} "
             f"at cell {where[:-1]}, stochastic cell {where[-1]}",
             index=int(where[-1]), where=where[:-1])
+    return float(vmin)
 
 
 def jacobian(model, t: GalerkinTensor, state: np.ndarray, normal) -> np.ndarray:

@@ -13,10 +13,24 @@ order, so results are bitwise reproducible and independent of any outer
 parallelism.  The 2D reconstruction and the LLF flux run in strips of rows
 along x, about ``cweno.STRIP_BYTES`` each, so that their temporaries stay in
 cache; the operations are elementwise, so the strips change no result bit.
+
+Work arrays: each ``advance`` call owns one ``Workspace``, created when it
+starts and dropped when it returns, never kept by a module or by the
+``SemiDiscreteSystem``, so concurrent calls on other threads share nothing.
+It passes the workspace to ``compute_dt``, ``ssprk3_step`` (the stage
+states, alternating between two arrays from step to step) and ``rhs``
+(padded state, edge or face values, interface values, LLF flux and flux
+divergence).  Every operation writes into those arrays with ``out=`` in the
+order of the allocating form, so results are bitwise the same; only the
+model's flux and speed bound still allocate.  A function called without a
+workspace makes a fresh one and so allocates as before.  The state a
+callback sees as ``current.data`` is a work array: it is valid only until
+the next step.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -25,6 +39,7 @@ import numpy as np
 from . import cweno
 from .errors import AdmissibilityError, SolverAbort
 from .galerkin import GalerkinTensor
+from .workspace import Workspace
 
 GHOST = 2
 TRANSMISSIVE = "transmissive"
@@ -84,11 +99,19 @@ class GpcField:
     time: float = 0.0
 
 
-def fill_ghosts(data: np.ndarray, grid: Grid) -> np.ndarray:
-    """Pad with 2 ghost cells per side and apply the boundary conditions."""
+def fill_ghosts(data: np.ndarray, grid: Grid, work: Workspace | None = None) -> np.ndarray:
+    """Pad with 2 ghost cells per side and apply the boundary conditions.
+
+    The padded state is an array of ``work``.  The boundary conditions
+    write every ghost cell, corners included, so nothing is left over from
+    an earlier call.
+    """
+    if work is None:
+        work = Workspace()
     dim = grid.space_dim
-    pad = [(GHOST, GHOST)] * dim + [(0, 0)] * (data.ndim - dim)
-    out = np.pad(data, pad)
+    shape = tuple(n + 2 * GHOST for n in data.shape[:dim]) + data.shape[dim:]
+    out = work.array("ghosts", shape)
+    out[(slice(GHOST, -GHOST),) * dim] = data
     _apply_boundary(out, 0, grid.boundary_x)
     if grid.space_dim == 2:
         _apply_boundary(out, 1, grid.boundary_y)
@@ -149,6 +172,9 @@ class SemiDiscreteSystem:
             eps = h * h
         self.eps = eps
         self.power = 3 if power is None else power
+        #: lowest admissibility value that ``compute_dt`` has checked; inf
+        #: while none was checked or the model has no constraint
+        self.admissibility_min = np.inf
         if tensors is not None:
             self._map_t = np.ascontiguousarray(tensors.eig_map.T)
             self._inv_t = np.ascontiguousarray(tensors.eig_inv.T)
@@ -157,30 +183,43 @@ class SemiDiscreteSystem:
     def coupled(self) -> bool:
         return self.tensors is not None
 
-    def _to_values(self, modes: np.ndarray) -> np.ndarray:
+    def _to_values(self, modes: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Realization values of ``modes``, written into ``out`` if given; an
+        uncoupled system returns ``modes`` itself."""
         if self.coupled:
-            return modes @ self._map_t
+            return np.matmul(modes, self._map_t, out=out)
         return modes
 
-    def _from_values(self, values: np.ndarray) -> np.ndarray:
+    def _from_values(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Modes of realization ``values``, the inverse of ``_to_values``."""
         if self.coupled:
-            return values @ self._inv_t
+            return np.matmul(values, self._inv_t, out=out)
         return values
 
-    def _llf(self, left_modes: np.ndarray, right_modes: np.ndarray, axis: int) -> np.ndarray:
+    def _llf(self, left_modes: np.ndarray, right_modes: np.ndarray, axis: int,
+             work: Workspace | None = None) -> np.ndarray:
         """Local Lax-Friedrichs flux from reconstructed interface states.
 
         Interface arrays are shaped (..., x, [y,] components, m).  The
         admissibility checks see every state at once, so a violation is
         reported at the global minimum; flux, speed bound and the flux
-        combination then run in strips along the x axis.
+        combination then run in strips along the x axis.  The interface
+        values, the combination and the flux modes are arrays of ``work``;
+        a coupled system reuses the spent left values for the combination
+        and the spent right values for the modes.  The model's flux and
+        speed bound allocate their own.
         """
-        vl = self._to_values(left_modes)
-        vr = self._to_values(right_modes)
+        if work is None:
+            work = Workspace()
+        shape = left_modes.shape
+        vl = self._to_values(left_modes, out=work.array("llf.left", shape))
+        vr = self._to_values(right_modes, out=work.array("llf.right", shape))
         from .models import check_admissible_values
         check_admissible_values(self.model, vl)
         check_admissible_values(self.model, vr)
-        flux_vals = np.empty(vl.shape)
+        # a coupled system combines the fluxes into the left values, an
+        # uncoupled one must not: there they are the reconstruction itself
+        flux_vals = vl if self.coupled else work.array("llf.values", shape)
         for strip in self._x_strips(vl):
             sl, sr, out = vl[strip], vr[strip], flux_vals[strip]
             fl = self.model.values_flux(sl, axis)
@@ -192,12 +231,13 @@ class SemiDiscreteSystem:
             else:
                 alpha = alpha[..., None, :]
             # 0.5 * (fl + fr) - (0.5 * alpha) * (vr - vl), written into out
+            # once the states in it are read
+            jump = np.subtract(sr, sl, out=work.array("llf.jump", sl.shape))
+            jump *= 0.5 * alpha
             np.add(fl, fr, out=out)
             out *= 0.5
-            jump = np.subtract(sr, sl)
-            jump *= 0.5 * alpha
             out -= jump
-        return self._from_values(flux_vals)
+        return self._from_values(flux_vals, out=vr)
 
     def _x_strips(self, values: np.ndarray) -> list[tuple]:
         """Index tuples of strips of whole rows along the x axis of an
@@ -210,37 +250,61 @@ class SemiDiscreteSystem:
         return [lead + (slice(i, j),)
                 for i, j in cweno.strips(n, values.nbytes // max(n, 1))]
 
-    def rhs(self, data: np.ndarray, t: float) -> np.ndarray:
+    def rhs(self, data: np.ndarray, t: float, work: Workspace | None = None) -> np.ndarray:
+        """Semi-discrete right-hand side of ``data`` at time ``t``: an array
+        of ``work``, overwritten by the next call with the same workspace."""
+        if work is None:
+            work = Workspace()
         if self.grid.space_dim == 1:
-            out = self._rhs_1d(data)
+            out = self._rhs_1d(data, work)
         else:
-            out = self._rhs_2d(data)
+            out = self._rhs_2d(data, work)
         if self.source is not None:
-            out = out + source_quadrature(self.source, t, self.grid)
+            out += source_quadrature(self.source, t, self.grid)
         return out
 
-    def _rhs_1d(self, data: np.ndarray) -> np.ndarray:
-        padded = fill_ghosts(data, self.grid)
-        left, right = cweno.cweno3_edges(padded, self.eps, self.power)
-        flux = self._llf(right[:-1], left[1:], axis=0)
-        return -(flux[1:] - flux[:-1]) / self.grid.dx
+    def _rhs_1d(self, data: np.ndarray, work: Workspace) -> np.ndarray:
+        padded = fill_ghosts(data, self.grid, work)
+        left, right = cweno.cweno3_edges(padded, self.eps, self.power, work=work)
+        flux = self._llf(right[:-1], left[1:], axis=0, work=work)
+        # -(flux[1:] - flux[:-1]) / dx
+        out = np.subtract(flux[1:], flux[:-1], out=work.array("rhs", data.shape))
+        np.negative(out, out=out)
+        out /= self.grid.dx
+        return out
 
-    def _rhs_2d(self, data: np.ndarray) -> np.ndarray:
-        padded = fill_ghosts(data, self.grid)
-        west, east, south, north = cweno.cweno3_face_values(padded, self.eps, self.power)
-        # x-faces: gauss-node fluxes averaged with equal weights
-        fx = self._llf(east[:, :-1, 1:-1], west[:, 1:, 1:-1], axis=0)
-        fx = 0.5 * (fx[0] + fx[1])
-        fy = self._llf(north[:, 1:-1, :-1], south[:, 1:-1, 1:], axis=1)
-        fy = 0.5 * (fy[0] + fy[1])
-        return (-(fx[1:] - fx[:-1]) / self.grid.dx
-                - (fy[:, 1:] - fy[:, :-1]) / self.grid.dy)
+    def _rhs_2d(self, data: np.ndarray, work: Workspace) -> np.ndarray:
+        padded = fill_ghosts(data, self.grid, work)
+        west, east, south, north = cweno.cweno3_face_values(padded, self.eps, self.power,
+                                                            work=work)
+        # -(fx[1:] - fx[:-1]) / dx - (fy[:, 1:] - fy[:, :-1]) / dy, each face
+        # flux the mean 0.5 * (f[0] + f[1]) of its two gauss-node fluxes
+        f = self._llf(east[:, :-1, 1:-1], west[:, 1:, 1:-1], axis=0, work=work)
+        fx = np.add(f[0], f[1], out=work.array("rhs.mean", f.shape[1:]))
+        fx *= 0.5
+        out = np.subtract(fx[1:], fx[:-1], out=work.array("rhs", data.shape))
+        np.negative(out, out=out)
+        out /= self.grid.dx
+        f = self._llf(north[:, 1:-1, :-1], south[:, 1:-1, 1:], axis=1, work=work)
+        fy = np.add(f[0], f[1], out=work.array("rhs.mean", f.shape[1:]))
+        fy *= 0.5
+        dfy = np.subtract(fy[:, 1:], fy[:, :-1], out=work.array("rhs.dy", data.shape))
+        dfy /= self.grid.dy
+        out -= dfy
+        return out
 
-    def compute_dt(self, data: np.ndarray, cfl: float) -> float:
-        """CFL time step from per-cell generalized speed bounds."""
+    def compute_dt(self, data: np.ndarray, cfl: float, work: Workspace | None = None) -> float:
+        """CFL time step from per-cell generalized speed bounds.
+
+        The admissibility minimum of ``data``, checked on the way, lowers
+        ``admissibility_min``.
+        """
         from .models import check_admissible_values
-        vals = self._to_values(data)
-        check_admissible_values(self.model, vals)
+        if work is None:
+            work = Workspace()
+        vals = self._to_values(data, out=work.array("dt.values", data.shape))
+        self.admissibility_min = min(self.admissibility_min,
+                                     check_admissible_values(self.model, vals))
         sx = self.model.values_speed_bound(vals, 0).max(axis=-1)
         if self.grid.space_dim == 1:
             smax = float(sx.max())
@@ -255,10 +319,23 @@ class SemiDiscreteSystem:
 
 
 def ssprk3_step(rhs: Callable[[np.ndarray, float], np.ndarray],
-                u: np.ndarray, t: float, dt: float) -> np.ndarray:
-    """One step of the three-stage third-order SSP Runge-Kutta scheme."""
+                u: np.ndarray, t: float, dt: float,
+                work: Workspace | None = None) -> np.ndarray:
+    """One step of the three-stage third-order SSP Runge-Kutta scheme.
+
+    ``u`` is left untouched.  The stage states and the result are two
+    arrays of ``work`` that alternate from step to step, so the result may
+    be passed back in as ``u`` of the next step; the array it replaces is
+    overwritten by the step after that.
+    """
     if dt <= 0.0:
         raise ValueError(f"time step must be positive, got {dt}")
+    if work is None:
+        work = Workspace()
+    state = work.array("rk.state", u.shape)
+    if np.may_share_memory(state, u):
+        state = work.array("rk.next", u.shape)
+    scratch = work.array("rk.scratch", u.shape)
 
     def stage(index, state, time):
         try:
@@ -267,9 +344,22 @@ def ssprk3_step(rhs: Callable[[np.ndarray, float], np.ndarray],
             raise SolverAbort(f"RHS failed in SSPRK3 stage {index}: {exc}",
                               time=time, stage=index, cause=exc) from exc
 
-    u1 = u + dt * stage(1, u, t)
-    u2 = 0.75 * u + 0.25 * (u1 + dt * stage(2, u1, t + dt))
-    return u / 3.0 + (2.0 / 3.0) * (u2 + dt * stage(3, u2, t + 0.5 * dt))
+    # u1 = u + dt * L(u)
+    np.multiply(stage(1, u, t), dt, out=state)
+    np.add(u, state, out=state)
+    # u2 = 0.75 * u + 0.25 * (u1 + dt * L(u1))
+    np.multiply(stage(2, state, t + dt), dt, out=scratch)
+    np.add(state, scratch, out=scratch)
+    scratch *= 0.25
+    np.multiply(u, 0.75, out=state)
+    state += scratch
+    # u / 3 + (2/3) * (u2 + dt * L(u2))
+    np.multiply(stage(3, state, t + 0.5 * dt), dt, out=scratch)
+    np.add(state, scratch, out=scratch)
+    scratch *= 2.0 / 3.0
+    np.divide(u, 3.0, out=state)
+    state += scratch
+    return state
 
 
 def advance(system: SemiDiscreteSystem, field: GpcField, t_final: float,
@@ -279,24 +369,29 @@ def advance(system: SemiDiscreteSystem, field: GpcField, t_final: float,
 
     The last step is clipped to land exactly on ``t_final``.  Admissibility
     loss aborts with time/stage diagnostics; non-finite states abort too.
+    The call owns one ``Workspace`` for all its steps and drops it on
+    return.  A callback's ``current.data`` is one of its arrays and is
+    valid only until the next step; a callback that keeps it must copy it.
     """
     t = field.time
     if t_final < t:
         raise ValueError("t_final lies before the field time")
     if t_final == t:
         return field
-    data = np.array(field.data, dtype=float)
+    data = np.asarray(field.data, dtype=float)
+    work = Workspace()
+    rhs = functools.partial(system.rhs, work=work)
     span = max(abs(t_final), 1.0)
     steps = 0
     while t < t_final - 1e-14 * span:
         if steps >= max_steps:
             raise SolverAbort(f"exceeded {max_steps} steps", time=t)
         try:
-            dt = min(system.compute_dt(data, cfl), t_final - t)
+            dt = min(system.compute_dt(data, cfl, work), t_final - t)
         except AdmissibilityError as exc:
             raise SolverAbort(f"inadmissible state at t={t:.6g}: {exc}",
                               time=t, cause=exc) from exc
-        data = ssprk3_step(system.rhs, data, t, dt)
+        data = ssprk3_step(rhs, data, t, dt, work)
         t = t_final if t_final - (t + dt) <= 1e-14 * span else t + dt
         steps += 1
         if not np.all(np.isfinite(data)):

@@ -1,21 +1,117 @@
-"""Test-only oracles for the striped 2D reconstruction and LLF flux.
+"""Test-only oracles for the solver's work-array and striped forms.
 
-``face_values_reference`` and ``llf_reference`` are the whole-array forms
-that ``haarsg.cweno.cweno3_face_values`` and ``SemiDiscreteSystem._llf``
-replaced with strips along the x axis, kept as their oracles: the striped
-forms do the same elementwise operations in the same order, so the two
-must agree bit for bit.
+These are the allocating, whole-array forms that the solver replaced,
+kept as its oracles: ``edges_reference`` of ``cweno3_edges``,
+``face_values_reference`` of the striped ``cweno3_face_values``,
+``llf_reference`` of ``SemiDiscreteSystem._llf``, ``rhs_reference`` of
+``SemiDiscreteSystem.rhs`` and ``ssprk3_reference`` of ``ssprk3_step``.  The
+replacements do the same elementwise operations in the same order, only in
+strips or into work arrays, so the two must agree bit for bit.  Oracles that
+stand in for a method accept its ``work`` argument and ignore it.
 """
 
 import numpy as np
 
-from haarsg.cweno import (D_CENTRAL_2D, D_SECTOR_2D, EPS_DEFAULT, GAUSS_OFFSET,
-                          POWER_DEFAULT, _weight)
+from haarsg.cweno import (D_CENTRAL_1D, D_CENTRAL_2D, D_SECTOR_2D, D_SIDE_1D, EPS_DEFAULT,
+                          GAUSS_OFFSET, POWER_DEFAULT)
 from haarsg.models import check_admissible_values
+from haarsg.solver import GHOST, _apply_boundary, source_quadrature
+
+
+def _weight(d: float, beta: np.ndarray, eps: float, power: int) -> np.ndarray:
+    """Unnormalized nonlinear weight d / (eps + beta)^power."""
+    t = eps + beta
+    if power == 2:
+        den = t * t
+    elif power == 3:
+        den = t * t * t
+    elif power == 4:
+        t2 = t * t
+        den = t2 * t2
+    else:
+        den = t ** power
+    return d / den
+
+
+def edges_reference(u: np.ndarray, eps: float = EPS_DEFAULT,
+                    power: int = POWER_DEFAULT, work=None) -> tuple[np.ndarray, np.ndarray]:
+    """Edge values (at the left/right cell faces) from 3-cell stencils.
+
+    ``u`` is indexed by cell along axis 0 and may carry trailing axes; the
+    result drops one cell on each end: entry i corresponds to cell i+1 of
+    the input.  Returns ``(left, right)`` evaluated at x_{i-1/2}, x_{i+1/2}.
+    """
+    um, u0, up = u[:-2], u[1:-1], u[2:]
+    dl = u0 - um
+    dr = up - u0
+    curv = um - 2.0 * u0 + up
+
+    sum_lr = dl + dr
+    beta_c = (13.0 / 12.0) * curv * curv + 0.25 * sum_lr * sum_lr
+
+    al = _weight(D_SIDE_1D, dl * dl, eps, power)
+    ar = _weight(D_SIDE_1D, dr * dr, eps, power)
+    ac = _weight(D_CENTRAL_1D, beta_c, eps, power)
+    inv = 1.0 / (al + ar + ac)
+    wl, wr, wc = al * inv, ar * inv, ac * inv
+
+    # candidates: one-sided linears and the central polynomial
+    # P_opt = 2 P_parab - (P_L + P_R)/2, a parabola with coefficients
+    # a = u0 - curv/12, b = (up - um)/2, c = curv (in normalized coordinates)
+    b = 0.5 * (up - um)
+    a_opt = u0 - curv / 12.0
+    pl_left, pl_right = u0 - 0.5 * dl, u0 + 0.5 * dl
+    pr_left, pr_right = u0 - 0.5 * dr, u0 + 0.5 * dr
+    pc_right = a_opt + 0.5 * b + 0.25 * curv
+    pc_left = a_opt - 0.5 * b + 0.25 * curv
+
+    left = wl * pl_left + wr * pr_left + wc * pc_left
+    right = wl * pl_right + wr * pr_right + wc * pc_right
+    return left, right
+
+
+def fill_ghosts_reference(data: np.ndarray, grid) -> np.ndarray:
+    """Pad with 2 ghost cells per side and apply the boundary conditions."""
+    dim = grid.space_dim
+    pad = [(GHOST, GHOST)] * dim + [(0, 0)] * (data.ndim - dim)
+    out = np.pad(data, pad)
+    _apply_boundary(out, 0, grid.boundary_x)
+    if grid.space_dim == 2:
+        _apply_boundary(out, 1, grid.boundary_y)
+    return out
+
+
+def rhs_reference(self, data: np.ndarray, t: float, work=None) -> np.ndarray:
+    """Semi-discrete right-hand side, called as a method of a
+    ``SemiDiscreteSystem`` (``self``), from the allocating oracles."""
+    padded = fill_ghosts_reference(data, self.grid)
+    if self.grid.space_dim == 1:
+        left, right = edges_reference(padded, self.eps, self.power)
+        flux = llf_reference(self, right[:-1], left[1:], axis=0)
+        out = -(flux[1:] - flux[:-1]) / self.grid.dx
+    else:
+        west, east, south, north = face_values_reference(padded, self.eps, self.power)
+        # x-faces: gauss-node fluxes averaged with equal weights
+        fx = llf_reference(self, east[:, :-1, 1:-1], west[:, 1:, 1:-1], axis=0)
+        fx = 0.5 * (fx[0] + fx[1])
+        fy = llf_reference(self, north[:, 1:-1, :-1], south[:, 1:-1, 1:], axis=1)
+        fy = 0.5 * (fy[0] + fy[1])
+        out = (-(fx[1:] - fx[:-1]) / self.grid.dx
+               - (fy[:, 1:] - fy[:, :-1]) / self.grid.dy)
+    if self.source is not None:
+        out = out + source_quadrature(self.source, t, self.grid)
+    return out
+
+
+def ssprk3_reference(rhs, u: np.ndarray, t: float, dt: float) -> np.ndarray:
+    """One step of the three-stage third-order SSP Runge-Kutta scheme."""
+    u1 = u + dt * rhs(u, t)
+    u2 = 0.75 * u + 0.25 * (u1 + dt * rhs(u1, t + dt))
+    return u / 3.0 + (2.0 / 3.0) * (u2 + dt * rhs(u2, t + 0.5 * dt))
 
 
 def face_values_reference(u: np.ndarray, eps: float = EPS_DEFAULT,
-                          power: int = POWER_DEFAULT) -> np.ndarray:
+                          power: int = POWER_DEFAULT, work=None) -> np.ndarray:
     """Truly-2D reconstruction at the 2 Gauss points of each of the 4 faces.
 
     ``u`` is indexed (x-cell, y-cell, ...) and the result drops one cell per
@@ -86,7 +182,7 @@ def face_values_reference(u: np.ndarray, eps: float = EPS_DEFAULT,
 
 
 def llf_reference(self, left_modes: np.ndarray, right_modes: np.ndarray,
-                  axis: int) -> np.ndarray:
+                  axis: int, work=None) -> np.ndarray:
     """Local Lax-Friedrichs flux from reconstructed interface states.
 
     Called as a method of a ``SemiDiscreteSystem`` (``self``), over the
@@ -106,3 +202,33 @@ def llf_reference(self, left_modes: np.ndarray, right_modes: np.ndarray,
         alpha = alpha[..., None, :]
     flux_vals = 0.5 * (fl + fr) - 0.5 * alpha * (vr - vl)
     return self._from_values(flux_vals)
+
+
+def admissibility_monitor_reference(config) -> float:
+    """Admissibility minimum of a run of ``config`` as ``run_experiment``
+    took it before ``compute_dt`` reported it: the whole field transformed
+    once more for the initial state and after every step; inf for a model
+    without a constraint."""
+    from haarsg.experiments import build_basis, build_grid
+    from haarsg.galerkin import build_tensors
+    from haarsg.models import get_preset, initial_data
+    from haarsg.solver import SemiDiscreteSystem, advance
+
+    preset = get_preset(config.preset)
+    tensors = build_tensors(build_basis(config))
+    grid = build_grid(config)
+    model = preset.make_model(tensors)
+    field = initial_data(model, preset, tensors, grid)
+    system = SemiDiscreteSystem(model, grid, tensors=tensors)
+    lowest = [np.inf]
+
+    def monitor(t, current):
+        vals = model.admissibility_values(system._to_values(current.data))
+        if vals is not None:
+            lowest[0] = min(lowest[0], float(vals.min()))
+
+    monitor(0.0, field)
+    t_final = config.t_final if config.t_final is not None else preset.t_final
+    if t_final > 0.0:
+        advance(system, field, t_final, cfl=config.cfl, callbacks=(monitor,))
+    return lowest[0]

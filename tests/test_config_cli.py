@@ -217,17 +217,35 @@ def test_admissibility_monitor_transforms_only_when_watching(tmp_path, monkeypat
     field_transforms = []
     to_values = SemiDiscreteSystem._to_values
 
-    def counting(self, modes):
+    def counting(self, modes, out=None):
         if modes.shape[0] == 40:  # the whole field, not interface states
             field_transforms.append(modes.shape)
-        return to_values(self, modes)
+        return to_values(self, modes, out=out)
 
     monkeypatch.setattr(SemiDiscreteSystem, "_to_values", counting)
     result = run_experiment(config, write_outputs=False)
-    # compute_dt transforms the field once per step; the monitor once at
-    # step 0 and, when it has something to watch, after every step
-    assert len(field_transforms) == 1 + result.steps * (2 if watched else 1)
+    # compute_dt transforms the field once per step and watches the
+    # admissibility on the way; only the final state, which no step
+    # checks, is transformed once more, and only when there is a constraint
+    assert len(field_transforms) == result.steps + (1 if watched else 0)
     assert np.isfinite(result.admissibility_min) == watched
+
+
+@pytest.mark.parametrize("preset, grid, t_final", [
+    ("psystem-riemann", "nx = 40", 0.05),  # lowest at the final state
+    ("psystem-riemann", "nx = 40", 0.0),
+    ("euler-box", "nx = 24\nny = 24", 0.05),  # lowest at an intermediate state
+    ("scalar-oleinik", "nx = 40", 0.05),  # no constraint
+])
+def test_admissibility_min_equals_the_per_step_monitor(preset, grid, t_final):
+    from haarsg.experiments import run_experiment
+    from solver_reference import admissibility_monitor_reference
+    config = parse_config(f"[run]\npreset = {preset}\nt_final = {t_final}\n"
+                          "[basis]\nkind = classical-haar\nlevel = 1\n"
+                          f"[grid]\n{grid}\n[reference]\nkind = none\n")
+    result = run_experiment(config, write_outputs=False)
+    assert result.admissibility_min == admissibility_monitor_reference(config)
+    assert np.isfinite(result.admissibility_min) == (preset != "scalar-oleinik")
 
 
 def test_cli_run_t_final_zero_dumps_initial_data(tmp_path):
@@ -313,6 +331,20 @@ def test_reference_level_gives_run_and_mse_the_same_reference(tmp_path, capsys):
     rows = np.loadtxt(os.path.join(ref_out, "reference_collocation.csv"),
                       delimiter=",", skiprows=1)
     assert np.unique(rows[:, 1]).size == 16  # the level-3 nodes, not the run's 4
+
+
+@pytest.mark.parametrize("level", [13, -1])
+def test_cli_reference_level_out_of_range_exits_before_the_solve(tmp_path, level):
+    text = ("[run]\npreset = psystem-riemann\nt_final = 0.1\n"
+            "[basis]\nlevel = 1\n[grid]\nnx = 40\n"
+            f"[reference]\nkind = collocation\nrefine = 2\nlevel = {level}\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.key == "reference.level"
+    cfg = _write_config(tmp_path, text)
+    out = tmp_path / "bad_ref_level_out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert not (out / "field_final.csv").exists()
 
 
 def test_cli_reference_exact(tmp_path):

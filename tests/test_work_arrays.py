@@ -1,0 +1,159 @@
+"""The solver writes into the work arrays of one ``advance`` call; every
+result must equal the allocating oracles in ``solver_reference`` bit for
+bit, and no array may be overwritten while someone still reads it."""
+
+import functools
+import tracemalloc
+
+import numpy as np
+import pytest
+from solver_reference import edges_reference, rhs_reference, ssprk3_reference
+
+from haarsg import (Grid, GpcField, LinearAdvection, SemiDiscreteSystem, advance,
+                    build_classical_haar, build_tensors, parse_config, ssprk3_step)
+from haarsg.cweno import cweno3_edges
+from haarsg.experiments import run_level_sweep
+from haarsg.models import PRESETS, get_preset, initial_data
+from haarsg.reference import preset_grid
+from haarsg import workspace
+from haarsg.workspace import Workspace
+
+CFL = 0.45
+
+
+class _Stop(Exception):
+    pass
+
+
+def _preset_system(name: str, coupled: bool, level: int = 3, nx: int | None = None):
+    """A Galerkin system of a preset, or its deterministic batch at 7 samples."""
+    preset = get_preset(name)
+    grid = (preset_grid(preset, nx=48, ny=40) if preset.space_dim == 2
+            else preset_grid(preset, nx=nx or 96))
+    if coupled:
+        tensors = build_tensors(build_classical_haar(level))
+        model = preset.make_model(tensors)
+        field = initial_data(model, preset, tensors, grid)
+        return SemiDiscreteSystem(model, grid, tensors=tensors), field
+    xi = np.linspace(0.05, 0.95, 7)
+    system = SemiDiscreteSystem(preset.make_det_model(xi), grid)
+    return system, GpcField(grid, preset.det_initial(xi, grid), 0.0)
+
+
+def _advance_steps(system, field, steps: int) -> list[np.ndarray]:
+    """Copies of the states after each of the first ``steps`` steps of
+    ``advance``."""
+    states = []
+
+    def record(t, current):
+        states.append(current.data.copy())
+        if len(states) == steps:
+            raise _Stop
+
+    with pytest.raises(_Stop):
+        advance(system, field, 1e9, cfl=CFL, callbacks=(record,))
+    return states
+
+
+@pytest.mark.parametrize("coupled", [True, False], ids=["galerkin", "batch"])
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_four_steps_match_allocating_oracles(name, coupled):
+    system, field = _preset_system(name, coupled)
+    got = _advance_steps(system, field, 4)
+    rhs = functools.partial(rhs_reference, system)
+    data, t = field.data, 0.0
+    for step in range(4):
+        dt = system.compute_dt(data, CFL)
+        data = ssprk3_reference(rhs, data, t, dt)
+        t += dt
+        assert np.array_equal(got[step], data), f"step {step + 1}"
+
+
+@pytest.mark.parametrize("trailing", [(), (2,), (3, 8), (1, 128)])
+def test_edges_match_allocating_oracle(trailing):
+    rng = np.random.default_rng(len(trailing))
+    work = Workspace()
+    for n in (12, 7):  # a second, smaller call on the same work arrays
+        u = rng.normal(size=(n,) + trailing)
+        u[n // 2:] += 3.0  # a jump, so the nonlinear weights differ from cell to cell
+        for eps, power in ((1e-6, 2), (0.01, 3), (0.01, 4), (0.1, 5)):
+            expected = edges_reference(u, eps, power)
+            for got in (cweno3_edges(u, eps, power), cweno3_edges(u, eps, power, work=work)):
+                assert np.array_equal(got[0], expected[0])
+                assert np.array_equal(got[1], expected[1])
+
+
+def test_ssprk3_step_leaves_its_input_untouched():
+    system, field = _preset_system("psystem-riemann", coupled=True)
+    work = Workspace()
+    rhs = functools.partial(system.rhs, work=work)
+    u0 = field.data.copy()
+    dt = system.compute_dt(u0, CFL)
+    u1 = ssprk3_step(rhs, u0, 0.0, dt, work)
+    kept = u1.copy()
+    u2 = ssprk3_step(rhs, u1, dt, dt, work)
+    assert np.array_equal(u0, field.data)
+    assert np.array_equal(u1, kept)
+    assert not np.shares_memory(u1, u2)
+    # a right-hand side that returns its argument must not write into it
+    u = np.arange(6.0)
+    assert np.array_equal(ssprk3_step(lambda v, t: v, u, 0.0, 0.5, work),
+                          ssprk3_reference(lambda v, t: v, u, 0.0, 0.5))
+    assert np.array_equal(u, np.arange(6.0))
+
+
+def test_successive_advance_calls_leave_the_first_result_unchanged():
+    system, field = _preset_system("euler-box", coupled=True, level=1)
+    first = advance(system, field, 0.002, cfl=CFL)
+    kept = first.data.copy()
+    second = advance(system, first, 0.004, cfl=CFL)
+    assert np.array_equal(first.data, kept)
+    assert not np.shares_memory(first.data, second.data)
+
+
+def test_source_term_enters_rhs_once_per_call():
+    grid = Grid(nx=10, x_bounds=(0.0, 1.0), boundary_x="periodic")
+    system = SemiDiscreteSystem(LinearAdvection(speed=(1.0,)), grid,
+                                source=lambda t, x: np.sin(x + t)[:, None, None])
+    data = np.cos(2 * np.pi * grid.x_centers)[:, None, None]
+    work = Workspace()
+    for t in (0.0, 0.3):  # the second call reuses the arrays of the first
+        expected = rhs_reference(system, data, t)
+        assert np.array_equal(system.rhs(data, t, work), expected)
+    plain = SemiDiscreteSystem(LinearAdvection(speed=(1.0,)), grid)
+    assert not np.allclose(system.rhs(data, 0.3), plain.rhs(data, 0.3))
+
+
+def test_level_sweep_fields_do_not_depend_on_threads(tmp_path):
+    fields = {}
+    for threads in (1, 2):
+        config = parse_config(
+            "[run]\npreset = psystem-riemann\nt_final = 0.05\n"
+            "[basis]\nkind = classical-haar\nlevel = 0\n[grid]\nnx = 40\n"
+            f"[reference]\nkind = none\n[output]\ndirectory = {tmp_path / str(threads)}\n")
+        fields[threads] = [r.field.data for r in run_level_sweep(config, 0, 2, threads=threads)]
+    for one, two in zip(fields[1], fields[2]):
+        assert np.array_equal(one, two)
+
+
+def test_second_step_allocates_at_most_eight_field_sizes(monkeypatch):
+    """After a warm-up step, an SSPRK3 step of the scalar L6 system (nx 400)
+    allocates only the model maps' temporaries and maps only its second
+    state array."""
+    system, field = _preset_system("scalar-oleinik", coupled=True, level=6, nx=400)
+    work = Workspace()
+    rhs = functools.partial(system.rhs, work=work)
+    dt = system.compute_dt(field.data, CFL, work)
+    u1 = ssprk3_step(rhs, field.data, 0.0, dt, work)
+    maps = []
+    new_map = workspace.mmap.mmap
+    monkeypatch.setattr(workspace.mmap, "mmap", lambda *args: maps.append(args) or new_map(*args))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ssprk3_step(rhs, u1, dt, dt, work)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * field.data.nbytes
+    assert maps == [(-1, field.data.nbytes)]
