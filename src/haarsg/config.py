@@ -7,6 +7,7 @@ are errors, as are values outside their documented ranges.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 from .basis import MAX_BASIS_SIZE, MAX_HAAR_LEVEL
@@ -123,9 +124,10 @@ def validate_config(config: RunConfig) -> None:
     if not 0.0 < config.cfl < 1.0:
         raise ConfigError(f"`run.cfl` must lie in (0, 1), got {config.cfl}",
                           key="run.cfl")
-    if config.t_final is not None and config.t_final < 0.0:
-        raise ConfigError(f"`run.t_final` must be >= 0, got {config.t_final}",
+    if config.t_final is not None and not 0.0 <= config.t_final < math.inf:
+        raise ConfigError(f"`run.t_final` must be finite and >= 0, got {config.t_final}",
                           key="run.t_final")
+    _validate_bounds(config)
     if config.basis_kind not in BASIS_KINDS:
         raise ConfigError(f"`basis.kind` must be one of {BASIS_KINDS}",
                           key="basis.kind")
@@ -159,6 +161,26 @@ def validate_config(config: RunConfig) -> None:
         raise ConfigError("`reference.samples` must be >= 1", key="reference.samples")
     if config.ref_refine < 1:
         raise ConfigError("`reference.refine` must be >= 1", key="reference.refine")
+
+
+def _validate_bounds(config: RunConfig) -> None:
+    """Grid bounds must be finite, and the bounds the grid is built from
+    (the configured ones, else the preset's domain) must increase."""
+    axes = (("x_min", "x_max"), ("y_min", "y_max"))
+    for attr in (a for pair in axes for a in pair):
+        value = getattr(config, attr)
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"`grid.{attr}` must be finite, got {value}",
+                              key=f"grid.{attr}")
+    domain = PRESETS[config.preset].domain
+    for (lo_attr, hi_attr), (lo, hi) in zip(axes, domain):
+        if getattr(config, lo_attr) is not None:
+            lo = getattr(config, lo_attr)
+        if getattr(config, hi_attr) is not None:
+            hi = getattr(config, hi_attr)
+        if not lo < hi:
+            raise ConfigError(f"grid bounds must increase, got `grid.{lo_attr}` {lo} "
+                              f">= `grid.{hi_attr}` {hi}", key=f"grid.{lo_attr}")
 
 
 def render_config(config: RunConfig) -> str:

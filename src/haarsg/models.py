@@ -10,6 +10,16 @@ coincide with the deterministic ones at the stochastic quadrature points.
 Value arrays have shape (..., components, m) where m is the number of
 stochastic cells for a Galerkin model, or the number of samples for a
 deterministic batch.
+
+``values_flux(vals, axis, out=None)`` and ``values_speed_bound(vals, axis,
+out=None)`` write their result into ``out`` when it is given and return it;
+``out`` has the shape of the allocating result and shares no memory with
+``vals``.  Every map is elementwise per component: entry (..., c, j) of a
+result depends only on entries (..., :, j) of ``vals``, through the same
+operations in the same order wherever it sits in memory.  So any memory
+layout of ``vals`` and ``out`` gives the same bits; the solver's LLF passes
+views laid out (components, ..., m), in which every component slice is
+contiguous.
 """
 
 from __future__ import annotations
@@ -37,19 +47,21 @@ class ModelSystem:
     components: int
     space_dim: int
 
-    def values_flux(self, vals: np.ndarray, axis: int) -> np.ndarray:
+    def values_flux(self, vals: np.ndarray, axis: int,
+                    out: np.ndarray | None = None) -> np.ndarray:
         raise NotImplementedError
 
     def values_speeds(self, vals: np.ndarray, normal) -> list[np.ndarray]:
         """Characteristic families at realization values, one array each."""
         raise NotImplementedError
 
-    def values_speed_bound(self, vals: np.ndarray, axis: int) -> np.ndarray:
+    def values_speed_bound(self, vals: np.ndarray, axis: int,
+                           out: np.ndarray | None = None) -> np.ndarray:
         """Per-cell upper bound on |speed| covering generalized Jacobians."""
         n = [0.0] * self.space_dim
         n[axis] = 1.0
         speeds = self.values_speeds(vals, n)
-        return np.max(np.stack([np.abs(s) for s in speeds]), axis=0)
+        return np.max(np.stack([np.abs(s) for s in speeds]), axis=0, out=out)
 
     def admissibility_values(self, vals: np.ndarray) -> np.ndarray | None:
         """Array that must be strictly positive, or None if unconstrained."""
@@ -73,18 +85,26 @@ class ScalarLipschitz(ModelSystem):
     components: int = 1
     space_dim: int = 1
 
-    def values_flux(self, vals, axis):
+    def values_flux(self, vals, axis, out=None):
         u = vals[..., 0, :]
-        return (u * u + np.abs(u))[..., None, :]
+        if out is None:
+            out = np.empty_like(vals)
+        f = np.multiply(u, u, out=out[..., 0, :])
+        f += np.abs(u)
+        return out
 
     def values_speeds(self, vals, normal):
         u = vals[..., 0, :]
         return [2.0 * u + np.sign(u)]
 
-    def values_speed_bound(self, vals, axis):
-        # subdifferential of |u| at 0 is [-1, 1]; bound both endpoints
-        u = vals[..., 0, :]
-        return np.maximum(np.abs(2.0 * u - 1.0), np.abs(2.0 * u + 1.0))
+    def values_speed_bound(self, vals, axis, out=None):
+        # subdifferential of |u| at 0 is [-1, 1]; the bound of both endpoints,
+        # max(|2u - 1|, |2u + 1|), is 2|u| + 1 bit for bit: negation and
+        # doubling are exact and rounding is monotone
+        bound = np.abs(vals[..., 0, :], out=out)
+        bound *= 2.0
+        bound += 1.0
+        return bound
 
     def jacobian_blocks(self, vals, normal):
         u = vals[0]
@@ -103,8 +123,8 @@ class LinearAdvection(ModelSystem):
     def __post_init__(self):
         object.__setattr__(self, "space_dim", len(self.speed))
 
-    def values_flux(self, vals, axis):
-        return self.speed[axis] * vals
+    def values_flux(self, vals, axis, out=None):
+        return np.multiply(self.speed[axis], vals, out=out)
 
     def values_speeds(self, vals, normal):
         a = sum(n * s for n, s in zip(normal, self.speed))
@@ -127,10 +147,12 @@ class LevelSet2D(ModelSystem):
     components: int = 2
     space_dim: int = 2
 
-    def values_flux(self, vals, axis):
-        u1, u2 = vals[..., 0, :], vals[..., 1, :]
-        out = np.zeros_like(vals)
-        out[..., axis, :] = self.v_values * np.hypot(u1, u2)
+    def values_flux(self, vals, axis, out=None):
+        if out is None:
+            out = np.empty_like(vals)
+        out[..., 1 - axis, :] = 0.0
+        moving = np.hypot(vals[..., 0, :], vals[..., 1, :], out=out[..., axis, :])
+        moving *= self.v_values
         return out
 
     def values_speeds(self, vals, normal):
@@ -143,14 +165,14 @@ class LevelSet2D(ModelSystem):
                                           proj / np.where(degenerate, 1.0, norm))
         return [moving, np.zeros_like(moving)]
 
-    def values_speed_bound(self, vals, axis):
+    def values_speed_bound(self, vals, axis, out=None):
         u1, u2 = vals[..., 0, :], vals[..., 1, :]
         norm = np.hypot(u1, u2)
         degenerate = norm < DEGENERATE_NORM_TOL
         ui = vals[..., axis, :]
         # |v (n.u)/||u||| <= |v|; at the kink the subgradient ball gives |v|
         exact = np.abs(ui) / np.where(degenerate, 1.0, norm)
-        return np.abs(self.v_values) * np.where(degenerate, 1.0, exact)
+        return np.multiply(np.abs(self.v_values), np.where(degenerate, 1.0, exact), out=out)
 
     def jacobian_blocks(self, vals, normal):
         u1, u2 = vals[0], vals[1]
@@ -203,16 +225,23 @@ class PSystem1D:
         c1, c2 = self._branch_char_speeds(v)
         return np.where(s < 0, c1, np.where(s > 0, c2, np.maximum(c1, c2)))
 
-    def values_flux(self, vals, axis):
-        u, v = vals[..., 0, :], vals[..., 1, :]
-        return np.stack([self.pressure(v), -u], axis=-2)
+    def values_flux(self, vals, axis, out=None):
+        if out is None:
+            out = np.empty_like(vals)
+        out[..., 0, :] = self.pressure(vals[..., 1, :])
+        np.negative(vals[..., 0, :], out=out[..., 1, :])
+        return out
 
     def values_speeds(self, vals, normal):
         c = self.sound_speed(vals[..., 1, :])
         return [-c, c]
 
-    def values_speed_bound(self, vals, axis):
-        return self.sound_speed(vals[..., 1, :])
+    def values_speed_bound(self, vals, axis, out=None):
+        c = self.sound_speed(vals[..., 1, :])
+        if out is None:
+            return c
+        out[...] = c
+        return out
 
     def admissibility_values(self, vals):
         return vals[..., 1, :]
@@ -239,15 +268,21 @@ class Euler2D(ModelSystem):
     components: int = 3
     space_dim: int = 2
 
-    def values_flux(self, vals, axis):
+    def values_flux(self, vals, axis, out=None):
         rho = vals[..., 0, :]
         qa = vals[..., 1 + axis, :]
         qb = vals[..., 2 - axis, :]
-        p = rho ** self.gamma
-        out = np.empty_like(vals)
-        out[..., 0, :] = qa
-        out[..., 1 + axis, :] = qa * qa / rho + p
-        out[..., 2 - axis, :] = qa * qb / rho
+        if out is None:
+            out = np.empty_like(vals)
+        # (qa, qa * qa / rho + rho ** gamma, qa * qb / rho), the mass row
+        # holding the pressure until it is added
+        mass, normal, tangential = out[..., 0, :], out[..., 1 + axis, :], out[..., 2 - axis, :]
+        np.multiply(qa, qb, out=tangential)
+        tangential /= rho
+        np.multiply(qa, qa, out=normal)
+        normal /= rho
+        normal += np.power(rho, self.gamma, out=mass)
+        mass[...] = qa
         return out
 
     def _nu_c(self, vals, normal):
@@ -260,10 +295,16 @@ class Euler2D(ModelSystem):
         nu, c = self._nu_c(vals, normal)
         return [nu - c, nu, nu + c]
 
-    def values_speed_bound(self, vals, axis):
-        n = (1.0, 0.0) if axis == 0 else (0.0, 1.0)
-        nu, c = self._nu_c(vals, n)
-        return np.abs(nu) + c
+    def values_speed_bound(self, vals, axis, out=None):
+        # |q_axis / rho| + c: the |nu| + c of ``_nu_c`` along the axis, bit
+        # for bit on finite states, without the other momentum's zero term
+        rho = vals[..., 0, :]
+        bound = np.divide(vals[..., 1 + axis, :], rho, out=out)
+        np.abs(bound, out=bound)
+        c = rho ** ((self.gamma - 1.0) / 2.0)
+        c *= np.sqrt(self.gamma)
+        bound += c
+        return bound
 
     def admissibility_values(self, vals):
         return vals[..., 0, :]

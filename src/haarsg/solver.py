@@ -13,19 +13,27 @@ order, so results are bitwise reproducible and independent of any outer
 parallelism.  The 2D reconstruction and the LLF flux run in strips of rows
 along x, about ``cweno.STRIP_BYTES`` each, so that their temporaries stay in
 cache; the operations are elementwise, so the strips change no result bit.
+Within a strip the LLF works on copies of its interface values laid out
+(components, rows..., K+1) in memory, so that the model's maps run over
+contiguous component slices instead of one short inner loop per K+1
+values; one copy per strip writes the flux back.  Galerkin fields and
+deterministic batches take the same path: they differ only in the
+transform, which a batch skips, and in the viscosity, one maximum over the
+stochastic axis per face or one per sample.
 
 Work arrays: each ``advance`` call owns one ``Workspace``, created when it
 starts and dropped when it returns, never kept by a module or by the
 ``SemiDiscreteSystem``, so concurrent calls on other threads share nothing.
 It passes the workspace to ``compute_dt``, ``ssprk3_step`` (the stage
 states, alternating between two arrays from step to step) and ``rhs``
-(padded state, edge or face values, interface values, LLF flux and flux
-divergence).  Every operation writes into those arrays with ``out=`` in the
-order of the allocating form, so results are bitwise the same; only the
-model's flux and speed bound still allocate.  A function called without a
-workspace makes a fresh one and so allocates as before.  The state a
-callback sees as ``current.data`` is a work array: it is valid only until
-the next step.
+(padded state, edge or face values, interface values, the LLF's strip
+copies, fluxes and speed bounds, and the flux divergence).  Every operation
+writes into those arrays with ``out=`` in the order of the allocating form,
+so results are bitwise the same; what still allocates is a strip-sized
+temporary or two inside a model's maps and ``compute_dt``'s speed bounds.
+A function called without a workspace makes a fresh one and so allocates
+as before.  The state a callback sees as ``current.data`` is a work array:
+it is valid only until the next step.
 """
 
 from __future__ import annotations
@@ -129,6 +137,17 @@ def _apply_boundary(padded: np.ndarray, axis: int, kind: str) -> None:
         view[n + GHOST:] = view[n + GHOST - 1]
 
 
+def _component_first(work: Workspace, name: str, shape: tuple,
+                     values: np.ndarray | None = None) -> np.ndarray:
+    """Work array ``name`` seen with ``shape`` (..., components, m) but laid
+    out (components, ..., m) in memory, holding a copy of ``values`` if
+    given."""
+    out = np.moveaxis(work.array(name, shape[-2:-1] + shape[:-2] + shape[-1:]), 0, -2)
+    if values is not None:
+        out[...] = values
+    return out
+
+
 def source_quadrature(source: Callable, t: float, grid: Grid) -> np.ndarray:
     """Cell averages of a source callback by 2-point (tensor) Gauss rules.
 
@@ -203,11 +222,16 @@ class SemiDiscreteSystem:
         Interface arrays are shaped (..., x, [y,] components, m).  The
         admissibility checks see every state at once, so a violation is
         reported at the global minimum; flux, speed bound and the flux
-        combination then run in strips along the x axis.  The interface
-        values, the combination and the flux modes are arrays of ``work``;
-        a coupled system reuses the spent left values for the combination
-        and the spent right values for the modes.  The model's flux and
-        speed bound allocate their own.
+        combination then run in strips along the x axis.  Each strip copies
+        its left and right values into work arrays laid out (components,
+        rows..., m), so that every component slice the model's maps touch
+        is contiguous; a one-component state is contiguous already and is
+        not copied.  The fluxes, speed bounds and the combination are work
+        arrays in that layout too, and one copy per strip writes the result
+        back into the spent left values.  The flux modes then go into the
+        spent right values.  An uncoupled system has no transform, so its
+        left values are ``left_modes`` itself and the flux overwrites them;
+        ``rhs`` reads no interface value twice.
         """
         if work is None:
             work = Workspace()
@@ -217,27 +241,39 @@ class SemiDiscreteSystem:
         from .models import check_admissible_values
         check_admissible_values(self.model, vl)
         check_admissible_values(self.model, vr)
-        # a coupled system combines the fluxes into the left values, an
-        # uncoupled one must not: there they are the reconstruction itself
-        flux_vals = vl if self.coupled else work.array("llf.values", shape)
+        copy = self.model.components > 1
         for strip in self._x_strips(vl):
-            sl, sr, out = vl[strip], vr[strip], flux_vals[strip]
-            fl = self.model.values_flux(sl, axis)
-            fr = self.model.values_flux(sr, axis)
-            alpha = np.maximum(self.model.values_speed_bound(sl, axis),
-                               self.model.values_speed_bound(sr, axis))
+            out = vl[strip]
+            sl, sr = out, vr[strip]
+            if copy:
+                sl = _component_first(work, "llf.strip.left", sl.shape, sl)
+                sr = _component_first(work, "llf.strip.right", sr.shape, sr)
+            fl = self.model.values_flux(
+                sl, axis, out=_component_first(work, "llf.flux.left", sl.shape))
+            fr = self.model.values_flux(
+                sr, axis, out=_component_first(work, "llf.flux.right", sl.shape))
+            speeds = sl.shape[:-2] + sl.shape[-1:]
+            alpha = self.model.values_speed_bound(
+                sl, axis, out=work.array("llf.speed.left", speeds))
+            np.maximum(alpha, self.model.values_speed_bound(
+                sr, axis, out=work.array("llf.speed.right", speeds)), out=alpha)
             if self.coupled:
-                alpha = alpha.max(axis=-1)[..., None, None]
+                alpha = np.max(alpha, axis=-1, out=work.array("llf.alpha", speeds[:-1]))
+                alpha = alpha[..., None, None]
             else:
                 alpha = alpha[..., None, :]
-            # 0.5 * (fl + fr) - (0.5 * alpha) * (vr - vl), written into out
-            # once the states in it are read
-            jump = np.subtract(sr, sl, out=work.array("llf.jump", sl.shape))
-            jump *= 0.5 * alpha
-            np.add(fl, fr, out=out)
-            out *= 0.5
-            out -= jump
-        return self._from_values(flux_vals, out=vr)
+            # 0.5 * (fl + fr) - (0.5 * alpha) * (vr - vl), into the left flux,
+            # or straight into the left values once they are read
+            alpha *= 0.5
+            jump = np.subtract(sr, sl, out=_component_first(work, "llf.jump", sl.shape))
+            jump *= alpha
+            combined = fl if copy else out
+            np.add(fl, fr, out=combined)
+            combined *= 0.5
+            combined -= jump
+            if copy:
+                out[...] = combined
+        return self._from_values(vl, out=vr)
 
     def _x_strips(self, values: np.ndarray) -> list[tuple]:
         """Index tuples of strips of whole rows along the x axis of an

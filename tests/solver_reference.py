@@ -4,17 +4,20 @@ These are the allocating, whole-array forms that the solver replaced,
 kept as its oracles: ``edges_reference`` of ``cweno3_edges``,
 ``face_values_reference`` of the striped ``cweno3_face_values``,
 ``llf_reference`` of ``SemiDiscreteSystem._llf``, ``rhs_reference`` of
-``SemiDiscreteSystem.rhs`` and ``ssprk3_reference`` of ``ssprk3_step``.  The
-replacements do the same elementwise operations in the same order, only in
-strips or into work arrays, so the two must agree bit for bit.  Oracles that
-stand in for a method accept its ``work`` argument and ignore it.
+``SemiDiscreteSystem.rhs`` and ``ssprk3_reference`` of ``ssprk3_step``, and ``flux_reference`` and
+``speed_bound_reference`` of the models' ``values_flux`` and
+``values_speed_bound``.  The replacements do the same elementwise operations
+in the same order, only in strips or into work arrays, so the two must agree
+bit for bit.  Oracles that stand in for a method accept its ``work``
+argument and ignore it.
 """
 
 import numpy as np
 
 from haarsg.cweno import (D_CENTRAL_1D, D_CENTRAL_2D, D_SECTOR_2D, D_SIDE_1D, EPS_DEFAULT,
                           GAUSS_OFFSET, POWER_DEFAULT)
-from haarsg.models import check_admissible_values
+from haarsg.models import (Euler2D, LevelSet2D, LinearAdvection, PSystem1D,
+                           ScalarLipschitz, check_admissible_values)
 from haarsg.solver import GHOST, _apply_boundary, source_quadrature
 
 
@@ -202,6 +205,45 @@ def llf_reference(self, left_modes: np.ndarray, right_modes: np.ndarray,
         alpha = alpha[..., None, :]
     flux_vals = 0.5 * (fl + fr) - 0.5 * alpha * (vr - vl)
     return self._from_values(flux_vals)
+
+
+def flux_reference(model, vals: np.ndarray, axis: int) -> np.ndarray:
+    """The model's flux at realization values ``vals``, allocated."""
+    if isinstance(model, ScalarLipschitz):
+        u = vals[..., 0, :]
+        return (u * u + np.abs(u))[..., None, :]
+    if isinstance(model, LinearAdvection):
+        return model.speed[axis] * vals
+    if isinstance(model, LevelSet2D):
+        out = np.zeros_like(vals)
+        out[..., axis, :] = model.v_values * np.hypot(vals[..., 0, :], vals[..., 1, :])
+        return out
+    if isinstance(model, PSystem1D):
+        return np.stack([model.pressure(vals[..., 1, :]), -vals[..., 0, :]], axis=-2)
+    if isinstance(model, Euler2D):
+        rho = vals[..., 0, :]
+        qa = vals[..., 1 + axis, :]
+        qb = vals[..., 2 - axis, :]
+        p = rho ** model.gamma
+        out = np.empty_like(vals)
+        out[..., 0, :] = qa
+        out[..., 1 + axis, :] = qa * qa / rho + p
+        out[..., 2 - axis, :] = qa * qb / rho
+        return out
+    raise TypeError(f"no flux oracle for {model.name}")
+
+
+def speed_bound_reference(model, vals: np.ndarray, axis: int) -> np.ndarray:
+    """The speed bound at ``vals`` of the two models whose form changed:
+    both endpoints of the scalar kink's subdifferential, and the
+    normal-weighted ``_nu_c`` form of Euler."""
+    if isinstance(model, ScalarLipschitz):
+        u = vals[..., 0, :]
+        return np.maximum(np.abs(2.0 * u - 1.0), np.abs(2.0 * u + 1.0))
+    if isinstance(model, Euler2D):
+        nu, c = model._nu_c(vals, (1.0, 0.0) if axis == 0 else (0.0, 1.0))
+        return np.abs(nu) + c
+    raise TypeError(f"no speed-bound oracle for {model.name}")
 
 
 def admissibility_monitor_reference(config) -> float:

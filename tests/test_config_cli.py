@@ -275,6 +275,27 @@ def test_cli_bad_config_exit_code(tmp_path):
     assert main(["run", "--config", cfg, "--level-sweep", "0..13"]) == 2
 
 
+@pytest.mark.parametrize("preset, run, grid, key", [
+    ("scalar-oleinik", "t_final = nan", "", "run.t_final"),
+    ("scalar-oleinik", "t_final = inf", "", "run.t_final"),
+    ("scalar-oleinik", "", "x_min = 3.0", "grid.x_min"),  # the preset's x_max is 2.0
+    ("scalar-oleinik", "", "x_min = nan", "grid.x_min"),
+    ("euler-box", "", "y_max = -inf", "grid.y_max"),
+    ("euler-box", "", "y_min = 1.0\ny_max = 1.0", "grid.y_min"),
+], ids=["t-nan", "t-inf", "x-reversed", "x-nan", "y-inf", "y-empty"])
+def test_cli_non_finite_or_non_increasing_values_exit_before_any_output(tmp_path, preset,
+                                                                        run, grid, key):
+    text = f"[run]\npreset = {preset}\n{run}\n[grid]\nnx = 8\nny = 8\n{grid}\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.key == key
+    cfg = _write_config(tmp_path, text)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("sweep", ["3..1", "-1..1", "-2..-1"])
 def test_cli_reversed_or_negative_level_sweep_is_a_config_error(tmp_path, sweep):
     cfg = _write_config(tmp_path, FULL)

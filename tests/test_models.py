@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from solver_reference import flux_reference, speed_bound_reference
 
-from haarsg import (AdmissibilityError, Euler2D, Grid, LevelSet2D, PSystem1D,
-                    ScalarLipschitz, build_classical_haar, build_dct,
+from haarsg import (AdmissibilityError, Euler2D, Grid, LevelSet2D, LinearAdvection,
+                    PSystem1D, ScalarLipschitz, build_classical_haar, build_dct,
                     build_tensors, flux, from_spectrum, get_preset,
                     initial_data, is_admissible_state, jacobian,
                     max_wave_speed, project, to_spectrum, wave_speeds)
@@ -164,6 +168,84 @@ def test_speeds_finite_whenever_admissible():
             for n in ([1.0],) if model.space_dim == 1 else ((1.0, 0.0), (0.0, 1.0)):
                 for fam in wave_speeds(model, T2, state, n):
                     assert np.all(np.isfinite(fam))
+
+
+MAP_MODELS = [ScalarLipschitz(), LinearAdvection(speed=(1.0,)),
+              LinearAdvection(speed=(0.7, -1.3)),
+              LevelSet2D(v_values=np.linspace(0.5, 1.0, 8)),
+              PSystem1D(vstar_values=np.linspace(1.0, 1.5, 8)),
+              Euler2D(), Euler2D(gamma=2.0)]
+
+
+def _map_values(model, rng):
+    """Admissible values (5, 4, components, 8), with the models' kinks."""
+    vals = rng.uniform(-2.0, 2.0, size=(5, 4, model.components, 8))
+    if isinstance(model, Euler2D):
+        vals[..., 0, :] = rng.uniform(0.2, 3.0, size=(5, 4, 8))
+    elif isinstance(model, PSystem1D):
+        vals[..., 1, :] = rng.uniform(0.6, 2.5, size=(5, 4, 8))
+        vals[0, 0, 1] = model.vstar_values
+    elif isinstance(model, LevelSet2D):
+        vals[0, 0] = 0.0  # a degenerate gradient
+    elif isinstance(model, ScalarLipschitz):
+        vals[0, 0, 0, :2] = (0.0, -0.0)
+    return vals
+
+
+def _component_first(a):
+    """A copy of ``a`` (..., components, m) laid out (components, ..., m)."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(a, -2, 0)), 0, -2)
+
+
+@pytest.mark.parametrize("model", MAP_MODELS,
+                         ids=lambda m: f"{m.name}-{m.space_dim}d-{getattr(m, 'gamma', '')}")
+def test_model_maps_write_into_out_bit_for_bit(model):
+    vals = _map_values(model, np.random.default_rng(31))
+    for axis in range(model.space_dim):
+        flux_expected = model.values_flux(vals, axis)
+        bound_expected = model.values_speed_bound(vals, axis)
+        assert np.array_equal(flux_expected, flux_reference(model, vals, axis))
+        for view in (vals, _component_first(vals)):
+            out = np.full_like(view, np.nan)  # keeps the layout of ``view``
+            assert model.values_flux(view, axis, out=out) is out
+            assert np.array_equal(out, flux_expected)
+            bound = np.full(bound_expected.shape, np.nan)
+            assert model.values_speed_bound(view, axis, out=bound) is bound
+            assert np.array_equal(bound, bound_expected)
+
+
+MAP_SETTINGS = settings(max_examples=60, deadline=None, database=None, derandomize=True)
+SPECIAL = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308,
+                           np.inf, -np.inf, np.nan, 1e17, -1e-17])
+
+
+@MAP_SETTINGS
+@given(arrays(np.float64, st.integers(1, 64), elements=st.floats() | SPECIAL))
+def test_scalar_speed_bound_is_the_bound_of_both_kink_endpoints(u):
+    vals = u[None, :]
+    model = ScalarLipschitz()
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = speed_bound_reference(model, vals, 0)
+        assert np.array_equal(model.values_speed_bound(vals, 0), expected, equal_nan=True)
+
+
+@st.composite
+def euler_states(draw):
+    """Finite admissible Euler values (3, m): rho > 0, any finite momenta."""
+    m = draw(st.integers(1, 16))
+    rho = draw(arrays(np.float64, m, elements=st.floats(0.0, 1e300, exclude_min=True)))
+    q = draw(arrays(np.float64, (2, m), elements=st.floats(-1e300, 1e300)))
+    return np.concatenate([rho[None], q])
+
+
+@MAP_SETTINGS
+@given(euler_states(), st.sampled_from([4.0 / 3.0, 1.4, 5.0 / 3.0, 2.0]))
+def test_euler_speed_bound_matches_the_nu_c_form(vals, gamma):
+    model = Euler2D(gamma=gamma)
+    with np.errstate(over="ignore"):
+        for axis in (0, 1):
+            assert np.array_equal(model.values_speed_bound(vals, axis),
+                                  speed_bound_reference(model, vals, axis))
 
 
 def test_initial_data_scalar():

@@ -100,27 +100,49 @@ def _basis_fields(kind: str):
 
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
-configs = st.sampled_from(BASIS_KINDS).flatmap(lambda kind: st.builds(
-    lambda basis, **kw: RunConfig(basis_kind=kind, **basis, **kw),
-    _basis_fields(kind),
-    preset=st.sampled_from(sorted(PRESETS)),
-    t_final=st.none() | st.floats(0.0, 10.0),
-    cfl=st.floats(0.01, 0.99),
-    seed=st.integers(-2 ** 40, 2 ** 40),
-    nx=st.none() | st.integers(8, 10 ** 5),
-    ny=st.none() | st.integers(8, 10 ** 5),
-    x_min=st.none() | finite,
-    x_max=st.none() | finite,
-    y_min=st.none() | finite,
-    y_max=st.none() | finite,
-    boundary=st.none() | st.sampled_from(BOUNDARY_NAMES),
-    out_dir=st.text("abcXYZ019_./-", min_size=1, max_size=24),
-    stride=st.integers(0, 1000),
-    reference=st.none() | st.sampled_from(REFERENCE_KINDS),
-    ref_samples=st.integers(1, 10 ** 4),
-    ref_refine=st.integers(1, 16),
-    ref_level=st.none() | st.integers(0, 12),
-))
+
+
+@st.composite
+def grid_bounds(draw, domain):
+    """(min, max) overrides of one axis, each None or finite, such that the
+    bounds the grid is built from (override, else ``domain``) increase."""
+    lo, hi = sorted(draw(st.lists(finite, min_size=2, max_size=2, unique=True)))
+    if draw(st.booleans()) and domain[0] < hi:
+        lo = None
+    if draw(st.booleans()) and (domain[0] if lo is None else lo) < domain[1]:
+        hi = None
+    return lo, hi
+
+
+def _config(kind, preset, basis, bounds, **kw):
+    (x_min, x_max), (y_min, y_max) = bounds
+    return RunConfig(basis_kind=kind, preset=preset, **basis, x_min=x_min, x_max=x_max,
+                     y_min=y_min, y_max=y_max, **kw)
+
+
+def _configs(kind: str, preset: str):
+    # a 1D preset ignores the y bounds: any increasing pair will do
+    domain = PRESETS[preset].domain + ((0.0, 1.0),)
+    return st.builds(
+        _config, st.just(kind), st.just(preset), _basis_fields(kind),
+        st.tuples(grid_bounds(domain[0]), grid_bounds(domain[1])),
+        t_final=st.none() | st.floats(0.0, 10.0),
+        cfl=st.floats(0.01, 0.99),
+        seed=st.integers(-2 ** 40, 2 ** 40),
+        nx=st.none() | st.integers(8, 10 ** 5),
+        ny=st.none() | st.integers(8, 10 ** 5),
+        boundary=st.none() | st.sampled_from(BOUNDARY_NAMES),
+        out_dir=st.text("abcXYZ019_./-", min_size=1, max_size=24),
+        stride=st.integers(0, 1000),
+        reference=st.none() | st.sampled_from(REFERENCE_KINDS),
+        ref_samples=st.integers(1, 10 ** 4),
+        ref_refine=st.integers(1, 16),
+        ref_level=st.none() | st.integers(0, 12),
+    )
+
+
+configs = st.tuples(st.sampled_from(BASIS_KINDS), st.sampled_from(sorted(PRESETS))).flatmap(
+    lambda pair: _configs(*pair))
 
 
 @SETTINGS

@@ -11,6 +11,7 @@ from solver_reference import edges_reference, rhs_reference, ssprk3_reference
 
 from haarsg import (Grid, GpcField, LinearAdvection, SemiDiscreteSystem, advance,
                     build_classical_haar, build_tensors, parse_config, ssprk3_step)
+from haarsg import cweno
 from haarsg.cweno import cweno3_edges
 from haarsg.experiments import run_level_sweep
 from haarsg.models import PRESETS, get_preset, initial_data
@@ -157,3 +158,32 @@ def test_second_step_allocates_at_most_eight_field_sizes(monkeypatch):
         tracemalloc.stop()
     assert peak <= 8 * field.data.nbytes
     assert maps == [(-1, field.data.nbytes)]
+
+
+@pytest.mark.parametrize("coupled", [True, False], ids=["galerkin", "batch"])
+def test_second_euler_rhs_allocates_at_most_two_strips(coupled):
+    """On a warmed workspace, a right-hand side of the 100x100 Euler system
+    at level 2 (or its 8-sample batch) allocates only strip-sized
+    temporaries of the model maps: the LLF's interface values, fluxes and
+    their combination are work arrays."""
+    preset = get_preset("euler-box")
+    grid = preset_grid(preset, nx=100, ny=100)
+    if coupled:
+        tensors = build_tensors(build_classical_haar(2))
+        model = preset.make_model(tensors)
+        system = SemiDiscreteSystem(model, grid, tensors=tensors)
+        data = initial_data(model, preset, tensors, grid).data
+    else:
+        xi = np.linspace(0.05, 0.95, 8)
+        system = SemiDiscreteSystem(preset.make_det_model(xi), grid)
+        data = preset.det_initial(xi, grid)
+    work = Workspace()
+    system.rhs(data, 0.0, work)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        system.rhs(data, 0.0, work)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * cweno.STRIP_BYTES
