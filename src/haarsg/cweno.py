@@ -6,16 +6,17 @@ planes and is evaluated at the two Gauss points of every face, so that face
 flux integrals retain third order without dimensional splitting.  Nonlinear
 weights use Jiang-Shu style smoothness indicators.
 
-The 2D reconstruction runs in strips of whole rows along the x axis, each
-strip about ``STRIP_BYTES`` of input, so that its intermediates stay in a
+Both reconstructions run in strips of whole rows along the x axis, each
+strip about ``STRIP_BYTES`` of input, so that their intermediates stay in a
 core's cache; every operation is elementwise, so the result does not depend
 on where the strips are cut.
 
 Work arrays: both reconstructions write every intermediate and their
 results into arrays of the ``Workspace`` they are given (seven arrays of
-the output's size for the 1D edges, sixteen of one strip's size for the 2D
-faces) and allocate nothing else.  The caller owns the workspace: the
-solver's ``advance`` keeps one for the whole call and drops it on return.
+one strip's size for the 1D edges, sixteen for the 2D faces, besides the
+full-size results) and allocate nothing else.  The caller owns the
+workspace: the solver's ``advance`` keeps one for the whole call and drops
+it on return.
 A result is valid only until the next call with the same workspace.
 Called without one, a function makes a fresh workspace, so it then
 allocates all of its arrays for that call alone.
@@ -39,14 +40,14 @@ D_SECTOR_2D = 0.125
 
 GAUSS_OFFSET = 0.5 / math.sqrt(3.0)  # face Gauss points at +- this, cell widths normalized
 
-#: byte budget of one strip of rows in the 2D reconstruction and the LLF
-#: flux.  With the reconstruction in work arrays, 128 KiB gave the fastest
-#: 100x100 Euler right-hand side (about 85 ms against 100 ms at 512 KiB) and
-#: the smallest set of strip-sized arrays; it also keeps the temporaries of
-#: the model's flux and speed bound in the 1D LLF (400 cells x 128 modes, four
-#: strips) small enough that the allocator reuses their pages instead of
-#: returning and re-faulting them (a scalar level-6 run: 26k minor page
-#: faults at 128 KiB, 200k at 256 KiB, 360k at 512 KiB).
+#: byte budget of one strip of rows in the reconstructions, the LLF flux and
+#: the 2D flux divergence.  With the reconstruction in work arrays, 128 KiB
+#: gave the fastest 100x100 Euler right-hand side (about 85 ms against 100 ms
+#: at 512 KiB) and the smallest set of strip-sized arrays; it also keeps the
+#: temporaries of the model's flux and speed bound in the 1D LLF (400 cells x
+#: 128 modes, four strips) small enough that the allocator reuses their pages
+#: instead of returning and re-faulting them (a scalar level-6 run: 26k minor
+#: page faults at 128 KiB, 200k at 256 KiB, 360k at 512 KiB).
 STRIP_BYTES = 128 * 1024
 
 
@@ -83,15 +84,26 @@ def cweno3_edges(u: np.ndarray, eps: float = EPS_DEFAULT,
     ``u`` is indexed by cell along axis 0 and may carry trailing axes; the
     result drops one cell on each end: entry i corresponds to cell i+1 of
     the input.  Returns ``(left, right)`` evaluated at x_{i-1/2}, x_{i+1/2}.
-    Both are arrays of ``work``, and so are the seven scratch arrays that
-    every intermediate is written into.
+    Both are arrays of ``work``, filled strip by strip: output rows ``i:j``
+    come from input rows ``i:j+2``, with about ``STRIP_BYTES`` of input
+    rows per strip.
     """
     if work is None:
         work = Workspace()
-    shape = (u.shape[0] - 2,) + u.shape[1:]
-    s = [work.array(f"edges.{i}", shape) for i in range(7)]
-    left = work.array("edges.left", shape)
-    right = work.array("edges.right", shape)
+    n = u.shape[0] - 2
+    left = work.array("edges.left", (n,) + u.shape[1:])
+    right = work.array("edges.right", (n,) + u.shape[1:])
+    for i, j in strips(n, u[0].nbytes):
+        _edges_strip(u[i:j + 2], eps, power, left[i:j], right[i:j], work)
+    return left, right
+
+
+def _edges_strip(u: np.ndarray, eps: float, power: int, left: np.ndarray,
+                 right: np.ndarray, work: Workspace) -> None:
+    """Edge values of the interior rows of ``u`` into ``left`` and ``right``;
+    every intermediate goes into one of seven strip-sized scratch arrays of
+    ``work``."""
+    s = [work.array(f"edges.{i}", left.shape) for i in range(7)]
     um, u0, up = u[:-2], u[1:-1], u[2:]
     dl = np.subtract(u0, um, out=s[0])
     dr = np.subtract(up, u0, out=s[1])
@@ -149,7 +161,6 @@ def cweno3_edges(u: np.ndarray, eps: float = EPS_DEFAULT,
         term += quarter_curv
         term *= wc
         side += term
-    return left, right
 
 
 def cweno3_face_values(u: np.ndarray, eps: float = EPS_DEFAULT,

@@ -112,19 +112,25 @@ def run_experiment(config: RunConfig, threads: int = 1, out_dir: str | None = No
     model = preset.make_model(tensors)
     t_final = config.t_final if config.t_final is not None else preset.t_final
     out_dir = out_dir or config.out_dir
+    artifacts = []
     result = ExperimentResult(config=config, out_dir=out_dir, field=None,
-                              tensors=tensors, model=model, grid=grid, artifacts=[])
+                              tensors=tensors, model=model, grid=grid, artifacts=artifacts)
 
     field = initial_data(model, preset, tensors, grid)
     system = SemiDiscreteSystem(model, grid, tensors=tensors)
 
-    snapshots = []
+    if write_outputs:
+        os.makedirs(out_dir, exist_ok=True)
     step_count = [0]
 
     def snapshotter(t, current):
+        # every stride-th state is written when it is taken and kept by no one
         step_count[0] += 1
-        if config.stride and step_count[0] % config.stride == 0:
-            snapshots.append(GpcField(grid=grid, data=current.data.copy(), time=t))
+        if write_outputs and config.stride and step_count[0] % config.stride == 0:
+            path = os.path.join(out_dir, f"snapshot_{step_count[0] // config.stride - 1:04d}.csv")
+            output.write_field_csv(GpcField(grid=grid, data=current.data, time=t), path,
+                                   kinds=("mode",))
+            artifacts.append(path)
 
     if t_final > 0.0:
         field = advance(system, field, t_final, cfl=config.cfl, callbacks=(snapshotter,))
@@ -139,11 +145,6 @@ def run_experiment(config: RunConfig, threads: int = 1, out_dir: str | None = No
             result.admissibility_min = min(result.admissibility_min, float(vals.min()))
 
     if write_outputs:
-        os.makedirs(out_dir, exist_ok=True)
-        for i, snap in enumerate(snapshots):
-            path = os.path.join(out_dir, f"snapshot_{i:04d}.csv")
-            output.write_field_csv(snap, path, kinds=("mode",))
-            result.artifacts.append(path)
         final_path = os.path.join(out_dir, "field_final.csv")
         output.write_field_csv(field, final_path, kinds=("mode",))
         stats_path = os.path.join(out_dir, "stats_final.csv")

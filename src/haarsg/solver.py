@@ -10,9 +10,19 @@ the viscosity is applied per sample).
 
 All operations are plain numpy array transformations with a fixed evaluation
 order, so results are bitwise reproducible and independent of any outer
-parallelism.  The 2D reconstruction and the LLF flux run in strips of rows
-along x, about ``cweno.STRIP_BYTES`` each, so that their temporaries stay in
-cache; the operations are elementwise, so the strips change no result bit.
+parallelism.  The reconstructions, the LLF flux and the 2D flux divergence
+run in strips of rows along x, about ``cweno.STRIP_BYTES`` each, so that
+their temporaries stay in cache; the operations are elementwise, so the
+strips change no result bit.
+
+The mode/value transforms are one matrix product per block of rows that
+merge without a copy: one block for a 1D interface array or a whole field,
+one per Gauss node and x row for a 2D face slice.  For a state of several
+components the result is bitwise that of one product per (components, K+1)
+cell block, because a row of a product of two or more rows does not depend
+on the rows around it; a one-component state changes from vector-matrix to
+matrix products and moves by rounding only (below 1e-14 relative).
+
 Within a strip the LLF works on copies of its interface values laid out
 (components, rows..., K+1) in memory, so that the model's maps run over
 contiguous component slices instead of one short inner loop per K+1
@@ -27,10 +37,12 @@ starts and dropped when it returns, never kept by a module or by the
 It passes the workspace to ``compute_dt``, ``ssprk3_step`` (the stage
 states, alternating between two arrays from step to step) and ``rhs``
 (padded state, edge or face values, interface values, the LLF's strip
-copies, fluxes and speed bounds, and the flux divergence).  Every operation
-writes into those arrays with ``out=`` in the order of the allocating form,
-so results are bitwise the same; what still allocates is a strip-sized
-temporary or two inside a model's maps and ``compute_dt``'s speed bounds.
+copies, fluxes and speed bounds, and the flux divergence).  A
+deterministic batch has no transform and maps no array for transformed
+values.  Every operation writes into those arrays with ``out=`` in the
+order of the allocating form, so results are bitwise the same; what still
+allocates is a strip-sized temporary or two inside a model's maps and
+``compute_dt``'s speed bounds.
 A function called without a workspace makes a fresh one and so allocates
 as before.  The state a callback sees as ``current.data`` is a work array:
 it is valid only until the next step.
@@ -148,6 +160,29 @@ def _component_first(work: Workspace, name: str, shape: tuple,
     return out
 
 
+def _row_blocks(a: np.ndarray) -> np.ndarray:
+    """``a`` (..., m) seen as (lead..., rows, m) without a copy, with the
+    fewest leading axes that allow it: one block for a contiguous array,
+    one per Gauss node and x row of a 2D face slice."""
+    for lead in range(a.ndim):
+        try:
+            return a.reshape(a.shape[:lead] + (-1, a.shape[-1]), copy=False)
+        except ValueError:
+            pass  # lead max(a.ndim - 2, 0) always reshapes
+
+
+def _transform(a: np.ndarray, matrix: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """``a @ matrix`` over the last axis as one matrix product per block of
+    ``_row_blocks``, written into ``out`` if given.  ``out`` must take the
+    blocks' shape without a copy; if it cannot, reshape raises instead of
+    the product landing in a copy."""
+    rows = _row_blocks(a)
+    if out is None:
+        return np.matmul(rows, matrix).reshape(a.shape)
+    np.matmul(rows, matrix, out=out.reshape(rows.shape, copy=False))
+    return out
+
+
 def source_quadrature(source: Callable, t: float, grid: Grid) -> np.ndarray:
     """Cell averages of a source callback by 2-point (tensor) Gauss rules.
 
@@ -206,13 +241,13 @@ class SemiDiscreteSystem:
         """Realization values of ``modes``, written into ``out`` if given; an
         uncoupled system returns ``modes`` itself."""
         if self.coupled:
-            return np.matmul(modes, self._map_t, out=out)
+            return _transform(modes, self._map_t, out)
         return modes
 
     def _from_values(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Modes of realization ``values``, the inverse of ``_to_values``."""
         if self.coupled:
-            return np.matmul(values, self._inv_t, out=out)
+            return _transform(values, self._inv_t, out)
         return values
 
     def _llf(self, left_modes: np.ndarray, right_modes: np.ndarray, axis: int,
@@ -236,8 +271,9 @@ class SemiDiscreteSystem:
         if work is None:
             work = Workspace()
         shape = left_modes.shape
-        vl = self._to_values(left_modes, out=work.array("llf.left", shape))
-        vr = self._to_values(right_modes, out=work.array("llf.right", shape))
+        coupled = self.coupled
+        vl = self._to_values(left_modes, out=work.array("llf.left", shape) if coupled else None)
+        vr = self._to_values(right_modes, out=work.array("llf.right", shape) if coupled else None)
         from .models import check_admissible_values
         check_admissible_values(self.model, vl)
         check_admissible_values(self.model, vr)
@@ -257,7 +293,7 @@ class SemiDiscreteSystem:
                 sl, axis, out=work.array("llf.speed.left", speeds))
             np.maximum(alpha, self.model.values_speed_bound(
                 sr, axis, out=work.array("llf.speed.right", speeds)), out=alpha)
-            if self.coupled:
+            if coupled:
                 alpha = np.max(alpha, axis=-1, out=work.array("llf.alpha", speeds[:-1]))
                 alpha = alpha[..., None, None]
             else:
@@ -314,19 +350,27 @@ class SemiDiscreteSystem:
         west, east, south, north = cweno.cweno3_face_values(padded, self.eps, self.power,
                                                             work=work)
         # -(fx[1:] - fx[:-1]) / dx - (fy[:, 1:] - fy[:, :-1]) / dy, each face
-        # flux the mean 0.5 * (f[0] + f[1]) of its two gauss-node fluxes
+        # flux the mean 0.5 * (f[0] + f[1]) of its two gauss-node fluxes,
+        # in strips of x rows: out[i:j] needs x faces i:j+1 and y faces i:j.
+        # The y-face LLF overwrites the x-face fluxes, so x comes first.
+        out = work.array("rhs", data.shape)
+        strips = cweno.strips(data.shape[0], data[0].nbytes)
         f = self._llf(east[:, :-1, 1:-1], west[:, 1:, 1:-1], axis=0, work=work)
-        fx = np.add(f[0], f[1], out=work.array("rhs.mean", f.shape[1:]))
-        fx *= 0.5
-        out = np.subtract(fx[1:], fx[:-1], out=work.array("rhs", data.shape))
-        np.negative(out, out=out)
-        out /= self.grid.dx
+        for i, j in strips:
+            fx = np.add(f[0, i:j + 1], f[1, i:j + 1],
+                        out=work.array("rhs.mean", (j + 1 - i,) + f.shape[2:]))
+            fx *= 0.5
+            part = np.subtract(fx[1:], fx[:-1], out=out[i:j])
+            np.negative(part, out=part)
+            part /= self.grid.dx
         f = self._llf(north[:, 1:-1, :-1], south[:, 1:-1, 1:], axis=1, work=work)
-        fy = np.add(f[0], f[1], out=work.array("rhs.mean", f.shape[1:]))
-        fy *= 0.5
-        dfy = np.subtract(fy[:, 1:], fy[:, :-1], out=work.array("rhs.dy", data.shape))
-        dfy /= self.grid.dy
-        out -= dfy
+        for i, j in strips:
+            fy = np.add(f[0, i:j], f[1, i:j], out=work.array("rhs.mean", (j - i,) + f.shape[2:]))
+            fy *= 0.5
+            dfy = np.subtract(fy[:, 1:], fy[:, :-1],
+                              out=work.array("rhs.dy", (j - i,) + data.shape[1:]))
+            dfy /= self.grid.dy
+            out[i:j] -= dfy
         return out
 
     def compute_dt(self, data: np.ndarray, cfl: float, work: Workspace | None = None) -> float:
@@ -338,7 +382,8 @@ class SemiDiscreteSystem:
         from .models import check_admissible_values
         if work is None:
             work = Workspace()
-        vals = self._to_values(data, out=work.array("dt.values", data.shape))
+        vals = self._to_values(
+            data, out=work.array("dt.values", data.shape) if self.coupled else None)
         self.admissibility_min = min(self.admissibility_min,
                                      check_admissible_values(self.model, vals))
         sx = self.model.values_speed_bound(vals, 0).max(axis=-1)

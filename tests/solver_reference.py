@@ -1,7 +1,7 @@
 """Test-only oracles for the solver's work-array and striped forms.
 
 These are the allocating, whole-array forms that the solver replaced,
-kept as its oracles: ``edges_reference`` of ``cweno3_edges``,
+kept as its oracles: ``edges_reference`` of the striped ``cweno3_edges``,
 ``face_values_reference`` of the striped ``cweno3_face_values``,
 ``llf_reference`` of ``SemiDiscreteSystem._llf``, ``rhs_reference`` of
 ``SemiDiscreteSystem.rhs`` and ``ssprk3_reference`` of ``ssprk3_step``, and ``flux_reference`` and
@@ -10,7 +10,15 @@ kept as its oracles: ``edges_reference`` of ``cweno3_edges``,
 in the same order, only in strips or into work arrays, so the two must agree
 bit for bit.  Oracles that stand in for a method accept its ``work``
 argument and ignore it.
+
+``transform_reference`` is the stacked product that the mode/value
+transforms replaced; the merged product agrees with it bit for bit for
+states of several components and to rounding for one component.
+``snapshots_reference`` writes a run's snapshots in the order
+``run_experiment`` used before it streamed them.
 """
+
+import os
 
 import numpy as np
 
@@ -246,22 +254,63 @@ def speed_bound_reference(model, vals: np.ndarray, axis: int) -> np.ndarray:
     raise TypeError(f"no speed-bound oracle for {model.name}")
 
 
-def admissibility_monitor_reference(config) -> float:
-    """Admissibility minimum of a run of ``config`` as ``run_experiment``
-    took it before ``compute_dt`` reported it: the whole field transformed
-    once more for the initial state and after every step; inf for a model
-    without a constraint."""
+def transform_reference(a: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """``a @ matrix`` over the last axis as numpy stacks it: one product per
+    (components, K+1) block, a vector-matrix product for one component."""
+    return np.matmul(a, matrix)
+
+
+def _galerkin_run(config):
+    """System, initial field and final time of a run of ``config``."""
     from haarsg.experiments import build_basis, build_grid
     from haarsg.galerkin import build_tensors
     from haarsg.models import get_preset, initial_data
-    from haarsg.solver import SemiDiscreteSystem, advance
+    from haarsg.solver import SemiDiscreteSystem
 
     preset = get_preset(config.preset)
     tensors = build_tensors(build_basis(config))
     grid = build_grid(config)
     model = preset.make_model(tensors)
     field = initial_data(model, preset, tensors, grid)
-    system = SemiDiscreteSystem(model, grid, tensors=tensors)
+    t_final = config.t_final if config.t_final is not None else preset.t_final
+    return SemiDiscreteSystem(model, grid, tensors=tensors), field, t_final
+
+
+def snapshots_reference(config, out_dir: str) -> list[str]:
+    """Snapshot files of a run of ``config`` as ``run_experiment`` wrote them
+    before it streamed them: a copy of every ``output.stride``-th state kept
+    in a list during the solve, the list written after it."""
+    from haarsg import output
+    from haarsg.solver import GpcField, advance
+
+    system, field, t_final = _galerkin_run(config)
+    snapshots = []
+    step_count = [0]
+
+    def snapshotter(t, current):
+        step_count[0] += 1
+        if config.stride and step_count[0] % config.stride == 0:
+            snapshots.append(GpcField(grid=field.grid, data=current.data.copy(), time=t))
+
+    advance(system, field, t_final, cfl=config.cfl, callbacks=(snapshotter,))
+    os.makedirs(out_dir, exist_ok=True)
+    paths = []
+    for i, snap in enumerate(snapshots):
+        path = os.path.join(out_dir, f"snapshot_{i:04d}.csv")
+        output.write_field_csv(snap, path, kinds=("mode",))
+        paths.append(path)
+    return paths
+
+
+def admissibility_monitor_reference(config) -> float:
+    """Admissibility minimum of a run of ``config`` as ``run_experiment``
+    took it before ``compute_dt`` reported it: the whole field transformed
+    once more for the initial state and after every step; inf for a model
+    without a constraint."""
+    from haarsg.solver import advance
+
+    system, field, t_final = _galerkin_run(config)
+    model = system.model
     lowest = [np.inf]
 
     def monitor(t, current):
@@ -270,7 +319,6 @@ def admissibility_monitor_reference(config) -> float:
             lowest[0] = min(lowest[0], float(vals.min()))
 
     monitor(0.0, field)
-    t_final = config.t_final if config.t_final is not None else preset.t_final
     if t_final > 0.0:
         advance(system, field, t_final, cfl=config.cfl, callbacks=(monitor,))
     return lowest[0]

@@ -1,8 +1,10 @@
+import gc
 import json
 import os
 
 import numpy as np
 import pytest
+from solver_reference import snapshots_reference
 
 from haarsg import ConfigError, parse_config, render_config
 from haarsg.cli import main
@@ -310,6 +312,45 @@ def test_cli_snapshots_with_stride(tmp_path):
     assert main(["run", "--config", cfg, "--out", out]) == 0
     snaps = [f for f in os.listdir(out) if f.startswith("snapshot_")]
     assert snaps
+
+
+def _held_arrays(obj, depth: int = 4) -> list:
+    """Arrays reachable from ``obj`` through at most ``depth`` references,
+    not counting classes and modules."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if depth == 0 or isinstance(obj, (type, type(os))):
+        return []
+    return [a for ref in gc.get_referents(obj) for a in _held_arrays(ref, depth - 1)]
+
+
+def test_snapshots_are_written_when_taken_and_not_kept(tmp_path, monkeypatch):
+    """Streamed snapshots are byte-identical to the old list-then-write
+    order, and the callback that wrote them holds no state afterwards."""
+    from haarsg import experiments
+    config = parse_config("[run]\npreset = scalar-oleinik\nt_final = 0.05\n"
+                          "[basis]\nkind = classical-haar\nlevel = 2\n[grid]\nnx = 40\n"
+                          "[reference]\nkind = none\n[output]\nstride = 2\n")
+    seen = []
+    advance = experiments.advance
+
+    def spy(system, field, t_final, cfl, callbacks=()):
+        seen.extend(callbacks)
+        return advance(system, field, t_final, cfl=cfl, callbacks=callbacks)
+
+    monkeypatch.setattr(experiments, "advance", spy)
+    streamed = tmp_path / "streamed"
+    result = experiments.run_experiment(config, out_dir=str(streamed))
+    expected = snapshots_reference(config, str(tmp_path / "listed"))
+    names = [os.path.basename(p) for p in expected]
+    assert len(names) == result.steps // 2 >= 2
+    assert sorted(p for p in os.listdir(streamed) if p.startswith("snapshot_")) == names
+    assert [os.path.basename(p) for p in result.artifacts[:len(names)]] == names
+    for path, name in zip(expected, names):
+        with open(path, "rb") as listed:
+            assert (streamed / name).read_bytes() == listed.read()
+    [snapshotter] = seen
+    assert not [a for cell in snapshotter.__closure__ for a in _held_arrays(cell.cell_contents)]
 
 
 def test_cli_mse_roundtrip(tmp_path):

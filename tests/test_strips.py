@@ -1,14 +1,16 @@
-"""The 2D reconstruction and the LLF flux run in strips along x; the result
-must not depend on where the strips are cut, and must equal the whole-array
-oracles in ``solver_reference`` bit for bit."""
+"""The reconstructions, the LLF flux and the 2D flux divergence run in
+strips along x; the result must not depend on where the strips are cut, and
+must equal the whole-array oracles in ``solver_reference`` bit for bit."""
 
 import numpy as np
 import pytest
-from solver_reference import face_values_reference, llf_reference
+from solver_reference import edges_reference, face_values_reference, llf_reference
 
 from haarsg import (AdmissibilityError, Euler2D, Grid, ScalarLipschitz,
                     SemiDiscreteSystem, build_classical_haar, build_tensors,
                     from_spectrum)
+from haarsg.models import get_preset, initial_data
+from haarsg.reference import preset_grid
 from haarsg import cweno
 
 HUGE = 1 << 40
@@ -60,9 +62,23 @@ def _scalar_system(coupled: bool):
     return SemiDiscreteSystem(ScalarLipschitz(), grid, tensors=tensors), data
 
 
+def _psystem_system(coupled: bool):
+    preset = get_preset("psystem-riemann")
+    grid = preset_grid(preset, nx=40)
+    if not coupled:
+        xi = np.linspace(0.05, 0.95, 5)
+        return SemiDiscreteSystem(preset.make_det_model(xi), grid), preset.det_initial(xi, grid)
+    tensors = build_tensors(build_classical_haar(2))
+    model = preset.make_model(tensors)
+    data = initial_data(model, preset, tensors, grid).data
+    return SemiDiscreteSystem(model, grid, tensors=tensors), data
+
+
 @pytest.mark.parametrize("make, coupled", [(_euler_system, True), (_euler_system, False),
-                                           (_scalar_system, True)],
-                         ids=["euler-galerkin", "euler-batch", "scalar-galerkin"])
+                                           (_scalar_system, True), (_psystem_system, True),
+                                           (_psystem_system, False)],
+                         ids=["euler-galerkin", "euler-batch", "scalar-galerkin",
+                              "psystem-galerkin", "psystem-batch"])
 def test_rhs_is_strip_invariant_and_matches_whole_array_oracle(monkeypatch, make, coupled):
     system, data = make(coupled)
     got = {}
@@ -70,6 +86,7 @@ def test_rhs_is_strip_invariant_and_matches_whole_array_oracle(monkeypatch, make
         monkeypatch.setattr(cweno, "STRIP_BYTES", budget)
         got[budget] = system.rhs(data, 0.0)
     assert np.array_equal(got[1], got[HUGE])
+    monkeypatch.setattr(cweno, "cweno3_edges", edges_reference)
     monkeypatch.setattr(cweno, "cweno3_face_values", face_values_reference)
     monkeypatch.setattr(SemiDiscreteSystem, "_llf", llf_reference)
     assert np.array_equal(got[1], system.rhs(data, 0.0))
