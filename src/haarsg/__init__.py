@@ -1,9 +1,11 @@
 """Haar-type stochastic Galerkin formulations for hyperbolic conservation laws.
 
 The package provides wavelet bases with a shared constant eigenvector frame,
-closed-form nonlinear gPC operations, intrusive formulations of four model
-systems, a third-order CWENO/SSPRK3 finite-volume solver, reference
-solutions, and the experiment CLI.
+closed-form nonlinear gPC operations, four model systems given as pointwise
+maps on realization values (flux, speed bound, admissibility) that the
+shared frame turns into their intrusive formulations, experiment presets
+that define each model once, a third-order CWENO/SSPRK3 finite-volume
+solver, reference solutions, and the experiment CLI.
 """
 
 from .basis import (BasisKind, HaarTypeBasis, build_canonical_haar,
@@ -19,8 +21,7 @@ from .galerkin import (Admissibility, GalerkinTensor, abs_modes, build_tensors,
                        sign_modes, to_spectrum)
 from .models import (Euler2D, ExperimentPreset, LevelSet2D, LinearAdvection,
                      ModelSystem, PSystem1D, ScalarLipschitz, constant_modes,
-                     flux, get_preset, initial_data, is_admissible_state,
-                     jacobian, max_wave_speed, wave_speeds)
+                     get_preset, initial_data)
 from .reference import (CollocationReference, ExactScalarReference,
                         MonteCarloEnvelope, collocation_reference, exact_scalar,
                         expansion_values, l1_distance, mean_std,

@@ -66,18 +66,33 @@ def _cmd_basis(args) -> int:
 def _cmd_project(args) -> int:
     config = _apply_overrides(_load_config(args.config), args)
     tensors = build_tensors(build_basis(config))
-    code = compile(args.expr, "<expr>", "eval")
+    try:
+        code = compile(args.expr, "<expr>", "eval")
+    except SyntaxError as exc:
+        raise ConfigError(f"--expr {args.expr!r} is not an expression: {exc.msg}") from None
     for name in code.co_names:
         if name != "xi" and name not in _EXPR_NAMES:
             raise ConfigError(f"unknown name {name!r} in --expr")
 
     def f(xi):
-        return np.broadcast_to(
-            np.asarray(eval(code, {"__builtins__": {}}, {**_EXPR_NAMES, "xi": xi}),
-                       dtype=float), xi.shape)
+        try:
+            vals = np.broadcast_to(
+                np.asarray(eval(code, {"__builtins__": {}}, {**_EXPR_NAMES, "xi": xi}),
+                           dtype=float), xi.shape)
+        except (ArithmeticError, TypeError, ValueError) as exc:
+            raise ConfigError(f"cannot evaluate --expr {args.expr!r}: {exc}") from None
+        if not np.all(np.isfinite(vals)):
+            raise ConfigError(f"--expr {args.expr!r} is not finite on [0, 1]")
+        return vals
 
-    breakpoints = tuple(float(b) for b in args.breakpoints.split(",")) \
-        if args.breakpoints else ()
+    try:
+        breakpoints = tuple(float(b) for b in args.breakpoints.split(",")) \
+            if args.breakpoints else ()
+        if not np.all(np.isfinite(breakpoints)):
+            raise ValueError
+    except ValueError:
+        raise ConfigError(f"--breakpoints expects comma-separated finite numbers, "
+                          f"got {args.breakpoints!r}") from None
     modes = project(tensors, f, breakpoints=breakpoints)
     path = os.path.join(config.out_dir, "modes.csv")
     output.write_table_csv(path, ["index", "value"],

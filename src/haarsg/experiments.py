@@ -109,7 +109,7 @@ def run_experiment(config: RunConfig, threads: int = 1, out_dir: str | None = No
     basis = build_basis(config)
     tensors = build_tensors(basis)
     grid = build_grid(config)
-    model = preset.make_model(tensors)
+    model = preset.galerkin_model(tensors)
     t_final = config.t_final if config.t_final is not None else preset.t_final
     out_dir = out_dir or config.out_dir
     artifacts = []

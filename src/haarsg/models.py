@@ -1,25 +1,33 @@
-"""Stochastic Galerkin formulations of four hyperbolic model systems.
+"""Four hyperbolic model systems as pointwise maps on realization values.
 
-Each model implements its flux, characteristic speeds and admissibility as
-pointwise maps on realization values (the spectrum of the expansion).  The
-Galerkin operations are obtained by conjugating those maps with the shared
-eigenvector frame, which keeps the intrusive formulation collocation
-consistent: fluxes and characteristic speeds evaluated through the frame
-coincide with the deterministic ones at the stochastic quadrature points.
+Every Haar-type basis shares one eigenvector frame, so the stochastic
+Galerkin (SG) formulation of a flux is the flux applied pointwise to the
+spectrum of the expansion (the realization values), conjugated with that
+frame.  A model therefore supplies only what the solver calls, three maps
+on realization values:
+
+- ``values_flux(vals, axis, out=None)``, the flux in direction ``axis``;
+- ``values_speed_bound(vals, axis, out=None)``, a per-value upper bound on
+  |characteristic speed| that also covers the generalized Jacobians at a
+  kink of the flux;
+- ``admissibility_values(vals)``, an array that must stay strictly
+  positive, or None for a model without a constraint (the default);
+
+plus its ``name``, ``components`` and ``space_dim``.  The Galerkin-level
+flux, wave speeds and the dense flux Jacobian, with the hyperbolicity check
+that the Jacobian's spectrum equals the deterministic speeds, are theory
+checks that the solver never runs; they live in ``tests/model_reference.py``.
 
 Value arrays have shape (..., components, m) where m is the number of
-stochastic cells for a Galerkin model, or the number of samples for a
-deterministic batch.
-
-``values_flux(vals, axis, out=None)`` and ``values_speed_bound(vals, axis,
-out=None)`` write their result into ``out`` when it is given and return it;
-``out`` has the shape of the allocating result and shares no memory with
-``vals``.  Every map is elementwise per component: entry (..., c, j) of a
-result depends only on entries (..., :, j) of ``vals``, through the same
-operations in the same order wherever it sits in memory.  So any memory
-layout of ``vals`` and ``out`` gives the same bits; the solver's LLF passes
-views laid out (components, ..., m), in which every component slice is
-contiguous.
+stochastic cells for an SG model, or the number of samples for a
+deterministic batch.  The first two maps write their result into ``out``
+when it is given and return it; ``out`` has the shape of the allocating
+result and shares no memory with ``vals``.  Every map is elementwise per
+component: entry (..., c, j) of a result depends only on entries
+(..., :, j) of ``vals``, through the same operations in the same order
+wherever it sits in memory.  So any memory layout of ``vals`` and ``out``
+gives the same bits; the solver's LLF passes views laid out
+(components, ..., m), in which every component slice is contiguous.
 """
 
 from __future__ import annotations
@@ -41,7 +49,7 @@ DEGENERATE_NORM_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ModelSystem:
-    """Base descriptor; concrete models override the pointwise maps."""
+    """Base descriptor; concrete models implement the flux and speed bound."""
 
     name: str
     components: int
@@ -51,30 +59,14 @@ class ModelSystem:
                     out: np.ndarray | None = None) -> np.ndarray:
         raise NotImplementedError
 
-    def values_speeds(self, vals: np.ndarray, normal) -> list[np.ndarray]:
-        """Characteristic families at realization values, one array each."""
-        raise NotImplementedError
-
     def values_speed_bound(self, vals: np.ndarray, axis: int,
                            out: np.ndarray | None = None) -> np.ndarray:
         """Per-cell upper bound on |speed| covering generalized Jacobians."""
-        n = [0.0] * self.space_dim
-        n[axis] = 1.0
-        speeds = self.values_speeds(vals, n)
-        return np.max(np.stack([np.abs(s) for s in speeds]), axis=0, out=out)
+        raise NotImplementedError
 
     def admissibility_values(self, vals: np.ndarray) -> np.ndarray | None:
         """Array that must be strictly positive, or None if unconstrained."""
         return None
-
-    def jacobian_blocks(self, vals: np.ndarray, normal) -> list[list]:
-        """Per-cell diagonal entries of the directional flux Jacobian.
-
-        Entry [i][j] is an (m,) array (or scalar) holding the diagonal of
-        block (i, j) in spectral coordinates; ``vals`` is a single state
-        of shape (components, m).
-        """
-        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -93,10 +85,6 @@ class ScalarLipschitz(ModelSystem):
         f += np.abs(u)
         return out
 
-    def values_speeds(self, vals, normal):
-        u = vals[..., 0, :]
-        return [2.0 * u + np.sign(u)]
-
     def values_speed_bound(self, vals, axis, out=None):
         # subdifferential of |u| at 0 is [-1, 1]; the bound of both endpoints,
         # max(|2u - 1|, |2u + 1|), is 2|u| + 1 bit for bit: negation and
@@ -105,10 +93,6 @@ class ScalarLipschitz(ModelSystem):
         bound *= 2.0
         bound += 1.0
         return bound
-
-    def jacobian_blocks(self, vals, normal):
-        u = vals[0]
-        return [[2.0 * u + np.sign(u)]]
 
 
 @dataclass(frozen=True)
@@ -126,13 +110,11 @@ class LinearAdvection(ModelSystem):
     def values_flux(self, vals, axis, out=None):
         return np.multiply(self.speed[axis], vals, out=out)
 
-    def values_speeds(self, vals, normal):
-        a = sum(n * s for n, s in zip(normal, self.speed))
-        return [np.full(vals.shape[:-2] + vals.shape[-1:], a)]
-
-    def jacobian_blocks(self, vals, normal):
-        a = sum(n * s for n, s in zip(normal, self.speed))
-        return [[np.full(vals.shape[-1], a)]]
+    def values_speed_bound(self, vals, axis, out=None):
+        if out is None:
+            out = np.empty(vals.shape[:-2] + vals.shape[-1:])
+        out[...] = abs(self.speed[axis])
+        return out
 
 
 @dataclass(frozen=True)
@@ -155,16 +137,6 @@ class LevelSet2D(ModelSystem):
         moving *= self.v_values
         return out
 
-    def values_speeds(self, vals, normal):
-        u1, u2 = vals[..., 0, :], vals[..., 1, :]
-        norm = np.hypot(u1, u2)
-        degenerate = norm < DEGENERATE_NORM_TOL
-        proj = normal[0] * u1 + normal[1] * u2
-        fallback = normal[0] * np.sign(u1) + normal[1] * np.sign(u2)
-        moving = self.v_values * np.where(degenerate, fallback,
-                                          proj / np.where(degenerate, 1.0, norm))
-        return [moving, np.zeros_like(moving)]
-
     def values_speed_bound(self, vals, axis, out=None):
         u1, u2 = vals[..., 0, :], vals[..., 1, :]
         norm = np.hypot(u1, u2)
@@ -174,20 +146,9 @@ class LevelSet2D(ModelSystem):
         exact = np.abs(ui) / np.where(degenerate, 1.0, norm)
         return np.multiply(np.abs(self.v_values), np.where(degenerate, 1.0, exact), out=out)
 
-    def jacobian_blocks(self, vals, normal):
-        u1, u2 = vals[0], vals[1]
-        norm = np.hypot(u1, u2)
-        a = self.v_values / norm
-        return [[normal[0] * a * u1, normal[0] * a * u2],
-                [normal[1] * a * u1, normal[1] * a * u2]]
-
-
-def _psystem_branch_sign(v, vstar):
-    return np.sign(v - vstar)
-
 
 @dataclass(frozen=True)
-class PSystem1D:
+class PSystem1D(ModelSystem):
     """p-system with a Lipschitz pressure kinked at a random volume v*.
 
     State components are (u, v): velocity and specific volume; the flux is
@@ -209,20 +170,16 @@ class PSystem1D:
         return vs ** (-self.gamma1) - vs ** (-self.gamma2)
 
     def pressure(self, v: np.ndarray) -> np.ndarray:
-        s = _psystem_branch_sign(v, self.vstar_values)
+        s = np.sign(v - self.vstar_values)
         left = v ** (-self.gamma1)
         right = v ** (-self.gamma2) + self.delta_values
         return 0.5 * (1.0 - s) * left + 0.5 * (1.0 + s) * right
 
-    def _branch_char_speeds(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        c1 = np.sqrt(self.gamma1 * v ** (-self.gamma1 - 1.0))
-        c2 = np.sqrt(self.gamma2 * v ** (-self.gamma2 - 1.0))
-        return c1, c2
-
     def sound_speed(self, v: np.ndarray) -> np.ndarray:
         """sqrt(-p'(v)); at the kink the larger one-sided value."""
-        s = _psystem_branch_sign(v, self.vstar_values)
-        c1, c2 = self._branch_char_speeds(v)
+        s = np.sign(v - self.vstar_values)
+        c1 = np.sqrt(self.gamma1 * v ** (-self.gamma1 - 1.0))
+        c2 = np.sqrt(self.gamma2 * v ** (-self.gamma2 - 1.0))
         return np.where(s < 0, c1, np.where(s > 0, c2, np.maximum(c1, c2)))
 
     def values_flux(self, vals, axis, out=None):
@@ -231,10 +188,6 @@ class PSystem1D:
         out[..., 0, :] = self.pressure(vals[..., 1, :])
         np.negative(vals[..., 0, :], out=out[..., 1, :])
         return out
-
-    def values_speeds(self, vals, normal):
-        c = self.sound_speed(vals[..., 1, :])
-        return [-c, c]
 
     def values_speed_bound(self, vals, axis, out=None):
         c = self.sound_speed(vals[..., 1, :])
@@ -245,14 +198,6 @@ class PSystem1D:
 
     def admissibility_values(self, vals):
         return vals[..., 1, :]
-
-    def jacobian_blocks(self, vals, normal):
-        v = vals[1]
-        s = _psystem_branch_sign(v, self.vstar_values)
-        pprime = -(0.5 * (1.0 - s) * self.gamma1 * v ** (-self.gamma1 - 1.0)
-                   + 0.5 * (1.0 + s) * self.gamma2 * v ** (-self.gamma2 - 1.0))
-        zero = np.zeros_like(v)
-        return [[zero, pprime], [-np.ones_like(v), zero]]
 
 
 @dataclass(frozen=True)
@@ -285,19 +230,9 @@ class Euler2D(ModelSystem):
         mass[...] = qa
         return out
 
-    def _nu_c(self, vals, normal):
-        rho = vals[..., 0, :]
-        nu = (normal[0] * vals[..., 1, :] + normal[1] * vals[..., 2, :]) / rho
-        c = np.sqrt(self.gamma) * rho ** ((self.gamma - 1.0) / 2.0)
-        return nu, c
-
-    def values_speeds(self, vals, normal):
-        nu, c = self._nu_c(vals, normal)
-        return [nu - c, nu, nu + c]
-
     def values_speed_bound(self, vals, axis, out=None):
-        # |q_axis / rho| + c: the |nu| + c of ``_nu_c`` along the axis, bit
-        # for bit on finite states, without the other momentum's zero term
+        # |nu| + c with nu = q_axis / rho and c = sqrt(gamma) rho^((gamma-1)/2),
+        # the largest |speed| of the families nu - c, nu, nu + c
         rho = vals[..., 0, :]
         bound = np.divide(vals[..., 1 + axis, :], rho, out=out)
         np.abs(bound, out=bound)
@@ -309,58 +244,10 @@ class Euler2D(ModelSystem):
     def admissibility_values(self, vals):
         return vals[..., 0, :]
 
-    def jacobian_blocks(self, vals, normal):
-        rho, q1, q2 = vals
-        nu1, nu2 = q1 / rho, q2 / rho
-        c2 = self.gamma * rho ** (self.gamma - 1.0)
-        one = np.ones_like(rho)
-        zero = np.zeros_like(rho)
-        n1, n2 = normal
-        j1 = [[zero, one, zero],
-              [c2 - nu1 * nu1, 2.0 * nu1, zero],
-              [-nu1 * nu2, nu2, nu1]]
-        j2 = [[zero, zero, one],
-              [-nu1 * nu2, nu2, nu1],
-              [c2 - nu2 * nu2, zero, 2.0 * nu2]]
-        return [[n1 * a + n2 * b for a, b in zip(ra, rb)] for ra, rb in zip(j1, j2)]
-
-
-# ---------------------------------------------------------------------------
-# Galerkin-level operations
-
-def flux(model, t: GalerkinTensor, state: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Galerkin flux of a state (..., components, K+1) in the given axis."""
-    check_admissible(model, t, state)
-    return from_spectrum(t, model.values_flux(to_spectrum(t, state), axis))
-
-
-def wave_speeds(model, t: GalerkinTensor, state: np.ndarray, normal) -> list[np.ndarray]:
-    """Characteristic families as per-stochastic-cell speed arrays."""
-    check_admissible(model, t, state)
-    return model.values_speeds(to_spectrum(t, state), normal)
-
-
-def max_wave_speed(model, t: GalerkinTensor, state: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Max |speed| over families and stochastic cells (kink-safe bound)."""
-    check_admissible(model, t, state)
-    return model.values_speed_bound(to_spectrum(t, state), axis).max(axis=-1)
-
-
-def is_admissible_state(model, t: GalerkinTensor, state: np.ndarray) -> tuple[bool, float]:
-    """Whether the model's positivity constraint holds; returns min value."""
-    vals = model.admissibility_values(to_spectrum(t, state))
-    if vals is None:
-        return True, np.inf
-    return bool(vals.min() > 0.0), float(vals.min())
-
-
-def check_admissible(model, t: GalerkinTensor, state: np.ndarray) -> None:
-    """Raise AdmissibilityError with cell diagnostics on violation."""
-    check_admissible_values(model, to_spectrum(t, state))
-
 
 def check_admissible_values(model, values: np.ndarray) -> float:
-    """Like :func:`check_admissible` but on realization values directly.
+    """Raise AdmissibilityError with cell diagnostics if the model's
+    admissibility values at realization ``values`` are not all positive.
 
     Returns the minimum admissibility value, inf for a model without a
     constraint.
@@ -378,24 +265,6 @@ def check_admissible_values(model, values: np.ndarray) -> float:
     return float(vmin)
 
 
-def jacobian(model, t: GalerkinTensor, state: np.ndarray, normal) -> np.ndarray:
-    """Dense directional flux Jacobian of one cell state (components, K+1)."""
-    vals = to_spectrum(t, np.asarray(state))
-    if vals.ndim != 2:
-        raise ValueError("jacobian expects a single cell state (components, K+1)")
-    if model.space_dim == 1:
-        normal = (normal if np.ndim(normal) else [float(normal)])
-    blocks = model.jacobian_blocks(vals, normal)
-    n = t.size
-    ncomp = model.components
-    out = np.zeros((ncomp * n, ncomp * n))
-    for i in range(ncomp):
-        for j in range(ncomp):
-            d = np.broadcast_to(np.asarray(blocks[i][j], dtype=float), (n,))
-            out[i * n:(i + 1) * n, j * n:(j + 1) * n] = (t.Hn * d) @ t.Hn.T
-    return out
-
-
 def constant_modes(t: GalerkinTensor, value: float) -> np.ndarray:
     """Modes of the deterministic constant ``value``."""
     return from_spectrum(t, np.full(t.size, float(value)))
@@ -404,14 +273,16 @@ def constant_modes(t: GalerkinTensor, value: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # experiment presets
 
-def _centers(lo: float, hi: float, n: int) -> np.ndarray:
-    dx = (hi - lo) / n
-    return lo + dx * (np.arange(n) + 0.5)
-
-
 @dataclass(frozen=True)
 class ExperimentPreset:
     """One of the paper-style experiments: model, domain and initial data.
+
+    The model is defined once.  ``parameter`` is its random parameter as a
+    pointwise function of xi, or None for a model without one, and
+    ``model`` builds the model from that parameter's realization values
+    (from no argument when there is no parameter).  The SG solve realizes
+    the parameter on the spectrum of its basis (:meth:`galerkin_model`), a
+    deterministic batch at its samples (:meth:`batch_model`).
 
     ``qoi_component`` is the state component that errors and Monte Carlo
     envelopes are measured on.
@@ -427,10 +298,22 @@ class ExperimentPreset:
     ny: int | None = None
     boundary: str = "transmissive"
     qoi_component: int = 0
-    make_model: Callable[[GalerkinTensor], object] = None
-    make_det_model: Callable[[np.ndarray], object] = None
+    model: Callable[..., ModelSystem] = None
+    parameter: Callable[[np.ndarray], np.ndarray] | None = None
     galerkin_initial: Callable = None
     det_initial: Callable = None
+
+    def galerkin_model(self, t: GalerkinTensor) -> ModelSystem:
+        """The model of the SG solve in the basis of ``t``."""
+        if self.parameter is None:
+            return self.model()
+        return self.model(to_spectrum(t, project(t, self.parameter)))
+
+    def batch_model(self, xi: np.ndarray) -> ModelSystem:
+        """The model of a deterministic batch at the samples ``xi``."""
+        if self.parameter is None:
+            return self.model()
+        return self.model(self.parameter(np.asarray(xi)))
 
 
 def _scalar_initial(t: GalerkinTensor, xs: np.ndarray) -> np.ndarray:
@@ -457,7 +340,14 @@ def _levelset_initial(t: GalerkinTensor, xs, ys) -> np.ndarray:
     return out
 
 
-def _euler_initial(t: GalerkinTensor, xs, ys, gamma) -> np.ndarray:
+def _levelset_det_initial(xi: np.ndarray, xs, ys) -> np.ndarray:
+    inside = _box_mask(xs, ys, 2.0)
+    out = np.zeros((xs.size, ys.size, 2, xi.size))
+    out[..., 0, :] = np.where(inside, 1.0, -1.0)[..., None]
+    return out
+
+
+def _euler_initial(t: GalerkinTensor, xs, ys) -> np.ndarray:
     inside = _box_mask(xs, ys, 1.0)
     rho_in = project(t, lambda xi: 2.0 + xi)
     rho_out = constant_modes(t, 1.0)
@@ -495,64 +385,36 @@ def _psystem_vstar(xi):
     return 1.0 + 0.5 * xi  # v* ~ U[1, 1.5]
 
 
-def make_scalar_model(t: GalerkinTensor) -> ScalarLipschitz:
-    return ScalarLipschitz()
-
-
-def make_levelset_model(t: GalerkinTensor) -> LevelSet2D:
-    return LevelSet2D(v_values=to_spectrum(t, project(t, _levelset_speed)))
-
-
-def make_psystem_model(t: GalerkinTensor, gamma1=5.0 / 3.0, gamma2=4.0 / 3.0) -> PSystem1D:
-    return PSystem1D(gamma1=gamma1, gamma2=gamma2,
-                     vstar_values=to_spectrum(t, project(t, _psystem_vstar)))
-
-
-def make_euler_model(t: GalerkinTensor, gamma=4.0 / 3.0) -> Euler2D:
-    return Euler2D(gamma=gamma)
-
-
 PRESETS: dict[str, ExperimentPreset] = {
     "scalar-oleinik": ExperimentPreset(
         name="scalar-oleinik", space_dim=1, components=1,
         domain=((-2.0, 2.0),), nx=400, t_final=0.2, reference="exact",
-        make_model=make_scalar_model,
-        make_det_model=lambda xi: ScalarLipschitz(),
+        model=ScalarLipschitz,
         galerkin_initial=lambda t, grid: _scalar_initial(t, grid.x_centers),
         det_initial=lambda xi, grid: _scalar_det_initial(xi, grid.x_centers)),
     "levelset-box": ExperimentPreset(
         name="levelset-box", space_dim=2, components=2,
         domain=((-4.0, 4.0), (-4.0, 4.0)), nx=100, ny=100, t_final=1.0, reference="none",
-        make_model=make_levelset_model,
-        make_det_model=lambda xi: LevelSet2D(v_values=_levelset_speed(np.asarray(xi))),
+        model=lambda v: LevelSet2D(v_values=v), parameter=_levelset_speed,
         galerkin_initial=lambda t, grid: _levelset_initial(t, grid.x_centers, grid.y_centers),
-        det_initial=lambda xi, grid: _levelset_initial_det(np.asarray(xi), grid)),
+        det_initial=lambda xi, grid: _levelset_det_initial(np.asarray(xi), grid.x_centers,
+                                                           grid.y_centers)),
     "psystem-riemann": ExperimentPreset(
         name="psystem-riemann", space_dim=1, components=2,
         domain=((-3.0, 3.0),), nx=400, t_final=1.0, reference="collocation",
         qoi_component=1,  # specific volume: the pressure kink sits at v = v*
-        make_model=make_psystem_model,
-        make_det_model=lambda xi: PSystem1D(vstar_values=_psystem_vstar(np.asarray(xi))),
+        model=lambda vstar: PSystem1D(vstar_values=vstar), parameter=_psystem_vstar,
         galerkin_initial=lambda t, grid: _psystem_initial(t, grid.x_centers),
         det_initial=lambda xi, grid: _psystem_det_initial(np.asarray(xi), grid.x_centers)),
     "euler-box": ExperimentPreset(
         name="euler-box", space_dim=2, components=3,
         domain=((-2.0, 2.0), (-2.0, 2.0)), nx=100, ny=100, t_final=0.5,
         reference="monte-carlo",
-        make_model=make_euler_model,
-        make_det_model=lambda xi: Euler2D(),
-        galerkin_initial=lambda t, grid: _euler_initial(t, grid.x_centers, grid.y_centers,
-                                                        4.0 / 3.0),
+        model=Euler2D,
+        galerkin_initial=lambda t, grid: _euler_initial(t, grid.x_centers, grid.y_centers),
         det_initial=lambda xi, grid: _euler_det_initial(np.asarray(xi), grid.x_centers,
                                                         grid.y_centers)),
 }
-
-
-def _levelset_initial_det(xi: np.ndarray, grid) -> np.ndarray:
-    inside = _box_mask(grid.x_centers, grid.y_centers, 2.0)
-    out = np.zeros((grid.nx, grid.ny, 2, xi.size))
-    out[..., 0, :] = np.where(inside, 1.0, -1.0)[..., None]
-    return out
 
 
 def get_preset(name: str) -> ExperimentPreset:

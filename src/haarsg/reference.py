@@ -60,9 +60,8 @@ def solve_deterministic_batch(preset: ExperimentPreset, xi: np.ndarray, grid: Gr
     """Run the deterministic solver for each xi sample (batched, per-sample
     viscosity and admissibility; the batch shares one CFL time grid)."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    model = preset.make_det_model(xi)
     init = preset.det_initial(xi, grid)
-    system = SemiDiscreteSystem(model, grid, tensors=None)
+    system = SemiDiscreteSystem(preset.batch_model(xi), grid, tensors=None)
     return advance(system, GpcField(grid, init, 0.0), t_final, cfl=cfl).data
 
 

@@ -154,7 +154,9 @@ def _component_first(work: Workspace, name: str, shape: tuple,
     """Work array ``name`` seen with ``shape`` (..., components, m) but laid
     out (components, ..., m) in memory, holding a copy of ``values`` if
     given."""
-    out = np.moveaxis(work.array(name, shape[-2:-1] + shape[:-2] + shape[-1:]), 0, -2)
+    n = len(shape)
+    out = work.array(name, shape[-2:-1] + shape[:-2] + shape[-1:]).transpose(
+        tuple(range(1, n - 1)) + (0, n - 1))
     if values is not None:
         out[...] = values
     return out
@@ -210,8 +212,7 @@ class SemiDiscreteSystem:
     """Spatial operator: ghost fill, CWENO3, LLF fluxes, flux divergence."""
 
     def __init__(self, model, grid: Grid, tensors: GalerkinTensor | None = None,
-                 source: Callable | None = None,
-                 eps: float | None = None, power: int | None = None):
+                 source: Callable | None = None):
         if model.space_dim != grid.space_dim:
             raise ValueError(f"model {model.name} is {model.space_dim}D, "
                              f"grid is {grid.space_dim}D")
@@ -221,11 +222,9 @@ class SemiDiscreteSystem:
         self.source = source
         # grid-scaled regularization keeps the weights optimal at smooth
         # critical points while power 3 still pins them one-sided at jumps
-        if eps is None:
-            h = grid.dx if grid.space_dim == 1 else min(grid.dx, grid.dy)
-            eps = h * h
-        self.eps = eps
-        self.power = 3 if power is None else power
+        h = grid.dx if grid.space_dim == 1 else min(grid.dx, grid.dy)
+        self.eps = h * h
+        self.power = 3
         #: lowest admissibility value that ``compute_dt`` has checked; inf
         #: while none was checked or the model has no constraint
         self.admissibility_min = np.inf

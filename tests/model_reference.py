@@ -1,0 +1,111 @@
+"""Theory-only model checks: the SG flux, wave speeds, admissibility and the
+dense flux Jacobian of a Galerkin state.
+
+The solver needs only each model's pointwise maps on realization values.
+The Galerkin-level forms here conjugate them with the shared eigenvector
+frame: a state's realization values are ``to_spectrum`` of its modes, and a
+pointwise map d -> g(d) acts on modes as Hn diag(g(d)) Hn.T.  The
+characteristic speeds and the blocks of the directional flux Jacobian are
+written out per model, so that the hyperbolicity check (the Jacobian's
+spectrum equals the deterministic speeds) compares two independent forms.
+"""
+
+import numpy as np
+
+from haarsg.galerkin import _conjugate, from_spectrum, to_spectrum
+from haarsg.models import (DEGENERATE_NORM_TOL, Euler2D, LevelSet2D, PSystem1D,
+                           ScalarLipschitz, check_admissible_values)
+
+
+def values_speeds(model, vals, normal) -> list[np.ndarray]:
+    """Characteristic families at realization values, one array each."""
+    if isinstance(model, ScalarLipschitz):
+        u = vals[..., 0, :]
+        return [2.0 * u + np.sign(u)]
+    if isinstance(model, LevelSet2D):
+        u1, u2 = vals[..., 0, :], vals[..., 1, :]
+        norm = np.hypot(u1, u2)
+        degenerate = norm < DEGENERATE_NORM_TOL
+        proj = normal[0] * u1 + normal[1] * u2
+        fallback = normal[0] * np.sign(u1) + normal[1] * np.sign(u2)
+        moving = model.v_values * np.where(degenerate, fallback,
+                                           proj / np.where(degenerate, 1.0, norm))
+        return [moving, np.zeros_like(moving)]
+    if isinstance(model, PSystem1D):
+        c = model.sound_speed(vals[..., 1, :])
+        return [-c, c]
+    if isinstance(model, Euler2D):
+        rho = vals[..., 0, :]
+        nu = (normal[0] * vals[..., 1, :] + normal[1] * vals[..., 2, :]) / rho
+        c = np.sqrt(model.gamma) * rho ** ((model.gamma - 1.0) / 2.0)
+        return [nu - c, nu, nu + c]
+    raise TypeError(f"no speeds for {model.name}")
+
+
+def jacobian_blocks(model, vals, normal) -> list[list]:
+    """Diagonals (m,) of the blocks of the directional flux Jacobian in
+    spectral coordinates, at one state's values (components, m)."""
+    if isinstance(model, ScalarLipschitz):
+        return [[2.0 * vals[0] + np.sign(vals[0])]]
+    if isinstance(model, LevelSet2D):
+        u1, u2 = vals
+        a = model.v_values / np.hypot(u1, u2)
+        return [[normal[0] * a * u1, normal[0] * a * u2],
+                [normal[1] * a * u1, normal[1] * a * u2]]
+    if isinstance(model, PSystem1D):
+        v = vals[1]
+        s = np.sign(v - model.vstar_values)
+        g1, g2 = model.gamma1, model.gamma2
+        pprime = -(0.5 * (1.0 - s) * g1 * v ** (-g1 - 1.0)
+                   + 0.5 * (1.0 + s) * g2 * v ** (-g2 - 1.0))
+        return [[0.0, pprime], [-1.0, 0.0]]
+    if isinstance(model, Euler2D):
+        rho, q1, q2 = vals
+        nu1, nu2 = q1 / rho, q2 / rho
+        c2 = model.gamma * rho ** (model.gamma - 1.0)
+        n1, n2 = normal
+        j1 = [[0.0, 1.0, 0.0], [c2 - nu1 * nu1, 2.0 * nu1, 0.0], [-nu1 * nu2, nu2, nu1]]
+        j2 = [[0.0, 0.0, 1.0], [-nu1 * nu2, nu2, nu1], [c2 - nu2 * nu2, 0.0, 2.0 * nu2]]
+        return [[n1 * a + n2 * b for a, b in zip(ra, rb)] for ra, rb in zip(j1, j2)]
+    raise TypeError(f"no Jacobian for {model.name}")
+
+
+def check_admissible(model, t, state) -> None:
+    """Raise AdmissibilityError with cell diagnostics on violation."""
+    check_admissible_values(model, to_spectrum(t, state))
+
+
+def flux(model, t, state, axis=0) -> np.ndarray:
+    """Galerkin flux of a state (..., components, K+1) in the given axis."""
+    check_admissible(model, t, state)
+    return from_spectrum(t, model.values_flux(to_spectrum(t, state), axis))
+
+
+def wave_speeds(model, t, state, normal) -> list[np.ndarray]:
+    """Characteristic families as per-stochastic-cell speed arrays."""
+    check_admissible(model, t, state)
+    return values_speeds(model, to_spectrum(t, state), normal)
+
+
+def max_wave_speed(model, t, state, axis=0) -> np.ndarray:
+    """Max |speed| over families and stochastic cells (kink-safe bound)."""
+    check_admissible(model, t, state)
+    return model.values_speed_bound(to_spectrum(t, state), axis).max(axis=-1)
+
+
+def is_admissible_state(model, t, state) -> tuple[bool, float]:
+    """Whether the model's positivity constraint holds; returns min value."""
+    vals = model.admissibility_values(to_spectrum(t, state))
+    if vals is None:
+        return True, np.inf
+    return bool(vals.min() > 0.0), float(vals.min())
+
+
+def jacobian(model, t, state, normal) -> np.ndarray:
+    """Dense directional flux Jacobian of one cell state (components, K+1)."""
+    vals = to_spectrum(t, np.asarray(state))
+    if vals.ndim != 2:
+        raise ValueError("jacobian expects a single cell state (components, K+1)")
+    normal = normal if np.ndim(normal) else [float(normal)]
+    return np.block([[_conjugate(t, np.broadcast_to(d, (t.size,))) for d in row]
+                     for row in jacobian_blocks(model, vals, normal)])

@@ -242,14 +242,24 @@ def flux_reference(model, vals: np.ndarray, axis: int) -> np.ndarray:
 
 
 def speed_bound_reference(model, vals: np.ndarray, axis: int) -> np.ndarray:
-    """The speed bound at ``vals`` of the two models whose form changed:
-    both endpoints of the scalar kink's subdifferential, and the
-    normal-weighted ``_nu_c`` form of Euler."""
+    """The speed bound at ``vals`` of the three models whose form changed:
+    both endpoints of the scalar kink's subdifferential, the
+    normal-weighted |nu| + c form of Euler, and the largest |speed| of the
+    stacked families of linear advection."""
+    if isinstance(model, LinearAdvection):
+        normal = [0.0] * model.space_dim
+        normal[axis] = 1.0
+        a = sum(n * s for n, s in zip(normal, model.speed))
+        speeds = [np.full(vals.shape[:-2] + vals.shape[-1:], a)]
+        return np.max(np.stack([np.abs(s) for s in speeds]), axis=0)
     if isinstance(model, ScalarLipschitz):
         u = vals[..., 0, :]
         return np.maximum(np.abs(2.0 * u - 1.0), np.abs(2.0 * u + 1.0))
     if isinstance(model, Euler2D):
-        nu, c = model._nu_c(vals, (1.0, 0.0) if axis == 0 else (0.0, 1.0))
+        normal = (1.0, 0.0) if axis == 0 else (0.0, 1.0)
+        rho = vals[..., 0, :]
+        nu = (normal[0] * vals[..., 1, :] + normal[1] * vals[..., 2, :]) / rho
+        c = np.sqrt(model.gamma) * rho ** ((model.gamma - 1.0) / 2.0)
         return np.abs(nu) + c
     raise TypeError(f"no speed-bound oracle for {model.name}")
 
@@ -270,7 +280,7 @@ def _galerkin_run(config):
     preset = get_preset(config.preset)
     tensors = build_tensors(build_basis(config))
     grid = build_grid(config)
-    model = preset.make_model(tensors)
+    model = preset.galerkin_model(tensors)
     field = initial_data(model, preset, tensors, grid)
     t_final = config.t_final if config.t_final is not None else preset.t_final
     return SemiDiscreteSystem(model, grid, tensors=tensors), field, t_final

@@ -194,6 +194,20 @@ def test_cli_project_rejects_unknown_names(tmp_path):
     assert main(["project", "--config", cfg, "--expr", "__import__('os')"]) == 2
 
 
+@pytest.mark.parametrize("flags", [["--expr", "xi +"], ["--expr", "where"],
+                                   ["--expr", "log(xi-2)"],
+                                   ["--expr", "xi", "--breakpoints", "0.5,abc"],
+                                   ["--expr", "xi", "--breakpoints", "nan"]],
+                         ids=["syntax", "not-a-number", "non-finite", "breakpoint-text",
+                              "breakpoint-nan"])
+def test_cli_project_bad_input_is_a_config_error(tmp_path, flags):
+    cfg = _write_config(tmp_path, FULL)
+    out = tmp_path / "proj_out"
+    with np.errstate(invalid="ignore"):
+        assert main(["project", "--config", cfg, "--out", str(out)] + flags) == 2
+    assert not (out / "modes.csv").exists()
+
+
 def test_cli_run_tiny_experiment(tmp_path):
     cfg = _write_config(tmp_path, FULL.replace("t_final = 0.1", "t_final = 0.02"))
     out = str(tmp_path / "run_out")

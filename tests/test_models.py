@@ -1,16 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from model_reference import (check_admissible, flux, is_admissible_state, jacobian,
+                             max_wave_speed, values_speeds, wave_speeds)
 from solver_reference import flux_reference, speed_bound_reference
+from test_basis import ALL_BASES
 
 from haarsg import (AdmissibilityError, Euler2D, Grid, LevelSet2D, LinearAdvection,
                     PSystem1D, ScalarLipschitz, build_classical_haar, build_dct,
-                    build_tensors, flux, from_spectrum, get_preset,
-                    initial_data, is_admissible_state, jacobian,
-                    max_wave_speed, project, to_spectrum, wave_speeds)
-from haarsg.models import check_admissible, make_psystem_model
+                    build_tensors, from_spectrum, get_preset,
+                    initial_data, project, to_spectrum)
 
 T0 = build_tensors(build_classical_haar(0))
 T2 = build_tensors(build_classical_haar(2))
@@ -72,7 +75,7 @@ def test_psystem_pressure_and_speeds():
 
 
 def test_psystem_pressure_continuous_at_kink():
-    m = make_psystem_model(T2)
+    m = get_preset("psystem-riemann").galerkin_model(T2)
     vs = m.vstar_values
     below = m.pressure(vs * (1.0 - 1e-13))
     above = m.pressure(vs * (1.0 + 1e-13))
@@ -129,7 +132,7 @@ def random_admissible(model, t, rng):
 def make_models(t):
     return [ScalarLipschitz(),
             LevelSet2D(v_values=to_spectrum(t, project(t, lambda x: 0.5 + 0.5 * x))),
-            make_psystem_model(t),
+            get_preset("psystem-riemann").galerkin_model(t),
             Euler2D()]
 
 
@@ -156,7 +159,7 @@ def test_jacobian_spectrum_matches_deterministic_speeds(tensors):
                 jac = jacobian(model, tensors, state, n)
                 ev = np.sort(np.linalg.eigvals(jac).real)
                 det = np.sort(np.concatenate(
-                    model.values_speeds(to_spectrum(tensors, state), n)))
+                    values_speeds(model, to_spectrum(tensors, state), n)))
                 assert np.abs(ev - det).max() < 1e-10
 
 
@@ -248,10 +251,46 @@ def test_euler_speed_bound_matches_the_nu_c_form(vals, gamma):
                                   speed_bound_reference(model, vals, axis))
 
 
+@MAP_SETTINGS
+@given(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=2),
+       st.sampled_from([(1, 1, 4), (3, 1, 8), (2, 5, 1, 2)]))
+def test_advection_speed_bound_matches_the_stacked_speeds_form(speed, shape):
+    model = LinearAdvection(speed=tuple(speed))
+    vals = np.zeros(shape)
+    for axis in range(model.space_dim):
+        expected = speed_bound_reference(model, vals, axis)
+        assert np.array_equal(model.values_speed_bound(vals, axis), expected)
+
+
+#: the field of each preset's model that holds its random parameter
+PARAMETER_FIELDS = {"scalar-oleinik": None, "levelset-box": "v_values",
+                    "psystem-riemann": "vstar_values", "euler-box": None}
+
+
+@pytest.mark.parametrize("basis", [b for b in ALL_BASES if b.is_piecewise_constant],
+                         ids=lambda b: f"{b.kind.value}-{b.size}")
+@pytest.mark.parametrize("name", sorted(PARAMETER_FIELDS))
+def test_sg_solve_and_batches_read_the_same_preset_model(name, basis):
+    """The SG model's parameter realizations are the batch model's
+    parameter at the stochastic cell midpoints; every other field agrees."""
+    preset = get_preset(name)
+    sg = preset.galerkin_model(build_tensors(basis))
+    batch = preset.batch_model(basis.cell_midpoints())
+    assert type(sg) is type(batch)
+    assert (preset.parameter is None) == (PARAMETER_FIELDS[name] is None)
+    for f in dataclasses.fields(sg):
+        a, b = getattr(sg, f.name), getattr(batch, f.name)
+        if f.name == PARAMETER_FIELDS[name]:
+            assert a.shape == b.shape == (basis.size,)
+            assert np.abs(a - b).max() <= 1e-14
+        else:
+            assert a == b
+
+
 def test_initial_data_scalar():
     preset = get_preset("scalar-oleinik")
     grid = Grid(nx=8, x_bounds=(-2.25, 2.25))
-    model = preset.make_model(T2)
+    model = preset.galerkin_model(T2)
     field = initial_data(model, preset, T2, grid)
     xs = grid.x_centers
     left = np.flatnonzero(xs < -1.0)[-1]
@@ -266,7 +305,7 @@ def test_initial_data_scalar():
 def test_initial_data_euler_mean():
     preset = get_preset("euler-box")
     grid = Grid(nx=10, x_bounds=(-2.0, 2.0), ny=10, y_bounds=(-2.0, 2.0))
-    model = preset.make_model(T2)
+    model = preset.galerkin_model(T2)
     field = initial_data(model, preset, T2, grid)
     centre = field.data[5, 5]  # inside the box
     assert centre[0, 0] == pytest.approx(2.5, abs=1e-12)
@@ -278,7 +317,7 @@ def test_initial_data_euler_mean():
 def test_initial_data_levelset_deterministic():
     preset = get_preset("levelset-box")
     grid = Grid(nx=10, x_bounds=(-4.0, 4.0), ny=10, y_bounds=(-4.0, 4.0))
-    model = preset.make_model(T2)
+    model = preset.galerkin_model(T2)
     field = initial_data(model, preset, T2, grid)
     assert np.abs(field.data[..., 1:]).max() < 1e-14  # no details at t = 0
     assert field.data[5, 5, 0, 0] == pytest.approx(1.0)

@@ -190,7 +190,7 @@ def test_l1_distance_self_is_small():
     grid = Grid(nx=60, x_bounds=(-3.0, 3.0))
     tensors = build_tensors(build_classical_haar(0))
     ref = collocation_reference(preset, tensors, refine=1, t_final=0.05, grid=grid)
-    model = preset.make_model(tensors)
+    model = preset.galerkin_model(tensors)
     field = initial_data(model, preset, tensors, grid)
     system = SemiDiscreteSystem(model, grid, tensors=tensors)
     out = advance(system, field, 0.05, cfl=0.45)

@@ -200,9 +200,9 @@ def test_determinism_bitwise():
 
 
 def test_admissibility_abort_diagnostics():
-    from haarsg.models import make_psystem_model
+    from haarsg.models import get_preset
     t = build_tensors(build_classical_haar(0))
-    model = make_psystem_model(t)
+    model = get_preset("psystem-riemann").galerkin_model(t)
     grid = Grid(nx=16, x_bounds=(0.0, 1.0))
     system = SemiDiscreteSystem(model, grid, tensors=t)
     data = np.zeros((16, 2, 2))

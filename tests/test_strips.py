@@ -67,9 +67,9 @@ def _psystem_system(coupled: bool):
     grid = preset_grid(preset, nx=40)
     if not coupled:
         xi = np.linspace(0.05, 0.95, 5)
-        return SemiDiscreteSystem(preset.make_det_model(xi), grid), preset.det_initial(xi, grid)
+        return SemiDiscreteSystem(preset.batch_model(xi), grid), preset.det_initial(xi, grid)
     tensors = build_tensors(build_classical_haar(2))
-    model = preset.make_model(tensors)
+    model = preset.galerkin_model(tensors)
     data = initial_data(model, preset, tensors, grid).data
     return SemiDiscreteSystem(model, grid, tensors=tensors), data
 

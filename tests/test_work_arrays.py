@@ -33,11 +33,11 @@ def _preset_system(name: str, coupled: bool, level: int = 3, nx: int | None = No
             else preset_grid(preset, nx=nx or 96))
     if coupled:
         tensors = build_tensors(build_classical_haar(level))
-        model = preset.make_model(tensors)
+        model = preset.galerkin_model(tensors)
         field = initial_data(model, preset, tensors, grid)
         return SemiDiscreteSystem(model, grid, tensors=tensors), field
     xi = np.linspace(0.05, 0.95, 7)
-    system = SemiDiscreteSystem(preset.make_det_model(xi), grid)
+    system = SemiDiscreteSystem(preset.batch_model(xi), grid)
     return system, GpcField(grid, preset.det_initial(xi, grid), 0.0)
 
 
@@ -184,12 +184,12 @@ def test_second_euler_rhs_allocates_at_most_two_strips(coupled):
     grid = preset_grid(preset, nx=100, ny=100)
     if coupled:
         tensors = build_tensors(build_classical_haar(2))
-        model = preset.make_model(tensors)
+        model = preset.galerkin_model(tensors)
         system = SemiDiscreteSystem(model, grid, tensors=tensors)
         data = initial_data(model, preset, tensors, grid).data
     else:
         xi = np.linspace(0.05, 0.95, 8)
-        system = SemiDiscreteSystem(preset.make_det_model(xi), grid)
+        system = SemiDiscreteSystem(preset.batch_model(xi), grid)
         data = preset.det_initial(xi, grid)
     work = Workspace()
     system.rhs(data, 0.0, work)
