@@ -165,9 +165,20 @@ def _cmd_mse(args) -> int:
         raise ConfigError(f"reference kind {kind!r} does not support mse")
     tensors = build_tensors(build_basis(config))
     grid = build_grid(config)
-    t, xs, ys, data = output.read_field_csv(args.field)
+    try:
+        t, xs, ys, data = output.read_field_csv(args.field)
+    except (ValueError, IndexError) as exc:  # no mode rows, a short row, a bad number
+        raise ConfigError(f"--field is not a mode field CSV: {exc}") from None
     if ys is not None:
         raise ConfigError("mse comparison is defined for 1D fields")
+    centers = grid.x_centers
+    if xs.shape != centers.shape or not np.allclose(xs, centers, rtol=0.0, atol=1e-12):
+        raise ConfigError(f"--field has {xs.size} x centres in [{xs[0]:.6g}, {xs[-1]:.6g}]; "
+                          f"the config grid has {centers.size} in "
+                          f"[{centers[0]:.6g}, {centers[-1]:.6g}]")
+    if data.shape[1:] != (preset.components, tensors.size):
+        raise ConfigError(f"--field has {data.shape[1]} components of {data.shape[2]} modes; "
+                          f"the config asks for {preset.components} of {tensors.size}")
     field = GpcField(grid=grid, data=data, time=t)
     reference = build_reference(config, tensors, grid, t)
     value = mse(field, tensors, reference, component=preset.qoi_component)

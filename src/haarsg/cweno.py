@@ -11,12 +11,16 @@ strip about ``STRIP_BYTES`` of input, so that their intermediates stay in a
 core's cache; every operation is elementwise, so the result does not depend
 on where the strips are cut.
 
-Work arrays: both reconstructions write every intermediate and their
-results into arrays of the ``Workspace`` they are given (seven arrays of
-one strip's size for the 1D edges, sixteen for the 2D faces, besides the
-full-size results) and allocate nothing else.  The caller owns the
-workspace: the solver's ``advance`` keeps one for the whole call and drops
-it on return.
+Work arrays: both reconstructions write every intermediate into arrays of
+the ``Workspace`` they are given (seven arrays of one strip's size for the
+1D edges, sixteen for the 2D faces) and allocate nothing else.  The 1D
+edges go into full-size arrays of the workspace.  The 2D faces go into
+``out`` when given: the solver's 2D right-hand side calls
+``cweno3_face_values`` once per strip of x rows, into a strip-sized array
+that keeps one more row in front for the east faces of the strip before,
+so the face values never exist for the whole grid at once.  The caller
+owns the workspace: the solver's ``advance`` keeps one for the whole call
+and drops it on return.
 A result is valid only until the next call with the same workspace.
 Called without one, a function makes a fresh workspace, so it then
 allocates all of its arrays for that call alone.
@@ -40,10 +44,11 @@ D_SECTOR_2D = 0.125
 
 GAUSS_OFFSET = 0.5 / math.sqrt(3.0)  # face Gauss points at +- this, cell widths normalized
 
-#: byte budget of one strip of rows in the reconstructions, the LLF flux and
-#: the 2D flux divergence.  With the reconstruction in work arrays, 128 KiB
-#: gave the fastest 100x100 Euler right-hand side (about 85 ms against 100 ms
-#: at 512 KiB) and the smallest set of strip-sized arrays; it also keeps the
+#: byte budget of one strip of rows in the reconstructions, the LLF flux, the
+#: 2D right-hand side and the time step.  With the reconstruction in work
+#: arrays, 128 KiB gave the fastest 100x100 Euler right-hand side (about
+#: 85 ms against 100 ms at 512 KiB) and the smallest set of strip-sized
+#: arrays; it also keeps the
 #: temporaries of the model's flux and speed bound in the 1D LLF (400 cells x
 #: 128 modes, four strips) small enough that the allocator reuses their pages
 #: instead of returning and re-faulting them (a scalar level-6 run: 26k minor
@@ -51,11 +56,15 @@ GAUSS_OFFSET = 0.5 / math.sqrt(3.0)  # face Gauss points at +- this, cell widths
 STRIP_BYTES = 128 * 1024
 
 
-def strips(n: int, row_bytes: int) -> list[tuple[int, int]]:
+def strips(n: int, row_bytes: int, min_rows: int = 1) -> list[tuple[int, int]]:
     """(start, stop) of consecutive strips covering ``n`` rows of ``row_bytes``
-    bytes each: as many rows per strip as fit in ``STRIP_BYTES``, at least one."""
-    rows = max(1, STRIP_BYTES // max(row_bytes, 1))
-    return [(i, min(i + rows, n)) for i in range(0, n, rows)]
+    bytes each: as many rows per strip as fit in ``STRIP_BYTES``, at least
+    ``min_rows``; a shorter last strip joins the one before it."""
+    rows = max(min_rows, STRIP_BYTES // max(row_bytes, 1))
+    bounds = list(range(0, n, rows)) + [n]
+    if len(bounds) > 2 and n - bounds[-2] < min_rows:
+        del bounds[-2]
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def _weight(d: float, beta: np.ndarray, eps: float, power: int,
@@ -165,7 +174,8 @@ def _edges_strip(u: np.ndarray, eps: float, power: int, left: np.ndarray,
 
 def cweno3_face_values(u: np.ndarray, eps: float = EPS_DEFAULT,
                        power: int = POWER_DEFAULT,
-                       work: Workspace | None = None) -> np.ndarray:
+                       work: Workspace | None = None,
+                       out: np.ndarray | None = None) -> np.ndarray:
     """Truly-2D reconstruction at the 2 Gauss points of each of the 4 faces.
 
     ``u`` is indexed (x-cell, y-cell, ...) and the result drops one cell per
@@ -174,12 +184,13 @@ def cweno3_face_values(u: np.ndarray, eps: float = EPS_DEFAULT,
     increasing tangential coordinate.  The output is filled strip by strip:
     output rows ``i:j`` along x come from input rows ``i:j+2``, with about
     ``STRIP_BYTES`` of input rows per strip; trailing axes are carried along.
-    The output is an array of ``work``; the strips' temporaries are not.
+    The output goes into ``out`` if given, else into an array of ``work``.
     """
     if work is None:
         work = Workspace()
     nx = u.shape[0] - 2
-    out = work.array("faces", (4, 2, nx, u.shape[1] - 2) + u.shape[2:], u.dtype)
+    if out is None:
+        out = work.array("faces", (4, 2, nx, u.shape[1] - 2) + u.shape[2:], u.dtype)
     for i, j in strips(nx, u[0].nbytes):
         _face_values_strip(u[i:j + 2], eps, power, out[:, :, i:j], work)
     return out

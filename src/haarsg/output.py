@@ -2,7 +2,9 @@
 
 All values are written with 17 significant digits; row order is fixed
 (y-major, then x, then component, then mode index) so identical runs produce
-identical files.
+identical files.  A field is streamed to its file a chunk of cells at a
+time instead of being held as a list of lines; the bytes are those of the
+list-then-write form.
 """
 
 from __future__ import annotations
@@ -15,13 +17,21 @@ from .reference import MonteCarloEnvelope, mean_std
 from .solver import GpcField
 
 
+#: lines whose values ``write_field_csv`` reads at a time
+CHUNK_LINES = 4096
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _write_lines(path: str, lines) -> None:
+def _open_csv(path: str):
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", encoding="ascii", newline="\n") as handle:
+    return open(path, "w", encoding="ascii", newline="\n")
+
+
+def _write_lines(path: str, lines) -> None:
+    with _open_csv(path) as handle:
         for line in lines:
             handle.write(line + "\n")
 
@@ -30,40 +40,48 @@ def write_field_csv(field: GpcField, path: str, kinds: tuple[str, ...] = ("mode"
     """Dump a field (and/or its statistics) as CSV.
 
     Header is ``t,x[,y],component,kind,index,value``; ``kind`` is one of
-    mode, mean, std (mean/std always carry index 0).
+    mode, mean, std (mean/std always carry index 0).  The values are read
+    about ``CHUNK_LINES`` lines at a time, and each cell's lines are
+    formatted from one template straight into the file's buffer, so no
+    list of the file's lines is ever built.
     """
     grid = field.grid
     two_d = grid.space_dim == 2
     header = "t,x,y,component,kind,index,value" if two_d else "t,x,component,kind,index,value"
-    mean = std = None
-    if "mean" in kinds or "std" in kinds:
-        mean, std = mean_std(field)
-    xs = grid.x_centers
-    ys = grid.y_centers if two_d else None
+    # the line suffixes of one cell, in file order
+    suffixes = []
+    for comp in range(field.data.shape[-2]):
+        if "mode" in kinds:
+            suffixes += [f",{comp},mode,{k},%.17g\n" for k in range(field.data.shape[-1])]
+        suffixes += [f",{comp},{kind},0,%.17g\n" for kind in ("mean", "std") if kind in kinds]
+    cells = max(1, CHUNK_LINES // max(len(suffixes), 1))
     tstr = _fmt(field.time)
-    lines = [header]
+    xs = [_fmt(x) for x in grid.x_centers]
+    rows = ([(iy, f",{_fmt(y)}") for iy, y in enumerate(grid.y_centers)] if two_d
+            else [(None, "")])
+    with _open_csv(path) as handle:
+        handle.write(header + "\n")
+        if not suffixes:
+            return
+        for iy, ystr in rows:
+            for i in range(0, grid.nx, cells):
+                block = field.data[i:i + cells] if iy is None else field.data[i:i + cells, iy]
+                values = _line_values(block, kinds, field).reshape(len(block), -1).tolist()
+                handle.writelines(
+                    (prefix + prefix.join(suffixes)) % tuple(cell)
+                    for prefix, cell in zip((f"{tstr},{x}{ystr}" for x in xs[i:i + cells]),
+                                            values))
 
-    def cell_rows(ix, iy, prefix):
-        block = field.data[(ix, iy) if two_d else (ix,)]
-        for comp in range(block.shape[0]):
-            if "mode" in kinds:
-                for k in range(block.shape[1]):
-                    lines.append(f"{prefix},{comp},mode,{k},{_fmt(block[comp, k])}")
-            if "mean" in kinds:
-                m = mean[(ix, iy) if two_d else (ix,)][comp]
-                lines.append(f"{prefix},{comp},mean,0,{_fmt(m)}")
-            if "std" in kinds:
-                s = std[(ix, iy) if two_d else (ix,)][comp]
-                lines.append(f"{prefix},{comp},std,0,{_fmt(s)}")
 
-    if two_d:
-        for iy in range(grid.ny):
-            for ix in range(grid.nx):
-                cell_rows(ix, iy, f"{tstr},{_fmt(xs[ix])},{_fmt(ys[iy])}")
-    else:
-        for ix in range(grid.nx):
-            cell_rows(ix, None, f"{tstr},{_fmt(xs[ix])}")
-    _write_lines(path, lines)
+def _line_values(block: np.ndarray, kinds: tuple[str, ...], field: GpcField) -> np.ndarray:
+    """Values of the lines of ``block`` (cells, components, K+1) in file
+    order: per component its modes, mean and std, as ``kinds`` asks."""
+    parts = [block] if "mode" in kinds else []
+    if "mean" in kinds or "std" in kinds:
+        mean, std = mean_std(GpcField(grid=field.grid, data=block, time=field.time))
+        parts += [stat[..., None] for kind, stat in (("mean", mean), ("std", std))
+                  if kind in kinds]
+    return np.concatenate(parts, axis=-1)
 
 
 def read_field_csv(path: str):
@@ -76,6 +94,8 @@ def read_field_csv(path: str):
         raise ValueError(f"{path} holds no data rows")
     t = float(rows[0][0])
     mode_rows = [r for r in rows if r[3 + two_d] == "mode"]
+    if not mode_rows:
+        raise ValueError(f"{path} holds no mode rows")
     xs = sorted({float(r[1]) for r in mode_rows})
     ys = sorted({float(r[2]) for r in mode_rows}) if two_d else None
     ncomp = 1 + max(int(r[2 + two_d]) for r in mode_rows)

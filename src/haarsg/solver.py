@@ -10,10 +10,13 @@ the viscosity is applied per sample).
 
 All operations are plain numpy array transformations with a fixed evaluation
 order, so results are bitwise reproducible and independent of any outer
-parallelism.  The reconstructions, the LLF flux and the 2D flux divergence
-run in strips of rows along x, about ``cweno.STRIP_BYTES`` each, so that
-their temporaries stay in cache; the operations are elementwise, so the
-strips change no result bit.
+parallelism.  The reconstructions, the LLF flux, the 2D flux divergence and
+the time step run in strips of rows along x, about ``cweno.STRIP_BYTES``
+each, so that their temporaries stay in cache; the operations are
+elementwise, so the strips change no result bit.  The 2D right-hand side is
+one pass over such strips: each reconstructs its faces, transforms them,
+runs the x and y LLF fluxes and writes its part of the flux divergence
+before the next strip starts.
 
 The mode/value transforms are one matrix product per block of rows that
 merge without a copy: one block for a 1D interface array or a whole field,
@@ -34,15 +37,19 @@ stochastic axis per face or one per sample.
 Work arrays: each ``advance`` call owns one ``Workspace``, created when it
 starts and dropped when it returns, never kept by a module or by the
 ``SemiDiscreteSystem``, so concurrent calls on other threads share nothing.
-It passes the workspace to ``compute_dt``, ``ssprk3_step`` (the stage
-states, alternating between two arrays from step to step) and ``rhs``
-(padded state, edge or face values, interface values, the LLF's strip
-copies, fluxes and speed bounds, and the flux divergence).  A
-deterministic batch has no transform and maps no array for transformed
-values.  Every operation writes into those arrays with ``out=`` in the
-order of the allocating form, so results are bitwise the same; what still
-allocates is a strip-sized temporary or two inside a model's maps and
-``compute_dt``'s speed bounds.
+It passes the workspace to ``compute_dt`` (one strip's values and speed
+bounds), ``ssprk3_step`` (the stage states, alternating between two arrays
+from step to step) and ``rhs``.  Of the right-hand side's arrays only the
+padded state and the flux divergence are full size.  In 2D the face
+values, the interface values, the LLF's strip copies, fluxes and speed
+bounds and the mean face fluxes all hold one strip; two one-row arrays
+carry over from a strip to the next, the east faces of its last
+reconstructed row and the mean flux of its last x face, so no row is
+reconstructed or transformed twice.  A deterministic batch has no
+transform and maps no array for transformed values.  Every operation
+writes into those arrays with ``out=`` in the order of the allocating
+form, so results are bitwise the same; what still allocates is a
+strip-sized temporary or two inside a model's maps.
 A function called without a workspace makes a fresh one and so allocates
 as before.  The state a callback sees as ``current.data`` is a work array:
 it is valid only until the next step.
@@ -185,6 +192,26 @@ def _transform(a: np.ndarray, matrix: np.ndarray, out: np.ndarray | None) -> np.
     return out
 
 
+#: largest K+1 whose maximum over the stochastic axis runs as one
+#: ``np.maximum`` per column.  numpy's reduction runs one inner loop per K+1
+#: values: on a 2-core x86-64 machine (numpy 2.4.6) the speeds of a 100x100
+#: Euler LLF strip took 36 us by reduction and 21 us by columns at K+1 = 8,
+#: about 42 us either way at 16, and a 128-row strip at K+1 = 128 took
+#: 20 us by reduction against 152 us by columns
+MAX_COLUMNS = 16
+
+
+def _stochastic_max(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Maximum of ``a`` over its last axis, written into ``out``; exact, so
+    either way of computing it gives the same bits."""
+    if a.shape[-1] > MAX_COLUMNS:
+        return np.max(a, axis=-1, out=out)
+    out[...] = a[..., 0]
+    for k in range(1, a.shape[-1]):
+        np.maximum(out, a[..., k], out=out)
+    return out
+
+
 def source_quadrature(source: Callable, t: float, grid: Grid) -> np.ndarray:
     """Cell averages of a source callback by 2-point (tensor) Gauss rules.
 
@@ -293,7 +320,7 @@ class SemiDiscreteSystem:
             np.maximum(alpha, self.model.values_speed_bound(
                 sr, axis, out=work.array("llf.speed.right", speeds)), out=alpha)
             if coupled:
-                alpha = np.max(alpha, axis=-1, out=work.array("llf.alpha", speeds[:-1]))
+                alpha = _stochastic_max(alpha, work.array("llf.alpha", speeds[:-1]))
                 alpha = alpha[..., None, None]
             else:
                 alpha = alpha[..., None, :]
@@ -346,56 +373,128 @@ class SemiDiscreteSystem:
 
     def _rhs_2d(self, data: np.ndarray, work: Workspace) -> np.ndarray:
         padded = fill_ghosts(data, self.grid, work)
-        west, east, south, north = cweno.cweno3_face_values(padded, self.eps, self.power,
-                                                            work=work)
-        # -(fx[1:] - fx[:-1]) / dx - (fy[:, 1:] - fy[:, :-1]) / dy, each face
-        # flux the mean 0.5 * (f[0] + f[1]) of its two gauss-node fluxes,
-        # in strips of x rows: out[i:j] needs x faces i:j+1 and y faces i:j.
-        # The y-face LLF overwrites the x-face fluxes, so x comes first.
-        out = work.array("rhs", data.shape)
-        strips = cweno.strips(data.shape[0], data[0].nbytes)
-        f = self._llf(east[:, :-1, 1:-1], west[:, 1:, 1:-1], axis=0, work=work)
-        for i, j in strips:
-            fx = np.add(f[0, i:j + 1], f[1, i:j + 1],
-                        out=work.array("rhs.mean", (j + 1 - i,) + f.shape[2:]))
-            fx *= 0.5
-            part = np.subtract(fx[1:], fx[:-1], out=out[i:j])
-            np.negative(part, out=part)
-            part /= self.grid.dx
-        f = self._llf(north[:, 1:-1, :-1], south[:, 1:-1, 1:], axis=1, work=work)
-        for i, j in strips:
-            fy = np.add(f[0, i:j], f[1, i:j], out=work.array("rhs.mean", (j - i,) + f.shape[2:]))
-            fy *= 0.5
-            dfy = np.subtract(fy[:, 1:], fy[:, :-1],
-                              out=work.array("rhs.dy", (j - i,) + data.shape[1:]))
-            dfy /= self.grid.dy
-            out[i:j] -= dfy
+        rows = data.shape[0] + 2  # reconstructed rows: cells -1 .. nx
+        try:
+            return self._rhs_2d_strips(padded, cweno.strips(rows, padded[0].nbytes), work)
+        except AdmissibilityError:
+            # a strip checks only its own interface values; one strip of all
+            # rows checks each set of them at once, in the order of the
+            # whole-array pass, so the error names the global minimum
+            return self._rhs_2d_strips(padded, [(0, rows)], work)
+
+    def _rhs_2d_strips(self, padded: np.ndarray, strips: list[tuple[int, int]],
+                       work: Workspace) -> np.ndarray:
+        """-(fx[1:] - fx[:-1]) / dx - (fy[:, 1:] - fy[:, :-1]) / dy, each face
+        flux the mean 0.5 * (f[0] + f[1]) of its two Gauss-node fluxes, as
+        one pass over ``strips`` of reconstructed rows.
+
+        Reconstructed row r holds the faces of cell r - 1.  Each strip
+        reconstructs its rows, runs the LLF on its x faces, stores the y
+        part of the divergence of its interior cells in ``out`` and
+        finishes every cell whose two x faces are known.  Two rows carry
+        over from one strip to the next: the east faces of its last row
+        (the left states of the next strip's first x face) and the mean
+        flux of its last x face.  So no face or interface array is larger
+        than one strip, and no row is reconstructed or transformed twice.
+        """
+        nx, ny = padded.shape[0] - 4, padded.shape[1] - 4
+        cell = padded.shape[2:]
+        out = work.array("rhs", (nx, ny) + cell)
+        most = max(j - i for i, j in strips)
+        # row r of the strip starting at r0 sits at index r - r0 + 1; index
+        # 0 holds the east faces of row r0 - 1, and means[0] the mean flux
+        # of x face r0 - 2, carried from the strip before
+        faces = work.array("rhs.faces", (4, 2, most + 1, ny + 2) + cell)
+        means = work.array("rhs.mean", (most + 1, ny) + cell)
+        for r0, r1 in strips:
+            n = r1 - r0
+            cweno.cweno3_face_values(padded[r0:r1 + 2], self.eps, self.power, work=work,
+                                     out=faces[:, :, 1:n + 1])
+            # x faces r0 - 1 + lo .. r1 - 2: east of indices lo..n-1, west of
+            # lo+1..n; row 0 has no face on its left.  Their LLF runs before
+            # the y faces', as it must in one strip of all rows.
+            lo = 0 if r0 > 0 else 1
+            m = n - lo
+            if m > 0:
+                f = self._llf(faces[1, :, lo:n, 1:-1], faces[0, :, lo + 1:n + 1, 1:-1],
+                              axis=0, work=work)
+                fx = np.add(f[0], f[1], out=means[1:m + 1])
+                fx *= 0.5
+            # y faces of the interior rows at indices a..b-1: dfy into out
+            a, b = max(r0, 1) - r0 + 1, min(r1, nx + 1) - r0 + 1
+            if a < b:
+                f = self._llf(faces[3, :, a:b, :-1], faces[2, :, a:b, 1:], axis=1, work=work)
+                fy = np.add(f[0], f[1], out=work.array("rhs.mean.y", f.shape[1:]))
+                fy *= 0.5
+                dfy = np.subtract(fy[:, 1:], fy[:, :-1], out=out[r0 + a - 2:r0 + b - 2])
+                dfy /= self.grid.dy
+            # cells max(r0 - 2, 0) .. r1 - 3 now have both x faces, out =
+            # part - dfy; means[0] holds face r0 - 2 once there is one
+            first = 0 if r0 > 1 else 1
+            if first < m:
+                part = np.subtract(means[first + 1:m + 1], means[first:m],
+                                   out=work.array("rhs.dx", (m - first, ny) + cell))
+                np.negative(part, out=part)
+                part /= self.grid.dx
+                rest = out[max(r0 - 2, 0):r1 - 2]
+                np.subtract(part, rest, out=rest)
+            faces[1, :, 0] = faces[1, :, n]
+            means[0] = means[m]
         return out
 
     def compute_dt(self, data: np.ndarray, cfl: float, work: Workspace | None = None) -> float:
         """CFL time step from per-cell generalized speed bounds.
 
         The admissibility minimum of ``data``, checked on the way, lowers
-        ``admissibility_min``.
+        ``admissibility_min``.  Values and speed bounds are work arrays of
+        one strip of x rows; a strip's matrix block has at least two rows,
+        since a one-row product rounds differently from a taller one.
         """
-        from .models import check_admissible_values
         if work is None:
             work = Workspace()
-        vals = self._to_values(
-            data, out=work.array("dt.values", data.shape) if self.coupled else None)
-        self.admissibility_min = min(self.admissibility_min,
-                                     check_admissible_values(self.model, vals))
-        sx = self.model.values_speed_bound(vals, 0).max(axis=-1)
-        if self.grid.space_dim == 1:
-            smax = float(sx.max())
-            if smax == 0.0:
-                return np.inf
-            return cfl * self.grid.dx / smax
-        sy = self.model.values_speed_bound(vals, 1).max(axis=-1)
-        rate = float((sx / self.grid.dx + sy / self.grid.dy).max())
-        if rate == 0.0:
+        n = data.shape[0]
+        one_row_per_cell = data[0].size == data.shape[-1]
+        try:
+            lowest, top = self._dt_strips(
+                data, cweno.strips(n, data[0].nbytes, min_rows=2 if one_row_per_cell else 1),
+                work)
+        except AdmissibilityError:
+            # one strip checks the whole field at once: the global minimum
+            lowest, top = self._dt_strips(data, [(0, n)], work)
+        self.admissibility_min = min(self.admissibility_min, lowest)
+        if top == 0.0:
             return np.inf
-        return cfl / rate
+        if self.grid.space_dim == 1:
+            return cfl * self.grid.dx / top
+        return cfl / top
+
+    def _dt_strips(self, data: np.ndarray, strips: list[tuple[int, int]],
+                   work: Workspace) -> tuple[float, float]:
+        """Admissibility minimum of ``data`` and its largest speed bound (1D)
+        or rate sx / dx + sy / dy (2D), both NaN when any strip's is."""
+        from .models import check_admissible_values
+        lowest = top = None
+        for i, j in strips:
+            block = data[i:j]
+            vals = self._to_values(
+                block, out=work.array("dt.values", block.shape) if self.coupled else None)
+            low = check_admissible_values(self.model, vals)
+            speeds = block.shape[:-2] + block.shape[-1:]
+            rate = _stochastic_max(
+                self.model.values_speed_bound(vals, 0, out=work.array("dt.speed", speeds)),
+                work.array("dt.rate", speeds[:-1]))
+            if self.grid.space_dim == 2:
+                rate /= self.grid.dx
+                sy = _stochastic_max(
+                    self.model.values_speed_bound(vals, 1, out=work.array("dt.speed", speeds)),
+                    work.array("dt.rate.y", speeds[:-1]))
+                sy /= self.grid.dy
+                rate += sy
+            high = rate.max()
+            # np.minimum and np.maximum keep a NaN, as one whole-array reduction does
+            lowest = low if lowest is None else np.minimum(lowest, low)
+            top = high if top is None else np.maximum(top, high)
+        return float(lowest), float(top)
 
 
 def ssprk3_step(rhs: Callable[[np.ndarray, float], np.ndarray],

@@ -4,7 +4,9 @@ These are the allocating, whole-array forms that the solver replaced,
 kept as its oracles: ``edges_reference`` of the striped ``cweno3_edges``,
 ``face_values_reference`` of the striped ``cweno3_face_values``,
 ``llf_reference`` of ``SemiDiscreteSystem._llf``, ``rhs_reference`` of
-``SemiDiscreteSystem.rhs`` and ``ssprk3_reference`` of ``ssprk3_step``, and ``flux_reference`` and
+``SemiDiscreteSystem.rhs``, ``compute_dt_reference`` of
+``SemiDiscreteSystem.compute_dt`` and ``ssprk3_reference`` of
+``ssprk3_step``, and ``flux_reference`` and
 ``speed_bound_reference`` of the models' ``values_flux`` and
 ``values_speed_bound``.  The replacements do the same elementwise operations
 in the same order, only in strips or into work arrays, so the two must agree
@@ -121,15 +123,31 @@ def ssprk3_reference(rhs, u: np.ndarray, t: float, dt: float) -> np.ndarray:
     return u / 3.0 + (2.0 / 3.0) * (u2 + dt * rhs(u2, t + 0.5 * dt))
 
 
+def compute_dt_reference(self, data: np.ndarray, cfl: float) -> tuple[float, float]:
+    """CFL time step and admissibility minimum of ``data``, called as a
+    method of a ``SemiDiscreteSystem`` (``self``), from the whole field at
+    once."""
+    vals = self._to_values(data)
+    lowest = check_admissible_values(self.model, vals)
+    sx = self.model.values_speed_bound(vals, 0).max(axis=-1)
+    if self.grid.space_dim == 1:
+        smax = float(sx.max())
+        return (np.inf if smax == 0.0 else cfl * self.grid.dx / smax), lowest
+    sy = self.model.values_speed_bound(vals, 1).max(axis=-1)
+    rate = float((sx / self.grid.dx + sy / self.grid.dy).max())
+    return (np.inf if rate == 0.0 else cfl / rate), lowest
+
+
 def face_values_reference(u: np.ndarray, eps: float = EPS_DEFAULT,
-                          power: int = POWER_DEFAULT, work=None) -> np.ndarray:
+                          power: int = POWER_DEFAULT, work=None, out=None) -> np.ndarray:
     """Truly-2D reconstruction at the 2 Gauss points of each of the 4 faces.
 
     ``u`` is indexed (x-cell, y-cell, ...) and the result drops one cell per
     side in both directions; output shape is (4, 2, nx-2, ny-2, ...) with
     face order (west, east, south, north) and Gauss points ordered by
     increasing tangential coordinate.  Every stage is a vectorized numpy
-    pass over the whole array, trailing axes included.
+    pass over the whole array, trailing axes included; the result is
+    copied into ``out`` if given.
     """
     uc = u[1:-1, 1:-1]
     uw, ue = u[:-2, 1:-1], u[2:, 1:-1]
@@ -176,7 +194,7 @@ def face_values_reference(u: np.ndarray, eps: float = EPS_DEFAULT,
     F = (2.0 * wc) * f
 
     g = GAUSS_OFFSET
-    out = np.empty((4, 2) + uc.shape, dtype=u.dtype)
+    given, out = out, np.empty((4, 2) + uc.shape, dtype=u.dtype)
     # west/east faces: xi = -+1/2, eta = -+g
     for fi, xi in ((0, -0.5), (1, 0.5)):
         base = A + B * xi + DXX * (xi * xi) + DYY * (g * g)
@@ -189,6 +207,9 @@ def face_values_reference(u: np.ndarray, eps: float = EPS_DEFAULT,
         slope = (B + F * eta) * g
         np.subtract(base, slope, out=out[fi, 0])
         np.add(base, slope, out=out[fi, 1])
+    if given is not None:
+        given[...] = out
+        return given
     return out
 
 

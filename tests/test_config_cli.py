@@ -9,6 +9,7 @@ from solver_reference import snapshots_reference
 from haarsg import ConfigError, parse_config, render_config
 from haarsg.cli import main
 from haarsg.config import RunConfig, with_level
+from haarsg.experiments import build_grid
 from haarsg.output import read_field_csv, write_field_csv
 from haarsg.solver import Grid, GpcField
 
@@ -428,3 +429,38 @@ def test_cli_reference_exact(tmp_path):
     out = str(tmp_path / "ref_out")
     assert main(["reference", "--config", cfg, "--out", out]) == 0
     assert os.path.exists(os.path.join(out, "reference_exact.csv"))
+
+
+SCALAR_L1 = ("[run]\npreset = scalar-oleinik\nt_final = 0.05\n"
+             "[basis]\nkind = classical-haar\nlevel = 1\n[grid]\nnx = 16\n")
+
+
+def _two_component_field(path, config_text):
+    grid = Grid(nx=16, x_bounds=build_grid(parse_config(config_text)).x_bounds)
+    write_field_csv(GpcField(grid, np.zeros((16, 2, 4)), 0.05), path)
+
+
+@pytest.mark.parametrize("config_text, field_name", [
+    (SCALAR_L1.replace("nx = 16", "nx = 16\nx_min = -1\nx_max = 1"), "field_final.csv"),
+    (SCALAR_L1.replace("nx = 16", "nx = 20"), "field_final.csv"),
+    (SCALAR_L1.replace("level = 1", "level = 2"), "field_final.csv"),
+    (SCALAR_L1, "two_components.csv"),
+    (SCALAR_L1, "stats_final.csv"),
+    (SCALAR_L1, "short_row.csv"),
+], ids=["x-range", "nx", "level", "components", "no-mode-rows", "short-row"])
+def test_cli_mse_rejects_a_field_that_does_not_match_the_config(tmp_path, capsys,
+                                                                config_text, field_name):
+    out = tmp_path / "run"
+    assert main(["run", "--config", _write_config(tmp_path, SCALAR_L1), "--out", str(out)]) == 0
+    _two_component_field(str(out / "two_components.csv"), SCALAR_L1)
+    (out / "short_row.csv").write_text("t,x,component,kind,index,value\n0.05,0.1\n")
+    capsys.readouterr()
+    # the run's own config reads its field
+    assert main(["mse", "--config", _write_config(tmp_path, SCALAR_L1),
+                 "--field", str(out / "field_final.csv")]) == 0
+    assert float(capsys.readouterr().out) > 0.0
+    cfg = _write_config(tmp_path, config_text)
+    assert main(["mse", "--config", cfg, "--field", str(out / field_name)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "configuration error: --field" in captured.err

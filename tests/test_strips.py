@@ -4,14 +4,15 @@ must equal the whole-array oracles in ``solver_reference`` bit for bit."""
 
 import numpy as np
 import pytest
-from solver_reference import edges_reference, face_values_reference, llf_reference
+from solver_reference import (compute_dt_reference, edges_reference, face_values_reference,
+                              llf_reference, rhs_reference)
 
 from haarsg import (AdmissibilityError, Euler2D, Grid, ScalarLipschitz,
                     SemiDiscreteSystem, build_classical_haar, build_tensors,
                     from_spectrum)
 from haarsg.models import get_preset, initial_data
 from haarsg.reference import preset_grid
-from haarsg import cweno
+from haarsg import cweno, solver
 
 HUGE = 1 << 40
 
@@ -103,3 +104,98 @@ def test_admissibility_error_names_the_global_minimum(monkeypatch):
         system._llf(states, np.ones_like(states), axis=0)
     assert err.value.where == (1, 9, 5)
     assert err.value.index == 1
+
+
+def _euler_with_two_negative_densities(coupled: bool):
+    """The Euler system with two negative densities in different x strips,
+    the later one lower."""
+    system, data = _euler_system(coupled)
+    values = system._to_values(data).copy()
+    values[2, 3, 0, 1] = -0.5
+    values[9, 5, 0, 6 if coupled else 3] = -2.0
+    return system, system._from_values(values) if coupled else values
+
+
+@pytest.mark.parametrize("coupled", [True, False], ids=["galerkin", "batch"])
+def test_rhs_admissibility_error_names_the_global_minimum(monkeypatch, coupled):
+    """The strip pass checks each strip's interface values as it goes; the
+    error it raises must still be the whole-array pass's, in global face
+    indices."""
+    system, data = _euler_with_two_negative_densities(coupled)
+    with pytest.raises(AdmissibilityError) as expected:
+        rhs_reference(system, data, 0.0)
+    assert expected.value.where[1] > 2  # the later, lower density
+    for budget in (1, HUGE):
+        monkeypatch.setattr(cweno, "STRIP_BYTES", budget)
+        with pytest.raises(AdmissibilityError) as err:
+            system.rhs(data, 0.0)
+        assert err.value.where == expected.value.where
+        assert err.value.index == expected.value.index
+        assert str(err.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("coupled", [True, False], ids=["galerkin", "batch"])
+def test_compute_dt_admissibility_error_names_the_global_minimum(monkeypatch, coupled):
+    system, data = _euler_with_two_negative_densities(coupled)
+    with pytest.raises(AdmissibilityError) as expected:
+        compute_dt_reference(system, data, 0.45)
+    monkeypatch.setattr(cweno, "STRIP_BYTES", 1)
+    with pytest.raises(AdmissibilityError) as err:
+        system.compute_dt(data, 0.45)
+    assert (err.value.where, err.value.index) == (expected.value.where, expected.value.index)
+    assert err.value.where[0] == 9
+
+
+@pytest.mark.parametrize("make, coupled", [(_euler_system, True), (_euler_system, False),
+                                           (_scalar_system, True), (_psystem_system, True),
+                                           (_psystem_system, False)],
+                         ids=["euler-galerkin", "euler-batch", "scalar-galerkin",
+                              "psystem-galerkin", "psystem-batch"])
+def test_compute_dt_is_strip_invariant_and_matches_whole_field_oracle(monkeypatch, make,
+                                                                      coupled):
+    system, data = make(coupled)
+    dt, lowest = compute_dt_reference(system, data, 0.45)
+    for budget in (1, 3 * data[0].nbytes, HUGE):  # one row, three rows, one strip
+        monkeypatch.setattr(cweno, "STRIP_BYTES", budget)
+        system.admissibility_min = np.inf
+        assert system.compute_dt(data, 0.45) == dt
+        assert system.admissibility_min == lowest
+
+
+def test_strips_keep_min_rows_and_join_a_short_tail():
+    assert cweno.strips(7, cweno.STRIP_BYTES) == [(i, i + 1) for i in range(7)]
+    assert cweno.strips(7, cweno.STRIP_BYTES, min_rows=2) == [(0, 2), (2, 4), (4, 7)]
+    assert cweno.strips(6, cweno.STRIP_BYTES, min_rows=2) == [(0, 2), (2, 4), (4, 6)]
+    assert cweno.strips(1, cweno.STRIP_BYTES, min_rows=2) == [(0, 1)]
+    assert cweno.strips(0, 8) == []
+
+
+@pytest.mark.parametrize("m", [1, 2, 8, 16, 17, 128])
+def test_stochastic_max_equals_the_reduction(m):
+    a = np.random.default_rng(m).normal(size=(2, 5, 7, m))
+    a[1, 2, 3, m // 2] = np.nan
+    a[0, 1, 1, :] = -np.inf
+    got = solver._stochastic_max(a, np.empty(a.shape[:-1]))
+    assert np.array_equal(got, np.max(a, axis=-1), equal_nan=True)
+
+
+def test_compute_dt_never_transforms_a_one_row_block(monkeypatch):
+    """A one-row matrix product rounds differently from a taller one (by up
+    to 7e-15 at level 6), so the strips of a field with one matrix row per
+    x cell keep two rows at least, a short last one joining the strip
+    before it."""
+    system, data = _scalar_system(coupled=True)
+    shapes = []
+    to_values = SemiDiscreteSystem._to_values
+
+    def recording(self, modes, out=None):
+        shapes.append(modes.shape)
+        return to_values(self, modes, out=out)
+
+    monkeypatch.setattr(SemiDiscreteSystem, "_to_values", recording)
+    monkeypatch.setattr(cweno, "STRIP_BYTES", 1)
+    for rows in (40, 39):
+        shapes.clear()
+        system.compute_dt(data[:rows], 0.45)
+        assert sum(shape[0] for shape in shapes) == rows
+        assert min(shape[0] for shape in shapes) >= 2

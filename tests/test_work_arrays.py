@@ -87,8 +87,9 @@ def test_edges_match_allocating_oracle(trailing):
 def test_batch_maps_no_arrays_for_transformed_values():
     """A deterministic batch has no transform, so its right-hand side and
     time step map no work array for transformed values.  On the 48x40 Euler
-    batch of 7 samples the workspace then maps 19.9 field sizes; with those
-    three arrays and the full-size 2D divergence arrays it mapped 26.2."""
+    batch of 7 samples the workspace then maps 14.7 field sizes (19.9 with
+    full-size face values); with those three arrays and the full-size 2D
+    divergence arrays it mapped 26.2."""
     system, field = _preset_system("euler-box", coupled=False)
     work = Workspace()
     system.rhs(field.data, 0.0, work)
@@ -201,3 +202,31 @@ def test_second_euler_rhs_allocates_at_most_two_strips(coupled):
     finally:
         tracemalloc.stop()
     assert peak <= 2 * cweno.STRIP_BYTES
+
+
+@pytest.mark.parametrize("coupled", [True, False], ids=["galerkin", "batch"])
+def test_euler_step_maps_at_most_eight_field_sizes(coupled):
+    """The 2D right-hand side is one pass over strips of x rows, so no face
+    or interface array is larger than a strip, and ``compute_dt`` maps only
+    strip-sized values and speed bounds.  On the 100x100 Euler system at
+    level 2 (or its 8-sample batch), two SSPRK3 steps then map the padded
+    state, the divergence and the three stage states besides strips: 7.5
+    (7.2) field sizes here, against 19.9 (14.9) when the face values, the
+    interface values and the time step's values were full size."""
+    preset = get_preset("euler-box")
+    grid = preset_grid(preset, nx=100, ny=100)
+    if coupled:
+        tensors = build_tensors(build_classical_haar(2))
+        model = preset.galerkin_model(tensors)
+        system = SemiDiscreteSystem(model, grid, tensors=tensors)
+        data = initial_data(model, preset, tensors, grid).data
+    else:
+        xi = np.linspace(0.05, 0.95, 8)
+        system = SemiDiscreteSystem(preset.batch_model(xi), grid)
+        data = preset.det_initial(xi, grid)
+    work = Workspace()
+    rhs = functools.partial(system.rhs, work=work)
+    dt = system.compute_dt(data, CFL, work)
+    ssprk3_step(rhs, ssprk3_step(rhs, data, 0.0, dt, work), dt, dt, work)
+    mapped = sum(buf.nbytes for buf in work._buffers.values())
+    assert mapped <= 8 * data.nbytes
