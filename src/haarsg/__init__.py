@@ -1,11 +1,15 @@
 """Haar-type stochastic Galerkin formulations for hyperbolic conservation laws.
 
 The package provides wavelet bases with a shared constant eigenvector frame,
-closed-form nonlinear gPC operations, four model systems given as pointwise
-maps on realization values (flux, speed bound, admissibility) that the
-shared frame turns into their intrusive formulations, experiment presets
-that define each model once, a third-order CWENO/SSPRK3 finite-volume
-solver, reference solutions, and the experiment CLI.
+the spectral transforms and projection of that frame, four model systems
+given as pointwise maps on realization values (flux, speed bound,
+admissibility) that the shared frame turns into their intrusive
+formulations, experiment presets that define each model once, a third-order
+CWENO/SSPRK3 finite-volume solver, reference solutions, and the experiment
+CLI.  The closed-form nonlinear gPC operations (Galerkin product, powers,
+roots, |u|, p-norms, moments) are the same spectrum map with a fixed
+function; no run calls them, so they live in ``tests/galerkin_reference.py``
+as test oracles.
 """
 
 from .basis import (BasisKind, HaarTypeBasis, build_canonical_haar,
@@ -13,21 +17,15 @@ from .basis import (BasisKind, HaarTypeBasis, build_canonical_haar,
                     custom_basis, evaluate_wavelet)
 from .errors import (AdmissibilityError, BasisError, ConfigError, HaarsgError,
                      SolverAbort)
-from .galerkin import (Admissibility, GalerkinTensor, abs_modes, build_tensors,
-                       convex_root_objective, from_spectrum, galerkin_matrix,
-                       galerkin_product, is_admissible, jacobian_abs,
-                       jacobian_pnorm, jacobian_power, moment_modes,
-                       nth_root_modes, pnorm_modes, power_modes, project,
-                       sign_modes, to_spectrum)
-from .models import (Euler2D, ExperimentPreset, LevelSet2D, LinearAdvection,
-                     ModelSystem, PSystem1D, ScalarLipschitz, constant_modes,
-                     get_preset, initial_data)
+from .galerkin import (GalerkinTensor, build_tensors, from_spectrum, galerkin_matrix,
+                       project, to_spectrum)
+from .models import (Euler2D, ExperimentPreset, LevelSet2D, ModelSystem, PSystem1D,
+                     ScalarLipschitz, constant_modes, get_preset, initial_data)
 from .reference import (CollocationReference, ExactScalarReference,
                         MonteCarloEnvelope, collocation_reference, exact_scalar,
                         expansion_values, l1_distance, mean_std,
                         monte_carlo_reference, mse, solve_deterministic_batch)
-from .solver import (Grid, GpcField, SemiDiscreteSystem, advance, fill_ghosts,
-                     source_quadrature, ssprk3_step)
+from .solver import Grid, GpcField, SemiDiscreteSystem, advance, fill_ghosts, ssprk3_step
 from .config import RunConfig, parse_config, render_config
 from .experiments import run_experiment, run_level_sweep
 

@@ -171,6 +171,8 @@ def _cmd_mse(args) -> int:
         raise ConfigError(f"--field is not a mode field CSV: {exc}") from None
     if ys is not None:
         raise ConfigError("mse comparison is defined for 1D fields")
+    if not (np.isfinite(t) and t >= 0.0):
+        raise ConfigError(f"--field has time {t}; a reference needs a finite time >= 0")
     centers = grid.x_centers
     if xs.shape != centers.shape or not np.allclose(xs, centers, rtol=0.0, atol=1e-12):
         raise ConfigError(f"--field has {xs.size} x centres in [{xs[0]:.6g}, {xs[-1]:.6g}]; "

@@ -211,20 +211,23 @@ def run_level_sweep(config: RunConfig, level_lo: int, level_hi: int,
                     threads: int = 1) -> list[ExperimentResult]:
     """Run the experiment over a range of levels and tabulate the errors.
 
-    A collocation reference is built once from the finest level's basis so
-    all members are measured against the same reference.
+    The reference is built once, from the finest level's configuration, so
+    all members are measured against the same one: a collocation reference
+    solves at the nodes of the finest level's basis (or `reference.level`),
+    and the exact and Monte Carlo references do not depend on the level.
     """
     if level_hi < level_lo:
         raise ValueError("level sweep needs level_lo <= level_hi")
     preset = get_preset(config.preset)
     levels = list(range(level_lo, level_hi + 1))
+    finest = with_level(config, level_hi)
+    if finest.ref_level is None:
+        finest = replace(finest, ref_level=level_hi)
+    t_final = config.t_final if config.t_final is not None else preset.t_final
     reference_override = None
-    if reference_kind(config) == "collocation":
-        finest = with_level(config, level_hi)
-        if finest.ref_level is None:
-            finest = replace(finest, ref_level=level_hi)
-        t_final = config.t_final if config.t_final is not None else preset.t_final
-        reference_override = build_reference(finest, None, build_grid(finest), t_final)
+    if t_final > 0.0:
+        reference_override = build_reference(finest, None, build_grid(finest), t_final,
+                                             threads=threads)
 
     member_configs = [with_level(config, j) for j in levels]
     results: list[ExperimentResult | None] = [None] * len(levels)

@@ -1,4 +1,4 @@
-"""Galerkin eigenframe, spectral transforms and closed-form nonlinear gPC operations.
+"""Galerkin eigenframe, spectral transforms and the projection of initial data.
 
 Every Haar-type basis shares one constant eigenvector frame Hn, so the
 Galerkin matrix of any mode vector u is P(u) = Hn diag(d) Hn.T where the
@@ -6,34 +6,26 @@ spectrum d depends linearly on u.  Because all P(u) are diagonal in the same
 frame they commute by construction, and only the frame and the two linear
 maps u <-> d are stored; no (K+1)^3 triple-product tensor is built.  For
 piecewise-constant bases d holds the realizations of the expansion on the
-stochastic cells; all nonlinear operations reduce to entrywise maps on d
-followed by the inverse transform.
+stochastic cells; every nonlinear Galerkin operation is an entrywise map on
+d followed by the inverse transform, which is how the solver applies the
+model maps.  The named closed-form operations (powers, roots, |u|, p-norms,
+moments, the Galerkin product) are that one map with a fixed function; no
+run calls them, and they live in ``tests/galerkin_reference.py`` as oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .basis import HaarTypeBasis
-from .errors import AdmissibilityError
-
-#: spectrum values above this (tiny negative) threshold count as nonnegative
-SEMI_POSITIVE_TOL = -1e-13
 
 PROJECT_PANELS = 8
 PROJECT_GAUSS_POINTS = 5
 _GAUSS_NODES, _GAUSS_WEIGHTS = leggauss(PROJECT_GAUSS_POINTS)
-
-
-class Admissibility(Enum):
-    STRICTLY_POSITIVE = "strictly-positive"
-    SEMI_POSITIVE = "semi-positive"
-    INDEFINITE = "indefinite"
 
 
 @dataclass(frozen=True)
@@ -99,18 +91,10 @@ def from_spectrum(t: GalerkinTensor, spectrum: np.ndarray) -> np.ndarray:
 def galerkin_matrix(t: GalerkinTensor, modes: np.ndarray) -> np.ndarray:
     """P(u) = sum_k u_k M_k = Hn diag(d(u)) Hn.T.
 
-    Assembled as eig_inv diag(d) eig_map, the matrix of v -> u * v under
-    :func:`galerkin_product`; the unnormalized maps keep exact entries exact.
+    Assembled as eig_inv diag(d) eig_map, the matrix of the Galerkin
+    product v -> u * v; the unnormalized maps keep exact entries exact.
     """
     return (t.eig_inv * to_spectrum(t, modes)) @ t.eig_map
-
-
-def galerkin_product(t: GalerkinTensor, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Galerkin product a * b, evaluated through the shared eigenframe.
-
-    The spectral route makes the symmetry in the arguments exact.
-    """
-    return from_spectrum(t, to_spectrum(t, a) * to_spectrum(t, b))
 
 
 # ---------------------------------------------------------------------------
@@ -180,126 +164,3 @@ def project(t: GalerkinTensor, f: Callable[[np.ndarray], np.ndarray],
     modes[1::2] = np.add.reduceat(
         weighted * (np.sqrt(3 * n) * (2 * n * nodes - 2 * node_cells - 1)), starts)
     return modes
-
-
-# ---------------------------------------------------------------------------
-# closed-form nonlinear operations
-
-def _require_nonnegative(d: np.ndarray, what: str) -> np.ndarray:
-    bad = np.flatnonzero(d < SEMI_POSITIVE_TOL)
-    if bad.size:
-        i = int(bad[np.argmin(d[bad])])
-        raise AdmissibilityError(
-            f"{what}: negative spectrum value {d[i]:.6e} in stochastic cell {i}", index=i)
-    return np.maximum(d, 0.0)
-
-
-def _require_positive(d: np.ndarray, what: str) -> np.ndarray:
-    bad = np.flatnonzero(d <= 0.0)
-    if bad.size:
-        i = int(bad[np.argmin(d[bad])])
-        raise AdmissibilityError(
-            f"{what}: non-positive spectrum value {d[i]:.6e} in stochastic cell {i}", index=i)
-    return d
-
-
-def _conjugate(t: GalerkinTensor, diag: np.ndarray) -> np.ndarray:
-    """Hn diag(d) Hn.T."""
-    return (t.Hn * diag) @ t.Hn.T
-
-
-def power_modes(t: GalerkinTensor, u: np.ndarray, gamma: float) -> np.ndarray:
-    """Modes of u^gamma for gamma >= 1 and a nonnegative expansion."""
-    d = _require_nonnegative(to_spectrum(t, u), f"power_modes(gamma={gamma})")
-    return from_spectrum(t, d ** gamma)
-
-
-def jacobian_power(t: GalerkinTensor, u: np.ndarray, gamma: float) -> np.ndarray:
-    """Jacobian gamma Hn D^(gamma-1) Hn.T of :func:`power_modes`."""
-    d = to_spectrum(t, u)
-    if gamma < 1.0:
-        d = _require_positive(d, f"jacobian_power(gamma={gamma})")
-    else:
-        d = _require_nonnegative(d, f"jacobian_power(gamma={gamma})")
-    return gamma * _conjugate(t, d ** (gamma - 1.0))
-
-
-def sign_modes(t: GalerkinTensor, u: np.ndarray) -> np.ndarray:
-    """Modes of sign(u), with sign(0) := 0."""
-    return from_spectrum(t, np.sign(to_spectrum(t, u)))
-
-
-def abs_modes(t: GalerkinTensor, u: np.ndarray) -> np.ndarray:
-    """Modes of |u|; coincides with sign_modes(u) * u."""
-    return from_spectrum(t, np.abs(to_spectrum(t, u)))
-
-
-def jacobian_abs(t: GalerkinTensor, u: np.ndarray) -> np.ndarray:
-    """Generalized Jacobian Hn sign(D) Hn.T of :func:`abs_modes`."""
-    return _conjugate(t, np.sign(to_spectrum(t, u)))
-
-
-def pnorm_modes(t: GalerkinTensor, components: Sequence[np.ndarray], p: float) -> np.ndarray:
-    """Modes of the p-norm of a vector-valued expansion, p >= 1."""
-    if len(components) < 1:
-        raise ValueError("pnorm_modes needs at least one component")
-    if p < 1.0:
-        raise ValueError(f"p-norm exponent must be >= 1, got {p}")
-    spectra = np.stack([to_spectrum(t, c) for c in components])
-    if len(components) == 1:
-        return from_spectrum(t, np.abs(spectra[0]))
-    if p == 2.0:
-        norm = np.sqrt(np.sum(spectra * spectra, axis=0))
-    else:
-        norm = np.sum(np.abs(spectra) ** p, axis=0) ** (1.0 / p)
-    return from_spectrum(t, norm)
-
-
-def jacobian_pnorm(t: GalerkinTensor, components: Sequence[np.ndarray], p: float,
-                   i: int) -> np.ndarray:
-    """Jacobian of the p-norm modes with respect to component ``i``."""
-    spectra = np.stack([to_spectrum(t, c) for c in components])
-    c = np.sum(np.abs(spectra) ** p, axis=0)
-    c = _require_positive(c, "jacobian_pnorm")
-    entries = c ** (1.0 / p - 1.0) * np.abs(spectra[i]) ** (p - 1.0) * np.sign(spectra[i])
-    return _conjugate(t, entries)
-
-
-def nth_root_modes(t: GalerkinTensor, rho: np.ndarray, n: int) -> np.ndarray:
-    """Modes of the n-th root of a nonnegative expansion, n >= 2."""
-    if n < 2:
-        raise ValueError(f"root order must be >= 2, got {n}")
-    d = _require_nonnegative(to_spectrum(t, rho), f"nth_root_modes(n={n})")
-    return from_spectrum(t, d ** (1.0 / n))
-
-
-def convex_root_objective(t: GalerkinTensor, rho: np.ndarray, alpha: np.ndarray,
-                          n: int) -> tuple[float, np.ndarray]:
-    """Value and gradient of the convex n-th-root objective.
-
-    eta(alpha) = e1.T P^{n+1}(alpha) e1 / (n+1) - rho.T alpha, with gradient
-    P^n(alpha) e1 - rho.  For Haar-type bases the eigenvector-derivative
-    error term vanishes; the gradient must be zero at nth_root_modes(rho, n).
-    """
-    d = to_spectrum(t, alpha)
-    value = float(from_spectrum(t, d ** (n + 1))[0] / (n + 1) - np.dot(rho, alpha))
-    gradient = from_spectrum(t, d ** n) - np.asarray(rho, dtype=float)
-    return value, gradient
-
-
-def moment_modes(t: GalerkinTensor, u: np.ndarray, m: int) -> np.ndarray:
-    """Modes of the m-th Galerkin moment P^m(u) e1."""
-    if m < 1:
-        raise ValueError(f"moment order must be >= 1, got {m}")
-    return from_spectrum(t, to_spectrum(t, u) ** m)
-
-
-def is_admissible(t: GalerkinTensor, u: np.ndarray) -> tuple[Admissibility, float]:
-    """Classify u by the minimum spectrum value of P(u)."""
-    dmin = float(to_spectrum(t, u).min())
-    if dmin > 0.0:
-        return Admissibility.STRICTLY_POSITIVE, dmin
-    if dmin >= SEMI_POSITIVE_TOL:
-        return Admissibility.SEMI_POSITIVE, dmin
-    return Admissibility.INDEFINITE, dmin
-

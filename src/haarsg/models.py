@@ -96,28 +96,6 @@ class ScalarLipschitz(ModelSystem):
 
 
 @dataclass(frozen=True)
-class LinearAdvection(ModelSystem):
-    """Constant-speed advection, the smooth convergence test model."""
-
-    speed: tuple[float, ...] = (1.0,)
-    name: str = "linear-advection"
-    components: int = 1
-    space_dim: int = 1
-
-    def __post_init__(self):
-        object.__setattr__(self, "space_dim", len(self.speed))
-
-    def values_flux(self, vals, axis, out=None):
-        return np.multiply(self.speed[axis], vals, out=out)
-
-    def values_speed_bound(self, vals, axis, out=None):
-        if out is None:
-            out = np.empty(vals.shape[:-2] + vals.shape[-1:])
-        out[...] = abs(self.speed[axis])
-        return out
-
-
-@dataclass(frozen=True)
 class LevelSet2D(ModelSystem):
     """2D level-set transport: flux_i = v ||grad phi||_2 in component i.
 

@@ -23,11 +23,16 @@ def exact_scalar(t: float, x, xi):
 
     Five branches in the similarity variable (x - (xi - 1/2)) / t; the middle
     branch is the intermediate constant state caused by the jump of the
-    characteristic speed at u = 0.
+    characteristic speed at u = 0.  At t = 0 it is the initial data
+    sign(x - (xi - 1/2)), the pointwise limit t -> 0+, 0 at the jump as the
+    middle branch gives.
     """
-    if t <= 0.0:
-        raise ValueError(f"exact solution requires t > 0, got {t}")
-    r = (np.asarray(x, dtype=float) - (np.asarray(xi, dtype=float) - 0.5)) / t
+    if t < 0.0:
+        raise ValueError(f"exact solution requires t >= 0, got {t}")
+    shift = np.asarray(x, dtype=float) - (np.asarray(xi, dtype=float) - 0.5)
+    if t == 0.0:
+        return np.sign(shift)
+    r = shift / t
     return np.select(
         [r < -3.0, r < -1.0, r < 1.0, r < 3.0],
         [-1.0, 0.5 * (r + 1.0), 0.0, 0.5 * (r - 1.0)],
@@ -90,14 +95,10 @@ class CollocationReference:
 
 
 def collocation_reference(preset: ExperimentPreset, tensors: GalerkinTensor,
-                          refine: int = 4, t_final: float | None = None,
-                          grid: Grid | None = None, cfl: float = 0.45) -> CollocationReference:
+                          t_final: float, grid: Grid, refine: int = 4,
+                          cfl: float = 0.45) -> CollocationReference:
     """Reference by independent deterministic solves at the stochastic nodes
-    of ``tensors``'s basis, on a grid refined by ``refine`` in each axis."""
-    if grid is None:
-        grid = preset_grid(preset)
-    if t_final is None:
-        t_final = preset.t_final
+    of ``tensors``'s basis, on ``grid`` refined by ``refine`` in each axis."""
     if grid.space_dim != 1:
         raise ValueError("collocation references are implemented for 1D presets")
     fine = Grid(nx=grid.nx * refine, x_bounds=grid.x_bounds,
@@ -230,14 +231,3 @@ def l1_distance(field: GpcField, tensors: GalerkinTensor,
     vals = expansion_values(tensors, field.data[:, component, :], reference.xi_nodes)
     ref = reference.profile(xs, component)
     return float(np.sum(np.abs(vals - ref)) * field.grid.dx / reference.xi_nodes.size)
-
-
-def preset_grid(preset: ExperimentPreset, nx: int | None = None, ny: int | None = None,
-                boundary: str | None = None) -> Grid:
-    """Default grid of a preset with optional overrides."""
-    bx = boundary or preset.boundary
-    if preset.space_dim == 1:
-        return Grid(nx=nx or preset.nx, x_bounds=preset.domain[0], boundary_x=bx)
-    return Grid(nx=nx or preset.nx, x_bounds=preset.domain[0],
-                ny=ny or preset.ny or preset.nx, y_bounds=preset.domain[1],
-                boundary_x=bx, boundary_y=bx)

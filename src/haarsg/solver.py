@@ -212,41 +212,20 @@ def _stochastic_max(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def source_quadrature(source: Callable, t: float, grid: Grid) -> np.ndarray:
-    """Cell averages of a source callback by 2-point (tensor) Gauss rules.
-
-    1D sources are called as ``source(t, x)`` with an ``(n,)`` node array
-    and must return ``(n, components, K+1)``; 2D sources are called as
-    ``source(t, X, Y)`` on meshgrid-style arrays.
-    """
-    g = 0.5 / np.sqrt(3.0)
-    if grid.space_dim == 1:
-        xs = grid.x_centers
-        off = g * grid.dx
-        return 0.5 * (np.asarray(source(t, xs - off)) + np.asarray(source(t, xs + off)))
-    xs, ys = grid.x_centers, grid.y_centers
-    ox, oy = g * grid.dx, g * grid.dy
-    acc = None
-    for sx in (-ox, ox):
-        for sy in (-oy, oy):
-            X, Y = np.meshgrid(xs + sx, ys + sy, indexing="ij")
-            term = np.asarray(source(t, X, Y))
-            acc = term if acc is None else acc + term
-    return 0.25 * acc
-
-
 class SemiDiscreteSystem:
-    """Spatial operator: ghost fill, CWENO3, LLF fluxes, flux divergence."""
+    """Spatial operator: ghost fill, CWENO3, LLF fluxes, flux divergence.
 
-    def __init__(self, model, grid: Grid, tensors: GalerkinTensor | None = None,
-                 source: Callable | None = None):
+    The system has no source term: the right-hand side is the flux
+    divergence alone, as every preset's conservation law asks.
+    """
+
+    def __init__(self, model, grid: Grid, tensors: GalerkinTensor | None = None):
         if model.space_dim != grid.space_dim:
             raise ValueError(f"model {model.name} is {model.space_dim}D, "
                              f"grid is {grid.space_dim}D")
         self.model = model
         self.grid = grid
         self.tensors = tensors
-        self.source = source
         # grid-scaled regularization keeps the weights optimal at smooth
         # critical points while power 3 still pins them one-sided at jumps
         h = grid.dx if grid.space_dim == 1 else min(grid.dx, grid.dy)
@@ -349,17 +328,14 @@ class SemiDiscreteSystem:
                 for i, j in cweno.strips(n, values.nbytes // max(n, 1))]
 
     def rhs(self, data: np.ndarray, t: float, work: Workspace | None = None) -> np.ndarray:
-        """Semi-discrete right-hand side of ``data`` at time ``t``: an array
-        of ``work``, overwritten by the next call with the same workspace."""
+        """Semi-discrete right-hand side of ``data``: an array of ``work``,
+        overwritten by the next call with the same workspace.  ``t`` is the
+        time of ``data``; with no source term it enters no value."""
         if work is None:
             work = Workspace()
         if self.grid.space_dim == 1:
-            out = self._rhs_1d(data, work)
-        else:
-            out = self._rhs_2d(data, work)
-        if self.source is not None:
-            out += source_quadrature(self.source, t, self.grid)
-        return out
+            return self._rhs_1d(data, work)
+        return self._rhs_2d(data, work)
 
     def _rhs_1d(self, data: np.ndarray, work: Workspace) -> np.ndarray:
         padded = fill_ghosts(data, self.grid, work)

@@ -4,16 +4,26 @@ They compute from the wavelets themselves what ``haarsg.galerkin`` derives
 from the shared eigenframe, so tests can check the one against the other.
 ``project_reference`` is the cell-by-cell projection that the vectorized
 ``haarsg.project`` replaced, kept as its oracle.
+
+The closed-form nonlinear gPC operations below (the Galerkin product,
+powers, roots, sign and |u|, p-norms, moments, their Jacobians and the
+admissibility class) are the paper's spectrum map with a fixed pointwise
+function: each maps the spectrum ``to_spectrum(t, u)`` entrywise and
+transforms back.  No run calls them; the tests check them against finite
+differences, triple products and a quadrature projection of the pointwise
+map.
 """
 
 import math
+from enum import Enum
+from typing import Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from haarsg import evaluate_wavelet, galerkin_matrix, to_spectrum
+from haarsg import (AdmissibilityError, GalerkinTensor, evaluate_wavelet, from_spectrum,
+                    galerkin_matrix, to_spectrum)
 from haarsg.galerkin import PROJECT_GAUSS_POINTS, PROJECT_PANELS
-
 
 def triple_products(basis) -> np.ndarray:
     """E[phi_k phi_i phi_j] under the uniform law, indexed [k, i, j].
@@ -105,3 +115,144 @@ def project_reference(t, f, breakpoints=()) -> np.ndarray:
             modes[2 * c] = np.sum(weights * vals * p0)
             modes[2 * c + 1] = np.sum(weights * vals * p1)
     return modes
+
+
+# ---------------------------------------------------------------------------
+# closed-form nonlinear operations
+
+#: spectrum values above this (tiny negative) threshold count as nonnegative
+SEMI_POSITIVE_TOL = -1e-13
+
+
+class Admissibility(Enum):
+    STRICTLY_POSITIVE = "strictly-positive"
+    SEMI_POSITIVE = "semi-positive"
+    INDEFINITE = "indefinite"
+
+
+def galerkin_product(t: GalerkinTensor, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Galerkin product a * b, evaluated through the shared eigenframe.
+
+    The spectral route makes the symmetry in the arguments exact.
+    """
+    return from_spectrum(t, to_spectrum(t, a) * to_spectrum(t, b))
+
+
+def _require_nonnegative(d: np.ndarray, what: str) -> np.ndarray:
+    bad = np.flatnonzero(d < SEMI_POSITIVE_TOL)
+    if bad.size:
+        i = int(bad[np.argmin(d[bad])])
+        raise AdmissibilityError(
+            f"{what}: negative spectrum value {d[i]:.6e} in stochastic cell {i}", index=i)
+    return np.maximum(d, 0.0)
+
+
+def _require_positive(d: np.ndarray, what: str) -> np.ndarray:
+    bad = np.flatnonzero(d <= 0.0)
+    if bad.size:
+        i = int(bad[np.argmin(d[bad])])
+        raise AdmissibilityError(
+            f"{what}: non-positive spectrum value {d[i]:.6e} in stochastic cell {i}", index=i)
+    return d
+
+
+def _conjugate(t: GalerkinTensor, diag: np.ndarray) -> np.ndarray:
+    """Hn diag(d) Hn.T."""
+    return (t.Hn * diag) @ t.Hn.T
+
+
+def power_modes(t: GalerkinTensor, u: np.ndarray, gamma: float) -> np.ndarray:
+    """Modes of u^gamma for gamma >= 1 and a nonnegative expansion."""
+    d = _require_nonnegative(to_spectrum(t, u), f"power_modes(gamma={gamma})")
+    return from_spectrum(t, d ** gamma)
+
+
+def jacobian_power(t: GalerkinTensor, u: np.ndarray, gamma: float) -> np.ndarray:
+    """Jacobian gamma Hn D^(gamma-1) Hn.T of :func:`power_modes`."""
+    d = to_spectrum(t, u)
+    if gamma < 1.0:
+        d = _require_positive(d, f"jacobian_power(gamma={gamma})")
+    else:
+        d = _require_nonnegative(d, f"jacobian_power(gamma={gamma})")
+    return gamma * _conjugate(t, d ** (gamma - 1.0))
+
+
+def sign_modes(t: GalerkinTensor, u: np.ndarray) -> np.ndarray:
+    """Modes of sign(u), with sign(0) := 0."""
+    return from_spectrum(t, np.sign(to_spectrum(t, u)))
+
+
+def abs_modes(t: GalerkinTensor, u: np.ndarray) -> np.ndarray:
+    """Modes of |u|; coincides with sign_modes(u) * u."""
+    return from_spectrum(t, np.abs(to_spectrum(t, u)))
+
+
+def jacobian_abs(t: GalerkinTensor, u: np.ndarray) -> np.ndarray:
+    """Generalized Jacobian Hn sign(D) Hn.T of :func:`abs_modes`."""
+    return _conjugate(t, np.sign(to_spectrum(t, u)))
+
+
+def pnorm_modes(t: GalerkinTensor, components: Sequence[np.ndarray], p: float) -> np.ndarray:
+    """Modes of the p-norm of a vector-valued expansion, p >= 1."""
+    if len(components) < 1:
+        raise ValueError("pnorm_modes needs at least one component")
+    if p < 1.0:
+        raise ValueError(f"p-norm exponent must be >= 1, got {p}")
+    spectra = np.stack([to_spectrum(t, c) for c in components])
+    if len(components) == 1:
+        return from_spectrum(t, np.abs(spectra[0]))
+    if p == 2.0:
+        norm = np.sqrt(np.sum(spectra * spectra, axis=0))
+    else:
+        norm = np.sum(np.abs(spectra) ** p, axis=0) ** (1.0 / p)
+    return from_spectrum(t, norm)
+
+
+def jacobian_pnorm(t: GalerkinTensor, components: Sequence[np.ndarray], p: float,
+                   i: int) -> np.ndarray:
+    """Jacobian of the p-norm modes with respect to component ``i``."""
+    spectra = np.stack([to_spectrum(t, c) for c in components])
+    c = np.sum(np.abs(spectra) ** p, axis=0)
+    c = _require_positive(c, "jacobian_pnorm")
+    entries = c ** (1.0 / p - 1.0) * np.abs(spectra[i]) ** (p - 1.0) * np.sign(spectra[i])
+    return _conjugate(t, entries)
+
+
+def nth_root_modes(t: GalerkinTensor, rho: np.ndarray, n: int) -> np.ndarray:
+    """Modes of the n-th root of a nonnegative expansion, n >= 2."""
+    if n < 2:
+        raise ValueError(f"root order must be >= 2, got {n}")
+    d = _require_nonnegative(to_spectrum(t, rho), f"nth_root_modes(n={n})")
+    return from_spectrum(t, d ** (1.0 / n))
+
+
+def convex_root_objective(t: GalerkinTensor, rho: np.ndarray, alpha: np.ndarray,
+                          n: int) -> tuple[float, np.ndarray]:
+    """Value and gradient of the convex n-th-root objective.
+
+    eta(alpha) = e1.T P^{n+1}(alpha) e1 / (n+1) - rho.T alpha, with gradient
+    P^n(alpha) e1 - rho.  For Haar-type bases the eigenvector-derivative
+    error term vanishes; the gradient must be zero at nth_root_modes(rho, n).
+    """
+    d = to_spectrum(t, alpha)
+    value = float(from_spectrum(t, d ** (n + 1))[0] / (n + 1) - np.dot(rho, alpha))
+    gradient = from_spectrum(t, d ** n) - np.asarray(rho, dtype=float)
+    return value, gradient
+
+
+def moment_modes(t: GalerkinTensor, u: np.ndarray, m: int) -> np.ndarray:
+    """Modes of the m-th Galerkin moment P^m(u) e1."""
+    if m < 1:
+        raise ValueError(f"moment order must be >= 1, got {m}")
+    return from_spectrum(t, to_spectrum(t, u) ** m)
+
+
+def is_admissible(t: GalerkinTensor, u: np.ndarray) -> tuple[Admissibility, float]:
+    """Classify u by the minimum spectrum value of P(u)."""
+    dmin = float(to_spectrum(t, u).min())
+    if dmin > 0.0:
+        return Admissibility.STRICTLY_POSITIVE, dmin
+    if dmin >= SEMI_POSITIVE_TOL:
+        return Admissibility.SEMI_POSITIVE, dmin
+    return Admissibility.INDEFINITE, dmin
+

@@ -8,13 +8,41 @@ pointwise map d -> g(d) acts on modes as Hn diag(g(d)) Hn.T.  The
 characteristic speeds and the blocks of the directional flux Jacobian are
 written out per model, so that the hyperbolicity check (the Jacobian's
 spectrum equals the deterministic speeds) compares two independent forms.
+
+``LinearAdvection`` is a model no preset uses: the smooth, constant-speed
+law on which the order, conservation and time-step tests run.
 """
 
-import numpy as np
+from dataclasses import dataclass
 
-from haarsg.galerkin import _conjugate, from_spectrum, to_spectrum
-from haarsg.models import (DEGENERATE_NORM_TOL, Euler2D, LevelSet2D, PSystem1D,
+import numpy as np
+from galerkin_reference import _conjugate
+
+from haarsg.galerkin import from_spectrum, to_spectrum
+from haarsg.models import (DEGENERATE_NORM_TOL, Euler2D, LevelSet2D, ModelSystem, PSystem1D,
                            ScalarLipschitz, check_admissible_values)
+
+
+@dataclass(frozen=True)
+class LinearAdvection(ModelSystem):
+    """Constant-speed advection, the smooth convergence test model."""
+
+    speed: tuple[float, ...] = (1.0,)
+    name: str = "linear-advection"
+    components: int = 1
+    space_dim: int = 1
+
+    def __post_init__(self):
+        object.__setattr__(self, "space_dim", len(self.speed))
+
+    def values_flux(self, vals, axis, out=None):
+        return np.multiply(self.speed[axis], vals, out=out)
+
+    def values_speed_bound(self, vals, axis, out=None):
+        if out is None:
+            out = np.empty(vals.shape[:-2] + vals.shape[-1:])
+        out[...] = abs(self.speed[axis])
+        return out
 
 
 def values_speeds(model, vals, normal) -> list[np.ndarray]:

@@ -18,17 +18,24 @@ transforms replaced; the merged product agrees with it bit for bit for
 states of several components and to rounding for one component.
 ``snapshots_reference`` writes a run's snapshots in the order
 ``run_experiment`` used before it streamed them.
+
+A ``SemiDiscreteSystem`` has no source term.  ``SourcedSystem`` adds one,
+the cell averages of a callback by ``source_quadrature``, so that tests
+can check that a term added to ``rhs`` enters once per call; ``preset_grid``
+is a preset's default grid with optional overrides.
 """
 
 import os
+from typing import Callable
 
 import numpy as np
+from model_reference import LinearAdvection
 
 from haarsg.cweno import (D_CENTRAL_1D, D_CENTRAL_2D, D_SECTOR_2D, D_SIDE_1D, EPS_DEFAULT,
                           GAUSS_OFFSET, POWER_DEFAULT)
-from haarsg.models import (Euler2D, LevelSet2D, LinearAdvection, PSystem1D,
+from haarsg.models import (Euler2D, ExperimentPreset, LevelSet2D, PSystem1D,
                            ScalarLipschitz, check_admissible_values)
-from haarsg.solver import GHOST, _apply_boundary, source_quadrature
+from haarsg.solver import GHOST, Grid, SemiDiscreteSystem, _apply_boundary
 
 
 def _weight(d: float, beta: np.ndarray, eps: float, power: int) -> np.ndarray:
@@ -94,9 +101,11 @@ def fill_ghosts_reference(data: np.ndarray, grid) -> np.ndarray:
     return out
 
 
-def rhs_reference(self, data: np.ndarray, t: float, work=None) -> np.ndarray:
+def rhs_reference(self, data: np.ndarray, t: float, work=None,
+                  source: Callable | None = None) -> np.ndarray:
     """Semi-discrete right-hand side, called as a method of a
-    ``SemiDiscreteSystem`` (``self``), from the allocating oracles."""
+    ``SemiDiscreteSystem`` (``self``), from the allocating oracles, plus
+    the cell averages of ``source`` if given."""
     padded = fill_ghosts_reference(data, self.grid)
     if self.grid.space_dim == 1:
         left, right = edges_reference(padded, self.eps, self.power)
@@ -111,9 +120,46 @@ def rhs_reference(self, data: np.ndarray, t: float, work=None) -> np.ndarray:
         fy = 0.5 * (fy[0] + fy[1])
         out = (-(fx[1:] - fx[:-1]) / self.grid.dx
                - (fy[:, 1:] - fy[:, :-1]) / self.grid.dy)
-    if self.source is not None:
-        out = out + source_quadrature(self.source, t, self.grid)
+    if source is not None:
+        out = out + source_quadrature(source, t, self.grid)
     return out
+
+
+def source_quadrature(source: Callable, t: float, grid: Grid) -> np.ndarray:
+    """Cell averages of a source callback by 2-point (tensor) Gauss rules.
+
+    1D sources are called as ``source(t, x)`` with an ``(n,)`` node array
+    and must return ``(n, components, K+1)``; 2D sources are called as
+    ``source(t, X, Y)`` on meshgrid-style arrays.
+    """
+    g = 0.5 / np.sqrt(3.0)
+    if grid.space_dim == 1:
+        xs = grid.x_centers
+        off = g * grid.dx
+        return 0.5 * (np.asarray(source(t, xs - off)) + np.asarray(source(t, xs + off)))
+    xs, ys = grid.x_centers, grid.y_centers
+    ox, oy = g * grid.dx, g * grid.dy
+    acc = None
+    for sx in (-ox, ox):
+        for sy in (-oy, oy):
+            X, Y = np.meshgrid(xs + sx, ys + sy, indexing="ij")
+            term = np.asarray(source(t, X, Y))
+            acc = term if acc is None else acc + term
+    return 0.25 * acc
+
+
+class SourcedSystem(SemiDiscreteSystem):
+    """A ``SemiDiscreteSystem`` whose right-hand side adds the cell
+    averages of ``source(t, x)`` (1D) or ``source(t, X, Y)`` (2D)."""
+
+    def __init__(self, model, grid: Grid, source: Callable):
+        super().__init__(model, grid)
+        self.source = source
+
+    def rhs(self, data: np.ndarray, t: float, work=None) -> np.ndarray:
+        out = super().rhs(data, t, work)
+        out += source_quadrature(self.source, t, self.grid)
+        return out
 
 
 def ssprk3_reference(rhs, u: np.ndarray, t: float, dt: float) -> np.ndarray:
@@ -353,3 +399,14 @@ def admissibility_monitor_reference(config) -> float:
     if t_final > 0.0:
         advance(system, field, t_final, cfl=config.cfl, callbacks=(monitor,))
     return lowest[0]
+
+
+def preset_grid(preset: ExperimentPreset, nx: int | None = None, ny: int | None = None,
+                boundary: str | None = None) -> Grid:
+    """Default grid of a preset with optional overrides."""
+    bx = boundary or preset.boundary
+    if preset.space_dim == 1:
+        return Grid(nx=nx or preset.nx, x_bounds=preset.domain[0], boundary_x=bx)
+    return Grid(nx=nx or preset.nx, x_bounds=preset.domain[0],
+                ny=ny or preset.ny or preset.nx, y_bounds=preset.domain[1],
+                boundary_x=bx, boundary_y=bx)

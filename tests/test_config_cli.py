@@ -283,6 +283,28 @@ def test_cli_run_level_sweep(tmp_path):
     assert os.path.isdir(os.path.join(out, "level_0"))
 
 
+def test_monte_carlo_level_sweep_builds_its_reference_once(tmp_path, monkeypatch):
+    """Every member of a sweep is measured against one Monte Carlo envelope,
+    solved once for the whole sweep, not once per level."""
+    from haarsg import experiments
+    calls = []
+    build = experiments.monte_carlo_reference
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "monte_carlo_reference", counting)
+    config = parse_config("[run]\npreset = scalar-oleinik\nt_final = 0.02\n"
+                          "[grid]\nnx = 16\n[reference]\nkind = monte-carlo\nsamples = 3\n"
+                          f"[output]\ndirectory = {tmp_path}\n")
+    results = experiments.run_level_sweep(config, 0, 2)
+    assert len(calls) == 1
+    envelopes = {(tmp_path / f"level_{j}" / "mc_envelope.csv").read_bytes() for j in range(3)}
+    assert len(envelopes) == 1
+    assert all(res.envelope is results[0].envelope for res in results)
+
+
 def test_cli_bad_config_exit_code(tmp_path):
     cfg = _write_config(tmp_path, "[run]\npreset = scalar-oleinik\ncfl = 2.0\n")
     assert main(["run", "--config", cfg]) == 2
@@ -431,6 +453,23 @@ def test_cli_reference_exact(tmp_path):
     assert os.path.exists(os.path.join(out, "reference_exact.csv"))
 
 
+def test_cli_reference_at_time_zero_writes_the_initial_data(tmp_path):
+    cfg = _write_config(tmp_path, FULL.replace("t_final = 0.1", "t_final = 0"))
+    out = tmp_path / "ref0_out"
+    assert main(["reference", "--config", cfg, "--out", str(out)]) == 0
+    rows = np.loadtxt(out / "reference_exact.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(rows[:, 2], np.sign(rows[:, 0] - (rows[:, 1] - 0.5)))
+
+
+def test_cli_mse_at_time_zero(tmp_path, capsys):
+    cfg = _write_config(tmp_path, FULL.replace("t_final = 0.1", "t_final = 0"))
+    out = tmp_path / "run0_out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["mse", "--config", cfg, "--field", str(out / "field_final.csv")]) == 0
+    assert 0.0 < float(capsys.readouterr().out) < 1.0
+
+
 SCALAR_L1 = ("[run]\npreset = scalar-oleinik\nt_final = 0.05\n"
              "[basis]\nkind = classical-haar\nlevel = 1\n[grid]\nnx = 16\n")
 
@@ -464,3 +503,21 @@ def test_cli_mse_rejects_a_field_that_does_not_match_the_config(tmp_path, capsys
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "configuration error: --field" in captured.err
+
+
+@pytest.mark.parametrize("time", [-0.05, float("nan")], ids=["negative", "nan"])
+@pytest.mark.parametrize("reference", ["exact", "collocation"])
+def test_cli_mse_rejects_a_field_time_that_is_not_finite_and_non_negative(tmp_path, capsys,
+                                                                          reference, time):
+    text = SCALAR_L1 + f"[reference]\nkind = {reference}\nrefine = 1\n"
+    cfg = _write_config(tmp_path, text)
+    out = tmp_path / "run"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    _, _, _, data = read_field_csv(str(out / "field_final.csv"))
+    field_csv = str(out / "shifted.csv")
+    write_field_csv(GpcField(build_grid(parse_config(text)), data, time), field_csv)
+    capsys.readouterr()
+    assert main(["mse", "--config", cfg, "--field", field_csv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "configuration error: --field has time" in captured.err

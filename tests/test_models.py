@@ -5,15 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from model_reference import (check_admissible, flux, is_admissible_state, jacobian,
-                             max_wave_speed, values_speeds, wave_speeds)
+from model_reference import (LinearAdvection, check_admissible, flux, is_admissible_state,
+                             jacobian, max_wave_speed, values_speeds, wave_speeds)
 from solver_reference import flux_reference, speed_bound_reference
 from test_basis import ALL_BASES
 
-from haarsg import (AdmissibilityError, Euler2D, Grid, LevelSet2D, LinearAdvection,
-                    PSystem1D, ScalarLipschitz, build_classical_haar, build_dct,
-                    build_tensors, from_spectrum, get_preset,
-                    initial_data, project, to_spectrum)
+from haarsg import (AdmissibilityError, Euler2D, Grid, LevelSet2D, PSystem1D,
+                    ScalarLipschitz, build_classical_haar, build_dct, build_tensors,
+                    from_spectrum, get_preset, initial_data, project, to_spectrum)
 
 T0 = build_tensors(build_classical_haar(0))
 T2 = build_tensors(build_classical_haar(2))

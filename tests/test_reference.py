@@ -4,8 +4,9 @@ import pytest
 from haarsg import (ExactScalarReference, Grid, GpcField, build_classical_haar,
                     build_dct, build_piecewise_linear, build_tensors, exact_scalar, expansion_values, get_preset,
                     initial_data, l1_distance, mean_std, monte_carlo_reference,
-                    mse, collocation_reference, SemiDiscreteSystem, advance)
-from haarsg.reference import preset_grid, solve_deterministic_batch
+                    mse, parse_config, collocation_reference, SemiDiscreteSystem, advance)
+from haarsg.experiments import build_grid
+from haarsg.reference import solve_deterministic_batch
 
 T2 = build_tensors(build_classical_haar(2))
 
@@ -16,7 +17,15 @@ def test_exact_scalar_branch_values():
     assert exact_scalar(1.0, 2.0, 0.5) == pytest.approx(0.5)
     assert exact_scalar(0.5, 10.0, 0.5) == 1.0
     with pytest.raises(ValueError):
-        exact_scalar(0.0, 0.0, 0.5)
+        exact_scalar(-1e-3, 0.0, 0.5)
+
+
+def test_exact_scalar_at_time_zero_is_the_initial_data():
+    """The limit t -> 0+ of every branch: sign(x - (xi - 1/2)), 0 at the jump."""
+    x = np.array([-1.0, -0.25, 0.0, 0.1, 2.0])
+    assert np.array_equal(exact_scalar(0.0, x, 0.25), [-1.0, 0.0, 1.0, 1.0, 1.0])
+    assert np.array_equal(exact_scalar(0.0, x, 0.75), [-1.0, -1.0, -1.0, -1.0, 1.0])
+    assert exact_scalar(0.0, 0.5, 1.0) == 0.0
 
 
 def test_exact_scalar_continuous_at_branch_joins():
@@ -199,9 +208,9 @@ def test_l1_distance_self_is_small():
 
 
 def test_preset_grid_defaults():
-    g1 = preset_grid(get_preset("scalar-oleinik"))
+    g1 = build_grid(parse_config("[run]\npreset = scalar-oleinik\n"))
     assert g1.nx == 400 and g1.space_dim == 1
-    g2 = preset_grid(get_preset("euler-box"))
+    g2 = build_grid(parse_config("[run]\npreset = euler-box\n"))
     assert g2.space_dim == 2 and g2.ny == 100
 
 

@@ -5,13 +5,12 @@ must equal the whole-array oracles in ``solver_reference`` bit for bit."""
 import numpy as np
 import pytest
 from solver_reference import (compute_dt_reference, edges_reference, face_values_reference,
-                              llf_reference, rhs_reference)
+                              llf_reference, preset_grid, rhs_reference)
 
 from haarsg import (AdmissibilityError, Euler2D, Grid, ScalarLipschitz,
                     SemiDiscreteSystem, build_classical_haar, build_tensors,
                     from_spectrum)
 from haarsg.models import get_preset, initial_data
-from haarsg.reference import preset_grid
 from haarsg import cweno, solver
 
 HUGE = 1 << 40

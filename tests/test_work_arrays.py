@@ -7,15 +7,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from solver_reference import edges_reference, rhs_reference, ssprk3_reference
+from model_reference import LinearAdvection
+from solver_reference import (SourcedSystem, edges_reference, preset_grid, rhs_reference,
+                              ssprk3_reference)
 
-from haarsg import (Grid, GpcField, LinearAdvection, SemiDiscreteSystem, advance,
+from haarsg import (Grid, GpcField, SemiDiscreteSystem, advance,
                     build_classical_haar, build_tensors, parse_config, ssprk3_step)
 from haarsg import cweno
 from haarsg.cweno import cweno3_edges
 from haarsg.experiments import run_level_sweep
 from haarsg.models import PRESETS, get_preset, initial_data
-from haarsg.reference import preset_grid
 from haarsg import workspace
 from haarsg.workspace import Workspace
 
@@ -129,12 +130,12 @@ def test_successive_advance_calls_leave_the_first_result_unchanged():
 
 def test_source_term_enters_rhs_once_per_call():
     grid = Grid(nx=10, x_bounds=(0.0, 1.0), boundary_x="periodic")
-    system = SemiDiscreteSystem(LinearAdvection(speed=(1.0,)), grid,
-                                source=lambda t, x: np.sin(x + t)[:, None, None])
+    system = SourcedSystem(LinearAdvection(speed=(1.0,)), grid,
+                           source=lambda t, x: np.sin(x + t)[:, None, None])
     data = np.cos(2 * np.pi * grid.x_centers)[:, None, None]
     work = Workspace()
     for t in (0.0, 0.3):  # the second call reuses the arrays of the first
-        expected = rhs_reference(system, data, t)
+        expected = rhs_reference(system, data, t, source=system.source)
         assert np.array_equal(system.rhs(data, t, work), expected)
     plain = SemiDiscreteSystem(LinearAdvection(speed=(1.0,)), grid)
     assert not np.allclose(system.rhs(data, 0.3), plain.rhs(data, 0.3))
