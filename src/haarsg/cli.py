@@ -96,7 +96,7 @@ def _cmd_project(args) -> int:
     modes = project(tensors, f, breakpoints=breakpoints)
     path = os.path.join(config.out_dir, "modes.csv")
     output.write_table_csv(path, ["index", "value"],
-                           [[k, float(v)] for k, v in enumerate(modes)])
+                           ([k, float(v)] for k, v in enumerate(modes)))
     print(f"wrote {path}")
     return 0
 
@@ -139,15 +139,15 @@ def _cmd_reference(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     if isinstance(ref, ExactScalarReference):
         nodes = tensors.basis.cell_midpoints()
-        rows = [[float(x), float(xi), float(ref.value(t_final, x, xi))]
-                for x in grid.x_centers for xi in nodes]
+        rows = ([float(x), float(xi), float(ref.value(t_final, x, xi))]
+                for x in grid.x_centers for xi in nodes)
         path = os.path.join(out_dir, "reference_exact.csv")
         output.write_table_csv(path, ["x", "xi", "value"], rows)
     elif isinstance(ref, CollocationReference):
         qoi = ref.values[:, preset.qoi_component, :]
-        rows = [[float(x), float(xi), float(qoi[i, j])]
+        rows = ([float(x), float(xi), float(qoi[i, j])]
                 for i, x in enumerate(ref.grid.x_centers)
-                for j, xi in enumerate(ref.xi_nodes)]
+                for j, xi in enumerate(ref.xi_nodes))
         path = os.path.join(out_dir, "reference_collocation.csv")
         output.write_table_csv(path, ["x", "xi", "value"], rows)
     else:

@@ -4,7 +4,7 @@ The 1D reconstruction blends the exact-averages parabola with two one-sided
 linear polynomials; the 2D one blends a full quadratic with four sectorial
 planes and is evaluated at the two Gauss points of every face, so that face
 flux integrals retain third order without dimensional splitting.  Nonlinear
-weights use Jiang-Shu style smoothness indicators.
+weights d / (eps + beta)^3 use Jiang-Shu style smoothness indicators beta.
 
 Both reconstructions run in strips of whole rows along the x axis, each
 strip about ``STRIP_BYTES`` of input, so that their intermediates stay in a
@@ -15,15 +15,10 @@ Work arrays: both reconstructions write every intermediate into arrays of
 the ``Workspace`` they are given (seven arrays of one strip's size for the
 1D edges, sixteen for the 2D faces) and allocate nothing else.  The 1D
 edges go into full-size arrays of the workspace.  The 2D faces go into
-``out`` when given: the solver's 2D right-hand side calls
-``cweno3_face_values`` once per strip of x rows, into a strip-sized array
-that keeps one more row in front for the east faces of the strip before,
-so the face values never exist for the whole grid at once.  The caller
-owns the workspace: the solver's ``advance`` keeps one for the whole call
-and drops it on return.
-A result is valid only until the next call with the same workspace.
-Called without one, a function makes a fresh workspace, so it then
-allocates all of its arrays for that call alone.
+``out``: the solver's 2D right-hand side calls ``cweno3_face_values`` once
+per strip of x rows, into a strip-sized array that keeps one more row in
+front for the east faces of the strip before, so the face values never
+exist for the whole grid at once.
 """
 
 from __future__ import annotations
@@ -34,8 +29,6 @@ import numpy as np
 
 from .workspace import Workspace
 
-EPS_DEFAULT = 1e-6
-POWER_DEFAULT = 2
 #: optimal linear weights: central / one-sided
 D_CENTRAL_1D = 0.5
 D_SIDE_1D = 0.25
@@ -67,27 +60,19 @@ def strips(n: int, row_bytes: int, min_rows: int = 1) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _weight(d: float, beta: np.ndarray, eps: float, power: int,
-            out: np.ndarray | None = None, tmp: np.ndarray | None = None) -> np.ndarray:
-    """Unnormalized nonlinear weight d / (eps + beta)^power.
-
-    Integer powers are expanded by hand; float pow on full arrays costs
-    roughly 8x an elementwise multiply.  The result goes into ``out`` (which
-    may be ``beta``) and the power into ``tmp``; either is allocated when
-    not given.
-    """
+def _weight(d: float, beta: np.ndarray, eps: float, out: np.ndarray,
+            tmp: np.ndarray) -> np.ndarray:
+    """Unnormalized nonlinear weight d / (eps + beta)^3, into ``out`` (which
+    may be ``beta``), with the cube in ``tmp``; the cube is two multiplies,
+    where float pow on full arrays costs roughly 8x an elementwise multiply."""
     t = np.add(beta, eps, out=out)
-    den = np.multiply(t, t, out=tmp) if power in (2, 3, 4) else np.power(t, power, out=tmp)
-    if power == 3:
-        den *= t
-    elif power == 4:
-        den *= den
+    den = np.multiply(t, t, out=tmp)
+    den *= t
     return np.divide(d, den, out=out)
 
 
-def cweno3_edges(u: np.ndarray, eps: float = EPS_DEFAULT,
-                 power: int = POWER_DEFAULT,
-                 work: Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
+def cweno3_edges(u: np.ndarray, eps: float,
+                 work: Workspace) -> tuple[np.ndarray, np.ndarray]:
     """Edge values (at the left/right cell faces) from 3-cell stencils.
 
     ``u`` is indexed by cell along axis 0 and may carry trailing axes; the
@@ -97,18 +82,16 @@ def cweno3_edges(u: np.ndarray, eps: float = EPS_DEFAULT,
     come from input rows ``i:j+2``, with about ``STRIP_BYTES`` of input
     rows per strip.
     """
-    if work is None:
-        work = Workspace()
     n = u.shape[0] - 2
     left = work.array("edges.left", (n,) + u.shape[1:])
     right = work.array("edges.right", (n,) + u.shape[1:])
     for i, j in strips(n, u[0].nbytes):
-        _edges_strip(u[i:j + 2], eps, power, left[i:j], right[i:j], work)
+        _edges_strip(u[i:j + 2], eps, left[i:j], right[i:j], work)
     return left, right
 
 
-def _edges_strip(u: np.ndarray, eps: float, power: int, left: np.ndarray,
-                 right: np.ndarray, work: Workspace) -> None:
+def _edges_strip(u: np.ndarray, eps: float, left: np.ndarray, right: np.ndarray,
+                 work: Workspace) -> None:
     """Edge values of the interior rows of ``u`` into ``left`` and ``right``;
     every intermediate goes into one of seven strip-sized scratch arrays of
     ``work``."""
@@ -128,10 +111,10 @@ def _edges_strip(u: np.ndarray, eps: float, power: int, left: np.ndarray,
     beta_c *= curv
     beta_c += quarter
 
-    # s[5] holds the powers of the weights, then 1 / (al + ar + ac)
-    wl = _weight(D_SIDE_1D, np.multiply(dl, dl, out=s[4]), eps, power, out=s[4], tmp=s[5])
-    wr = _weight(D_SIDE_1D, np.multiply(dr, dr, out=s[6]), eps, power, out=s[6], tmp=s[5])
-    wc = _weight(D_CENTRAL_1D, beta_c, eps, power, out=beta_c, tmp=s[5])
+    # s[5] holds the cubes of the weights, then 1 / (al + ar + ac)
+    wl = _weight(D_SIDE_1D, np.multiply(dl, dl, out=s[4]), eps, out=s[4], tmp=s[5])
+    wr = _weight(D_SIDE_1D, np.multiply(dr, dr, out=s[6]), eps, out=s[6], tmp=s[5])
+    wc = _weight(D_CENTRAL_1D, beta_c, eps, out=beta_c, tmp=s[5])
     inv = np.add(wl, wr, out=s[5])
     inv += wc
     np.divide(1.0, inv, out=inv)
@@ -172,31 +155,23 @@ def _edges_strip(u: np.ndarray, eps: float, power: int, left: np.ndarray,
         side += term
 
 
-def cweno3_face_values(u: np.ndarray, eps: float = EPS_DEFAULT,
-                       power: int = POWER_DEFAULT,
-                       work: Workspace | None = None,
-                       out: np.ndarray | None = None) -> np.ndarray:
+def cweno3_face_values(u: np.ndarray, eps: float, work: Workspace,
+                       out: np.ndarray) -> np.ndarray:
     """Truly-2D reconstruction at the 2 Gauss points of each of the 4 faces.
 
     ``u`` is indexed (x-cell, y-cell, ...) and the result drops one cell per
     side in both directions; output shape is (4, 2, nx-2, ny-2, ...) with
     face order (west, east, south, north) and Gauss points ordered by
-    increasing tangential coordinate.  The output is filled strip by strip:
+    increasing tangential coordinate.  ``out`` is filled strip by strip:
     output rows ``i:j`` along x come from input rows ``i:j+2``, with about
     ``STRIP_BYTES`` of input rows per strip; trailing axes are carried along.
-    The output goes into ``out`` if given, else into an array of ``work``.
     """
-    if work is None:
-        work = Workspace()
-    nx = u.shape[0] - 2
-    if out is None:
-        out = work.array("faces", (4, 2, nx, u.shape[1] - 2) + u.shape[2:], u.dtype)
-    for i, j in strips(nx, u[0].nbytes):
-        _face_values_strip(u[i:j + 2], eps, power, out[:, :, i:j], work)
+    for i, j in strips(u.shape[0] - 2, u[0].nbytes):
+        _face_values_strip(u[i:j + 2], eps, out[:, :, i:j], work)
     return out
 
 
-def _face_values_strip(u: np.ndarray, eps: float, power: int, out: np.ndarray,
+def _face_values_strip(u: np.ndarray, eps: float, out: np.ndarray,
                        work: Workspace) -> None:
     """Face values of the interior rows of ``u`` into ``out``, shaped
     (4, 2, rows of u - 2, ny-2, ...); every intermediate goes into one of
@@ -242,14 +217,14 @@ def _face_values_strip(u: np.ndarray, eps: float, power: int, out: np.ndarray,
     bxe2 = np.multiply(bxe, bxe, out=s[11])
     bys2 = np.multiply(bys, bys, out=s[12])
     byn2 = np.multiply(byn, byn, out=s[13])
-    # s[14] holds the powers of the weights; each square is overwritten by
+    # s[14] holds the cubes of the weights; each square is overwritten by
     # the last weight that needs it
     pw = s[14]
-    a_c = _weight(D_CENTRAL_2D, beta_c, eps, power, out=beta_c, tmp=pw)
-    a_sw = _weight(D_SECTOR_2D, np.add(bxw2, bys2, out=s[15]), eps, power, out=s[15], tmp=pw)
-    a_se = _weight(D_SECTOR_2D, np.add(bxe2, bys2, out=bys2), eps, power, out=bys2, tmp=pw)
-    a_nw = _weight(D_SECTOR_2D, np.add(bxw2, byn2, out=bxw2), eps, power, out=bxw2, tmp=pw)
-    a_ne = _weight(D_SECTOR_2D, np.add(bxe2, byn2, out=byn2), eps, power, out=byn2, tmp=pw)
+    a_c = _weight(D_CENTRAL_2D, beta_c, eps, out=beta_c, tmp=pw)
+    a_sw = _weight(D_SECTOR_2D, np.add(bxw2, bys2, out=s[15]), eps, out=s[15], tmp=pw)
+    a_se = _weight(D_SECTOR_2D, np.add(bxe2, bys2, out=bys2), eps, out=bys2, tmp=pw)
+    a_nw = _weight(D_SECTOR_2D, np.add(bxw2, byn2, out=bxw2), eps, out=bxw2, tmp=pw)
+    a_ne = _weight(D_SECTOR_2D, np.add(bxe2, byn2, out=byn2), eps, out=byn2, tmp=pw)
     inv = np.add(a_c, a_sw, out=pw)
     inv += a_se
     inv += a_nw

@@ -75,7 +75,7 @@ def build_reference(config: RunConfig, tensors: GalerkinTensor | None, grid: Gri
                                      t_final=t_final, grid=grid, cfl=config.cfl)
     if kind == "monte-carlo":
         return monte_carlo_reference(preset, config.ref_samples, grid, t_final,
-                                     config.seed, threads=threads)
+                                     config.seed, cfl=config.cfl, threads=threads)
     return None
 
 
@@ -85,13 +85,11 @@ class ExperimentResult:
     out_dir: str
     field: GpcField
     tensors: GalerkinTensor
-    model: object
     grid: Grid
     steps: int = 0
     admissibility_min: float = np.inf
     mse_value: float | None = None
     l1_value: float | None = None
-    envelope: object = None
     reference: object = None
     artifacts: list = None
     seconds: float = 0.0
@@ -114,7 +112,7 @@ def run_experiment(config: RunConfig, threads: int = 1, out_dir: str | None = No
     out_dir = out_dir or config.out_dir
     artifacts = []
     result = ExperimentResult(config=config, out_dir=out_dir, field=None,
-                              tensors=tensors, model=model, grid=grid, artifacts=artifacts)
+                              tensors=tensors, grid=grid, artifacts=artifacts)
 
     field = initial_data(model, preset, tensors, grid)
     system = SemiDiscreteSystem(model, grid, tensors=tensors)
@@ -171,12 +169,10 @@ def run_experiment(config: RunConfig, threads: int = 1, out_dir: str | None = No
                     row.append(float(result.l1_value))
                 output.write_table_csv(path, header, [row])
                 result.artifacts.append(path)
-        else:  # Monte Carlo envelope
-            result.envelope = reference
-            if write_outputs:
-                env_path = os.path.join(out_dir, "mc_envelope.csv")
-                output.write_envelope_csv(reference, env_path)
-                result.artifacts.append(env_path)
+        elif write_outputs:  # Monte Carlo envelope
+            env_path = os.path.join(out_dir, "mc_envelope.csv")
+            output.write_envelope_csv(reference, env_path)
+            result.artifacts.append(env_path)
 
     if write_outputs and grid.space_dim == 2:
         mean, std = mean_std(field)

@@ -32,15 +32,14 @@ _GAUSS_NODES, _GAUSS_WEIGHTS = leggauss(PROJECT_GAUSS_POINTS)
 class GalerkinTensor:
     """The shared eigenvector frame of all Galerkin matrices of a basis.
 
-    ``Hn`` is the orthogonal eigenvector matrix; ``eig_map`` the linear map
-    modes -> spectrum (eigenvalues of P, indexed by stochastic cell) and
-    ``eig_inv`` its closed-form inverse.  The Galerkin matrix of any mode
-    vector follows from these as Hn diag(eig_map u) Hn.T, so the (K+1)^3
-    triple products are never stored.
+    ``eig_map`` is the linear map modes -> spectrum (eigenvalues of P,
+    indexed by stochastic cell) and ``eig_inv`` its closed-form inverse.
+    The Galerkin matrix of any mode vector follows from these as
+    Hn diag(eig_map u) Hn.T, with Hn the orthogonal eigenvector matrix
+    ``basis.normalized``, so the (K+1)^3 triple products are never stored.
     """
 
     basis: HaarTypeBasis
-    Hn: np.ndarray
     eig_map: np.ndarray
     eig_inv: np.ndarray
 
@@ -72,7 +71,7 @@ def build_tensors(basis: HaarTypeBasis) -> GalerkinTensor:
         eig_inv = np.kron(eye, block / (2.0 * root))
     for a in (eig_map, eig_inv):
         a.setflags(write=False)
-    return GalerkinTensor(basis, basis.normalized, eig_map, eig_inv)
+    return GalerkinTensor(basis, eig_map, eig_inv)
 
 
 # ---------------------------------------------------------------------------

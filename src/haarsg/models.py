@@ -6,8 +6,8 @@ spectrum of the expansion (the realization values), conjugated with that
 frame.  A model therefore supplies only what the solver calls, three maps
 on realization values:
 
-- ``values_flux(vals, axis, out=None)``, the flux in direction ``axis``;
-- ``values_speed_bound(vals, axis, out=None)``, a per-value upper bound on
+- ``values_flux(vals, axis, out)``, the flux in direction ``axis``;
+- ``values_speed_bound(vals, axis, out)``, a per-value upper bound on
   |characteristic speed| that also covers the generalized Jacobians at a
   kink of the flux;
 - ``admissibility_values(vals)``, an array that must stay strictly
@@ -21,13 +21,14 @@ checks that the solver never runs; they live in ``tests/model_reference.py``.
 Value arrays have shape (..., components, m) where m is the number of
 stochastic cells for an SG model, or the number of samples for a
 deterministic batch.  The first two maps write their result into ``out``
-when it is given and return it; ``out`` has the shape of the allocating
-result and shares no memory with ``vals``.  Every map is elementwise per
-component: entry (..., c, j) of a result depends only on entries
-(..., :, j) of ``vals``, through the same operations in the same order
-wherever it sits in memory.  So any memory layout of ``vals`` and ``out``
-gives the same bits; the solver's LLF passes views laid out
-(components, ..., m), in which every component slice is contiguous.
+and return it; ``out`` is shaped like ``vals`` for the flux and like
+``vals`` without its component axis for the speed bound, and shares no
+memory with ``vals``.  Every map is elementwise per component: entry
+(..., c, j) of a result depends only on entries (..., :, j) of ``vals``,
+through the same operations in the same order wherever it sits in memory.
+So any memory layout of ``vals`` and ``out`` gives the same bits; the
+solver's LLF passes views laid out (components, ..., m), in which every
+component slice is contiguous.
 """
 
 from __future__ import annotations
@@ -55,12 +56,10 @@ class ModelSystem:
     components: int
     space_dim: int
 
-    def values_flux(self, vals: np.ndarray, axis: int,
-                    out: np.ndarray | None = None) -> np.ndarray:
+    def values_flux(self, vals: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def values_speed_bound(self, vals: np.ndarray, axis: int,
-                           out: np.ndarray | None = None) -> np.ndarray:
+    def values_speed_bound(self, vals: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
         """Per-cell upper bound on |speed| covering generalized Jacobians."""
         raise NotImplementedError
 
@@ -77,15 +76,13 @@ class ScalarLipschitz(ModelSystem):
     components: int = 1
     space_dim: int = 1
 
-    def values_flux(self, vals, axis, out=None):
+    def values_flux(self, vals, axis, out):
         u = vals[..., 0, :]
-        if out is None:
-            out = np.empty_like(vals)
         f = np.multiply(u, u, out=out[..., 0, :])
         f += np.abs(u)
         return out
 
-    def values_speed_bound(self, vals, axis, out=None):
+    def values_speed_bound(self, vals, axis, out):
         # subdifferential of |u| at 0 is [-1, 1]; the bound of both endpoints,
         # max(|2u - 1|, |2u + 1|), is 2|u| + 1 bit for bit: negation and
         # doubling are exact and rounding is monotone
@@ -107,15 +104,13 @@ class LevelSet2D(ModelSystem):
     components: int = 2
     space_dim: int = 2
 
-    def values_flux(self, vals, axis, out=None):
-        if out is None:
-            out = np.empty_like(vals)
+    def values_flux(self, vals, axis, out):
         out[..., 1 - axis, :] = 0.0
         moving = np.hypot(vals[..., 0, :], vals[..., 1, :], out=out[..., axis, :])
         moving *= self.v_values
         return out
 
-    def values_speed_bound(self, vals, axis, out=None):
+    def values_speed_bound(self, vals, axis, out):
         u1, u2 = vals[..., 0, :], vals[..., 1, :]
         norm = np.hypot(u1, u2)
         degenerate = norm < DEGENERATE_NORM_TOL
@@ -160,18 +155,13 @@ class PSystem1D(ModelSystem):
         c2 = np.sqrt(self.gamma2 * v ** (-self.gamma2 - 1.0))
         return np.where(s < 0, c1, np.where(s > 0, c2, np.maximum(c1, c2)))
 
-    def values_flux(self, vals, axis, out=None):
-        if out is None:
-            out = np.empty_like(vals)
+    def values_flux(self, vals, axis, out):
         out[..., 0, :] = self.pressure(vals[..., 1, :])
         np.negative(vals[..., 0, :], out=out[..., 1, :])
         return out
 
-    def values_speed_bound(self, vals, axis, out=None):
-        c = self.sound_speed(vals[..., 1, :])
-        if out is None:
-            return c
-        out[...] = c
+    def values_speed_bound(self, vals, axis, out):
+        out[...] = self.sound_speed(vals[..., 1, :])
         return out
 
     def admissibility_values(self, vals):
@@ -191,12 +181,10 @@ class Euler2D(ModelSystem):
     components: int = 3
     space_dim: int = 2
 
-    def values_flux(self, vals, axis, out=None):
+    def values_flux(self, vals, axis, out):
         rho = vals[..., 0, :]
         qa = vals[..., 1 + axis, :]
         qb = vals[..., 2 - axis, :]
-        if out is None:
-            out = np.empty_like(vals)
         # (qa, qa * qa / rho + rho ** gamma, qa * qb / rho), the mass row
         # holding the pressure until it is added
         mass, normal, tangential = out[..., 0, :], out[..., 1 + axis, :], out[..., 2 - axis, :]
@@ -208,7 +196,7 @@ class Euler2D(ModelSystem):
         mass[...] = qa
         return out
 
-    def values_speed_bound(self, vals, axis, out=None):
+    def values_speed_bound(self, vals, axis, out):
         # |nu| + c with nu = q_axis / rho and c = sqrt(gamma) rho^((gamma-1)/2),
         # the largest |speed| of the families nu - c, nu, nu + c
         rho = vals[..., 0, :]

@@ -4,11 +4,13 @@ All values are written with 17 significant digits; row order is fixed
 (y-major, then x, then component, then mode index) so identical runs produce
 identical files.  A field is streamed to its file a chunk of cells at a
 time instead of being held as a list of lines; the bytes are those of the
-list-then-write form.
+list-then-write form, and so are the lines of every other writer, which
+are generated one at a time while the file is written.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 
 import numpy as np
@@ -115,24 +117,20 @@ def read_field_csv(path: str):
 
 def write_matrix_csv(matrix: np.ndarray, path: str) -> None:
     """Row-major dump of one dense matrix."""
-    lines = [",".join(_fmt(v) for v in row) for row in np.atleast_2d(matrix)]
-    _write_lines(path, lines)
+    _write_lines(path, (",".join(_fmt(v) for v in row) for row in np.atleast_2d(matrix)))
 
 
 def write_table_csv(path: str, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-    _write_lines(path, lines)
+    """A header line, then one line per row of ``rows`` (any iterable)."""
+    _write_lines(path, itertools.chain(
+        [",".join(header)],
+        (",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) for row in rows)))
 
 
 def write_profile_csv(path: str, x: np.ndarray, columns: dict[str, np.ndarray]) -> None:
-    header = ["x"] + list(columns)
-    lines = [",".join(header)]
-    for i in range(len(x)):
-        vals = [_fmt(x[i])] + [_fmt(col[i]) for col in columns.values()]
-        lines.append(",".join(vals))
-    _write_lines(path, lines)
+    write_table_csv(path, ["x"] + list(columns),
+                    ([float(x[i])] + [float(col[i]) for col in columns.values()]
+                     for i in range(len(x))))
 
 
 def write_envelope_csv(envelope: MonteCarloEnvelope, path: str) -> None:

@@ -15,6 +15,8 @@ from .solver import Grid, GpcField, SemiDiscreteSystem, advance
 
 #: stochastic cells per pass of the exact-reference ``mse``
 MSE_BLOCK_CELLS = 16
+#: Monte Carlo samples solved as one deterministic batch
+MC_CHUNK = 8
 _GAUSS_NODES, _GAUSS_WEIGHTS = leggauss(5)
 
 
@@ -61,7 +63,7 @@ def expansion_values(t: GalerkinTensor, modes: np.ndarray, xi: np.ndarray) -> np
 
 
 def solve_deterministic_batch(preset: ExperimentPreset, xi: np.ndarray, grid: Grid,
-                              t_final: float, cfl: float = 0.45) -> np.ndarray:
+                              t_final: float, cfl: float) -> np.ndarray:
     """Run the deterministic solver for each xi sample (batched, per-sample
     viscosity and admissibility; the batch shares one CFL time grid)."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
@@ -95,8 +97,8 @@ class CollocationReference:
 
 
 def collocation_reference(preset: ExperimentPreset, tensors: GalerkinTensor,
-                          t_final: float, grid: Grid, refine: int = 4,
-                          cfl: float = 0.45) -> CollocationReference:
+                          t_final: float, grid: Grid, refine: int,
+                          cfl: float) -> CollocationReference:
     """Reference by independent deterministic solves at the stochastic nodes
     of ``tensors``'s basis, on ``grid`` refined by ``refine`` in each axis."""
     if grid.space_dim != 1:
@@ -118,22 +120,20 @@ class MonteCarloEnvelope:
     minimum: np.ndarray
     maximum: np.ndarray
     mean: np.ndarray
-    samples: np.ndarray  # (n_valid, len(x)) per-sample profiles
-    xi: np.ndarray
     failed: int = 0
 
 
 def monte_carlo_reference(preset: ExperimentPreset, n_samples: int, grid: Grid,
-                          t_final: float, seed: int, chunk: int = 8, cfl: float = 0.45,
+                          t_final: float, seed: int, cfl: float,
                           threads: int = 1) -> MonteCarloEnvelope:
     """Seeded Monte Carlo envelope of the preset's quantity of interest
     along the x-profile (y = 0 row in 2D).
 
     Samples are drawn up front from one seeded generator so the set is
     reproducible; failing samples are excluded and counted.  Chunks of
-    samples are solved as batches (optionally on worker threads); results
-    land in per-sample slots, so the output does not depend on the thread
-    count or chunk completion order.
+    ``MC_CHUNK`` samples are solved as batches (optionally on worker
+    threads); results land in per-sample slots, so the output does not
+    depend on the thread count or chunk completion order.
     """
     if n_samples < 1:
         raise ValueError("need at least one Monte Carlo sample")
@@ -150,7 +150,7 @@ def monte_carlo_reference(preset: ExperimentPreset, n_samples: int, grid: Grid,
         return data[:, row, component, :].T
 
     def run_chunk(start: int) -> None:
-        idx = np.arange(start, min(start + chunk, n_samples))
+        idx = np.arange(start, min(start + MC_CHUNK, n_samples))
         try:
             data = solve_deterministic_batch(preset, xi[idx], grid, t_final, cfl)
             profiles[idx] = extract(data)
@@ -163,7 +163,7 @@ def monte_carlo_reference(preset: ExperimentPreset, n_samples: int, grid: Grid,
                 except SolverAbort:
                     valid[i] = False
 
-    starts = range(0, n_samples, chunk)
+    starts = range(0, n_samples, MC_CHUNK)
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -176,8 +176,7 @@ def monte_carlo_reference(preset: ExperimentPreset, n_samples: int, grid: Grid,
     good = profiles[valid]
     return MonteCarloEnvelope(
         x=grid.x_centers, minimum=good.min(axis=0), maximum=good.max(axis=0),
-        mean=good.mean(axis=0), samples=good, xi=xi[valid],
-        failed=int(n_samples - valid.sum()))
+        mean=good.mean(axis=0), failed=int(n_samples - valid.sum()))
 
 
 # ---------------------------------------------------------------------------

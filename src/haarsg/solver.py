@@ -46,13 +46,10 @@ bounds and the mean face fluxes all hold one strip; two one-row arrays
 carry over from a strip to the next, the east faces of its last
 reconstructed row and the mean flux of its last x face, so no row is
 reconstructed or transformed twice.  A deterministic batch has no
-transform and maps no array for transformed values.  Every operation
-writes into those arrays with ``out=`` in the order of the allocating
-form, so results are bitwise the same; what still allocates is a
-strip-sized temporary or two inside a model's maps.
-A function called without a workspace makes a fresh one and so allocates
-as before.  The state a callback sees as ``current.data`` is a work array:
-it is valid only until the next step.
+transform and maps no array for transformed values.  What still allocates
+is a strip-sized temporary or two inside a model's maps.  The state a
+callback sees as ``current.data`` is a work array: it is valid only until
+the next step.
 """
 
 from __future__ import annotations
@@ -72,6 +69,8 @@ GHOST = 2
 TRANSMISSIVE = "transmissive"
 PERIODIC = "periodic"
 BOUNDARY_KINDS = (TRANSMISSIVE, PERIODIC)
+#: steps after which ``advance`` gives up
+MAX_STEPS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -126,15 +125,13 @@ class GpcField:
     time: float = 0.0
 
 
-def fill_ghosts(data: np.ndarray, grid: Grid, work: Workspace | None = None) -> np.ndarray:
+def fill_ghosts(data: np.ndarray, grid: Grid, work: Workspace) -> np.ndarray:
     """Pad with 2 ghost cells per side and apply the boundary conditions.
 
     The padded state is an array of ``work``.  The boundary conditions
     write every ghost cell, corners included, so nothing is left over from
     an earlier call.
     """
-    if work is None:
-        work = Workspace()
     dim = grid.space_dim
     shape = tuple(n + 2 * GHOST for n in data.shape[:dim]) + data.shape[dim:]
     out = work.array("ghosts", shape)
@@ -230,7 +227,6 @@ class SemiDiscreteSystem:
         # critical points while power 3 still pins them one-sided at jumps
         h = grid.dx if grid.space_dim == 1 else min(grid.dx, grid.dy)
         self.eps = h * h
-        self.power = 3
         #: lowest admissibility value that ``compute_dt`` has checked; inf
         #: while none was checked or the model has no constraint
         self.admissibility_min = np.inf
@@ -256,7 +252,7 @@ class SemiDiscreteSystem:
         return values
 
     def _llf(self, left_modes: np.ndarray, right_modes: np.ndarray, axis: int,
-             work: Workspace | None = None) -> np.ndarray:
+             work: Workspace) -> np.ndarray:
         """Local Lax-Friedrichs flux from reconstructed interface states.
 
         Interface arrays are shaped (..., x, [y,] components, m).  The
@@ -273,8 +269,6 @@ class SemiDiscreteSystem:
         left values are ``left_modes`` itself and the flux overwrites them;
         ``rhs`` reads no interface value twice.
         """
-        if work is None:
-            work = Workspace()
         shape = left_modes.shape
         coupled = self.coupled
         vl = self._to_values(left_modes, out=work.array("llf.left", shape) if coupled else None)
@@ -327,19 +321,17 @@ class SemiDiscreteSystem:
         return [lead + (slice(i, j),)
                 for i, j in cweno.strips(n, values.nbytes // max(n, 1))]
 
-    def rhs(self, data: np.ndarray, t: float, work: Workspace | None = None) -> np.ndarray:
+    def rhs(self, data: np.ndarray, t: float, work: Workspace) -> np.ndarray:
         """Semi-discrete right-hand side of ``data``: an array of ``work``,
         overwritten by the next call with the same workspace.  ``t`` is the
         time of ``data``; with no source term it enters no value."""
-        if work is None:
-            work = Workspace()
         if self.grid.space_dim == 1:
             return self._rhs_1d(data, work)
         return self._rhs_2d(data, work)
 
     def _rhs_1d(self, data: np.ndarray, work: Workspace) -> np.ndarray:
         padded = fill_ghosts(data, self.grid, work)
-        left, right = cweno.cweno3_edges(padded, self.eps, self.power, work=work)
+        left, right = cweno.cweno3_edges(padded, self.eps, work)
         flux = self._llf(right[:-1], left[1:], axis=0, work=work)
         # -(flux[1:] - flux[:-1]) / dx
         out = np.subtract(flux[1:], flux[:-1], out=work.array("rhs", data.shape))
@@ -384,8 +376,7 @@ class SemiDiscreteSystem:
         means = work.array("rhs.mean", (most + 1, ny) + cell)
         for r0, r1 in strips:
             n = r1 - r0
-            cweno.cweno3_face_values(padded[r0:r1 + 2], self.eps, self.power, work=work,
-                                     out=faces[:, :, 1:n + 1])
+            cweno.cweno3_face_values(padded[r0:r1 + 2], self.eps, work, faces[:, :, 1:n + 1])
             # x faces r0 - 1 + lo .. r1 - 2: east of indices lo..n-1, west of
             # lo+1..n; row 0 has no face on its left.  Their LLF runs before
             # the y faces', as it must in one strip of all rows.
@@ -418,7 +409,7 @@ class SemiDiscreteSystem:
             means[0] = means[m]
         return out
 
-    def compute_dt(self, data: np.ndarray, cfl: float, work: Workspace | None = None) -> float:
+    def compute_dt(self, data: np.ndarray, cfl: float, work: Workspace) -> float:
         """CFL time step from per-cell generalized speed bounds.
 
         The admissibility minimum of ``data``, checked on the way, lowers
@@ -426,8 +417,6 @@ class SemiDiscreteSystem:
         one strip of x rows; a strip's matrix block has at least two rows,
         since a one-row product rounds differently from a taller one.
         """
-        if work is None:
-            work = Workspace()
         n = data.shape[0]
         one_row_per_cell = data[0].size == data.shape[-1]
         try:
@@ -475,7 +464,7 @@ class SemiDiscreteSystem:
 
 def ssprk3_step(rhs: Callable[[np.ndarray, float], np.ndarray],
                 u: np.ndarray, t: float, dt: float,
-                work: Workspace | None = None) -> np.ndarray:
+                work: Workspace) -> np.ndarray:
     """One step of the three-stage third-order SSP Runge-Kutta scheme.
 
     ``u`` is left untouched.  The stage states and the result are two
@@ -485,8 +474,6 @@ def ssprk3_step(rhs: Callable[[np.ndarray, float], np.ndarray],
     """
     if dt <= 0.0:
         raise ValueError(f"time step must be positive, got {dt}")
-    if work is None:
-        work = Workspace()
     state = work.array("rk.state", u.shape)
     if np.may_share_memory(state, u):
         state = work.array("rk.next", u.shape)
@@ -518,8 +505,7 @@ def ssprk3_step(rhs: Callable[[np.ndarray, float], np.ndarray],
 
 
 def advance(system: SemiDiscreteSystem, field: GpcField, t_final: float,
-            cfl: float = 0.45, callbacks: Sequence[Callable] = (),
-            max_steps: int = 10_000_000) -> GpcField:
+            cfl: float, callbacks: Sequence[Callable] = ()) -> GpcField:
     """Integrate to ``t_final``, invoking callbacks after each accepted step.
 
     The last step is clipped to land exactly on ``t_final``.  Admissibility
@@ -539,8 +525,8 @@ def advance(system: SemiDiscreteSystem, field: GpcField, t_final: float,
     span = max(abs(t_final), 1.0)
     steps = 0
     while t < t_final - 1e-14 * span:
-        if steps >= max_steps:
-            raise SolverAbort(f"exceeded {max_steps} steps", time=t)
+        if steps >= MAX_STEPS:
+            raise SolverAbort(f"exceeded {MAX_STEPS} steps", time=t)
         try:
             dt = min(system.compute_dt(data, cfl, work), t_final - t)
         except AdmissibilityError as exc:

@@ -1,11 +1,15 @@
 """Work arrays that the solver's stages write into instead of fresh arrays.
 
+One calling convention holds for every numerical kernel: the ghost fill,
+the reconstructions, the LLF flux, the right-hand side, the time step and
+the Runge-Kutta step take the ``Workspace`` to write into, and a model's
+flux and speed bound take the ``out`` array to write into; neither is
+optional, and none of them has a form that allocates its result.
+
 ``solver.advance`` creates one ``Workspace`` per call and drops it when it
 returns, so its arrays live exactly as long as one integration: every RK
 stage of every step reuses them, and nothing outlives the call or is shared
-between threads.  A function that takes a workspace and is called without
-one makes a fresh one, so each of its arrays is then allocated for that
-call alone.
+between threads.
 """
 
 from __future__ import annotations

@@ -64,14 +64,14 @@ def eigen_derivative_check(t, u: np.ndarray, q: np.ndarray, step: float = 1e-6) 
     """
     u = np.asarray(u, dtype=float)
     q = np.asarray(q, dtype=float)
-    w = t.Hn.T @ q
+    w = t.basis.normalized.T @ q
     n = t.size
     lhs = np.empty((n, n))
     for j in range(n):
         e = np.zeros(n)
         e[j] = step
         lhs[:, j] = (to_spectrum(t, u + e) - to_spectrum(t, u - e)) / (2.0 * step) * w
-    rhs = t.Hn.T @ galerkin_matrix(t, q)
+    rhs = t.basis.normalized.T @ galerkin_matrix(t, q)
     return float(np.abs(lhs - rhs).max())
 
 
@@ -158,7 +158,8 @@ def _require_positive(d: np.ndarray, what: str) -> np.ndarray:
 
 def _conjugate(t: GalerkinTensor, diag: np.ndarray) -> np.ndarray:
     """Hn diag(d) Hn.T."""
-    return (t.Hn * diag) @ t.Hn.T
+    hn = t.basis.normalized
+    return (hn * diag) @ hn.T
 
 
 def power_modes(t: GalerkinTensor, u: np.ndarray, gamma: float) -> np.ndarray:

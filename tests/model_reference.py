@@ -35,12 +35,10 @@ class LinearAdvection(ModelSystem):
     def __post_init__(self):
         object.__setattr__(self, "space_dim", len(self.speed))
 
-    def values_flux(self, vals, axis, out=None):
+    def values_flux(self, vals, axis, out):
         return np.multiply(self.speed[axis], vals, out=out)
 
-    def values_speed_bound(self, vals, axis, out=None):
-        if out is None:
-            out = np.empty(vals.shape[:-2] + vals.shape[-1:])
+    def values_speed_bound(self, vals, axis, out):
         out[...] = abs(self.speed[axis])
         return out
 
@@ -106,7 +104,8 @@ def check_admissible(model, t, state) -> None:
 def flux(model, t, state, axis=0) -> np.ndarray:
     """Galerkin flux of a state (..., components, K+1) in the given axis."""
     check_admissible(model, t, state)
-    return from_spectrum(t, model.values_flux(to_spectrum(t, state), axis))
+    vals = to_spectrum(t, state)
+    return from_spectrum(t, model.values_flux(vals, axis, np.empty_like(vals)))
 
 
 def wave_speeds(model, t, state, normal) -> list[np.ndarray]:
@@ -118,7 +117,9 @@ def wave_speeds(model, t, state, normal) -> list[np.ndarray]:
 def max_wave_speed(model, t, state, axis=0) -> np.ndarray:
     """Max |speed| over families and stochastic cells (kink-safe bound)."""
     check_admissible(model, t, state)
-    return model.values_speed_bound(to_spectrum(t, state), axis).max(axis=-1)
+    vals = to_spectrum(t, state)
+    return model.values_speed_bound(vals, axis, np.empty(vals.shape[:-2] + vals.shape[-1:])
+                                    ).max(axis=-1)
 
 
 def is_admissible_state(model, t, state) -> tuple[bool, float]:

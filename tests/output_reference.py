@@ -1,14 +1,41 @@
-"""Test-only oracle for ``output.write_field_csv``: the writer it replaced,
-which builds every line as a string first and then writes them all.  The
-streamed writer must produce the same bytes."""
+"""Test-only oracles for the CSV writers of ``output``: the writers they
+replaced, which build every line as a string first and then write them
+all.  The streamed writers must produce the same bytes."""
 
 import os
+
+import numpy as np
 
 from haarsg.reference import mean_std
 
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def _write_lines(path: str, lines) -> None:
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    with open(path, "w", encoding="ascii", newline="\n") as handle:
+        for line in lines:
+            handle.write(line + "\n")
+
+
+def write_matrix_csv_reference(matrix, path: str) -> None:
+    _write_lines(path, [",".join(_fmt(v) for v in row) for row in np.atleast_2d(matrix)])
+
+
+def write_table_csv_reference(path: str, header, rows) -> None:
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
+    _write_lines(path, lines)
+
+
+def write_profile_csv_reference(path: str, x, columns: dict) -> None:
+    lines = [",".join(["x"] + list(columns))]
+    for i in range(len(x)):
+        lines.append(",".join([_fmt(x[i])] + [_fmt(col[i]) for col in columns.values()]))
+    _write_lines(path, lines)
 
 
 def write_field_csv_reference(field, path: str, kinds: tuple[str, ...] = ("mode",)) -> None:
@@ -44,7 +71,4 @@ def write_field_csv_reference(field, path: str, kinds: tuple[str, ...] = ("mode"
     else:
         for ix in range(grid.nx):
             cell_rows(ix, None, f"{tstr},{_fmt(xs[ix])}")
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", encoding="ascii", newline="\n") as handle:
-        for line in lines:
-            handle.write(line + "\n")
+    _write_lines(path, lines)

@@ -10,9 +10,10 @@ kept as its oracles: ``edges_reference`` of the striped ``cweno3_edges``,
 ``speed_bound_reference`` of the models' ``values_flux`` and
 ``values_speed_bound``.  The replacements do the same elementwise operations
 in the same order, only in strips or into work arrays, so the two must agree
-bit for bit.  Oracles that stand in for a method accept its ``work``
-argument and ignore it.
+bit for bit.  Oracles that stand in for a function or method accept its
+``work`` argument and ignore it.
 
+``new_flux`` and ``new_speed_bound`` call a model's two maps into fresh arrays.
 ``transform_reference`` is the stacked product that the mode/value
 transforms replaced; the merged product agrees with it bit for bit for
 states of several components and to rounding for one component.
@@ -31,30 +32,19 @@ from typing import Callable
 import numpy as np
 from model_reference import LinearAdvection
 
-from haarsg.cweno import (D_CENTRAL_1D, D_CENTRAL_2D, D_SECTOR_2D, D_SIDE_1D, EPS_DEFAULT,
-                          GAUSS_OFFSET, POWER_DEFAULT)
+from haarsg.cweno import D_CENTRAL_1D, D_CENTRAL_2D, D_SECTOR_2D, D_SIDE_1D, GAUSS_OFFSET
 from haarsg.models import (Euler2D, ExperimentPreset, LevelSet2D, PSystem1D,
                            ScalarLipschitz, check_admissible_values)
 from haarsg.solver import GHOST, Grid, SemiDiscreteSystem, _apply_boundary
 
 
-def _weight(d: float, beta: np.ndarray, eps: float, power: int) -> np.ndarray:
-    """Unnormalized nonlinear weight d / (eps + beta)^power."""
+def _weight(d: float, beta: np.ndarray, eps: float) -> np.ndarray:
+    """Unnormalized nonlinear weight d / (eps + beta)^3."""
     t = eps + beta
-    if power == 2:
-        den = t * t
-    elif power == 3:
-        den = t * t * t
-    elif power == 4:
-        t2 = t * t
-        den = t2 * t2
-    else:
-        den = t ** power
-    return d / den
+    return d / (t * t * t)
 
 
-def edges_reference(u: np.ndarray, eps: float = EPS_DEFAULT,
-                    power: int = POWER_DEFAULT, work=None) -> tuple[np.ndarray, np.ndarray]:
+def edges_reference(u: np.ndarray, eps: float, work=None) -> tuple[np.ndarray, np.ndarray]:
     """Edge values (at the left/right cell faces) from 3-cell stencils.
 
     ``u`` is indexed by cell along axis 0 and may carry trailing axes; the
@@ -69,9 +59,9 @@ def edges_reference(u: np.ndarray, eps: float = EPS_DEFAULT,
     sum_lr = dl + dr
     beta_c = (13.0 / 12.0) * curv * curv + 0.25 * sum_lr * sum_lr
 
-    al = _weight(D_SIDE_1D, dl * dl, eps, power)
-    ar = _weight(D_SIDE_1D, dr * dr, eps, power)
-    ac = _weight(D_CENTRAL_1D, beta_c, eps, power)
+    al = _weight(D_SIDE_1D, dl * dl, eps)
+    ar = _weight(D_SIDE_1D, dr * dr, eps)
+    ac = _weight(D_CENTRAL_1D, beta_c, eps)
     inv = 1.0 / (al + ar + ac)
     wl, wr, wc = al * inv, ar * inv, ac * inv
 
@@ -108,11 +98,11 @@ def rhs_reference(self, data: np.ndarray, t: float, work=None,
     the cell averages of ``source`` if given."""
     padded = fill_ghosts_reference(data, self.grid)
     if self.grid.space_dim == 1:
-        left, right = edges_reference(padded, self.eps, self.power)
+        left, right = edges_reference(padded, self.eps)
         flux = llf_reference(self, right[:-1], left[1:], axis=0)
         out = -(flux[1:] - flux[:-1]) / self.grid.dx
     else:
-        west, east, south, north = face_values_reference(padded, self.eps, self.power)
+        west, east, south, north = face_values_reference(padded, self.eps)
         # x-faces: gauss-node fluxes averaged with equal weights
         fx = llf_reference(self, east[:, :-1, 1:-1], west[:, 1:, 1:-1], axis=0)
         fx = 0.5 * (fx[0] + fx[1])
@@ -156,7 +146,7 @@ class SourcedSystem(SemiDiscreteSystem):
         super().__init__(model, grid)
         self.source = source
 
-    def rhs(self, data: np.ndarray, t: float, work=None) -> np.ndarray:
+    def rhs(self, data: np.ndarray, t: float, work) -> np.ndarray:
         out = super().rhs(data, t, work)
         out += source_quadrature(self.source, t, self.grid)
         return out
@@ -175,17 +165,16 @@ def compute_dt_reference(self, data: np.ndarray, cfl: float) -> tuple[float, flo
     once."""
     vals = self._to_values(data)
     lowest = check_admissible_values(self.model, vals)
-    sx = self.model.values_speed_bound(vals, 0).max(axis=-1)
+    sx = new_speed_bound(self.model, vals, 0).max(axis=-1)
     if self.grid.space_dim == 1:
         smax = float(sx.max())
         return (np.inf if smax == 0.0 else cfl * self.grid.dx / smax), lowest
-    sy = self.model.values_speed_bound(vals, 1).max(axis=-1)
+    sy = new_speed_bound(self.model, vals, 1).max(axis=-1)
     rate = float((sx / self.grid.dx + sy / self.grid.dy).max())
     return (np.inf if rate == 0.0 else cfl / rate), lowest
 
 
-def face_values_reference(u: np.ndarray, eps: float = EPS_DEFAULT,
-                          power: int = POWER_DEFAULT, work=None, out=None) -> np.ndarray:
+def face_values_reference(u: np.ndarray, eps: float, work=None, out=None) -> np.ndarray:
     """Truly-2D reconstruction at the 2 Gauss points of each of the 4 faces.
 
     ``u`` is indexed (x-cell, y-cell, ...) and the result drops one cell per
@@ -219,11 +208,11 @@ def face_values_reference(u: np.ndarray, eps: float = EPS_DEFAULT,
     bxe2 = bxe * bxe
     bys2 = bys * bys
     byn2 = byn * byn
-    a_c = _weight(D_CENTRAL_2D, beta_c, eps, power)
-    a_sw = _weight(D_SECTOR_2D, bxw2 + bys2, eps, power)
-    a_se = _weight(D_SECTOR_2D, bxe2 + bys2, eps, power)
-    a_nw = _weight(D_SECTOR_2D, bxw2 + byn2, eps, power)
-    a_ne = _weight(D_SECTOR_2D, bxe2 + byn2, eps, power)
+    a_c = _weight(D_CENTRAL_2D, beta_c, eps)
+    a_sw = _weight(D_SECTOR_2D, bxw2 + bys2, eps)
+    a_se = _weight(D_SECTOR_2D, bxe2 + bys2, eps)
+    a_nw = _weight(D_SECTOR_2D, bxw2 + byn2, eps)
+    a_ne = _weight(D_SECTOR_2D, bxe2 + byn2, eps)
     inv = 1.0 / (a_c + a_sw + a_se + a_nw + a_ne)
     wc = a_c * inv
     wsw = a_sw * inv
@@ -270,16 +259,26 @@ def llf_reference(self, left_modes: np.ndarray, right_modes: np.ndarray,
     vr = self._to_values(right_modes)
     check_admissible_values(self.model, vl)
     check_admissible_values(self.model, vr)
-    fl = self.model.values_flux(vl, axis)
-    fr = self.model.values_flux(vr, axis)
-    alpha = np.maximum(self.model.values_speed_bound(vl, axis),
-                       self.model.values_speed_bound(vr, axis))
+    fl = new_flux(self.model, vl, axis)
+    fr = new_flux(self.model, vr, axis)
+    alpha = np.maximum(new_speed_bound(self.model, vl, axis),
+                       new_speed_bound(self.model, vr, axis))
     if self.coupled:
         alpha = alpha.max(axis=-1)[..., None, None]
     else:
         alpha = alpha[..., None, :]
     flux_vals = 0.5 * (fl + fr) - 0.5 * alpha * (vr - vl)
     return self._from_values(flux_vals)
+
+
+def new_flux(model, vals: np.ndarray, axis: int) -> np.ndarray:
+    """The model's ``values_flux`` at ``vals`` into a fresh array."""
+    return model.values_flux(vals, axis, np.empty_like(vals))
+
+
+def new_speed_bound(model, vals: np.ndarray, axis: int) -> np.ndarray:
+    """The model's ``values_speed_bound`` at ``vals`` into a fresh array."""
+    return model.values_speed_bound(vals, axis, np.empty(vals.shape[:-2] + vals.shape[-1:]))
 
 
 def flux_reference(model, vals: np.ndarray, axis: int) -> np.ndarray:

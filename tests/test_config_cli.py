@@ -302,7 +302,26 @@ def test_monte_carlo_level_sweep_builds_its_reference_once(tmp_path, monkeypatch
     assert len(calls) == 1
     envelopes = {(tmp_path / f"level_{j}" / "mc_envelope.csv").read_bytes() for j in range(3)}
     assert len(envelopes) == 1
-    assert all(res.envelope is results[0].envelope for res in results)
+    assert all(res.reference is results[0].reference for res in results)
+
+
+def test_monte_carlo_reference_runs_at_the_configured_cfl():
+    """The Monte Carlo samples are solved at `run.cfl`, as the Galerkin
+    field is.  Four steps at t 0.2: at t 0.01 the one step is clipped to
+    t_final, and the CFL number enters no result."""
+    from haarsg.experiments import run_experiment
+    from haarsg.models import get_preset
+    from haarsg.reference import monte_carlo_reference
+    config = parse_config("[run]\npreset = euler-box\nt_final = 0.2\ncfl = 0.3\n"
+                          "[basis]\nkind = classical-haar\nlevel = 1\n[grid]\nnx = 8\nny = 8\n"
+                          "[reference]\nkind = monte-carlo\nsamples = 2\n")
+    result = run_experiment(config, write_outputs=False)
+    preset, grid = get_preset("euler-box"), build_grid(config)
+    expected = monte_carlo_reference(preset, 2, grid, 0.2, config.seed, cfl=0.3)
+    for name in ("x", "minimum", "maximum", "mean"):
+        assert np.array_equal(getattr(result.reference, name), getattr(expected, name)), name
+    default = monte_carlo_reference(preset, 2, grid, 0.2, config.seed, cfl=0.45)
+    assert not np.array_equal(expected.mean, default.mean)
 
 
 def test_cli_bad_config_exit_code(tmp_path):

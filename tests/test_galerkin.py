@@ -44,9 +44,10 @@ def test_m0_is_identity_for_piecewise_constant():
 
 def test_tensors_symmetric_and_diagonalized():
     for t in PC_TENSORS + (TP,):
+        hn = t.basis.normalized
         for m in triple_products(t.basis):
             assert np.abs(m - m.T).max() < 1e-15
-            d = t.Hn.T @ m @ t.Hn
+            d = hn.T @ m @ hn
             assert np.abs(d - np.diag(np.diag(d))).max() < 1e-12
 
 

@@ -1,13 +1,14 @@
-"""``write_field_csv`` streams a field to its file; the bytes must be those
-of the list-then-write oracle in ``output_reference``, and the writer must
-hold only a small part of the field's text at a time."""
+"""The CSV writers stream their lines to the file; the bytes must be those
+of the list-then-write oracles in ``output_reference``, and a writer must
+hold only a small part of the file's text at a time."""
 
 import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
-from output_reference import write_field_csv_reference
+from output_reference import (write_field_csv_reference, write_matrix_csv_reference,
+                              write_profile_csv_reference, write_table_csv_reference)
 
 from haarsg import output
 from haarsg.output import write_field_csv
@@ -62,3 +63,41 @@ def test_writing_a_field_holds_a_small_part_of_it(tmp_path):
         finally:
             tracemalloc.stop()
         assert peak <= field.data.nbytes / 4, kinds
+
+
+def test_streamed_matrix_table_and_profile_csv_are_byte_identical(tmp_path):
+    rng = np.random.default_rng(5)
+    matrix = rng.normal(size=(6, 5)) * 10.0 ** rng.integers(-300, 300, size=(6, 5))
+    matrix.reshape(-1)[:SPECIAL.size] = SPECIAL[:matrix.size]
+    rows = [[k, "dct", float(v), int(k) * 2] for k, v in enumerate(SPECIAL)]
+    columns = {"min": SPECIAL, "max": SPECIAL[::-1], "mean": np.arange(SPECIAL.size)}
+    x = np.linspace(-1.0, 1.0, SPECIAL.size)
+    for name, write, reference, args in (
+            ("matrix", output.write_matrix_csv, write_matrix_csv_reference, (matrix,)),
+            ("vector", output.write_matrix_csv, write_matrix_csv_reference, (SPECIAL,))):
+        write(*args, str(tmp_path / f"{name}.csv"))
+        reference(*args, str(tmp_path / f"{name}.ref.csv"))
+    for name, write, reference, args in (
+            ("table", output.write_table_csv, write_table_csv_reference,
+             (["index", "basis", "value", "twice"], rows)),
+            ("empty", output.write_table_csv, write_table_csv_reference, (["a", "b"], [])),
+            ("profile", output.write_profile_csv, write_profile_csv_reference, (x, columns))):
+        write(str(tmp_path / f"{name}.csv"), *args)
+        reference(str(tmp_path / f"{name}.ref.csv"), *args)
+    for name in ("matrix", "vector", "table", "empty", "profile"):
+        got = (tmp_path / f"{name}.csv").read_bytes()
+        assert got == (tmp_path / f"{name}.ref.csv").read_bytes(), name
+
+
+def test_writing_a_matrix_holds_a_small_part_of_it(tmp_path):
+    """A 512x512 matrix is a 5.3 MB file; the writer that listed its lines
+    first peaked at 5.36 MB of Python objects, about the whole file."""
+    matrix = np.random.default_rng(4).normal(size=(512, 512))
+    tracemalloc.start()
+    try:
+        output.write_matrix_csv(matrix, str(tmp_path / "M.csv"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "M.csv").stat().st_size > 5_000_000
+    assert peak < 1_000_000

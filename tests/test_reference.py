@@ -5,6 +5,7 @@ from haarsg import (ExactScalarReference, Grid, GpcField, build_classical_haar,
                     build_dct, build_piecewise_linear, build_tensors, exact_scalar, expansion_values, get_preset,
                     initial_data, l1_distance, mean_std, monte_carlo_reference,
                     mse, parse_config, collocation_reference, SemiDiscreteSystem, advance)
+from haarsg import reference
 from haarsg.experiments import build_grid
 from haarsg.reference import solve_deterministic_batch
 
@@ -139,7 +140,7 @@ def test_collocation_reference_deterministic_data_identical_nodes():
     grid = Grid(nx=40, x_bounds=(-3.0, 3.0))
     # deterministic pressure: fix v* by replacing the sampled nodes
     ref = collocation_reference(preset, build_tensors(build_classical_haar(0)),
-                                refine=2, t_final=0.05, grid=grid)
+                                refine=2, t_final=0.05, grid=grid, cfl=0.45)
     assert ref.values.shape == (80, 2, 2)
     # initial data is xi-independent and v* barely matters by t=0.05 away
     # from the kink region, but the runs share dt: just check finiteness here
@@ -153,7 +154,7 @@ def test_collocation_reference_matches_exact_scalar():
 
     def l1_vs_exact(refine):
         ref = collocation_reference(preset, tensors, refine=refine, t_final=0.2,
-                                    grid=grid)
+                                    grid=grid, cfl=0.45)
         xs = ref.grid.x_centers
         err = 0.0
         for j, xi in enumerate(ref.xi_nodes):
@@ -171,7 +172,7 @@ def test_collocation_reference_matches_exact_scalar():
 def test_monte_carlo_single_sample_and_deterministic_envelope():
     preset = get_preset("psystem-riemann")
     grid = Grid(nx=60, x_bounds=(-3.0, 3.0))
-    env = monte_carlo_reference(preset, 1, grid, 0.05, seed=7)
+    env = monte_carlo_reference(preset, 1, grid, 0.05, seed=7, cfl=0.45)
     assert np.array_equal(env.minimum, env.maximum)
     assert np.array_equal(env.minimum, env.mean)
     assert env.failed == 0
@@ -179,18 +180,19 @@ def test_monte_carlo_single_sample_and_deterministic_envelope():
     # deterministic (xi-independent) physics collapses to zero width
     pre2 = get_preset("levelset-box")
     grid2 = Grid(nx=20, x_bounds=(-4.0, 4.0), ny=20, y_bounds=(-4.0, 4.0))
-    sub = monte_carlo_reference(pre2, 3, grid2, 0.0 + 0.05, seed=1)
+    sub = monte_carlo_reference(pre2, 3, grid2, 0.0 + 0.05, seed=1, cfl=0.45)
     assert np.all(sub.maximum - sub.minimum >= 0.0)
 
 
-def test_monte_carlo_reproducible_and_thread_invariant():
+def test_monte_carlo_reproducible_and_thread_invariant(monkeypatch):
     preset = get_preset("scalar-oleinik")
     grid = Grid(nx=50, x_bounds=(-2.0, 2.0))
-    a = monte_carlo_reference(preset, 6, grid, 0.05, seed=42, chunk=2)
-    b = monte_carlo_reference(preset, 6, grid, 0.05, seed=42, chunk=2, threads=3)
+    monkeypatch.setattr(reference, "MC_CHUNK", 2)
+    a = monte_carlo_reference(preset, 6, grid, 0.05, seed=42, cfl=0.45)
+    b = monte_carlo_reference(preset, 6, grid, 0.05, seed=42, cfl=0.45, threads=3)
     assert np.array_equal(a.mean, b.mean)
     assert np.array_equal(a.minimum, b.minimum)
-    c = monte_carlo_reference(preset, 6, grid, 0.05, seed=43, chunk=2)
+    c = monte_carlo_reference(preset, 6, grid, 0.05, seed=43, cfl=0.45)
     assert not np.array_equal(a.mean, c.mean)
 
 
@@ -198,7 +200,7 @@ def test_l1_distance_self_is_small():
     preset = get_preset("psystem-riemann")
     grid = Grid(nx=60, x_bounds=(-3.0, 3.0))
     tensors = build_tensors(build_classical_haar(0))
-    ref = collocation_reference(preset, tensors, refine=1, t_final=0.05, grid=grid)
+    ref = collocation_reference(preset, tensors, refine=1, t_final=0.05, grid=grid, cfl=0.45)
     model = preset.galerkin_model(tensors)
     field = initial_data(model, preset, tensors, grid)
     system = SemiDiscreteSystem(model, grid, tensors=tensors)
@@ -217,6 +219,6 @@ def test_preset_grid_defaults():
 def test_solve_deterministic_batch_shapes():
     preset = get_preset("euler-box")
     grid = Grid(nx=16, x_bounds=(-2.0, 2.0), ny=16, y_bounds=(-2.0, 2.0))
-    data = solve_deterministic_batch(preset, np.array([0.25, 0.75]), grid, 0.02)
+    data = solve_deterministic_batch(preset, np.array([0.25, 0.75]), grid, 0.02, cfl=0.45)
     assert data.shape == (16, 16, 3, 2)
     assert np.all(np.isfinite(data))

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from model_reference import LinearAdvection
@@ -7,6 +9,13 @@ from haarsg import (Grid, GpcField, ScalarLipschitz, SemiDiscreteSystem, SolverA
                     advance, build_classical_haar, build_tensors, fill_ghosts,
                     ssprk3_step)
 from haarsg.cweno import cweno3_edges, cweno3_face_values
+from haarsg.workspace import Workspace
+
+
+def faces(u, eps=1e-6):
+    """2D face values of ``u`` into a fresh array."""
+    out = np.empty((4, 2, u.shape[0] - 2, u.shape[1] - 2) + u.shape[2:])
+    return cweno3_face_values(u, eps, Workspace(), out)
 
 
 def test_grid_properties_and_validation():
@@ -27,19 +36,19 @@ def test_grid_properties_and_validation():
 def test_fill_ghosts_transmissive_and_periodic():
     g = Grid(nx=4, x_bounds=(0.0, 1.0))
     data = np.arange(4.0)[:, None, None]
-    padded = fill_ghosts(data, g)
+    padded = fill_ghosts(data, g, Workspace())
     assert np.allclose(padded[:, 0, 0], [0, 0, 0, 1, 2, 3, 3, 3])
     gp = Grid(nx=4, x_bounds=(0.0, 1.0), boundary_x="periodic")
-    padded = fill_ghosts(data, gp)
+    padded = fill_ghosts(data, gp, Workspace())
     assert np.allclose(padded[:, 0, 0], [2, 3, 0, 1, 2, 3, 0, 1])
 
 
 def test_cweno_1d_constants_and_linears_exact():
     const = np.full(7, 3.7)
-    left, right = cweno3_edges(const)
+    left, right = cweno3_edges(const, 1e-6, Workspace())
     assert np.allclose(left, 3.7, atol=1e-15) and np.allclose(right, 3.7, atol=1e-15)
     lin = 2.0 * np.arange(9.0) + 1.0
-    left, right = cweno3_edges(lin)
+    left, right = cweno3_edges(lin, 1e-6, Workspace())
     assert np.allclose(right, lin[1:-1] + 1.0, atol=1e-12)
     assert np.allclose(left, lin[1:-1] - 1.0, atol=1e-12)
 
@@ -52,7 +61,7 @@ def test_cweno_1d_third_order_on_smooth_data():
         avg = (np.cos(2 * np.pi * edges[:-1]) - np.cos(2 * np.pi * edges[1:])) \
             / (2 * np.pi * dx)
         u = np.concatenate([avg[-2:], avg, avg[:2]])
-        _, right = cweno3_edges(u, eps=dx * dx, power=3)
+        _, right = cweno3_edges(u, dx * dx, Workspace())
         errs.append(np.abs(right[1:-1] - np.sin(2 * np.pi * edges[1:])).sum() * dx)
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert min(orders) > 2.5, (errs, orders)
@@ -60,12 +69,12 @@ def test_cweno_1d_third_order_on_smooth_data():
 
 def test_cweno_2d_constants_and_planes_exact():
     const = np.full((6, 6, 2), -1.25)
-    vals = cweno3_face_values(const)
+    vals = faces(const)
     assert np.allclose(vals, -1.25, atol=1e-15)
     x = np.arange(7.0)[:, None] * 2.0
     y = np.arange(7.0)[None, :] * -3.0
     plane = (x + y + 0.5)[..., None]
-    vals = cweno3_face_values(plane)
+    vals = faces(plane)
     g = 0.5 / np.sqrt(3.0)
     # west face of interior cell (i, j): value at (i - 1/2, j -+ g)
     i, j = 2, 3
@@ -78,38 +87,39 @@ def test_llf_consistency_and_antisymmetry():
     grid = Grid(nx=8, x_bounds=(0.0, 1.0))
     system = SemiDiscreteSystem(ScalarLipschitz(), grid, tensors=t)
     u = np.array([[0.7, 0.2]])
-    assert np.allclose(system._llf(u, u, 0),
+    vals = system._to_values(u)
+    assert np.allclose(system._llf(u, u, 0, Workspace()),
                        system._from_values(
-                           ScalarLipschitz().values_flux(system._to_values(u), 0)),
+                           ScalarLipschitz().values_flux(vals, 0, np.empty_like(vals))),
                        atol=1e-14)
     # spec example: u_L = e1, u_R = -e1 gives flux 5 in mode 0
     ul = np.array([[1.0, 0.0]])
     ur = np.array([[-1.0, 0.0]])
-    fx = system._llf(ul, ur, 0)
+    fx = system._llf(ul, ur, 0, Workspace())
     assert fx[0, 0] == pytest.approx(5.0)
     # dissipative part flips sign when the states swap
-    fxr = system._llf(ur, ul, 0)
+    fxr = system._llf(ur, ul, 0, Workspace())
     central = 0.5 * (fx + fxr)
     assert np.allclose(fx - central, -(fxr - central), atol=1e-14)
 
 
 def test_ssprk3_properties():
     u = np.array([1.0, -2.0])
-    assert np.allclose(ssprk3_step(lambda v, t: 0.0 * v, u, 0.0, 0.1), u)
+    assert np.allclose(ssprk3_step(lambda v, t: 0.0 * v, u, 0.0, 0.1, Workspace()), u)
     lam = 1.0
     dt = 0.1
-    out = ssprk3_step(lambda v, t: lam * v, u, 0.0, dt)
+    out = ssprk3_step(lambda v, t: lam * v, u, 0.0, dt, Workspace())
     taylor_gap = abs(out[0] / u[0] - np.exp(lam * dt))
     assert taylor_gap < 5e-6
     rng = np.random.default_rng(2)
     mat = rng.normal(size=(2, 2))
     a, b = rng.normal(size=(2, 2))
-    la = ssprk3_step(lambda v, t: mat @ v, a, 0.0, dt)
-    lb = ssprk3_step(lambda v, t: mat @ v, b, 0.0, dt)
-    lab = ssprk3_step(lambda v, t: mat @ v, 2.0 * a + 3.0 * b, 0.0, dt)
+    la = ssprk3_step(lambda v, t: mat @ v, a, 0.0, dt, Workspace())
+    lb = ssprk3_step(lambda v, t: mat @ v, b, 0.0, dt, Workspace())
+    lab = ssprk3_step(lambda v, t: mat @ v, 2.0 * a + 3.0 * b, 0.0, dt, Workspace())
     assert np.allclose(lab, 2.0 * la + 3.0 * lb, atol=1e-13)
     with pytest.raises(ValueError):
-        ssprk3_step(lambda v, t: v, u, 0.0, 0.0)
+        ssprk3_step(lambda v, t: v, u, 0.0, 0.0, Workspace())
 
 
 def test_compute_dt_examples():
@@ -117,26 +127,26 @@ def test_compute_dt_examples():
     grid = Grid(nx=400, x_bounds=(0.0, 4.0))
     system = SemiDiscreteSystem(ScalarLipschitz(), grid, tensors=t)
     data = np.broadcast_to(np.array([1.0, 0.0]), (400, 1, 2)).copy()
-    assert system.compute_dt(data, 0.45) == pytest.approx(0.45 * 0.01 / 3.0)
+    assert system.compute_dt(data, 0.45, Workspace()) == pytest.approx(0.45 * 0.01 / 3.0)
     grid2 = Grid(nx=10, x_bounds=(0.0, 1.0), ny=20, y_bounds=(0.0, 1.0))
     system2 = SemiDiscreteSystem(LinearAdvection(speed=(2.0, 1.0)), grid2)
     data2 = np.ones((10, 20, 1, 1))
     expected = 0.45 / (2.0 / grid2.dx + 1.0 / grid2.dy)
-    assert system2.compute_dt(data2, 0.45) == pytest.approx(expected)
+    assert system2.compute_dt(data2, 0.45, Workspace()) == pytest.approx(expected)
     still = SemiDiscreteSystem(LinearAdvection(speed=(0.0,)),
                                Grid(nx=8, x_bounds=(0.0, 1.0)))
-    assert still.compute_dt(np.ones((8, 1, 1)), 0.45) == np.inf
+    assert still.compute_dt(np.ones((8, 1, 1)), 0.45, Workspace()) == np.inf
 
 
 def test_advance_identity_and_final_time():
     grid = Grid(nx=16, x_bounds=(0.0, 1.0), boundary_x="periodic")
     system = SemiDiscreteSystem(LinearAdvection(speed=(1.0,)), grid)
     field = GpcField(grid, np.sin(2 * np.pi * grid.x_centers)[:, None, None], 0.0)
-    assert advance(system, field, 0.0) is field
-    out = advance(system, field, 0.3)
+    assert advance(system, field, 0.0, cfl=0.45) is field
+    out = advance(system, field, 0.3, cfl=0.45)
     assert out.time == 0.3
     times = []
-    advance(system, field, 0.1, callbacks=(lambda t, f: times.append(t),))
+    advance(system, field, 0.1, cfl=0.45, callbacks=(lambda t, f: times.append(t),))
     assert times and times[-1] == 0.1
 
 
@@ -144,7 +154,7 @@ def test_advance_zero_speed_clips_to_final_time():
     grid = Grid(nx=8, x_bounds=(0.0, 1.0), boundary_x="periodic")
     system = SemiDiscreteSystem(LinearAdvection(speed=(0.0,)), grid)
     field = GpcField(grid, np.ones((8, 1, 1)), 0.0)
-    out = advance(system, field, 2.0)
+    out = advance(system, field, 2.0, cfl=0.45)
     assert out.time == 2.0
     assert np.allclose(out.data, field.data)
 
@@ -156,9 +166,11 @@ def test_conservation_periodic():
     rng = np.random.default_rng(3)
     data = rng.normal(size=(64, 1, 4))
     total0 = data.sum(axis=0)
-    dt = system.compute_dt(data, 0.45)
+    work = Workspace()
+    rhs = functools.partial(system.rhs, work=work)
+    dt = system.compute_dt(data, 0.45, work)
     for _ in range(5):
-        data = ssprk3_step(system.rhs, data, 0.0, dt)
+        data = ssprk3_step(rhs, data, 0.0, dt, work)
         assert np.abs(data.sum(axis=0) - total0).max() < 1e-12
 
 
@@ -169,8 +181,9 @@ def test_conservation_periodic_2d():
     rng = np.random.default_rng(4)
     data = rng.normal(size=(12, 10, 1, 1))
     total0 = data.sum(axis=(0, 1))
-    dt = system.compute_dt(data, 0.45)
-    data = ssprk3_step(system.rhs, data, 0.0, dt)
+    work = Workspace()
+    dt = system.compute_dt(data, 0.45, work)
+    data = ssprk3_step(functools.partial(system.rhs, work=work), data, 0.0, dt, work)
     assert np.abs(data.sum(axis=(0, 1)) - total0).max() < 1e-12
 
 
@@ -181,8 +194,9 @@ def test_monotonicity_surrogate_forward_euler():
     system = SemiDiscreteSystem(ScalarLipschitz(), grid, tensors=t)
     data = np.where(grid.x_centers < 0.0, -1.0, 1.0)[:, None, None] \
         * np.array([1.0, 0.0])
-    dt = system.compute_dt(data, 0.45)
-    stage = data + dt * system.rhs(data, 0.0)
+    work = Workspace()
+    dt = system.compute_dt(data, 0.45, work)
+    stage = data + dt * system.rhs(data, 0.0, work)
     means = stage[:, 0, 0]
     assert means.max() <= 1.0 + 1e-12
     assert means.min() >= -1.0 - 1e-12
@@ -195,8 +209,8 @@ def test_determinism_bitwise():
     rng = np.random.default_rng(5)
     data = rng.normal(scale=0.3, size=(50, 1, 8))
     field = GpcField(grid, data, 0.0)
-    a = advance(system, field, 0.05)
-    b = advance(system, field, 0.05)
+    a = advance(system, field, 0.05, cfl=0.45)
+    b = advance(system, field, 0.05, cfl=0.45)
     assert np.array_equal(a.data, b.data)
 
 
@@ -210,7 +224,7 @@ def test_admissibility_abort_diagnostics():
     data[:, 1, 0] = 1.0
     data[7, 1, 0] = -0.5  # negative volume in one cell
     with pytest.raises(SolverAbort) as err:
-        advance(system, GpcField(grid, data, 0.0), 0.1)
+        advance(system, GpcField(grid, data, 0.0), 0.1, cfl=0.45)
     assert err.value.time == 0.0
 
 
@@ -232,7 +246,7 @@ def test_source_enters_rhs():
     system = SourcedSystem(LinearAdvection(speed=(0.0,)), grid,
                            source=lambda t, x: np.ones((x.size, 1, 1)))
     data = np.zeros((10, 1, 1))
-    assert np.allclose(system.rhs(data, 0.0), 1.0, atol=1e-14)
+    assert np.allclose(system.rhs(data, 0.0, Workspace()), 1.0, atol=1e-14)
 
 
 def test_advection_order_1d():

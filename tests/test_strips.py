@@ -12,6 +12,7 @@ from haarsg import (AdmissibilityError, Euler2D, Grid, ScalarLipschitz,
                     from_spectrum)
 from haarsg.models import get_preset, initial_data
 from haarsg import cweno, solver
+from haarsg.workspace import Workspace
 
 HUGE = 1 << 40
 
@@ -29,16 +30,18 @@ def test_face_values_match_whole_array_oracle(monkeypatch, trailing, rows_out,
     monkeypatch.setattr(cweno, "STRIP_BYTES", rows_per_strip * u[0].nbytes + u[0].nbytes // 2)
     starts = [i for i, _ in cweno.strips(rows_out, u[0].nbytes)]
     assert starts == list(range(0, rows_out, rows_per_strip))
-    for eps, power in ((cweno.EPS_DEFAULT, cweno.POWER_DEFAULT), (0.01, 3)):
-        got = cweno.cweno3_face_values(u, eps, power)
-        assert np.array_equal(got, face_values_reference(u, eps, power))
+    for eps in (1e-6, 0.01):
+        out = np.empty((4, 2, rows_out, 7) + trailing)
+        got = cweno.cweno3_face_values(u, eps, Workspace(), out)
+        assert np.array_equal(got, face_values_reference(u, eps))
 
 
 def test_face_values_default_budget_gives_several_strips():
     u = np.random.default_rng(7).normal(size=(104, 104, 3, 8))
     assert len(cweno.strips(102, u[0].nbytes)) > 1
-    assert np.array_equal(cweno.cweno3_face_values(u, 0.01, 3),
-                          face_values_reference(u, 0.01, 3))
+    assert np.array_equal(cweno.cweno3_face_values(u, 0.01, Workspace(),
+                                                   np.empty((4, 2, 102, 102, 3, 8))),
+                          face_values_reference(u, 0.01))
 
 
 def _euler_system(coupled: bool):
@@ -84,12 +87,12 @@ def test_rhs_is_strip_invariant_and_matches_whole_array_oracle(monkeypatch, make
     got = {}
     for budget in (1, HUGE):
         monkeypatch.setattr(cweno, "STRIP_BYTES", budget)
-        got[budget] = system.rhs(data, 0.0)
+        got[budget] = system.rhs(data, 0.0, Workspace())
     assert np.array_equal(got[1], got[HUGE])
     monkeypatch.setattr(cweno, "cweno3_edges", edges_reference)
     monkeypatch.setattr(cweno, "cweno3_face_values", face_values_reference)
     monkeypatch.setattr(SemiDiscreteSystem, "_llf", llf_reference)
-    assert np.array_equal(got[1], system.rhs(data, 0.0))
+    assert np.array_equal(got[1], system.rhs(data, 0.0, Workspace()))
 
 
 def test_admissibility_error_names_the_global_minimum(monkeypatch):
@@ -100,7 +103,7 @@ def test_admissibility_error_names_the_global_minimum(monkeypatch):
     monkeypatch.setattr(cweno, "STRIP_BYTES", 1)
     assert len(system._x_strips(states)) == 14
     with pytest.raises(AdmissibilityError) as err:
-        system._llf(states, np.ones_like(states), axis=0)
+        system._llf(states, np.ones_like(states), axis=0, work=Workspace())
     assert err.value.where == (1, 9, 5)
     assert err.value.index == 1
 
@@ -127,7 +130,7 @@ def test_rhs_admissibility_error_names_the_global_minimum(monkeypatch, coupled):
     for budget in (1, HUGE):
         monkeypatch.setattr(cweno, "STRIP_BYTES", budget)
         with pytest.raises(AdmissibilityError) as err:
-            system.rhs(data, 0.0)
+            system.rhs(data, 0.0, Workspace())
         assert err.value.where == expected.value.where
         assert err.value.index == expected.value.index
         assert str(err.value) == str(expected.value)
@@ -140,7 +143,7 @@ def test_compute_dt_admissibility_error_names_the_global_minimum(monkeypatch, co
         compute_dt_reference(system, data, 0.45)
     monkeypatch.setattr(cweno, "STRIP_BYTES", 1)
     with pytest.raises(AdmissibilityError) as err:
-        system.compute_dt(data, 0.45)
+        system.compute_dt(data, 0.45, Workspace())
     assert (err.value.where, err.value.index) == (expected.value.where, expected.value.index)
     assert err.value.where[0] == 9
 
@@ -157,7 +160,7 @@ def test_compute_dt_is_strip_invariant_and_matches_whole_field_oracle(monkeypatc
     for budget in (1, 3 * data[0].nbytes, HUGE):  # one row, three rows, one strip
         monkeypatch.setattr(cweno, "STRIP_BYTES", budget)
         system.admissibility_min = np.inf
-        assert system.compute_dt(data, 0.45) == dt
+        assert system.compute_dt(data, 0.45, Workspace()) == dt
         assert system.admissibility_min == lowest
 
 
@@ -195,6 +198,6 @@ def test_compute_dt_never_transforms_a_one_row_block(monkeypatch):
     monkeypatch.setattr(cweno, "STRIP_BYTES", 1)
     for rows in (40, 39):
         shapes.clear()
-        system.compute_dt(data[:rows], 0.45)
+        system.compute_dt(data[:rows], 0.45, Workspace())
         assert sum(shape[0] for shape in shapes) == rows
         assert min(shape[0] for shape in shapes) >= 2

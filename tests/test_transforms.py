@@ -12,6 +12,7 @@ from test_basis import ALL_BASES
 from haarsg import Grid, ScalarLipschitz, SemiDiscreteSystem, build_classical_haar, build_tensors
 from haarsg import cweno
 from haarsg.solver import _row_blocks
+from haarsg.workspace import Workspace
 
 BASES = ALL_BASES + [build_classical_haar(j) for j in (5, 6)]
 HUGE = 1 << 40
@@ -124,8 +125,8 @@ def test_edges_match_oracle_at_any_strip_budget(monkeypatch, trailing, budget):
                          "one-strip": HUGE}[budget])
     expected_strips = {"row-strips": 7, "ragged-strip": 3, "one-strip": 1}[budget]
     assert len(cweno.strips(7, row)) == expected_strips
-    for eps, power in ((cweno.EPS_DEFAULT, cweno.POWER_DEFAULT), (0.01, 3)):
-        left, right = cweno.cweno3_edges(u, eps, power)
-        ref_left, ref_right = edges_reference(u, eps, power)
+    for eps in (1e-6, 0.01):
+        left, right = cweno.cweno3_edges(u, eps, Workspace())
+        ref_left, ref_right = edges_reference(u, eps)
         assert np.array_equal(left, ref_left)
         assert np.array_equal(right, ref_right)

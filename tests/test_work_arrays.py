@@ -65,7 +65,7 @@ def test_four_steps_match_allocating_oracles(name, coupled):
     rhs = functools.partial(rhs_reference, system)
     data, t = field.data, 0.0
     for step in range(4):
-        dt = system.compute_dt(data, CFL)
+        dt = system.compute_dt(data, CFL, Workspace())
         data = ssprk3_reference(rhs, data, t, dt)
         t += dt
         assert np.array_equal(got[step], data), f"step {step + 1}"
@@ -78,11 +78,11 @@ def test_edges_match_allocating_oracle(trailing):
     for n in (12, 7):  # a second, smaller call on the same work arrays
         u = rng.normal(size=(n,) + trailing)
         u[n // 2:] += 3.0  # a jump, so the nonlinear weights differ from cell to cell
-        for eps, power in ((1e-6, 2), (0.01, 3), (0.01, 4), (0.1, 5)):
-            expected = edges_reference(u, eps, power)
-            for got in (cweno3_edges(u, eps, power), cweno3_edges(u, eps, power, work=work)):
-                assert np.array_equal(got[0], expected[0])
-                assert np.array_equal(got[1], expected[1])
+        for eps in (1e-6, 0.01, 0.1):
+            expected = edges_reference(u, eps)
+            got = cweno3_edges(u, eps, work)
+            assert np.array_equal(got[0], expected[0])
+            assert np.array_equal(got[1], expected[1])
 
 
 def test_batch_maps_no_arrays_for_transformed_values():
@@ -105,7 +105,7 @@ def test_ssprk3_step_leaves_its_input_untouched():
     work = Workspace()
     rhs = functools.partial(system.rhs, work=work)
     u0 = field.data.copy()
-    dt = system.compute_dt(u0, CFL)
+    dt = system.compute_dt(u0, CFL, work)
     u1 = ssprk3_step(rhs, u0, 0.0, dt, work)
     kept = u1.copy()
     u2 = ssprk3_step(rhs, u1, dt, dt, work)
@@ -138,7 +138,7 @@ def test_source_term_enters_rhs_once_per_call():
         expected = rhs_reference(system, data, t, source=system.source)
         assert np.array_equal(system.rhs(data, t, work), expected)
     plain = SemiDiscreteSystem(LinearAdvection(speed=(1.0,)), grid)
-    assert not np.allclose(system.rhs(data, 0.3), plain.rhs(data, 0.3))
+    assert not np.allclose(system.rhs(data, 0.3, Workspace()), plain.rhs(data, 0.3, Workspace()))
 
 
 def test_level_sweep_fields_do_not_depend_on_threads(tmp_path):
