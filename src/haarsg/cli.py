@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import output
-from .config import parse_config
+from .config import parse_config, validate_config
 from .errors import ConfigError, SolverAbort
 from .experiments import (build_basis, build_grid, build_reference, reference_kind,
                           run_experiment, run_level_sweep)
@@ -47,7 +47,11 @@ def _apply_overrides(config, args):
         updates["out_dir"] = args.out
     if getattr(args, "seed", None) is not None:
         updates["seed"] = args.seed
-    return replace(config, **updates) if updates else config
+    if not updates:
+        return config
+    config = replace(config, **updates)
+    validate_config(config)
+    return config
 
 
 def _cmd_basis(args) -> int:
@@ -137,18 +141,16 @@ def _cmd_reference(args) -> int:
     ref = build_reference(config, tensors, grid, t_final, threads=args.threads)
     out_dir = config.out_dir
     os.makedirs(out_dir, exist_ok=True)
-    if isinstance(ref, ExactScalarReference):
-        nodes = tensors.basis.cell_midpoints()
-        rows = ([float(x), float(xi), float(ref.value(t_final, x, xi))]
-                for x in grid.x_centers for xi in nodes)
-        path = os.path.join(out_dir, "reference_exact.csv")
-        output.write_table_csv(path, ["x", "xi", "value"], rows)
-    elif isinstance(ref, CollocationReference):
-        qoi = ref.values[:, preset.qoi_component, :]
-        rows = ([float(x), float(xi), float(qoi[i, j])]
-                for i, x in enumerate(ref.grid.x_centers)
-                for j, xi in enumerate(ref.xi_nodes))
-        path = os.path.join(out_dir, "reference_collocation.csv")
+    if isinstance(ref, (ExactScalarReference, CollocationReference)):
+        if isinstance(ref, ExactScalarReference):
+            xs, nodes = grid.x_centers, tensors.basis.cell_midpoints()
+            values = ref.value(t_final, xs[:, None], nodes[None, :])
+        else:
+            xs, nodes = ref.grid.x_centers, ref.xi_nodes
+            values = ref.values[:, preset.qoi_component, :]
+        rows = ([float(x), float(xi), float(values[i, j])]
+                for i, x in enumerate(xs) for j, xi in enumerate(nodes))
+        path = os.path.join(out_dir, f"reference_{ref.kind}.csv")
         output.write_table_csv(path, ["x", "xi", "value"], rows)
     else:
         path = os.path.join(out_dir, "mc_envelope.csv")

@@ -159,6 +159,8 @@ def validate_config(config: RunConfig) -> None:
         raise ConfigError("`output.stride` must be >= 0", key="output.stride")
     if config.ref_samples < 1:
         raise ConfigError("`reference.samples` must be >= 1", key="reference.samples")
+    if config.seed < 0:
+        raise ConfigError(f"`run.seed` must be >= 0, got {config.seed}", key="run.seed")
     if config.ref_refine < 1:
         raise ConfigError("`reference.refine` must be >= 1", key="reference.refine")
 

@@ -142,27 +142,42 @@ class PSystem1D(ModelSystem):
         vs = self.vstar_values
         return vs ** (-self.gamma1) - vs ** (-self.gamma2)
 
-    def pressure(self, v: np.ndarray) -> np.ndarray:
-        s = np.sign(v - self.vstar_values)
-        left = v ** (-self.gamma1)
-        right = v ** (-self.gamma2) + self.delta_values
-        return 0.5 * (1.0 - s) * left + 0.5 * (1.0 + s) * right
+    def pressure(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """p(v) with one power per value, written into ``out`` if given
+        (sharing no memory with ``v``); at v = v* exactly the mean of the
+        two one-sided values."""
+        above = v > self.vstar_values
+        p = np.power(v, np.where(above, -self.gamma2, -self.gamma1), out=out)
+        np.add(p, self.delta_values, out=p, where=above)
+        kink = v == self.vstar_values
+        if kink.any():
+            at_kink = v[kink]
+            delta = np.broadcast_to(self.delta_values, v.shape)[kink]
+            p[kink] = (0.5 * at_kink ** (-self.gamma1)
+                       + 0.5 * (at_kink ** (-self.gamma2) + delta))
+        return p
 
-    def sound_speed(self, v: np.ndarray) -> np.ndarray:
-        """sqrt(-p'(v)); at the kink the larger one-sided value."""
-        s = np.sign(v - self.vstar_values)
-        c1 = np.sqrt(self.gamma1 * v ** (-self.gamma1 - 1.0))
-        c2 = np.sqrt(self.gamma2 * v ** (-self.gamma2 - 1.0))
-        return np.where(s < 0, c1, np.where(s > 0, c2, np.maximum(c1, c2)))
+    def sound_speed(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """sqrt(-p'(v)) with one power per value, written into ``out`` if
+        given; at the kink the larger one-sided value."""
+        gamma = np.where(v > self.vstar_values, self.gamma2, self.gamma1)
+        c = np.power(v, -gamma - 1.0, out=out)
+        c *= gamma
+        np.sqrt(c, out=c)
+        kink = v == self.vstar_values
+        if kink.any():
+            at_kink, g1, g2 = v[kink], self.gamma1, self.gamma2
+            c[kink] = np.maximum(np.sqrt(g1 * at_kink ** (-g1 - 1.0)),
+                                 np.sqrt(g2 * at_kink ** (-g2 - 1.0)))
+        return c
 
     def values_flux(self, vals, axis, out):
-        out[..., 0, :] = self.pressure(vals[..., 1, :])
+        self.pressure(vals[..., 1, :], out=out[..., 0, :])
         np.negative(vals[..., 0, :], out=out[..., 1, :])
         return out
 
     def values_speed_bound(self, vals, axis, out):
-        out[...] = self.sound_speed(vals[..., 1, :])
-        return out
+        return self.sound_speed(vals[..., 1, :], out=out)
 
     def admissibility_values(self, vals):
         return vals[..., 1, :]

@@ -112,6 +112,71 @@ def collocation_reference(preset: ExperimentPreset, tensors: GalerkinTensor,
                                 t_final=t_final)
 
 
+_MASK32 = (1 << 32) - 1
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+#: PCG64's 128-bit LCG multiplier
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _uniform_samples(seed: int, n: int) -> np.ndarray:
+    """``n`` uniform draws in [0, 1), bit for bit those of
+    ``np.random.default_rng(seed).uniform(0.0, 1.0, n)``, without importing
+    ``numpy.random``.
+
+    The seed is hashed into 128 bits of state and increment as numpy's
+    ``SeedSequence`` does (pool of 4 uint32 words, ``generate_state`` of 4
+    uint64 words); the stream is PCG64 XSL-RR 128/64 (O'Neill 2014), and a
+    double is the top 53 bits of one output times 2**-53.
+    """
+    if seed < 0:
+        raise ValueError(f"expected a non-negative seed, got {seed}")
+    words = [0] if seed == 0 else []
+    while seed:
+        words.append(seed & _MASK32)
+        seed >>= 32
+    hash_const = 0x43b0d7e5  # INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = (hash_const * 0x931e8875) & _MASK32  # MULT_A
+        value = (value * hash_const) & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = (0xca01f9dd * x - 0x4973f715 * y) & _MASK32  # MIX_MULT_L, _R
+        return result ^ (result >> 16)
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    state_words = []
+    hash_const = 0x8b51f9dd  # INIT_B
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = (hash_const * 0x58f38ded) & _MASK32  # MULT_B
+        value = (value * hash_const) & _MASK32
+        state_words.append(value ^ (value >> 16))
+    s = [state_words[2 * k] | state_words[2 * k + 1] << 32 for k in range(4)]
+    inc = (((s[2] << 64 | s[3]) << 1) | 1) & _MASK128
+    state = (inc + (s[0] << 64 | s[1])) & _MASK128
+    state = (state * _PCG_MULT + inc) & _MASK128
+    draws = np.empty(n)
+    for i in range(n):
+        state = (state * _PCG_MULT + inc) & _MASK128
+        rot = state >> 122
+        x = ((state >> 64) ^ state) & _MASK64
+        out = ((x >> rot) | (x << (64 - rot))) & _MASK64
+        draws[i] = (out >> 11) * 2.0 ** -53
+    return draws
+
+
 @dataclass(frozen=True)
 class MonteCarloEnvelope:
     """Pointwise min/max/mean over Monte Carlo samples along a profile."""
@@ -129,16 +194,18 @@ def monte_carlo_reference(preset: ExperimentPreset, n_samples: int, grid: Grid,
     """Seeded Monte Carlo envelope of the preset's quantity of interest
     along the x-profile (y = 0 row in 2D).
 
-    Samples are drawn up front from one seeded generator so the set is
-    reproducible; failing samples are excluded and counted.  Chunks of
-    ``MC_CHUNK`` samples are solved as batches (optionally on worker
-    threads); results land in per-sample slots, so the output does not
-    depend on the thread count or chunk completion order.
+    Samples are drawn up front from one seeded stream so the set is
+    reproducible: ``_uniform_samples``, the stream of numpy's default
+    generator (``SeedSequence`` and PCG64) computed here, so that it cannot
+    change with numpy and no run imports ``numpy.random``.  A negative seed
+    raises ``ValueError``.  Failing samples are excluded and counted.
+    Chunks of ``MC_CHUNK`` samples are solved as batches (optionally on
+    worker threads); results land in per-sample slots, so the output does
+    not depend on the thread count or chunk completion order.
     """
     if n_samples < 1:
         raise ValueError("need at least one Monte Carlo sample")
-    rng = np.random.default_rng(seed)
-    xi = rng.uniform(0.0, 1.0, n_samples)
+    xi = _uniform_samples(seed, n_samples)
     profiles = np.empty((n_samples, grid.nx))
     valid = np.ones(n_samples, dtype=bool)
     row = grid.ny // 2 if grid.space_dim == 2 else None

@@ -40,7 +40,9 @@ starts and dropped when it returns, never kept by a module or by the
 It passes the workspace to ``compute_dt`` (one strip's values and speed
 bounds), ``ssprk3_step`` (the stage states, alternating between two arrays
 from step to step) and ``rhs``.  Of the right-hand side's arrays only the
-padded state and the flux divergence are full size.  In 2D the face
+padded state and the flux divergence are full size, and SSPRK3 combines
+its later stages in the divergence itself, so a solve maps four full-size
+arrays: those two and the two stage states.  In 2D the face
 values, the interface values, the LLF's strip copies, fluxes and speed
 bounds and the mean face fluxes all hold one strip; two one-row arrays
 carry over from a strip to the next, the east faces of its last
@@ -470,37 +472,42 @@ def ssprk3_step(rhs: Callable[[np.ndarray, float], np.ndarray],
     ``u`` is left untouched.  The stage states and the result are two
     arrays of ``work`` that alternate from step to step, so the result may
     be passed back in as ``u`` of the next step; the array it replaces is
-    overwritten by the step after that.
+    overwritten by the step after that.  Stages 2 and 3 combine in the
+    right-hand side's own output, which the next stage overwrites anyway;
+    only an output that shares memory with the stage's state is copied
+    first.
     """
     if dt <= 0.0:
         raise ValueError(f"time step must be positive, got {dt}")
     state = work.array("rk.state", u.shape)
     if np.may_share_memory(state, u):
         state = work.array("rk.next", u.shape)
-    scratch = work.array("rk.scratch", u.shape)
 
     def stage(index, state, time):
         try:
-            return rhs(state, time)
+            r = rhs(state, time)
         except AdmissibilityError as exc:
             raise SolverAbort(f"RHS failed in SSPRK3 stage {index}: {exc}",
                               time=time, stage=index, cause=exc) from exc
+        return r.copy() if np.may_share_memory(r, state) else r
 
     # u1 = u + dt * L(u)
     np.multiply(stage(1, u, t), dt, out=state)
     np.add(u, state, out=state)
     # u2 = 0.75 * u + 0.25 * (u1 + dt * L(u1))
-    np.multiply(stage(2, state, t + dt), dt, out=scratch)
-    np.add(state, scratch, out=scratch)
-    scratch *= 0.25
+    r = stage(2, state, t + dt)
+    r *= dt
+    np.add(state, r, out=r)
+    r *= 0.25
     np.multiply(u, 0.75, out=state)
-    state += scratch
+    state += r
     # u / 3 + (2/3) * (u2 + dt * L(u2))
-    np.multiply(stage(3, state, t + 0.5 * dt), dt, out=scratch)
-    np.add(state, scratch, out=scratch)
-    scratch *= 2.0 / 3.0
+    r = stage(3, state, t + 0.5 * dt)
+    r *= dt
+    np.add(state, r, out=r)
+    r *= 2.0 / 3.0
     np.divide(u, 3.0, out=state)
-    state += scratch
+    state += r
     return state
 
 

@@ -293,7 +293,14 @@ def flux_reference(model, vals: np.ndarray, axis: int) -> np.ndarray:
         out[..., axis, :] = model.v_values * np.hypot(vals[..., 0, :], vals[..., 1, :])
         return out
     if isinstance(model, PSystem1D):
-        return np.stack([model.pressure(vals[..., 1, :]), -vals[..., 0, :]], axis=-2)
+        # both branches blended by the sign of v - v*, the form that one
+        # power per value replaced
+        v = vals[..., 1, :]
+        s = np.sign(v - model.vstar_values)
+        left = v ** (-model.gamma1)
+        right = v ** (-model.gamma2) + model.delta_values
+        p = 0.5 * (1.0 - s) * left + 0.5 * (1.0 + s) * right
+        return np.stack([p, -vals[..., 0, :]], axis=-2)
     if isinstance(model, Euler2D):
         rho = vals[..., 0, :]
         qa = vals[..., 1 + axis, :]
@@ -308,10 +315,11 @@ def flux_reference(model, vals: np.ndarray, axis: int) -> np.ndarray:
 
 
 def speed_bound_reference(model, vals: np.ndarray, axis: int) -> np.ndarray:
-    """The speed bound at ``vals`` of the three models whose form changed:
+    """The speed bound at ``vals`` of the four models whose form changed:
     both endpoints of the scalar kink's subdifferential, the
-    normal-weighted |nu| + c form of Euler, and the largest |speed| of the
-    stacked families of linear advection."""
+    normal-weighted |nu| + c form of Euler, the largest |speed| of the
+    stacked families of linear advection, and both p-system branches
+    selected by the sign of v - v*."""
     if isinstance(model, LinearAdvection):
         normal = [0.0] * model.space_dim
         normal[axis] = 1.0
@@ -327,6 +335,12 @@ def speed_bound_reference(model, vals: np.ndarray, axis: int) -> np.ndarray:
         nu = (normal[0] * vals[..., 1, :] + normal[1] * vals[..., 2, :]) / rho
         c = np.sqrt(model.gamma) * rho ** ((model.gamma - 1.0) / 2.0)
         return np.abs(nu) + c
+    if isinstance(model, PSystem1D):
+        v = vals[..., 1, :]
+        s = np.sign(v - model.vstar_values)
+        c1 = np.sqrt(model.gamma1 * v ** (-model.gamma1 - 1.0))
+        c2 = np.sqrt(model.gamma2 * v ** (-model.gamma2 - 1.0))
+        return np.where(s < 0, c1, np.where(s > 0, c2, np.maximum(c1, c2)))
     raise TypeError(f"no speed-bound oracle for {model.name}")
 
 

@@ -333,6 +333,20 @@ def test_cli_bad_config_exit_code(tmp_path):
     assert main(["run", "--config", cfg, "--level-sweep", "0..13"]) == 2
 
 
+def test_negative_seed_is_a_config_error_before_the_solve(tmp_path):
+    text = ("[run]\npreset = euler-box\nt_final = 0.01\nseed = -1\n"
+            "[basis]\nlevel = 1\n[grid]\nnx = 8\nny = 8\n"
+            "[reference]\nkind = monte-carlo\nsamples = 2\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.key == "run.seed"
+    out = tmp_path / "negative_seed_out"
+    assert main(["run", "--config", _write_config(tmp_path, text), "--out", str(out)]) == 2
+    cfg = _write_config(tmp_path, text.replace("seed = -1", "seed = 3"))
+    assert main(["run", "--config", cfg, "--out", str(out), "--seed", "-1"]) == 2
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("preset, run, grid, key", [
     ("scalar-oleinik", "t_final = nan", "", "run.t_final"),
     ("scalar-oleinik", "t_final = inf", "", "run.t_final"),
@@ -470,6 +484,24 @@ def test_cli_reference_exact(tmp_path):
     out = str(tmp_path / "ref_out")
     assert main(["reference", "--config", cfg, "--out", out]) == 0
     assert os.path.exists(os.path.join(out, "reference_exact.csv"))
+
+
+def test_cli_reference_exact_writes_the_per_point_values(tmp_path):
+    """The exact reference is evaluated once on the (x, xi) grid; the CSV is
+    the one that a call per point writes."""
+    from haarsg import build_classical_haar
+    from haarsg.output import write_table_csv
+    from haarsg.reference import exact_scalar
+    text = FULL.replace("nx = 40", "nx = 12")
+    out = tmp_path / "ref_grid_out"
+    assert main(["reference", "--config", _write_config(tmp_path, text), "--out", str(out)]) == 0
+    xs = build_grid(parse_config(text)).x_centers
+    nodes = build_classical_haar(1).cell_midpoints()
+    expected = tmp_path / "per_point.csv"
+    write_table_csv(str(expected), ["x", "xi", "value"],
+                    ([float(x), float(xi), float(exact_scalar(0.1, x, xi))]
+                     for x in xs for xi in nodes))
+    assert (out / "reference_exact.csv").read_bytes() == expected.read_bytes()
 
 
 def test_cli_reference_at_time_zero_writes_the_initial_data(tmp_path):

@@ -11,8 +11,10 @@ from solver_reference import flux_reference, new_flux, new_speed_bound, speed_bo
 from test_basis import ALL_BASES
 
 from haarsg import (AdmissibilityError, Euler2D, Grid, LevelSet2D, PSystem1D,
-                    ScalarLipschitz, build_classical_haar, build_dct, build_tensors,
-                    from_spectrum, get_preset, initial_data, project, to_spectrum)
+                    ScalarLipschitz, SemiDiscreteSystem, build_classical_haar, build_dct,
+                    build_tensors, from_spectrum, get_preset, initial_data, project,
+                    to_spectrum)
+from haarsg.workspace import Workspace
 
 T0 = build_tensors(build_classical_haar(0))
 T2 = build_tensors(build_classical_haar(2))
@@ -258,6 +260,50 @@ def test_advection_speed_bound_matches_the_stacked_speeds_form(speed, shape):
     for axis in range(model.space_dim):
         expected = speed_bound_reference(model, vals, axis)
         assert np.array_equal(new_speed_bound(model, vals, axis), expected)
+
+
+@MAP_SETTINGS
+@given(arrays(np.float64, (4, 8), elements=st.floats(1e-3, 1e3)))
+def test_psystem_one_power_per_value_matches_the_sign_blend(v):
+    # kinks on both sides of v = 1.25**3, where the larger one-sided sound
+    # speed changes branch, and far enough from 1 that the pressure blend
+    # at a kink is not its left branch
+    model = PSystem1D(vstar_values=np.geomspace(0.01, 100.0, 8))
+    vs = model.vstar_values
+    v = np.concatenate([v, [np.nextafter(vs, 0.0), vs, np.nextafter(vs, np.inf)]])
+    vals = np.stack([np.zeros_like(v), v], axis=-2)
+    assert np.array_equal(new_flux(model, vals, 0), flux_reference(model, vals, 0))
+    assert np.array_equal(new_speed_bound(model, vals, 0), speed_bound_reference(model, vals, 0))
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.5])
+def test_psystem_maps_never_see_a_non_positive_volume(monkeypatch, bad):
+    """``check_admissible_values`` runs on every value array before the
+    p-system's maps, which would raise 0 or a negative v to a negative
+    power."""
+    seen = []
+    for name in ("values_flux", "values_speed_bound"):
+        def spy(self, vals, axis, out, mapped=getattr(PSystem1D, name)):
+            seen.append(vals[..., 1, :].min())
+            return mapped(self, vals, axis, out)
+        monkeypatch.setattr(PSystem1D, name, spy)
+    preset = get_preset("psystem-riemann")
+    grid = Grid(nx=64, x_bounds=preset.domain[0])
+    xi = np.linspace(0.05, 0.95, 4)
+    system = SemiDiscreteSystem(preset.batch_model(xi), grid)
+    data = preset.det_initial(xi, grid)
+    system.compute_dt(data, 0.45, Workspace())
+    system.rhs(data, 0.0, Workspace())
+    assert seen and min(seen) > 0.0
+    seen.clear()
+    data[40, 1, 2] = bad
+    with pytest.raises(AdmissibilityError):
+        system.compute_dt(data, 0.45, Workspace())
+    try:  # the maps see interface values, which the reconstruction may keep positive
+        system.rhs(data, 0.0, Workspace())
+    except AdmissibilityError:
+        pass
+    assert all(low > 0.0 for low in seen)
 
 
 #: the field of each preset's model that holds its random parameter

@@ -128,7 +128,7 @@ def _configs(kind: str, preset: str):
         st.tuples(grid_bounds(domain[0]), grid_bounds(domain[1])),
         t_final=st.none() | st.floats(0.0, 10.0),
         cfl=st.floats(0.01, 0.99),
-        seed=st.integers(-2 ** 40, 2 ** 40),
+        seed=st.integers(0, 2 ** 40),
         nx=st.none() | st.integers(8, 10 ** 5),
         ny=st.none() | st.integers(8, 10 ** 5),
         boundary=st.none() | st.sampled_from(BOUNDARY_NAMES),

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,7 +13,7 @@ from haarsg import (ExactScalarReference, Grid, GpcField, build_classical_haar,
                     mse, parse_config, collocation_reference, SemiDiscreteSystem, advance)
 from haarsg import reference
 from haarsg.experiments import build_grid
-from haarsg.reference import solve_deterministic_batch
+from haarsg.reference import _uniform_samples, solve_deterministic_batch
 
 T2 = build_tensors(build_classical_haar(2))
 
@@ -194,6 +200,43 @@ def test_monte_carlo_reproducible_and_thread_invariant(monkeypatch):
     assert np.array_equal(a.minimum, b.minimum)
     c = monte_carlo_reference(preset, 6, grid, 0.05, seed=43, cfl=0.45)
     assert not np.array_equal(a.mean, c.mean)
+
+
+@pytest.mark.parametrize("n", [1, 8, 200])
+def test_uniform_samples_match_numpy_default_generator(n):
+    for seed in list(range(300)) + [2**32, 2**64 + 5, 2**200]:
+        expected = np.random.default_rng(seed).uniform(0.0, 1.0, n)
+        assert np.array_equal(_uniform_samples(seed, n), expected), seed
+
+
+def test_uniform_samples_of_seed_zero():
+    assert _uniform_samples(0, 4).tolist() == [
+        0.6369616873214543, 0.2697867137638703, 0.04097352393619469, 0.016527635528529094]
+
+
+def test_uniform_samples_reject_a_negative_seed():
+    with pytest.raises(ValueError, match="non-negative"):
+        _uniform_samples(-1, 3)
+
+
+def test_monte_carlo_run_does_not_import_numpy_random():
+    """A fresh process: this one imports ``numpy.random`` through other tests."""
+    script = textwrap.dedent(r"""
+        import sys
+        from haarsg import parse_config
+        from haarsg.experiments import run_experiment
+        config = parse_config("[run]\npreset = euler-box\nt_final = 0.01\n"
+                              "[basis]\nlevel = 1\n[grid]\nnx = 8\nny = 8\n"
+                              "[reference]\nkind = monte-carlo\nsamples = 2\n")
+        result = run_experiment(config, write_outputs=False)
+        assert result.reference.failed == 0
+        print("numpy.random" in sys.modules)
+        """)
+    src = str(Path(reference.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_l1_distance_self_is_small():

@@ -13,7 +13,7 @@ from solver_reference import (SourcedSystem, edges_reference, preset_grid, rhs_r
 
 from haarsg import (Grid, GpcField, SemiDiscreteSystem, advance,
                     build_classical_haar, build_tensors, parse_config, ssprk3_step)
-from haarsg import cweno
+from haarsg import cweno, solver
 from haarsg.cweno import cweno3_edges
 from haarsg.experiments import run_level_sweep
 from haarsg.models import PRESETS, get_preset, initial_data
@@ -40,6 +40,20 @@ def _preset_system(name: str, coupled: bool, level: int = 3, nx: int | None = No
     xi = np.linspace(0.05, 0.95, 7)
     system = SemiDiscreteSystem(preset.batch_model(xi), grid)
     return system, GpcField(grid, preset.det_initial(xi, grid), 0.0)
+
+
+def _euler_100(coupled: bool):
+    """The 100x100 Euler system at level 2, or its batch at 8 samples, and
+    its initial state."""
+    preset = get_preset("euler-box")
+    grid = preset_grid(preset, nx=100, ny=100)
+    if coupled:
+        tensors = build_tensors(build_classical_haar(2))
+        model = preset.galerkin_model(tensors)
+        system = SemiDiscreteSystem(model, grid, tensors=tensors)
+        return system, initial_data(model, preset, tensors, grid).data
+    xi = np.linspace(0.05, 0.95, 8)
+    return SemiDiscreteSystem(preset.batch_model(xi), grid), preset.det_initial(xi, grid)
 
 
 def _advance_steps(system, field, steps: int) -> list[np.ndarray]:
@@ -88,9 +102,9 @@ def test_edges_match_allocating_oracle(trailing):
 def test_batch_maps_no_arrays_for_transformed_values():
     """A deterministic batch has no transform, so its right-hand side and
     time step map no work array for transformed values.  On the 48x40 Euler
-    batch of 7 samples the workspace then maps 14.7 field sizes (19.9 with
-    full-size face values); with those three arrays and the full-size 2D
-    divergence arrays it mapped 26.2."""
+    batch of 7 samples the workspace then maps 14.7 field sizes; at this
+    size one strip holds 17 of the 50 reconstructed rows, so the strip's
+    face values alone are 3.2 of them."""
     system, field = _preset_system("euler-box", coupled=False)
     work = Workspace()
     system.rhs(field.data, 0.0, work)
@@ -182,17 +196,7 @@ def test_second_euler_rhs_allocates_at_most_two_strips(coupled):
     at level 2 (or its 8-sample batch) allocates only strip-sized
     temporaries of the model maps: the LLF's interface values, fluxes and
     their combination are work arrays."""
-    preset = get_preset("euler-box")
-    grid = preset_grid(preset, nx=100, ny=100)
-    if coupled:
-        tensors = build_tensors(build_classical_haar(2))
-        model = preset.galerkin_model(tensors)
-        system = SemiDiscreteSystem(model, grid, tensors=tensors)
-        data = initial_data(model, preset, tensors, grid).data
-    else:
-        xi = np.linspace(0.05, 0.95, 8)
-        system = SemiDiscreteSystem(preset.batch_model(xi), grid)
-        data = preset.det_initial(xi, grid)
+    system, data = _euler_100(coupled)
     work = Workspace()
     system.rhs(data, 0.0, work)
     tracemalloc.start()
@@ -211,23 +215,30 @@ def test_euler_step_maps_at_most_eight_field_sizes(coupled):
     or interface array is larger than a strip, and ``compute_dt`` maps only
     strip-sized values and speed bounds.  On the 100x100 Euler system at
     level 2 (or its 8-sample batch), two SSPRK3 steps then map the padded
-    state, the divergence and the three stage states besides strips: 7.5
-    (7.2) field sizes here, against 19.9 (14.9) when the face values, the
-    interface values and the time step's values were full size."""
-    preset = get_preset("euler-box")
-    grid = preset_grid(preset, nx=100, ny=100)
-    if coupled:
-        tensors = build_tensors(build_classical_haar(2))
-        model = preset.galerkin_model(tensors)
-        system = SemiDiscreteSystem(model, grid, tensors=tensors)
-        data = initial_data(model, preset, tensors, grid).data
-    else:
-        xi = np.linspace(0.05, 0.95, 8)
-        system = SemiDiscreteSystem(preset.batch_model(xi), grid)
-        data = preset.det_initial(xi, grid)
+    state, the divergence and the two stage states besides strips: 6.5
+    (6.2) field sizes here, against 19.9 (14.9) when the face values, the
+    interface values and the time step's values were full size and a third
+    stage state was kept."""
+    system, data = _euler_100(coupled)
     work = Workspace()
     rhs = functools.partial(system.rhs, work=work)
     dt = system.compute_dt(data, CFL, work)
     ssprk3_step(rhs, ssprk3_step(rhs, data, 0.0, dt, work), dt, dt, work)
     mapped = sum(buf.nbytes for buf in work._buffers.values())
     assert mapped <= 8 * data.nbytes
+
+
+@pytest.mark.parametrize("coupled", [True, False], ids=["galerkin", "batch"])
+def test_advance_maps_four_full_size_arrays(monkeypatch, coupled):
+    """After steps of the 100x100 Euler system at level 2 (or its 8-sample
+    batch), the workspace's only arrays of a field size or more are the
+    padded state, the divergence and the two stage states: SSPRK3 combines
+    its stages in the right-hand side's output, with no scratch state."""
+    system, data = _euler_100(coupled)
+    made = []
+    monkeypatch.setattr(solver, "Workspace", lambda: made.append(Workspace()) or made[-1])
+    _advance_steps(system, GpcField(system.grid, data, 0.0), 2)
+    buffers = made[0]._buffers
+    full = {name for name, buf in buffers.items() if buf.nbytes >= data.nbytes}
+    assert full == {"ghosts", "rhs", "rk.state", "rk.next"}
+    assert "rk.scratch" not in buffers
