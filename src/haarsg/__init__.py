@@ -4,12 +4,12 @@ The package provides wavelet bases with a shared constant eigenvector frame,
 the spectral transforms and projection of that frame, four model systems
 given as pointwise maps on realization values (flux, speed bound,
 admissibility) that the shared frame turns into their intrusive
-formulations, experiment presets that define each model once, a third-order
-CWENO/SSPRK3 finite-volume solver, reference solutions, and the experiment
-CLI.  The closed-form nonlinear gPC operations (Galerkin product, powers,
-roots, |u|, p-norms, moments) are the same spectrum map with a fixed
-function; no run calls them, so they live in ``tests/galerkin_reference.py``
-as test oracles.
+formulations, experiment presets that define each model and its initial
+data once, a third-order CWENO/SSPRK3 finite-volume solver, reference
+solutions, and the experiment CLI.  The closed-form nonlinear gPC
+operations (Galerkin product, powers, roots, |u|, p-norms, moments) are
+the same spectrum map with a fixed function; no run calls them, so they
+live in ``tests/galerkin_reference.py`` as test oracles.
 """
 
 from .basis import (BasisKind, HaarTypeBasis, build_canonical_haar,

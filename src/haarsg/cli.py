@@ -198,6 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", required=True, help="path to a run configuration")
         p.add_argument("--out", help="output directory (overrides the config)")
+
+    def solving(p):
+        common(p)
         p.add_argument("--seed", type=int, help="seed override")
         p.add_argument("--threads", type=int, default=1,
                        help="worker threads for sweeps and sampling")
@@ -213,12 +216,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_proj.set_defaults(func=_cmd_project)
 
     p_run = sub.add_parser("run", help="run a full experiment")
-    common(p_run)
+    solving(p_run)
     p_run.add_argument("--level-sweep", help="run levels J0..J1 and tabulate errors")
     p_run.set_defaults(func=_cmd_run)
 
     p_ref = sub.add_parser("reference", help="build and dump a reference solution")
-    common(p_ref)
+    solving(p_ref)
     p_ref.set_defaults(func=_cmd_reference)
 
     p_mse = sub.add_parser("mse", help="compare a field CSV against a reference")

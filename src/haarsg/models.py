@@ -29,6 +29,10 @@ through the same operations in the same order wherever it sits in memory.
 So any memory layout of ``vals`` and ``out`` gives the same bits; the
 solver's LLF passes views laid out (components, ..., m), in which every
 component slice is contiguous.
+
+Each experiment preset defines its initial data u0(x, xi) once, as one
+``pieces(grid)`` function that the SG solve and the deterministic batches
+both read (see :class:`ExperimentPreset`).
 """
 
 from __future__ import annotations
@@ -265,6 +269,13 @@ class ExperimentPreset:
     the parameter on the spectrum of its basis (:meth:`galerkin_model`), a
     deterministic batch at its samples (:meth:`batch_model`).
 
+    The initial data is defined once too.  ``pieces(grid)`` returns the
+    index of each grid cell's piece, shaped like the grid, and a table that
+    holds per piece and per component either a float constant or a pair
+    (function of xi, breakpoints of its jumps in xi).  The SG solve
+    projects each piece once (:meth:`galerkin_initial`), a deterministic
+    batch evaluates it at its samples (:meth:`det_initial`).
+
     ``qoi_component`` is the state component that errors and Monte Carlo
     envelopes are measured on.
     """
@@ -281,8 +292,7 @@ class ExperimentPreset:
     qoi_component: int = 0
     model: Callable[..., ModelSystem] = None
     parameter: Callable[[np.ndarray], np.ndarray] | None = None
-    galerkin_initial: Callable = None
-    det_initial: Callable = None
+    pieces: Callable[..., tuple[np.ndarray, list[tuple]]] = None
 
     def galerkin_model(self, t: GalerkinTensor) -> ModelSystem:
         """The model of the SG solve in the basis of ``t``."""
@@ -296,66 +306,54 @@ class ExperimentPreset:
             return self.model()
         return self.model(self.parameter(np.asarray(xi)))
 
+    def galerkin_initial(self, t: GalerkinTensor, grid) -> np.ndarray:
+        """Initial modes in the basis of ``t``, shape (cells..., components,
+        K+1): ``constant_modes`` of a constant, ``project`` of a function."""
+        index, table = self.pieces(grid)
+        modes = np.array([[constant_modes(t, p) if isinstance(p, float) else project(t, *p)
+                           for p in piece] for piece in table])
+        return modes[index]
 
-def _scalar_initial(t: GalerkinTensor, xs: np.ndarray) -> np.ndarray:
-    out = np.empty((xs.size, 1, t.size))
-    for i, x in enumerate(xs):
-        brk = x + 0.5
-        bps = (brk,) if 0.0 < brk < 1.0 else ()
-        out[i, 0] = project(t, lambda xi: np.sign(x - (xi - 0.5)), breakpoints=bps)
-    return out
-
-
-def _scalar_det_initial(xi: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    return np.sign(xs[:, None] - (xi[None, :] - 0.5))[:, None, :]
-
-
-def _box_mask(xs, ys, half_width):
-    return (np.abs(xs)[:, None] <= half_width) & (np.abs(ys)[None, :] <= half_width)
-
-
-def _levelset_initial(t: GalerkinTensor, xs, ys) -> np.ndarray:
-    inside = _box_mask(xs, ys, 2.0)
-    out = np.zeros((xs.size, ys.size, 2, t.size))
-    out[..., 0, :] = np.where(inside, 1.0, -1.0)[..., None] * constant_modes(t, 1.0)
-    return out
+    def det_initial(self, xi: np.ndarray, grid) -> np.ndarray:
+        """Initial values at the samples ``xi``, shape (cells...,
+        components, len(xi))."""
+        xi = np.asarray(xi)
+        index, table = self.pieces(grid)
+        values = np.array([[np.full(xi.shape, p) if isinstance(p, float) else p[0](xi)
+                            for p in piece] for piece in table])
+        return values[index]
 
 
-def _levelset_det_initial(xi: np.ndarray, xs, ys) -> np.ndarray:
-    inside = _box_mask(xs, ys, 2.0)
-    out = np.zeros((xs.size, ys.size, 2, xi.size))
-    out[..., 0, :] = np.where(inside, 1.0, -1.0)[..., None]
-    return out
+def _flat(value: float):
+    return lambda xi: np.full(np.shape(xi), value)
 
 
-def _euler_initial(t: GalerkinTensor, xs, ys) -> np.ndarray:
-    inside = _box_mask(xs, ys, 1.0)
-    rho_in = project(t, lambda xi: 2.0 + xi)
-    rho_out = constant_modes(t, 1.0)
-    out = np.zeros((xs.size, ys.size, 3, t.size))
-    out[..., 0, :] = np.where(inside[..., None], rho_in, rho_out)
-    return out
+def _scalar_pieces(grid):
+    # u0 = sign(x - (xi - 1/2)) jumps at xi = x + 1/2.  A cell with its jump
+    # in [0, 1) is a piece of its own (at a jump of exactly 0, u0 is 0 at
+    # xi = 0).  Left of those cells u0 is -1 on all of [0, 1), right of them
+    # +1, and each side shares one piece.  These are projected like the
+    # cells' own functions, which take exactly -1 or +1 at every projection
+    # node, so the grouping changes no bit.
+    xs = grid.x_centers
+    jump = xs + 0.5
+    own = (0.0 <= jump) & (jump < 1.0)
+    index = np.where(jump < 0.0, 0, 1)
+    index[own] = 2 + np.arange(np.count_nonzero(own))
+    table = [((_flat(-1.0), ()),), ((_flat(1.0), ()),)]
+    table += [((lambda xi, x=x: np.sign(x - (xi - 0.5)), (b,)),)
+              for x, b in zip(xs[own], jump[own])]
+    return index, table
 
 
-def _euler_det_initial(xi: np.ndarray, xs, ys) -> np.ndarray:
-    inside = _box_mask(xs, ys, 1.0)
-    out = np.zeros((xs.size, ys.size, 3, xi.size))
-    out[..., 0, :] = np.where(inside[..., None], 2.0 + xi, 1.0)
-    return out
-
-
-def _psystem_initial(t: GalerkinTensor, xs) -> np.ndarray:
-    out = np.zeros((xs.size, 2, t.size))
-    vleft = constant_modes(t, 1.0)
-    vright = constant_modes(t, 3.0)
-    out[:, 1, :] = np.where(xs[:, None] < 0.0, vleft, vright)
-    return out
-
-
-def _psystem_det_initial(xi: np.ndarray, xs) -> np.ndarray:
-    out = np.zeros((xs.size, 2, xi.size))
-    out[:, 1, :] = np.where(xs[:, None] < 0.0, 1.0, 3.0)
-    return out
+def _box_pieces(half_width: float, inside: tuple, outside: tuple):
+    """Pieces of 2D data that is ``inside`` on the box |x|, |y| <= half_width
+    and ``outside`` elsewhere."""
+    def pieces(grid):
+        xs, ys = grid.x_centers, grid.y_centers
+        box = (np.abs(xs)[:, None] <= half_width) & (np.abs(ys)[None, :] <= half_width)
+        return np.where(box, 0, 1), [inside, outside]
+    return pieces
 
 
 def _levelset_speed(xi):
@@ -370,31 +368,25 @@ PRESETS: dict[str, ExperimentPreset] = {
     "scalar-oleinik": ExperimentPreset(
         name="scalar-oleinik", space_dim=1, components=1,
         domain=((-2.0, 2.0),), nx=400, t_final=0.2, reference="exact",
-        model=ScalarLipschitz,
-        galerkin_initial=lambda t, grid: _scalar_initial(t, grid.x_centers),
-        det_initial=lambda xi, grid: _scalar_det_initial(xi, grid.x_centers)),
+        model=ScalarLipschitz, pieces=_scalar_pieces),
     "levelset-box": ExperimentPreset(
         name="levelset-box", space_dim=2, components=2,
         domain=((-4.0, 4.0), (-4.0, 4.0)), nx=100, ny=100, t_final=1.0, reference="none",
         model=lambda v: LevelSet2D(v_values=v), parameter=_levelset_speed,
-        galerkin_initial=lambda t, grid: _levelset_initial(t, grid.x_centers, grid.y_centers),
-        det_initial=lambda xi, grid: _levelset_det_initial(np.asarray(xi), grid.x_centers,
-                                                           grid.y_centers)),
+        pieces=_box_pieces(2.0, inside=(1.0, 0.0), outside=(-1.0, 0.0))),
     "psystem-riemann": ExperimentPreset(
         name="psystem-riemann", space_dim=1, components=2,
         domain=((-3.0, 3.0),), nx=400, t_final=1.0, reference="collocation",
         qoi_component=1,  # specific volume: the pressure kink sits at v = v*
         model=lambda vstar: PSystem1D(vstar_values=vstar), parameter=_psystem_vstar,
-        galerkin_initial=lambda t, grid: _psystem_initial(t, grid.x_centers),
-        det_initial=lambda xi, grid: _psystem_det_initial(np.asarray(xi), grid.x_centers)),
+        pieces=lambda grid: (np.where(grid.x_centers < 0.0, 0, 1), [(0.0, 1.0), (0.0, 3.0)])),
     "euler-box": ExperimentPreset(
         name="euler-box", space_dim=2, components=3,
         domain=((-2.0, 2.0), (-2.0, 2.0)), nx=100, ny=100, t_final=0.5,
         reference="monte-carlo",
         model=Euler2D,
-        galerkin_initial=lambda t, grid: _euler_initial(t, grid.x_centers, grid.y_centers),
-        det_initial=lambda xi, grid: _euler_det_initial(np.asarray(xi), grid.x_centers,
-                                                        grid.y_centers)),
+        pieces=_box_pieces(1.0, inside=((lambda xi: 2.0 + xi, ()), 0.0, 0.0),
+                           outside=(1.0, 0.0, 0.0))),
 }
 
 
@@ -408,8 +400,8 @@ def get_preset(name: str) -> ExperimentPreset:
 
 def initial_data(model, preset: ExperimentPreset, t: GalerkinTensor, grid):
     """Galerkin initial field of the preset: its xi-dependent initial data
-    projected onto the basis of ``t`` (one ``project`` call per x cell for
-    the scalar preset)."""
+    projected onto the basis of ``t``, with one ``project`` call per
+    distinct piece of :meth:`ExperimentPreset.pieces`, not per cell."""
     from .solver import GpcField
     if preset.space_dim != grid.space_dim:
         raise ValueError(f"preset {preset.name} needs a {preset.space_dim}D grid")

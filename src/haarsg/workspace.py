@@ -24,9 +24,9 @@ class Workspace:
     """Named work arrays, allocated on first use and reused after that.
 
     ``array(name, shape)`` is a view of the first elements of one flat
-    buffer per name, which grows when a request does not fit, so a name
-    serves requests of different shapes (the x and y faces of a 2D grid,
-    the ragged last strip) without allocating again.  The contents are
+    float64 buffer per name, which grows when a request does not fit, so a
+    name serves requests of different shapes (the x and y faces of a 2D
+    grid, the ragged last strip) without allocating again.  The contents are
     valid only until the next request for the same name.
 
     Each buffer is an anonymous memory map of its own, so its pages leave
@@ -39,11 +39,10 @@ class Workspace:
     def __init__(self):
         self._buffers: dict[str, np.ndarray] = {}
 
-    def array(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
+    def array(self, name: str, shape: tuple) -> np.ndarray:
         size = math.prod(shape)
         buf = self._buffers.get(name)
-        if buf is None or buf.size < size or buf.dtype != dtype:
-            dtype = np.dtype(dtype)
-            pages = mmap.mmap(-1, max(size * dtype.itemsize, 1))
-            buf = self._buffers[name] = np.frombuffer(pages, dtype, count=size)
+        if buf is None or buf.size < size:
+            pages = mmap.mmap(-1, max(8 * size, 1))  # 8 bytes per float64
+            buf = self._buffers[name] = np.frombuffer(pages, np.float64, count=size)
         return buf[:size].reshape(shape)

@@ -11,6 +11,11 @@ spectrum equals the deterministic speeds) compares two independent forms.
 
 ``LinearAdvection`` is a model no preset uses: the smooth, constant-speed
 law on which the order, conservation and time-step tests run.
+
+``INITIAL_ORACLES`` writes each preset's initial data twice, cell by cell:
+once projected for the SG solve and once evaluated for a deterministic
+batch.  The presets define it once, as pieces; these are the oracles that
+both of their readings are compared with.
 """
 
 from dataclasses import dataclass
@@ -18,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 from galerkin_reference import _conjugate
 
-from haarsg.galerkin import from_spectrum, to_spectrum
+from haarsg.galerkin import from_spectrum, project, to_spectrum
 from haarsg.models import (DEGENERATE_NORM_TOL, Euler2D, LevelSet2D, ModelSystem, PSystem1D,
-                           ScalarLipschitz, check_admissible_values)
+                           ScalarLipschitz, check_admissible_values, constant_modes)
 
 
 @dataclass(frozen=True)
@@ -138,3 +143,80 @@ def jacobian(model, t, state, normal) -> np.ndarray:
     normal = normal if np.ndim(normal) else [float(normal)]
     return np.block([[_conjugate(t, np.broadcast_to(d, (t.size,))) for d in row]
                      for row in jacobian_blocks(model, vals, normal)])
+
+
+# ---------------------------------------------------------------------------
+# per-cell initial data of the presets, SG modes and batch values
+
+def scalar_initial(t, xs):
+    out = np.empty((xs.size, 1, t.size))
+    for i, x in enumerate(xs):
+        brk = x + 0.5
+        bps = (brk,) if 0.0 < brk < 1.0 else ()
+        out[i, 0] = project(t, lambda xi: np.sign(x - (xi - 0.5)), breakpoints=bps)
+    return out
+
+
+def scalar_det_initial(xi, xs):
+    return np.sign(xs[:, None] - (xi[None, :] - 0.5))[:, None, :]
+
+
+def box_mask(xs, ys, half_width):
+    return (np.abs(xs)[:, None] <= half_width) & (np.abs(ys)[None, :] <= half_width)
+
+
+def levelset_initial(t, xs, ys):
+    inside = box_mask(xs, ys, 2.0)
+    out = np.zeros((xs.size, ys.size, 2, t.size))
+    out[..., 0, :] = np.where(inside, 1.0, -1.0)[..., None] * constant_modes(t, 1.0)
+    return out
+
+
+def levelset_det_initial(xi, xs, ys):
+    inside = box_mask(xs, ys, 2.0)
+    out = np.zeros((xs.size, ys.size, 2, xi.size))
+    out[..., 0, :] = np.where(inside, 1.0, -1.0)[..., None]
+    return out
+
+
+def euler_initial(t, xs, ys):
+    inside = box_mask(xs, ys, 1.0)
+    rho_in = project(t, lambda xi: 2.0 + xi)
+    rho_out = constant_modes(t, 1.0)
+    out = np.zeros((xs.size, ys.size, 3, t.size))
+    out[..., 0, :] = np.where(inside[..., None], rho_in, rho_out)
+    return out
+
+
+def euler_det_initial(xi, xs, ys):
+    inside = box_mask(xs, ys, 1.0)
+    out = np.zeros((xs.size, ys.size, 3, xi.size))
+    out[..., 0, :] = np.where(inside[..., None], 2.0 + xi, 1.0)
+    return out
+
+
+def psystem_initial(t, xs):
+    out = np.zeros((xs.size, 2, t.size))
+    vleft = constant_modes(t, 1.0)
+    vright = constant_modes(t, 3.0)
+    out[:, 1, :] = np.where(xs[:, None] < 0.0, vleft, vright)
+    return out
+
+
+def psystem_det_initial(xi, xs):
+    out = np.zeros((xs.size, 2, xi.size))
+    out[:, 1, :] = np.where(xs[:, None] < 0.0, 1.0, 3.0)
+    return out
+
+
+#: preset name -> (SG modes from (t, grid), batch values from (xi, grid))
+INITIAL_ORACLES = {
+    "scalar-oleinik": (lambda t, g: scalar_initial(t, g.x_centers),
+                       lambda xi, g: scalar_det_initial(xi, g.x_centers)),
+    "levelset-box": (lambda t, g: levelset_initial(t, g.x_centers, g.y_centers),
+                     lambda xi, g: levelset_det_initial(xi, g.x_centers, g.y_centers)),
+    "psystem-riemann": (lambda t, g: psystem_initial(t, g.x_centers),
+                        lambda xi, g: psystem_det_initial(xi, g.x_centers)),
+    "euler-box": (lambda t, g: euler_initial(t, g.x_centers, g.y_centers),
+                  lambda xi, g: euler_det_initial(xi, g.x_centers, g.y_centers)),
+}

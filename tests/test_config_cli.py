@@ -179,6 +179,21 @@ def test_cli_basis_dump(tmp_path):
     assert os.path.exists(os.path.join(out, "M_003.csv"))
 
 
+@pytest.mark.parametrize("flag", [["--threads", "2"], ["--seed", "3"]])
+@pytest.mark.parametrize("command", [["basis"], ["project", "--expr", "xi"],
+                                     ["mse", "--field", "field.csv"]])
+def test_cli_seed_and_threads_only_where_read(tmp_path, capsys, command, flag):
+    """Only run and reference draw samples or start threads; the other
+    subcommands reject the flags as usage errors (exit 2) before reading
+    the config."""
+    cfg = _write_config(tmp_path, FULL)
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--config", cfg, "--out", str(tmp_path / "out")] + flag)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_project(tmp_path):
     cfg = _write_config(tmp_path, FULL)
     out = str(tmp_path / "proj_out")

@@ -1,19 +1,21 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from model_reference import (LinearAdvection, check_admissible, flux, is_admissible_state,
-                             jacobian, max_wave_speed, values_speeds, wave_speeds)
+from model_reference import (INITIAL_ORACLES, LinearAdvection, check_admissible, flux,
+                             is_admissible_state, jacobian, max_wave_speed, values_speeds,
+                             wave_speeds)
 from solver_reference import flux_reference, new_flux, new_speed_bound, speed_bound_reference
 from test_basis import ALL_BASES
 
 from haarsg import (AdmissibilityError, Euler2D, Grid, LevelSet2D, PSystem1D,
-                    ScalarLipschitz, SemiDiscreteSystem, build_classical_haar, build_dct,
-                    build_tensors, from_spectrum, get_preset, initial_data, project,
-                    to_spectrum)
+                    ScalarLipschitz, SemiDiscreteSystem, build_canonical_haar,
+                    build_classical_haar, build_dct, build_piecewise_linear, build_tensors,
+                    from_spectrum, get_preset, initial_data, project, to_spectrum)
 from haarsg.workspace import Workspace
 
 T0 = build_tensors(build_classical_haar(0))
@@ -366,6 +368,40 @@ def test_initial_data_levelset_deterministic():
     assert np.abs(field.data[..., 1:]).max() < 1e-14  # no details at t = 0
     assert field.data[5, 5, 0, 0] == pytest.approx(1.0)
     assert field.data[0, 0, 0, 0] == pytest.approx(-1.0)
+
+
+ORACLE_BASES = ([(build_classical_haar, j) for j in range(7)]
+                + [(build_dct, n) for n in (2, 3, 8, 100)]
+                + [(build_canonical_haar, n) for n in (2, 7, 128)]
+                + [(build_piecewise_linear, n) for n in (1, 3, 64)])
+ORACLE_XI = np.array([0.0, 0.1, 0.25, 0.5, 0.77, 0.999])
+
+
+@functools.cache
+def _oracle_tensors(build, n):
+    return build_tensors(build(n))
+
+
+@pytest.mark.parametrize("nx", (8, 37, 100, 400))
+@pytest.mark.parametrize("basis", ORACLE_BASES,
+                         ids=lambda b: f"{b[0].__name__.removeprefix('build_')}-{b[1]}")
+@pytest.mark.parametrize("name", sorted(INITIAL_ORACLES))
+def test_initial_data_pieces_match_the_per_cell_oracles(name, basis, nx):
+    """Both readings of a preset's one definition of its initial data equal
+    the per-cell forms bit for bit.  nx = 100 puts a scalar jump exactly at
+    xi = 0 and one exactly at xi = 1; 2D grids have ny != nx."""
+    preset, t = get_preset(name), _oracle_tensors(*basis)
+    (x0, x1), *y_bounds = preset.domain
+    grid = Grid(nx=nx, x_bounds=(x0, x1)) if preset.space_dim == 1 else \
+        Grid(nx=nx, x_bounds=(x0, x1), ny=13, y_bounds=y_bounds[0])
+    galerkin, det = INITIAL_ORACLES[name]
+    modes, expected_modes = preset.galerkin_initial(t, grid), galerkin(t, grid)
+    values, expected_values = preset.det_initial(ORACLE_XI, grid), det(ORACLE_XI, grid)
+    assert np.array_equal(modes, expected_modes)
+    assert np.array_equal(values, expected_values)
+    assert np.array_equal(np.signbit(values), np.signbit(expected_values))
+    if name != "levelset-box":  # its oracle writes -1 * (+0.0) = -0.0 outside the box
+        assert np.array_equal(np.signbit(modes), np.signbit(expected_modes))
 
 
 def test_initial_data_dimension_mismatch():
