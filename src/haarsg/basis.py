@@ -6,7 +6,9 @@ sqrt(K+1), so that (1/sqrt(K+1)) * H is orthogonal.  Row k holds the values
 of the wavelet ``phi_k`` on the K+1 equal subintervals of [0, 1); the
 wavelets are orthonormal under the uniform law.  The piecewise-linear kind
 is the exception: it stores the block eigenvector matrix of its Galerkin
-blocks directly, with orthonormal rows.
+blocks directly, with orthonormal rows.  The four kinds here are those a
+run configuration can name; the tests build their custom matrices in
+``tests/galerkin_reference.py``.
 """
 
 from __future__ import annotations
@@ -30,13 +32,6 @@ class BasisKind(Enum):
     CANONICAL_HAAR = "canonical-haar"
     DCT = "dct"
     PIECEWISE_LINEAR = "piecewise-linear"
-    CUSTOM = "custom"
-
-
-#: kinds whose wavelets are piecewise constant on K+1 equal cells
-PIECEWISE_CONSTANT_KINDS = frozenset(
-    {BasisKind.CLASSICAL_HAAR, BasisKind.CANONICAL_HAAR, BasisKind.DCT, BasisKind.CUSTOM}
-)
 
 
 @dataclass(frozen=True)
@@ -52,19 +47,16 @@ class HaarTypeBasis:
     kind: BasisKind
     size: int
     H: np.ndarray
-    level: int | None = None
     subdomains: int | None = None
 
     @property
-    def normalized(self) -> np.ndarray:
-        """Orthogonal eigenvector matrix Hn (Hn @ Hn.T == I)."""
-        if self.kind is BasisKind.PIECEWISE_LINEAR:
-            return self.H
-        return self.H / math.sqrt(self.size)
+    def is_piecewise_constant(self) -> bool:
+        return self.kind is not BasisKind.PIECEWISE_LINEAR
 
     @property
-    def is_piecewise_constant(self) -> bool:
-        return self.kind in PIECEWISE_CONSTANT_KINDS
+    def cells(self) -> int:
+        """Stochastic cells: the K+1 equal cells, or the N subdomains."""
+        return self.size if self.is_piecewise_constant else self.subdomains
 
     def cell_midpoints(self) -> np.ndarray:
         """Stochastic quadrature points carrying the spectrum values.
@@ -113,17 +105,16 @@ def build_classical_haar(level: int) -> HaarTypeBasis:
     norms = np.sqrt((H * H).sum(axis=1))
     H = H * (math.sqrt(size) / norms)[:, None]
     H += 0.0  # clear negative zeros produced by the recursion
-    return HaarTypeBasis(BasisKind.CLASSICAL_HAAR, size, _freeze(H), level=level)
+    return HaarTypeBasis(BasisKind.CLASSICAL_HAAR, size, _freeze(H))
 
 
-def build_canonical_haar(size: int, block: np.ndarray | None = None) -> HaarTypeBasis:
-    """Canonical Haar matrix H_c, optionally rotated by an orthogonal block.
+def build_canonical_haar(size: int) -> HaarTypeBasis:
+    """Canonical Haar matrix H_c.
 
     Row i >= 1 (1-based) is (0, ..., 0, h_d, h_r, ..., h_r) with h_d in
     column i, where s_i = -(K+1-i), h_r = sqrt((K+1)/(s_i^2 - s_i)) and
     h_d = s_i h_r.  The denominator s_i^2 - s_i is what row orthogonality
-    against the all-ones row forces.  ``block`` is the optional orthogonal
-    K x K matrix applied to the wavelet rows.
+    against the all-ones row forces.
     """
     if size < 2:
         raise BasisError(f"canonical Haar size must be >= 2, got {size}")
@@ -134,13 +125,6 @@ def build_canonical_haar(size: int, block: np.ndarray | None = None) -> HaarType
         H[i, :i - 1] = 0.0
         H[i, i - 1] = s * hr
         H[i, i:] = hr
-    if block is not None:
-        block = np.asarray(block, dtype=float)
-        if block.shape != (size - 1, size - 1):
-            raise BasisError(f"orthogonal block must be {size - 1}x{size - 1}")
-        if np.abs(block @ block.T - np.eye(size - 1)).max() > ORTHOGONALITY_TOL:
-            raise BasisError("supplied block is not orthogonal")
-        H[1:] = block @ H[1:]
     _check_rows(H, size)
     return HaarTypeBasis(BasisKind.CANONICAL_HAAR, size, _freeze(H))
 
@@ -175,23 +159,6 @@ def build_piecewise_linear(subdomains: int) -> HaarTypeBasis:
     H = np.kron(np.eye(subdomains), v)
     return HaarTypeBasis(BasisKind.PIECEWISE_LINEAR, 2 * subdomains, _freeze(H),
                          subdomains=subdomains)
-
-
-def custom_basis(H: np.ndarray) -> HaarTypeBasis:
-    """Wrap a user matrix as a piecewise-constant Haar-type basis.
-
-    The matrix must have an all-ones first row and orthogonal rows of norm
-    sqrt(K+1).  These row checks suffice: every Galerkin matrix of the basis
-    is then diagonal in the frame H / sqrt(K+1), so they all commute.
-    """
-    H = np.asarray(H, dtype=float)
-    if H.ndim != 2 or H.shape[0] != H.shape[1] or H.shape[0] < 2:
-        raise BasisError("custom basis must be a square matrix of size >= 2")
-    size = H.shape[0]
-    if np.abs(H[0] - 1.0).max() > ORTHOGONALITY_TOL:
-        raise BasisError("custom basis must have an all-ones first row")
-    _check_rows(H, size)
-    return HaarTypeBasis(BasisKind.CUSTOM, size, _freeze(H))
 
 
 def evaluate_wavelet(basis: HaarTypeBasis, k: int, xi) -> float | np.ndarray:

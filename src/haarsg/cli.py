@@ -1,10 +1,11 @@
 """Command-line interface.
 
-Subcommands: ``basis`` (dump matrices/tensors), ``project`` (project an
-initial-data expression), ``run`` (full experiment, optionally a level
-sweep), ``reference`` (build and dump a reference), ``mse`` (compare a field
-CSV against a reference).  Exit codes: 0 success, 2 configuration error,
-3 solver abort, 4 I/O error.
+Subcommands: ``basis`` (dump ``H`` and the eigenframe maps ``eig_map`` and
+``eig_inv``; each Galerkin matrix is M_k = (eig_inv * eig_map[:, k]) @ eig_map),
+``project`` (project an initial-data expression), ``run`` (full experiment,
+optionally a level sweep), ``reference`` (build and dump a reference), ``mse``
+(compare a field CSV against a reference).  Exit codes: 0 success, 2
+configuration error, 3 solver abort, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .config import parse_config, validate_config
 from .errors import ConfigError, SolverAbort
 from .experiments import (build_basis, build_grid, build_reference, reference_kind,
                           run_experiment, run_level_sweep)
-from .galerkin import build_tensors, galerkin_matrix, project
+from .galerkin import build_tensors, project
 from .models import get_preset
 from .reference import CollocationReference, ExactScalarReference, mse
 from .solver import GpcField
@@ -56,14 +57,12 @@ def _apply_overrides(config, args):
 
 def _cmd_basis(args) -> int:
     config = _apply_overrides(_load_config(args.config), args)
-    basis = build_basis(config)
-    tensors = build_tensors(basis)
+    tensors = build_tensors(build_basis(config))
     out_dir = config.out_dir
-    output.write_matrix_csv(basis.H, os.path.join(out_dir, "H.csv"))
-    for k, e_k in enumerate(np.eye(tensors.size)):
-        output.write_matrix_csv(galerkin_matrix(tensors, e_k),
-                                os.path.join(out_dir, f"M_{k:03d}.csv"))
-    print(f"wrote H.csv and {tensors.size} tensor matrices to {out_dir}")
+    for name, matrix in (("H", tensors.basis.H), ("eig_map", tensors.eig_map),
+                         ("eig_inv", tensors.eig_inv)):
+        output.write_matrix_csv(matrix, os.path.join(out_dir, f"{name}.csv"))
+    print(f"wrote H.csv, eig_map.csv and eig_inv.csv to {out_dir}")
     return 0
 
 
@@ -205,7 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threads", type=int, default=1,
                        help="worker threads for sweeps and sampling")
 
-    p_basis = sub.add_parser("basis", help="dump H and the Galerkin tensors as CSV")
+    p_basis = sub.add_parser("basis", help="dump H and the eigenframe maps eig_map, "
+                             "eig_inv as CSV")
     common(p_basis)
     p_basis.set_defaults(func=_cmd_basis)
 

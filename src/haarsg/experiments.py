@@ -40,13 +40,12 @@ def build_grid(config: RunConfig) -> Grid:
                 config.x_max if config.x_max is not None else x1)
     boundary = config.boundary or preset.boundary
     if preset.space_dim == 1:
-        return Grid(nx=config.nx or preset.nx, x_bounds=x_bounds, boundary_x=boundary)
+        return Grid(nx=config.nx or preset.nx, x_bounds=x_bounds, boundary=boundary)
     (y0, y1) = preset.domain[1]
     y_bounds = (config.y_min if config.y_min is not None else y0,
                 config.y_max if config.y_max is not None else y1)
     return Grid(nx=config.nx or preset.nx, x_bounds=x_bounds,
-                ny=config.ny or preset.ny, y_bounds=y_bounds,
-                boundary_x=boundary, boundary_y=boundary)
+                ny=config.ny or preset.ny, y_bounds=y_bounds, boundary=boundary)
 
 
 def reference_kind(config: RunConfig) -> str:

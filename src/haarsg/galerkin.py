@@ -34,9 +34,9 @@ class GalerkinTensor:
 
     ``eig_map`` is the linear map modes -> spectrum (eigenvalues of P,
     indexed by stochastic cell) and ``eig_inv`` its closed-form inverse.
-    The Galerkin matrix of any mode vector follows from these as
-    Hn diag(eig_map u) Hn.T, with Hn the orthogonal eigenvector matrix
-    ``basis.normalized``, so the (K+1)^3 triple products are never stored.
+    The Galerkin matrix of any mode vector u follows from these as
+    eig_inv diag(eig_map u) eig_map, and M_k is that matrix for the unit
+    vector e_k, so the (K+1)^3 triple products are never stored.
     """
 
     basis: HaarTypeBasis
@@ -51,13 +51,13 @@ class GalerkinTensor:
 def build_tensors(basis: HaarTypeBasis) -> GalerkinTensor:
     """Assemble the eigenframe of a basis in O((K+1)^2) memory.
 
-    Piecewise-constant kinds (custom included) have M_k = Hn diag(H[k]) Hn.T,
+    Piecewise-constant kinds have M_k = Hn diag(H[k]) Hn.T with Hn = H / sqrt(K+1),
     so every M_k is diagonalized by the same orthogonal Hn and the spectrum
     of P(u) is H.T u, the realizations on the stochastic cells.  The
     piecewise-linear kind has one 2x2 block sqrt(N) [[a, b], [b, a]] per
     subdomain, all diagonalized by the block eigenvectors (1, +-1)/sqrt(2).
-    Commutation therefore holds by construction for every basis that passes
-    the row checks of :mod:`haarsg.basis`.
+    Commutation therefore holds by construction for every basis of
+    :mod:`haarsg.basis`.
     """
     n = basis.size
     if basis.is_piecewise_constant:
@@ -85,15 +85,6 @@ def to_spectrum(t: GalerkinTensor, modes: np.ndarray) -> np.ndarray:
 def from_spectrum(t: GalerkinTensor, spectrum: np.ndarray) -> np.ndarray:
     """Exact inverse of :func:`to_spectrum`, applied along the last axis."""
     return np.asarray(spectrum) @ t.eig_inv.T
-
-
-def galerkin_matrix(t: GalerkinTensor, modes: np.ndarray) -> np.ndarray:
-    """P(u) = sum_k u_k M_k = Hn diag(d(u)) Hn.T.
-
-    Assembled as eig_inv diag(d) eig_map, the matrix of the Galerkin
-    product v -> u * v; the unnormalized maps keep exact entries exact.
-    """
-    return (t.eig_inv * to_spectrum(t, modes)) @ t.eig_map
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +128,7 @@ def project(t: GalerkinTensor, f: Callable[[np.ndarray], np.ndarray],
     local modes (piecewise-linear).
     """
     basis = t.basis
-    ncell = basis.size if basis.is_piecewise_constant else basis.subdomains
-    lo, cells = _pieces(ncell, breakpoints)
+    lo, cells = _pieces(basis.cells, breakpoints)
     hi = np.append(lo[1:], 1.0)
     panel_edges = np.linspace(lo, hi, PROJECT_PANELS + 1, axis=1)
     p0, p1 = panel_edges[:, :-1, None], panel_edges[:, 1:, None]

@@ -103,8 +103,7 @@ def collocation_reference(preset: ExperimentPreset, tensors: GalerkinTensor,
     of ``tensors``'s basis, on ``grid`` refined by ``refine`` in each axis."""
     if grid.space_dim != 1:
         raise ValueError("collocation references are implemented for 1D presets")
-    fine = Grid(nx=grid.nx * refine, x_bounds=grid.x_bounds,
-                boundary_x=grid.boundary_x)
+    fine = Grid(nx=grid.nx * refine, x_bounds=grid.x_bounds, boundary=grid.boundary)
     xi_nodes = tensors.basis.cell_midpoints()
     values = solve_deterministic_batch(preset, xi_nodes, fine, t_final, cfl)
     return CollocationReference(kind="collocation", basis=tensors.basis,
@@ -267,8 +266,7 @@ def mse(field: GpcField, tensors: GalerkinTensor, reference, component: int = 0)
     """
     xs = field.grid.x_centers
     if isinstance(reference, ExactScalarReference):
-        ncell = tensors.size if tensors.basis.is_piecewise_constant \
-            else tensors.basis.subdomains
+        ncell = tensors.basis.cells
         modes = field.data[:, component, :]
         exp_err = np.zeros(xs.size)
         for first in range(0, ncell, MSE_BLOCK_CELLS):

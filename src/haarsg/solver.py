@@ -77,14 +77,14 @@ MAX_STEPS = 10_000_000
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform cell-centered grid, 1D or 2D, with ghost width 2."""
+    """Uniform cell-centered grid, 1D or 2D, with ghost width 2 and one
+    boundary kind on every axis."""
 
     nx: int
     x_bounds: tuple[float, float]
     ny: int | None = None
     y_bounds: tuple[float, float] | None = None
-    boundary_x: str = TRANSMISSIVE
-    boundary_y: str = TRANSMISSIVE
+    boundary: str = TRANSMISSIVE
 
     def __post_init__(self):
         if self.nx < 1 or self.x_bounds[1] <= self.x_bounds[0]:
@@ -93,9 +93,8 @@ class Grid:
             raise ValueError("ny and y_bounds must be given together")
         if self.ny is not None and (self.ny < 1 or self.y_bounds[1] <= self.y_bounds[0]):
             raise ValueError("grid needs ny >= 1 and increasing y bounds")
-        for kind in (self.boundary_x, self.boundary_y):
-            if kind not in BOUNDARY_KINDS:
-                raise ValueError(f"unknown boundary kind {kind!r}")
+        if self.boundary not in BOUNDARY_KINDS:
+            raise ValueError(f"unknown boundary kind {self.boundary!r}")
 
     @property
     def space_dim(self) -> int:
@@ -138,9 +137,8 @@ def fill_ghosts(data: np.ndarray, grid: Grid, work: Workspace) -> np.ndarray:
     shape = tuple(n + 2 * GHOST for n in data.shape[:dim]) + data.shape[dim:]
     out = work.array("ghosts", shape)
     out[(slice(GHOST, -GHOST),) * dim] = data
-    _apply_boundary(out, 0, grid.boundary_x)
-    if grid.space_dim == 2:
-        _apply_boundary(out, 1, grid.boundary_y)
+    for axis in range(dim):
+        _apply_boundary(out, axis, grid.boundary)
     return out
 
 

@@ -2,6 +2,9 @@
 
 They compute from the wavelets themselves what ``haarsg.galerkin`` derives
 from the shared eigenframe, so tests can check the one against the other.
+The dense Galerkin matrix P(u), the orthogonal eigenvector matrix Hn and
+the custom bases (a user matrix, or canonical Haar with its wavelet rows
+rotated by an orthogonal block) live here too: no run builds them.
 ``project_reference`` is the cell-by-cell projection that the vectorized
 ``haarsg.project`` replaced, kept as its oracle.
 
@@ -21,9 +24,60 @@ from typing import Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from haarsg import (AdmissibilityError, GalerkinTensor, evaluate_wavelet, from_spectrum,
-                    galerkin_matrix, to_spectrum)
+from haarsg import (AdmissibilityError, BasisError, BasisKind, GalerkinTensor,
+                    HaarTypeBasis, build_canonical_haar, evaluate_wavelet, from_spectrum,
+                    to_spectrum)
+from haarsg.basis import ORTHOGONALITY_TOL, _check_rows
 from haarsg.galerkin import PROJECT_GAUSS_POINTS, PROJECT_PANELS
+
+
+def custom_basis(H: np.ndarray) -> HaarTypeBasis:
+    """Wrap a matrix as a piecewise-constant Haar-type basis.
+
+    The matrix must have an all-ones first row and orthogonal rows of norm
+    sqrt(K+1).  These row checks suffice: every Galerkin matrix of the basis
+    is then diagonal in the frame H / sqrt(K+1), so they all commute.  The
+    basis is labelled canonical Haar: ``haarsg`` branches on the kind only
+    to tell piecewise-linear apart, so any piecewise-constant kind serves.
+    """
+    H = np.array(H, dtype=float)
+    if H.ndim != 2 or H.shape[0] != H.shape[1] or H.shape[0] < 2:
+        raise BasisError("custom basis must be a square matrix of size >= 2")
+    size = H.shape[0]
+    if np.abs(H[0] - 1.0).max() > ORTHOGONALITY_TOL:
+        raise BasisError("custom basis must have an all-ones first row")
+    _check_rows(H, size)
+    H.setflags(write=False)
+    return HaarTypeBasis(BasisKind.CANONICAL_HAAR, size, H)
+
+
+def rotated_canonical_haar(size: int, block: np.ndarray) -> HaarTypeBasis:
+    """Canonical Haar with its K wavelet rows rotated by an orthogonal K x K block."""
+    block = np.asarray(block, dtype=float)
+    if block.shape != (size - 1, size - 1):
+        raise BasisError(f"orthogonal block must be {size - 1}x{size - 1}")
+    if np.abs(block @ block.T - np.eye(size - 1)).max() > ORTHOGONALITY_TOL:
+        raise BasisError("supplied block is not orthogonal")
+    H = build_canonical_haar(size).H.copy()
+    H[1:] = block @ H[1:]
+    return custom_basis(H)
+
+
+def normalized(basis: HaarTypeBasis) -> np.ndarray:
+    """Orthogonal eigenvector matrix Hn (Hn @ Hn.T == I)."""
+    if basis.kind is BasisKind.PIECEWISE_LINEAR:
+        return basis.H
+    return basis.H / math.sqrt(basis.size)
+
+
+def galerkin_matrix(t: GalerkinTensor, modes: np.ndarray) -> np.ndarray:
+    """P(u) = sum_k u_k M_k = Hn diag(d(u)) Hn.T.
+
+    Assembled as eig_inv diag(d) eig_map, the matrix of the Galerkin
+    product v -> u * v; the unnormalized maps keep exact entries exact.
+    """
+    return (t.eig_inv * to_spectrum(t, modes)) @ t.eig_map
+
 
 def triple_products(basis) -> np.ndarray:
     """E[phi_k phi_i phi_j] under the uniform law, indexed [k, i, j].
@@ -64,14 +118,14 @@ def eigen_derivative_check(t, u: np.ndarray, q: np.ndarray, step: float = 1e-6) 
     """
     u = np.asarray(u, dtype=float)
     q = np.asarray(q, dtype=float)
-    w = t.basis.normalized.T @ q
+    w = normalized(t.basis).T @ q
     n = t.size
     lhs = np.empty((n, n))
     for j in range(n):
         e = np.zeros(n)
         e[j] = step
         lhs[:, j] = (to_spectrum(t, u + e) - to_spectrum(t, u - e)) / (2.0 * step) * w
-    rhs = t.basis.normalized.T @ galerkin_matrix(t, q)
+    rhs = normalized(t.basis).T @ galerkin_matrix(t, q)
     return float(np.abs(lhs - rhs).max())
 
 
@@ -96,7 +150,7 @@ def _cell_quadrature(a: float, b: float, breakpoints) -> tuple[np.ndarray, np.nd
 def project_reference(t, f, breakpoints=()) -> np.ndarray:
     """gPC modes of a function of xi, one stochastic cell at a time."""
     basis = t.basis
-    ncell = basis.size if basis.is_piecewise_constant else basis.subdomains
+    ncell = basis.cells
     modes = np.zeros(basis.size)
     for c in range(ncell):
         a, b = c / ncell, (c + 1) / ncell
@@ -158,7 +212,7 @@ def _require_positive(d: np.ndarray, what: str) -> np.ndarray:
 
 def _conjugate(t: GalerkinTensor, diag: np.ndarray) -> np.ndarray:
     """Hn diag(d) Hn.T."""
-    hn = t.basis.normalized
+    hn = normalized(t.basis)
     return (hn * diag) @ hn.T
 
 

@@ -85,9 +85,8 @@ def fill_ghosts_reference(data: np.ndarray, grid) -> np.ndarray:
     dim = grid.space_dim
     pad = [(GHOST, GHOST)] * dim + [(0, 0)] * (data.ndim - dim)
     out = np.pad(data, pad)
-    _apply_boundary(out, 0, grid.boundary_x)
-    if grid.space_dim == 2:
-        _apply_boundary(out, 1, grid.boundary_y)
+    for axis in range(dim):
+        _apply_boundary(out, axis, grid.boundary)
     return out
 
 
@@ -417,9 +416,9 @@ def admissibility_monitor_reference(config) -> float:
 def preset_grid(preset: ExperimentPreset, nx: int | None = None, ny: int | None = None,
                 boundary: str | None = None) -> Grid:
     """Default grid of a preset with optional overrides."""
-    bx = boundary or preset.boundary
+    boundary = boundary or preset.boundary
     if preset.space_dim == 1:
-        return Grid(nx=nx or preset.nx, x_bounds=preset.domain[0], boundary_x=bx)
+        return Grid(nx=nx or preset.nx, x_bounds=preset.domain[0], boundary=boundary)
     return Grid(nx=nx or preset.nx, x_bounds=preset.domain[0],
                 ny=ny or preset.ny or preset.nx, y_bounds=preset.domain[1],
-                boundary_x=bx, boundary_y=bx)
+                boundary=boundary)

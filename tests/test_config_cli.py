@@ -4,9 +4,11 @@ import os
 
 import numpy as np
 import pytest
+from galerkin_reference import galerkin_matrix
 from solver_reference import snapshots_reference
 
-from haarsg import ConfigError, parse_config, render_config
+from haarsg import (ConfigError, build_canonical_haar, build_classical_haar, build_dct,
+                    build_piecewise_linear, build_tensors, parse_config, render_config)
 from haarsg.cli import main
 from haarsg.config import RunConfig, with_level
 from haarsg.experiments import build_grid
@@ -170,13 +172,31 @@ def _write_config(tmp_path, text):
     return str(path)
 
 
+#: one basis of every kind a config can name, as [basis] lines and as built
+BASIS_DUMPS = [
+    ("kind = classical-haar\nlevel = 1", build_classical_haar(1)),
+    ("kind = canonical-haar\nsize = 5", build_canonical_haar(5)),
+    ("kind = dct\nsize = 6", build_dct(6)),
+    ("kind = piecewise-linear\nsubdomains = 3", build_piecewise_linear(3)),
+]
+
+
 def test_cli_basis_dump(tmp_path):
-    cfg = _write_config(tmp_path, FULL)
-    out = str(tmp_path / "basis_out")
-    assert main(["basis", "--config", cfg, "--out", out]) == 0
-    H = np.loadtxt(os.path.join(out, "H.csv"), delimiter=",")
-    assert H.shape == (4, 4)
-    assert os.path.exists(os.path.join(out, "M_003.csv"))
+    """``haarsg basis`` writes H and the two eigenframe maps, and no dense
+    M_k: each M_k rebuilt from the maps equals the test-side Galerkin
+    matrix of the unit vector e_k exactly."""
+    for lines, basis in BASIS_DUMPS:
+        cfg = _write_config(tmp_path, f"[run]\npreset = scalar-oleinik\n[basis]\n{lines}\n")
+        out = tmp_path / basis.kind.value
+        assert main(["basis", "--config", cfg, "--out", str(out)]) == 0
+        assert sorted(os.listdir(out)) == ["H.csv", "eig_inv.csv", "eig_map.csv"]
+        H, eig_map, eig_inv = (np.loadtxt(out / f"{name}.csv", delimiter=",", ndmin=2)
+                               for name in ("H", "eig_map", "eig_inv"))
+        assert np.array_equal(H, basis.H)
+        tensors = build_tensors(basis)
+        for k, e_k in enumerate(np.eye(basis.size)):
+            m_k = (eig_inv * eig_map[:, k]) @ eig_map
+            assert np.array_equal(m_k, galerkin_matrix(tensors, e_k)), (basis.kind, k)
 
 
 @pytest.mark.parametrize("flag", [["--threads", "2"], ["--seed", "3"]])

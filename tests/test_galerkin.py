@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from galerkin_reference import (Admissibility, abs_modes, convex_root_objective,
-                                eigen_derivative_check, galerkin_product, is_admissible,
-                                jacobian_abs, jacobian_pnorm, jacobian_power, moment_modes,
-                                nth_root_modes, pnorm_modes, power_modes, project_reference,
-                                sign_modes, triple_products, worst_commutator)
+                                eigen_derivative_check, galerkin_matrix, galerkin_product,
+                                is_admissible, jacobian_abs, jacobian_pnorm, jacobian_power,
+                                moment_modes, normalized, nth_root_modes, pnorm_modes,
+                                power_modes, project_reference, sign_modes, triple_products,
+                                worst_commutator)
 from haarsg import (AdmissibilityError, build_classical_haar, build_dct,
                     build_piecewise_linear, build_tensors, evaluate_wavelet,
-                    from_spectrum, galerkin_matrix, project, to_spectrum)
+                    from_spectrum, project, to_spectrum)
 from test_basis import ALL_BASES
 
 T0 = build_tensors(build_classical_haar(0))
@@ -20,7 +21,7 @@ PC_TENSORS = (T0, T2, TD, build_tensors(build_dct(8)))
 
 def spectral_projection(t, func, modes):
     """Independent oracle: quadrature projection of the pointwise map."""
-    ncell = t.size if t.basis.is_piecewise_constant else t.basis.subdomains
+    ncell = t.basis.cells
     breaks = tuple(np.arange(1, ncell) / ncell)
 
     def f(xi):
@@ -44,7 +45,7 @@ def test_m0_is_identity_for_piecewise_constant():
 
 def test_tensors_symmetric_and_diagonalized():
     for t in PC_TENSORS + (TP,):
-        hn = t.basis.normalized
+        hn = normalized(t.basis)
         for m in triple_products(t.basis):
             assert np.abs(m - m.T).max() < 1e-15
             d = hn.T @ m @ hn
@@ -161,7 +162,7 @@ BREAKPOINT_CASES = {
 @pytest.mark.parametrize("basis", ALL_BASES, ids=lambda b: f"{b.kind.value}-{b.size}")
 def test_project_matches_per_cell_reference(basis, case):
     t = build_tensors(basis)
-    ncell = basis.size if basis.is_piecewise_constant else basis.subdomains
+    ncell = basis.cells
     breaks = BREAKPOINT_CASES[case](ncell)
     calls = []
 

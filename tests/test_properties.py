@@ -5,15 +5,15 @@ and gives the same result on every run.
 """
 
 import numpy as np
-from galerkin_reference import abs_modes, galerkin_product, power_modes, sign_modes
+from galerkin_reference import (abs_modes, galerkin_matrix, galerkin_product, power_modes,
+                                rotated_canonical_haar, sign_modes)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from haarsg import (build_canonical_haar, build_classical_haar, build_dct,
-                    build_piecewise_linear, build_tensors, custom_basis,
-                    from_spectrum, galerkin_matrix, parse_config, render_config,
-                    to_spectrum)
+                    build_piecewise_linear, build_tensors, from_spectrum,
+                    parse_config, render_config, to_spectrum)
 from haarsg.config import BASIS_KINDS, BOUNDARY_NAMES, REFERENCE_KINDS, RunConfig
 from haarsg.models import PRESETS
 
@@ -23,7 +23,7 @@ SETTINGS = settings(max_examples=40, deadline=None, database=None, derandomize=T
 def _custom(size: int, seed: int):
     """Canonical Haar rotated by a random orthogonal block, wrapped as custom."""
     q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(size - 1, size - 1)))
-    return custom_basis(build_canonical_haar(size, block=q).H)
+    return rotated_canonical_haar(size, q)
 
 
 bases = st.one_of(

@@ -103,7 +103,7 @@ def test_mse_constant_offset():
 def _exact_mse_per_cell(field, t, reference):
     """The exact-reference mse one stochastic cell at a time (oracle)."""
     xs = field.grid.x_centers
-    ncell = t.size if t.basis.is_piecewise_constant else t.basis.subdomains
+    ncell = t.basis.cells
     xg, wg = np.polynomial.legendre.leggauss(5)
     exp_err = np.zeros(xs.size)
     for c in range(ncell):

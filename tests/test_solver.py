@@ -28,7 +28,7 @@ def test_grid_properties_and_validation():
     with pytest.raises(ValueError):
         Grid(nx=4, x_bounds=(1.0, 0.0))
     with pytest.raises(ValueError):
-        Grid(nx=4, x_bounds=(0.0, 1.0), boundary_x="clamped")
+        Grid(nx=4, x_bounds=(0.0, 1.0), boundary="clamped")
     with pytest.raises(ValueError):
         Grid(nx=4, x_bounds=(0.0, 1.0), ny=4)
 
@@ -38,7 +38,7 @@ def test_fill_ghosts_transmissive_and_periodic():
     data = np.arange(4.0)[:, None, None]
     padded = fill_ghosts(data, g, Workspace())
     assert np.allclose(padded[:, 0, 0], [0, 0, 0, 1, 2, 3, 3, 3])
-    gp = Grid(nx=4, x_bounds=(0.0, 1.0), boundary_x="periodic")
+    gp = Grid(nx=4, x_bounds=(0.0, 1.0), boundary="periodic")
     padded = fill_ghosts(data, gp, Workspace())
     assert np.allclose(padded[:, 0, 0], [2, 3, 0, 1, 2, 3, 0, 1])
 
@@ -139,7 +139,7 @@ def test_compute_dt_examples():
 
 
 def test_advance_identity_and_final_time():
-    grid = Grid(nx=16, x_bounds=(0.0, 1.0), boundary_x="periodic")
+    grid = Grid(nx=16, x_bounds=(0.0, 1.0), boundary="periodic")
     system = SemiDiscreteSystem(LinearAdvection(speed=(1.0,)), grid)
     field = GpcField(grid, np.sin(2 * np.pi * grid.x_centers)[:, None, None], 0.0)
     assert advance(system, field, 0.0, cfl=0.45) is field
@@ -151,7 +151,7 @@ def test_advance_identity_and_final_time():
 
 
 def test_advance_zero_speed_clips_to_final_time():
-    grid = Grid(nx=8, x_bounds=(0.0, 1.0), boundary_x="periodic")
+    grid = Grid(nx=8, x_bounds=(0.0, 1.0), boundary="periodic")
     system = SemiDiscreteSystem(LinearAdvection(speed=(0.0,)), grid)
     field = GpcField(grid, np.ones((8, 1, 1)), 0.0)
     out = advance(system, field, 2.0, cfl=0.45)
@@ -161,7 +161,7 @@ def test_advance_zero_speed_clips_to_final_time():
 
 def test_conservation_periodic():
     t = build_tensors(build_classical_haar(1))
-    grid = Grid(nx=64, x_bounds=(0.0, 1.0), boundary_x="periodic")
+    grid = Grid(nx=64, x_bounds=(0.0, 1.0), boundary="periodic")
     system = SemiDiscreteSystem(ScalarLipschitz(), grid, tensors=t)
     rng = np.random.default_rng(3)
     data = rng.normal(size=(64, 1, 4))
@@ -176,7 +176,7 @@ def test_conservation_periodic():
 
 def test_conservation_periodic_2d():
     grid = Grid(nx=12, x_bounds=(0.0, 1.0), ny=10, y_bounds=(0.0, 1.0),
-                boundary_x="periodic", boundary_y="periodic")
+                boundary="periodic")
     system = SemiDiscreteSystem(LinearAdvection(speed=(1.0, -0.5)), grid)
     rng = np.random.default_rng(4)
     data = rng.normal(size=(12, 10, 1, 1))
@@ -204,9 +204,9 @@ def test_conservation_periodic_preset_models(name, basis, nx, ny):
     preset = get_preset(name)
     t = build_tensors(basis)
     (x0, x1), *y_bounds = preset.domain
-    grid = Grid(nx=nx, x_bounds=(x0, x1), boundary_x="periodic") if ny is None else \
+    grid = Grid(nx=nx, x_bounds=(x0, x1), boundary="periodic") if ny is None else \
         Grid(nx=nx, x_bounds=(x0, x1), ny=ny, y_bounds=y_bounds[0],
-             boundary_x="periodic", boundary_y="periodic")
+             boundary="periodic")
     model = preset.galerkin_model(t)
     field = initial_data(model, preset, t, grid)
     cells = tuple(range(grid.space_dim))
@@ -272,7 +272,7 @@ def test_source_quadrature():
 
 
 def test_source_enters_rhs():
-    grid = Grid(nx=10, x_bounds=(0.0, 1.0), boundary_x="periodic")
+    grid = Grid(nx=10, x_bounds=(0.0, 1.0), boundary="periodic")
     system = SourcedSystem(LinearAdvection(speed=(0.0,)), grid,
                            source=lambda t, x: np.ones((x.size, 1, 1)))
     data = np.zeros((10, 1, 1))
@@ -282,7 +282,7 @@ def test_source_enters_rhs():
 def test_advection_order_1d():
     errs = []
     for nx in (50, 100, 200):
-        grid = Grid(nx=nx, x_bounds=(0.0, 1.0), boundary_x="periodic")
+        grid = Grid(nx=nx, x_bounds=(0.0, 1.0), boundary="periodic")
         system = SemiDiscreteSystem(LinearAdvection(speed=(1.0,)), grid)
         edges = np.linspace(0.0, 1.0, nx + 1)
         avg = (np.cos(2 * np.pi * edges[:-1]) - np.cos(2 * np.pi * edges[1:])) \

@@ -143,7 +143,7 @@ def test_successive_advance_calls_leave_the_first_result_unchanged():
 
 
 def test_source_term_enters_rhs_once_per_call():
-    grid = Grid(nx=10, x_bounds=(0.0, 1.0), boundary_x="periodic")
+    grid = Grid(nx=10, x_bounds=(0.0, 1.0), boundary="periodic")
     system = SourcedSystem(LinearAdvection(speed=(1.0,)), grid,
                            source=lambda t, x: np.sin(x + t)[:, None, None])
     data = np.cos(2 * np.pi * grid.x_centers)[:, None, None]
