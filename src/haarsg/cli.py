@@ -18,10 +18,10 @@ from dataclasses import replace
 import numpy as np
 
 from . import output
-from .config import parse_config, validate_config
+from .config import RunConfig, parse_config
 from .errors import ConfigError, SolverAbort
-from .experiments import (build_basis, build_grid, build_reference, reference_kind,
-                          run_experiment, run_level_sweep)
+from .experiments import (build_basis, build_grid, build_reference, run_experiment,
+                          run_level_sweep)
 from .galerkin import build_tensors, project
 from .models import get_preset
 from .reference import CollocationReference, ExactScalarReference, mse
@@ -34,29 +34,22 @@ _EXPR_NAMES = {
 }
 
 
-def _load_config(path: str):
+def _load_config(args) -> RunConfig:
+    """The configuration at ``--config``, with ``--out`` and ``--seed`` applied."""
     try:
-        with open(path, encoding="utf-8") as handle:
-            return parse_config(handle.read())
+        with open(args.config, encoding="utf-8") as handle:
+            config = parse_config(handle.read())
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-
-
-def _apply_overrides(config, args):
+        raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
     updates = {}
-    if getattr(args, "out", None):
+    if args.out:
         updates["out_dir"] = args.out
     if getattr(args, "seed", None) is not None:
         updates["seed"] = args.seed
-    if not updates:
-        return config
-    config = replace(config, **updates)
-    validate_config(config)
-    return config
+    return replace(config, **updates)
 
 
-def _cmd_basis(args) -> int:
-    config = _apply_overrides(_load_config(args.config), args)
+def _cmd_basis(config, args) -> int:
     tensors = build_tensors(build_basis(config))
     out_dir = config.out_dir
     for name, matrix in (("H", tensors.basis.H), ("eig_map", tensors.eig_map),
@@ -66,8 +59,7 @@ def _cmd_basis(args) -> int:
     return 0
 
 
-def _cmd_project(args) -> int:
-    config = _apply_overrides(_load_config(args.config), args)
+def _cmd_project(config, args) -> int:
     tensors = build_tensors(build_basis(config))
     try:
         code = compile(args.expr, "<expr>", "eval")
@@ -115,8 +107,7 @@ def _parse_sweep(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _cmd_run(args) -> int:
-    config = _apply_overrides(_load_config(args.config), args)
+def _cmd_run(config, args) -> int:
     if args.level_sweep:
         lo, hi = _parse_sweep(args.level_sweep)
         results = run_level_sweep(config, lo, hi, threads=args.threads)
@@ -129,21 +120,19 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_reference(args) -> int:
-    config = _apply_overrides(_load_config(args.config), args)
+def _cmd_reference(config, args) -> int:
     preset = get_preset(config.preset)
-    if reference_kind(config) == "none":
+    if config.reference == "none":
         raise ConfigError(f"preset {preset.name} has no reference configured")
     tensors = build_tensors(build_basis(config))
     grid = build_grid(config)
-    t_final = config.t_final if config.t_final is not None else preset.t_final
-    ref = build_reference(config, tensors, grid, t_final, threads=args.threads)
+    ref = build_reference(config, tensors, grid, config.t_final, threads=args.threads)
     out_dir = config.out_dir
     os.makedirs(out_dir, exist_ok=True)
     if isinstance(ref, (ExactScalarReference, CollocationReference)):
         if isinstance(ref, ExactScalarReference):
             xs, nodes = grid.x_centers, tensors.basis.cell_midpoints()
-            values = ref.value(t_final, xs[:, None], nodes[None, :])
+            values = ref.value(config.t_final, xs[:, None], nodes[None, :])
         else:
             xs, nodes = ref.grid.x_centers, ref.xi_nodes
             values = ref.values[:, preset.qoi_component, :]
@@ -158,12 +147,10 @@ def _cmd_reference(args) -> int:
     return 0
 
 
-def _cmd_mse(args) -> int:
-    config = _apply_overrides(_load_config(args.config), args)
+def _cmd_mse(config, args) -> int:
     preset = get_preset(config.preset)
-    kind = reference_kind(config)
-    if kind not in ("exact", "collocation"):
-        raise ConfigError(f"reference kind {kind!r} does not support mse")
+    if config.reference not in ("exact", "collocation"):
+        raise ConfigError(f"reference kind {config.reference!r} does not support mse")
     tensors = build_tensors(build_basis(config))
     grid = build_grid(config)
     try:
@@ -235,7 +222,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(_load_config(args), args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -2,28 +2,72 @@
 
 The format is bracketed section headers followed by ``key = value`` lines;
 ``#`` starts a comment.  Parsing is fail-closed: unknown sections or keys
-are errors, as are values outside their documented ranges.
+are errors, as are values outside their documented ranges and settings that
+the preset cannot run.  This module is the one place that decides what a
+configuration means: a :class:`RunConfig` is resolved against its preset
+when it is built, so every later layer reads the values the run uses.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from typing import Callable
 
-from .basis import MAX_BASIS_SIZE, MAX_HAAR_LEVEL
+from .basis import (MAX_BASIS_SIZE, MAX_HAAR_LEVEL, HaarTypeBasis, build_canonical_haar,
+                    build_classical_haar, build_dct, build_piecewise_linear)
 from .errors import ConfigError
-from .models import PRESETS
+from .models import PRESETS, ExperimentPreset
 
-BASIS_KINDS = ("classical-haar", "canonical-haar", "dct", "piecewise-linear")
-REFERENCE_KINDS = ("none", "exact", "collocation", "monte-carlo")
 BOUNDARY_NAMES = ("transmissive", "periodic")
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """Fully validated experiment configuration.
+class BasisSizing:
+    """How a run sizes a basis kind: the ``RunConfig`` field that does it,
+    that field's range (``note`` qualifies it in the error message), the
+    builder the field's value is passed to and the field's value at
+    resolution level j."""
 
-    ``None`` means "use the preset default" for grid/time fields.
+    attr: str
+    lo: int
+    hi: int
+    build: Callable[[int], HaarTypeBasis]
+    at_level: Callable[[int], int]
+    note: str = ""
+
+
+#: basis kind -> its sizing.  At level j, dct and canonical-haar match the
+#: classical Haar size 2^(j+1), so that level sweeps compare equal numbers of
+#: basis elements, and piecewise-linear matches it with 2^j subdomains.
+BASIS_KINDS: dict[str, BasisSizing] = {
+    "classical-haar": BasisSizing("basis_level", 0, MAX_HAAR_LEVEL, build_classical_haar,
+                                  lambda j: j),
+    "canonical-haar": BasisSizing("basis_size", 2, MAX_BASIS_SIZE, build_canonical_haar,
+                                  lambda j: 2 ** (j + 1), " for this basis kind"),
+    "dct": BasisSizing("basis_size", 2, MAX_BASIS_SIZE, build_dct, lambda j: 2 ** (j + 1),
+                       " for this basis kind"),
+    "piecewise-linear": BasisSizing("basis_subdomains", 1, MAX_BASIS_SIZE // 2,
+                                    build_piecewise_linear, lambda j: 2 ** j),
+}
+
+#: (cell count, lower bound, upper bound) attributes of the x and y axes
+_AXES = (("nx", "x_min", "x_max"), ("ny", "y_min", "y_max"))
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Fully validated experiment configuration, resolved against its preset.
+
+    ``t_final``, the grid (``nx``, ``ny`` and the bounds), ``boundary`` and
+    ``reference`` take the preset's values where they are left out, so a
+    built config holds the values its run uses.  A 1D preset has no y axis:
+    its ``ny``, ``y_min`` and ``y_max`` stay None.  ``reference`` is one of
+    the preset's reference kinds.  The basis is sized by the field that
+    :data:`BASIS_KINDS` names for ``basis_kind``; ``ref_level`` None solves a
+    collocation reference at the nodes of the run's own basis.  Building a
+    config, also by ``dataclasses.replace``, raises ConfigError for any
+    setting it cannot run.
     """
 
     preset: str
@@ -47,6 +91,25 @@ class RunConfig:
     ref_samples: int = 200
     ref_refine: int = 4
     ref_level: int | None = None
+
+    def __post_init__(self):
+        if self.preset not in PRESETS:
+            raise ConfigError(f"unknown preset {self.preset!r} for `run.preset`",
+                              key="run.preset")
+        preset = PRESETS[self.preset]
+        for attr in (a for axis in _AXES[preset.space_dim:] for a in axis):
+            if getattr(self, attr) is not None:
+                raise ConfigError(f"`grid.{attr}` does not apply to the 1D preset "
+                                  f"{preset.name}", key=f"grid.{attr}")
+        defaults = {"t_final": preset.t_final, "boundary": preset.boundary,
+                    "reference": preset.references[0]}
+        for (n_attr, lo_attr, hi_attr), n, (lo, hi) in zip(_AXES, (preset.nx, preset.ny),
+                                                             preset.domain):
+            defaults.update({n_attr: n, lo_attr: lo, hi_attr: hi})
+        for attr, value in defaults.items():
+            if getattr(self, attr) is None:
+                object.__setattr__(self, attr, value)
+        _validate(self, preset)
 
 
 #: (section, key) -> (attribute, parser)
@@ -112,48 +175,46 @@ def parse_config(text: str) -> RunConfig:
                 line=lineno, key=dotted) from None
     if "preset" not in values:
         raise ConfigError("missing required key `run.preset`", key="run.preset")
-    config = RunConfig(**values)
-    validate_config(config)
-    return config
+    return RunConfig(**values)
 
 
-def validate_config(config: RunConfig) -> None:
-    if config.preset not in PRESETS:
-        raise ConfigError(f"unknown preset {config.preset!r} for `run.preset`",
-                          key="run.preset")
+def _validate(config: RunConfig, preset: ExperimentPreset) -> None:
     if not 0.0 < config.cfl < 1.0:
         raise ConfigError(f"`run.cfl` must lie in (0, 1), got {config.cfl}",
                           key="run.cfl")
-    if config.t_final is not None and not 0.0 <= config.t_final < math.inf:
+    if not 0.0 <= config.t_final < math.inf:
         raise ConfigError(f"`run.t_final` must be finite and >= 0, got {config.t_final}",
                           key="run.t_final")
-    _validate_bounds(config)
+    for n_attr, lo_attr, hi_attr in _AXES[:preset.space_dim]:
+        lo, hi = getattr(config, lo_attr), getattr(config, hi_attr)
+        for attr, value in ((lo_attr, lo), (hi_attr, hi)):
+            if not math.isfinite(value):
+                raise ConfigError(f"`grid.{attr}` must be finite, got {value}",
+                                  key=f"grid.{attr}")
+        if not lo < hi:
+            raise ConfigError(f"grid bounds must increase, got `grid.{lo_attr}` {lo} "
+                              f">= `grid.{hi_attr}` {hi}", key=f"grid.{lo_attr}")
+        if getattr(config, n_attr) < 8:
+            raise ConfigError(f"`grid.{n_attr}` must be >= 8, got {getattr(config, n_attr)}",
+                              key=f"grid.{n_attr}")
     if config.basis_kind not in BASIS_KINDS:
-        raise ConfigError(f"`basis.kind` must be one of {BASIS_KINDS}",
+        raise ConfigError(f"`basis.kind` must be one of {tuple(BASIS_KINDS)}",
                           key="basis.kind")
-    if config.basis_kind == "classical-haar" and not 0 <= config.basis_level <= MAX_HAAR_LEVEL:
-        raise ConfigError(f"`basis.level` must lie in [0, {MAX_HAAR_LEVEL}], "
-                          f"got {config.basis_level}", key="basis.level")
-    if (config.basis_kind in ("canonical-haar", "dct")
-            and not 2 <= (config.basis_size or 0) <= MAX_BASIS_SIZE):
-        raise ConfigError(f"`basis.size` must lie in [2, {MAX_BASIS_SIZE}] for this "
-                          f"basis kind, got {config.basis_size}", key="basis.size")
-    if (config.basis_kind == "piecewise-linear"
-            and not 1 <= (config.basis_subdomains or 0) <= MAX_BASIS_SIZE // 2):
-        raise ConfigError(f"`basis.subdomains` must lie in [1, {MAX_BASIS_SIZE // 2}], "
-                          f"got {config.basis_subdomains}", key="basis.subdomains")
+    sizing = BASIS_KINDS[config.basis_kind]
+    size = getattr(config, sizing.attr)
+    if size is None or not sizing.lo <= size <= sizing.hi:
+        key = ".".join(_ATTR_TO_KEY[sizing.attr])
+        raise ConfigError(f"`{key}` must lie in [{sizing.lo}, {sizing.hi}]{sizing.note}, "
+                          f"got {size}", key=key)
     if config.ref_level is not None and not 0 <= config.ref_level <= MAX_HAAR_LEVEL:
         raise ConfigError(f"`reference.level` must lie in [0, {MAX_HAAR_LEVEL}], "
                           f"got {config.ref_level}", key="reference.level")
-    if config.nx is not None and config.nx < 8:
-        raise ConfigError(f"`grid.nx` must be >= 8, got {config.nx}", key="grid.nx")
-    if config.ny is not None and config.ny < 8:
-        raise ConfigError(f"`grid.ny` must be >= 8, got {config.ny}", key="grid.ny")
-    if config.boundary is not None and config.boundary not in BOUNDARY_NAMES:
+    if config.boundary not in BOUNDARY_NAMES:
         raise ConfigError(f"`grid.boundary` must be one of {BOUNDARY_NAMES}",
                           key="grid.boundary")
-    if config.reference is not None and config.reference not in REFERENCE_KINDS:
-        raise ConfigError(f"`reference.kind` must be one of {REFERENCE_KINDS}",
+    if config.reference not in preset.references:
+        raise ConfigError(f"`reference.kind` must be one of {preset.references} for "
+                          f"preset {preset.name}, got {config.reference!r}",
                           key="reference.kind")
     if config.stride < 0:
         raise ConfigError("`output.stride` must be >= 0", key="output.stride")
@@ -163,26 +224,6 @@ def validate_config(config: RunConfig) -> None:
         raise ConfigError(f"`run.seed` must be >= 0, got {config.seed}", key="run.seed")
     if config.ref_refine < 1:
         raise ConfigError("`reference.refine` must be >= 1", key="reference.refine")
-
-
-def _validate_bounds(config: RunConfig) -> None:
-    """Grid bounds must be finite, and the bounds the grid is built from
-    (the configured ones, else the preset's domain) must increase."""
-    axes = (("x_min", "x_max"), ("y_min", "y_max"))
-    for attr in (a for pair in axes for a in pair):
-        value = getattr(config, attr)
-        if value is not None and not math.isfinite(value):
-            raise ConfigError(f"`grid.{attr}` must be finite, got {value}",
-                              key=f"grid.{attr}")
-    domain = PRESETS[config.preset].domain
-    for (lo_attr, hi_attr), (lo, hi) in zip(axes, domain):
-        if getattr(config, lo_attr) is not None:
-            lo = getattr(config, lo_attr)
-        if getattr(config, hi_attr) is not None:
-            hi = getattr(config, hi_attr)
-        if not lo < hi:
-            raise ConfigError(f"grid bounds must increase, got `grid.{lo_attr}` {lo} "
-                              f">= `grid.{hi_attr}` {hi}", key=f"grid.{lo_attr}")
 
 
 def render_config(config: RunConfig) -> str:
@@ -208,17 +249,7 @@ def render_config(config: RunConfig) -> str:
 
 
 def with_level(config: RunConfig, level: int) -> RunConfig:
-    """Validated copy of the config at another resolution level.
-
-    classical-haar uses the level directly; dct and canonical-haar match the
-    size 2^(level+1) so level sweeps compare equal numbers of basis elements;
-    piecewise-linear matches with 2^level subdomains.
-    """
-    if config.basis_kind == "classical-haar":
-        config = replace(config, basis_level=level)
-    elif config.basis_kind in ("dct", "canonical-haar"):
-        config = replace(config, basis_size=2 ** (level + 1))
-    else:
-        config = replace(config, basis_subdomains=2 ** level)
-    validate_config(config)
-    return config
+    """Validated copy of the config at another resolution level, sized as
+    its basis kind's :attr:`BasisSizing.at_level` says."""
+    sizing = BASIS_KINDS[config.basis_kind]
+    return replace(config, **{sizing.attr: sizing.at_level(level)})

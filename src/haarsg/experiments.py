@@ -11,9 +11,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import output
-from .basis import (HaarTypeBasis, build_canonical_haar, build_classical_haar,
-                    build_dct, build_piecewise_linear)
-from .config import RunConfig, render_config, with_level
+from .basis import HaarTypeBasis, build_classical_haar
+from .config import BASIS_KINDS, RunConfig, render_config, with_level
 from .galerkin import GalerkinTensor, build_tensors
 from .models import get_preset, initial_data
 from .reference import (CollocationReference, ExactScalarReference,
@@ -23,36 +22,14 @@ from .solver import Grid, GpcField, SemiDiscreteSystem, advance
 
 
 def build_basis(config: RunConfig) -> HaarTypeBasis:
-    kind = config.basis_kind
-    if kind == "classical-haar":
-        return build_classical_haar(config.basis_level)
-    if kind == "canonical-haar":
-        return build_canonical_haar(config.basis_size)
-    if kind == "dct":
-        return build_dct(config.basis_size)
-    return build_piecewise_linear(config.basis_subdomains)
+    sizing = BASIS_KINDS[config.basis_kind]
+    return sizing.build(getattr(config, sizing.attr))
 
 
 def build_grid(config: RunConfig) -> Grid:
-    preset = get_preset(config.preset)
-    (x0, x1) = preset.domain[0]
-    x_bounds = (config.x_min if config.x_min is not None else x0,
-                config.x_max if config.x_max is not None else x1)
-    boundary = config.boundary or preset.boundary
-    if preset.space_dim == 1:
-        return Grid(nx=config.nx or preset.nx, x_bounds=x_bounds, boundary=boundary)
-    (y0, y1) = preset.domain[1]
-    y_bounds = (config.y_min if config.y_min is not None else y0,
-                config.y_max if config.y_max is not None else y1)
-    return Grid(nx=config.nx or preset.nx, x_bounds=x_bounds,
-                ny=config.ny or preset.ny, y_bounds=y_bounds, boundary=boundary)
-
-
-def reference_kind(config: RunConfig) -> str:
-    """The configured reference kind, else the preset's."""
-    if config.reference is not None:
-        return config.reference
-    return get_preset(config.preset).reference
+    return Grid(nx=config.nx, x_bounds=(config.x_min, config.x_max), ny=config.ny,
+                y_bounds=None if config.ny is None else (config.y_min, config.y_max),
+                boundary=config.boundary)
 
 
 def build_reference(config: RunConfig, tensors: GalerkinTensor | None, grid: Grid,
@@ -64,15 +41,14 @@ def build_reference(config: RunConfig, tensors: GalerkinTensor | None, grid: Gri
     ``tensors`` (read only then), on ``grid`` refined by `reference.refine`.
     """
     preset = get_preset(config.preset)
-    kind = reference_kind(config)
-    if kind == "exact":
+    if config.reference == "exact":
         return ExactScalarReference()
-    if kind == "collocation":
+    if config.reference == "collocation":
         if config.ref_level is not None:
             tensors = build_tensors(build_classical_haar(config.ref_level))
         return collocation_reference(preset, tensors, refine=config.ref_refine,
                                      t_final=t_final, grid=grid, cfl=config.cfl)
-    if kind == "monte-carlo":
+    if config.reference == "monte-carlo":
         return monte_carlo_reference(preset, config.ref_samples, grid, t_final,
                                      config.seed, cfl=config.cfl, threads=threads)
     return None
@@ -107,7 +83,6 @@ def run_experiment(config: RunConfig, threads: int = 1, out_dir: str | None = No
     tensors = build_tensors(basis)
     grid = build_grid(config)
     model = preset.galerkin_model(tensors)
-    t_final = config.t_final if config.t_final is not None else preset.t_final
     out_dir = out_dir or config.out_dir
     artifacts = []
     result = ExperimentResult(config=config, out_dir=out_dir, field=None,
@@ -129,8 +104,9 @@ def run_experiment(config: RunConfig, threads: int = 1, out_dir: str | None = No
                                    kinds=("mode",))
             artifacts.append(path)
 
-    if t_final > 0.0:
-        field = advance(system, field, t_final, cfl=config.cfl, callbacks=(snapshotter,))
+    if config.t_final > 0.0:
+        field = advance(system, field, config.t_final, cfl=config.cfl,
+                        callbacks=(snapshotter,))
     result.field = field
     result.steps = step_count[0]
     # compute_dt has checked every state but the last, unless no step ran;
@@ -149,12 +125,12 @@ def run_experiment(config: RunConfig, threads: int = 1, out_dir: str | None = No
         result.artifacts += [final_path, stats_path]
 
     reference = reference_override
-    if t_final > 0.0 and reference is None:
-        reference = build_reference(config, tensors, grid, t_final, threads=threads)
+    if config.t_final > 0.0 and reference is None:
+        reference = build_reference(config, tensors, grid, config.t_final, threads=threads)
     result.reference = reference
 
     qoi = preset.qoi_component
-    if t_final > 0.0 and reference is not None:
+    if config.t_final > 0.0 and reference is not None:
         if isinstance(reference, (ExactScalarReference, CollocationReference)):
             result.mse_value = mse(field, tensors, reference, component=qoi)
             if isinstance(reference, CollocationReference):
@@ -187,7 +163,7 @@ def run_experiment(config: RunConfig, threads: int = 1, out_dir: str | None = No
             "config": render_config(config),
             "preset": preset.name,
             "basis": {"kind": basis.kind.value, "size": basis.size},
-            "t_final": t_final,
+            "t_final": config.t_final,
             "steps": result.steps,
             "seconds": result.seconds,
             "admissibility_min": (None if not np.isfinite(result.admissibility_min)
@@ -213,15 +189,13 @@ def run_level_sweep(config: RunConfig, level_lo: int, level_hi: int,
     """
     if level_hi < level_lo:
         raise ValueError("level sweep needs level_lo <= level_hi")
-    preset = get_preset(config.preset)
     levels = list(range(level_lo, level_hi + 1))
     finest = with_level(config, level_hi)
     if finest.ref_level is None:
         finest = replace(finest, ref_level=level_hi)
-    t_final = config.t_final if config.t_final is not None else preset.t_final
     reference_override = None
-    if t_final > 0.0:
-        reference_override = build_reference(finest, None, build_grid(finest), t_final,
+    if config.t_final > 0.0:
+        reference_override = build_reference(finest, None, build_grid(finest), config.t_final,
                                              threads=threads)
 
     member_configs = [with_level(config, j) for j in levels]

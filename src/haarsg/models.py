@@ -277,7 +277,9 @@ class ExperimentPreset:
     batch evaluates it at its samples (:meth:`det_initial`).
 
     ``qoi_component`` is the state component that errors and Monte Carlo
-    envelopes are measured on.
+    envelopes are measured on.  ``references`` lists the reference kinds the
+    preset can be compared against, its default first; ``nx``, ``ny``,
+    ``domain``, ``t_final`` and ``boundary`` are its default grid and horizon.
     """
 
     name: str
@@ -286,7 +288,7 @@ class ExperimentPreset:
     domain: tuple
     nx: int
     t_final: float
-    reference: str
+    references: tuple[str, ...]
     ny: int | None = None
     boundary: str = "transmissive"
     qoi_component: int = 0
@@ -367,23 +369,26 @@ def _psystem_vstar(xi):
 PRESETS: dict[str, ExperimentPreset] = {
     "scalar-oleinik": ExperimentPreset(
         name="scalar-oleinik", space_dim=1, components=1,
-        domain=((-2.0, 2.0),), nx=400, t_final=0.2, reference="exact",
+        domain=((-2.0, 2.0),), nx=400, t_final=0.2,
+        references=("exact", "collocation", "monte-carlo", "none"),
         model=ScalarLipschitz, pieces=_scalar_pieces),
     "levelset-box": ExperimentPreset(
         name="levelset-box", space_dim=2, components=2,
-        domain=((-4.0, 4.0), (-4.0, 4.0)), nx=100, ny=100, t_final=1.0, reference="none",
+        domain=((-4.0, 4.0), (-4.0, 4.0)), nx=100, ny=100, t_final=1.0,
+        references=("none", "monte-carlo"),
         model=lambda v: LevelSet2D(v_values=v), parameter=_levelset_speed,
         pieces=_box_pieces(2.0, inside=(1.0, 0.0), outside=(-1.0, 0.0))),
     "psystem-riemann": ExperimentPreset(
         name="psystem-riemann", space_dim=1, components=2,
-        domain=((-3.0, 3.0),), nx=400, t_final=1.0, reference="collocation",
+        domain=((-3.0, 3.0),), nx=400, t_final=1.0,
+        references=("collocation", "monte-carlo", "none"),
         qoi_component=1,  # specific volume: the pressure kink sits at v = v*
         model=lambda vstar: PSystem1D(vstar_values=vstar), parameter=_psystem_vstar,
         pieces=lambda grid: (np.where(grid.x_centers < 0.0, 0, 1), [(0.0, 1.0), (0.0, 3.0)])),
     "euler-box": ExperimentPreset(
         name="euler-box", space_dim=2, components=3,
         domain=((-2.0, 2.0), (-2.0, 2.0)), nx=100, ny=100, t_final=0.5,
-        reference="monte-carlo",
+        references=("monte-carlo", "none"),
         model=Euler2D,
         pieces=_box_pieces(1.0, inside=((lambda xi: 2.0 + xi, ()), 0.0, 0.0),
                            outside=(1.0, 0.0, 0.0))),

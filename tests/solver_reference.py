@@ -361,8 +361,7 @@ def _galerkin_run(config):
     grid = build_grid(config)
     model = preset.galerkin_model(tensors)
     field = initial_data(model, preset, tensors, grid)
-    t_final = config.t_final if config.t_final is not None else preset.t_final
-    return SemiDiscreteSystem(model, grid, tensors=tensors), field, t_final
+    return SemiDiscreteSystem(model, grid, tensors=tensors), field, config.t_final
 
 
 def snapshots_reference(config, out_dir: str) -> list[str]:
@@ -416,9 +415,6 @@ def admissibility_monitor_reference(config) -> float:
 def preset_grid(preset: ExperimentPreset, nx: int | None = None, ny: int | None = None,
                 boundary: str | None = None) -> Grid:
     """Default grid of a preset with optional overrides."""
-    boundary = boundary or preset.boundary
-    if preset.space_dim == 1:
-        return Grid(nx=nx or preset.nx, x_bounds=preset.domain[0], boundary=boundary)
-    return Grid(nx=nx or preset.nx, x_bounds=preset.domain[0],
-                ny=ny or preset.ny or preset.nx, y_bounds=preset.domain[1],
-                boundary=boundary)
+    from haarsg.config import RunConfig
+    from haarsg.experiments import build_grid
+    return build_grid(RunConfig(preset=preset.name, nx=nx, ny=ny, boundary=boundary))

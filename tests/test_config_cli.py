@@ -12,6 +12,7 @@ from haarsg import (ConfigError, build_canonical_haar, build_classical_haar, bui
 from haarsg.cli import main
 from haarsg.config import RunConfig, with_level
 from haarsg.experiments import build_grid
+from haarsg.models import PRESETS
 from haarsg.output import read_field_csv, write_field_csv
 from haarsg.solver import Grid, GpcField
 
@@ -387,12 +388,12 @@ def test_negative_seed_is_a_config_error_before_the_solve(tmp_path):
     ("scalar-oleinik", "t_final = inf", "", "run.t_final"),
     ("scalar-oleinik", "", "x_min = 3.0", "grid.x_min"),  # the preset's x_max is 2.0
     ("scalar-oleinik", "", "x_min = nan", "grid.x_min"),
-    ("euler-box", "", "y_max = -inf", "grid.y_max"),
-    ("euler-box", "", "y_min = 1.0\ny_max = 1.0", "grid.y_min"),
+    ("euler-box", "", "ny = 8\ny_max = -inf", "grid.y_max"),
+    ("euler-box", "", "ny = 8\ny_min = 1.0\ny_max = 1.0", "grid.y_min"),
 ], ids=["t-nan", "t-inf", "x-reversed", "x-nan", "y-inf", "y-empty"])
 def test_cli_non_finite_or_non_increasing_values_exit_before_any_output(tmp_path, preset,
                                                                         run, grid, key):
-    text = f"[run]\npreset = {preset}\n{run}\n[grid]\nnx = 8\nny = 8\n{grid}\n"
+    text = f"[run]\npreset = {preset}\n{run}\n[grid]\nnx = 8\n{grid}\n"
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     assert err.value.key == key
@@ -401,6 +402,72 @@ def test_cli_non_finite_or_non_increasing_values_exit_before_any_output(tmp_path
     out.mkdir()
     assert main(["run", "--config", cfg, "--out", str(out)]) == 2
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("grid, key", [
+    ("ny = 12", "grid.ny"),
+    ("y_min = 5.0", "grid.y_min"),
+    ("y_max = 1.0", "grid.y_max"),
+    ("ny = 12\ny_min = 5.0\ny_max = 1.0", "grid.ny"),
+])
+def test_cli_y_axis_of_a_1d_preset_exits_before_any_output(tmp_path, grid, key):
+    text = f"[run]\npreset = scalar-oleinik\nt_final = 0.01\n[grid]\nnx = 8\n{grid}\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.key == key
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["run", "--config", _write_config(tmp_path, text), "--out", str(out)]) == 2
+    assert list(out.iterdir()) == []
+
+
+#: what a run with each reference kind writes besides its field, stats and manifest
+REFERENCE_ARTIFACTS = {"exact": ["error_metrics.csv"], "collocation": ["error_metrics.csv"],
+                       "monte-carlo": ["mc_envelope.csv"], "none": []}
+
+
+@pytest.mark.parametrize("kind", sorted(REFERENCE_ARTIFACTS))
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_cli_runs_exactly_the_reference_kinds_of_its_preset(tmp_path, capsys, preset, kind):
+    """A preset runs every reference kind it lists; any other kind is a
+    configuration error (exit 2) before any output."""
+    spec = PRESETS[preset]
+    grid = "nx = 8\nny = 8" if spec.space_dim == 2 else "nx = 16"
+    text = (f"[run]\npreset = {preset}\nt_final = 0.01\n[basis]\nlevel = 0\n"
+            f"[grid]\n{grid}\n[reference]\nkind = {kind}\nsamples = 2\nrefine = 1\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    code = main(["run", "--config", _write_config(tmp_path, text), "--out", str(out)])
+    if kind not in spec.references:
+        assert code == 2
+        assert "`reference.kind`" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+        return
+    assert code == 0
+    written = sorted(os.listdir(out))
+    assert written == sorted(["field_final.csv", "stats_final.csv", "run_manifest.json"]
+                             + REFERENCE_ARTIFACTS[kind]
+                             + (["profile_x2_0.csv"] if spec.space_dim == 2 else []))
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_manifest_names_the_settings_the_run_used(tmp_path, preset):
+    """At the preset's default grid, boundary and reference the manifest's
+    config text parses back to the run's config and names those values."""
+    spec = PRESETS[preset]
+    text = f"[run]\npreset = {preset}\nt_final = 0\n[basis]\nlevel = 0\n"
+    out = tmp_path / "out"
+    assert main(["run", "--config", _write_config(tmp_path, text), "--out", str(out)]) == 0
+    rendered = json.loads((out / "run_manifest.json").read_text())["config"]
+    assert parse_config(rendered) == RunConfig(preset=preset, t_final=0.0, basis_level=0,
+                                               out_dir=str(out))
+    lines = rendered.splitlines()
+    for line in (f"nx = {spec.nx}", "t_final = 0.0", f"boundary = {spec.boundary}",
+                 f"kind = {spec.references[0]}"):
+        assert line in lines
+    assert (f"ny = {spec.ny}" in lines) == (spec.space_dim == 2)
+    default = render_config(parse_config(f"[run]\npreset = {preset}\n")).splitlines()
+    assert f"t_final = {spec.t_final!r}" in default
 
 
 @pytest.mark.parametrize("sweep", ["3..1", "-1..1", "-2..-1"])

@@ -14,7 +14,7 @@ from hypothesis.extra.numpy import arrays
 from haarsg import (build_canonical_haar, build_classical_haar, build_dct,
                     build_piecewise_linear, build_tensors, from_spectrum,
                     parse_config, render_config, to_spectrum)
-from haarsg.config import BASIS_KINDS, BOUNDARY_NAMES, REFERENCE_KINDS, RunConfig
+from haarsg.config import BASIS_KINDS, BOUNDARY_NAMES, RunConfig
 from haarsg.models import PRESETS
 
 SETTINGS = settings(max_examples=40, deadline=None, database=None, derandomize=True)
@@ -114,35 +114,39 @@ def grid_bounds(draw, domain):
     return lo, hi
 
 
-def _config(kind, preset, basis, bounds, **kw):
-    (x_min, x_max), (y_min, y_max) = bounds
+def _config(kind, preset, basis, x_bounds, y_bounds=(None, None), **kw):
+    (x_min, x_max), (y_min, y_max) = x_bounds, y_bounds
     return RunConfig(basis_kind=kind, preset=preset, **basis, x_min=x_min, x_max=x_max,
                      y_min=y_min, y_max=y_max, **kw)
 
 
 def _configs(kind: str, preset: str):
-    # a 1D preset ignores the y bounds: any increasing pair will do
-    domain = PRESETS[preset].domain + ((0.0, 1.0),)
+    # a 1D preset has no y axis: no ny and no y bounds are drawn for it
+    spec = PRESETS[preset]
+    y_axis = {}
+    if spec.space_dim == 2:
+        y_axis = {"ny": st.none() | st.integers(8, 10 ** 5),
+                  "y_bounds": grid_bounds(spec.domain[1])}
     return st.builds(
         _config, st.just(kind), st.just(preset), _basis_fields(kind),
-        st.tuples(grid_bounds(domain[0]), grid_bounds(domain[1])),
+        x_bounds=grid_bounds(spec.domain[0]),
+        **y_axis,
         t_final=st.none() | st.floats(0.0, 10.0),
         cfl=st.floats(0.01, 0.99),
         seed=st.integers(0, 2 ** 40),
         nx=st.none() | st.integers(8, 10 ** 5),
-        ny=st.none() | st.integers(8, 10 ** 5),
         boundary=st.none() | st.sampled_from(BOUNDARY_NAMES),
         out_dir=st.text("abcXYZ019_./-", min_size=1, max_size=24),
         stride=st.integers(0, 1000),
-        reference=st.none() | st.sampled_from(REFERENCE_KINDS),
+        reference=st.none() | st.sampled_from(spec.references),
         ref_samples=st.integers(1, 10 ** 4),
         ref_refine=st.integers(1, 16),
         ref_level=st.none() | st.integers(0, 12),
     )
 
 
-configs = st.tuples(st.sampled_from(BASIS_KINDS), st.sampled_from(sorted(PRESETS))).flatmap(
-    lambda pair: _configs(*pair))
+configs = st.tuples(st.sampled_from(tuple(BASIS_KINDS)),
+                    st.sampled_from(sorted(PRESETS))).flatmap(lambda pair: _configs(*pair))
 
 
 @SETTINGS
