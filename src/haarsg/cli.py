@@ -4,7 +4,7 @@ Subcommands: ``basis`` (dump ``H`` and the eigenframe maps ``eig_map`` and
 ``eig_inv``; each Galerkin matrix is M_k = (eig_inv * eig_map[:, k]) @ eig_map),
 ``project`` (project an initial-data expression), ``run`` (full experiment,
 optionally a level sweep), ``reference`` (build and dump a reference), ``mse``
-(compare a field CSV against a reference).  Exit codes: 0 success, 2
+(compare a field CSV at t > 0 against a reference).  Exit codes: 0 success, 2
 configuration error, 3 solver abort, 4 I/O error.
 """
 
@@ -159,8 +159,8 @@ def _cmd_mse(config, args) -> int:
         raise ConfigError(f"--field is not a mode field CSV: {exc}") from None
     if ys is not None:
         raise ConfigError("mse comparison is defined for 1D fields")
-    if not (np.isfinite(t) and t >= 0.0):
-        raise ConfigError(f"--field has time {t}; a reference needs a finite time >= 0")
+    if not (np.isfinite(t) and t > 0.0):
+        raise ConfigError(f"--field has time {t}; mse is defined at a finite time > 0")
     centers = grid.x_centers
     if xs.shape != centers.shape or not np.allclose(xs, centers, rtol=0.0, atol=1e-12):
         raise ConfigError(f"--field has {xs.size} x centres in [{xs[0]:.6g}, {xs[-1]:.6g}]; "
@@ -211,9 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
     solving(p_ref)
     p_ref.set_defaults(func=_cmd_reference)
 
-    p_mse = sub.add_parser("mse", help="compare a field CSV against a reference")
+    p_mse = sub.add_parser("mse", help="compare a field CSV at t > 0 against a reference")
     common(p_mse)
-    p_mse.add_argument("--field", required=True, help="path to a mode-field CSV")
+    p_mse.add_argument("--field", required=True, help="path to a mode-field CSV at t > 0")
     p_mse.set_defaults(func=_cmd_mse)
     return parser
 

@@ -18,8 +18,7 @@ from .basis import (MAX_BASIS_SIZE, MAX_HAAR_LEVEL, HaarTypeBasis, build_canonic
                     build_classical_haar, build_dct, build_piecewise_linear)
 from .errors import ConfigError
 from .models import PRESETS, ExperimentPreset
-
-BOUNDARY_NAMES = ("transmissive", "periodic")
+from .solver import BOUNDARY_KINDS
 
 
 @dataclass(frozen=True)
@@ -209,8 +208,8 @@ def _validate(config: RunConfig, preset: ExperimentPreset) -> None:
     if config.ref_level is not None and not 0 <= config.ref_level <= MAX_HAAR_LEVEL:
         raise ConfigError(f"`reference.level` must lie in [0, {MAX_HAAR_LEVEL}], "
                           f"got {config.ref_level}", key="reference.level")
-    if config.boundary not in BOUNDARY_NAMES:
-        raise ConfigError(f"`grid.boundary` must be one of {BOUNDARY_NAMES}",
+    if config.boundary not in BOUNDARY_KINDS:
+        raise ConfigError(f"`grid.boundary` must be one of {BOUNDARY_KINDS}",
                           key="grid.boundary")
     if config.reference not in preset.references:
         raise ConfigError(f"`reference.kind` must be one of {preset.references} for "

@@ -17,7 +17,7 @@ from .galerkin import GalerkinTensor, build_tensors
 from .models import get_preset, initial_data
 from .reference import (CollocationReference, ExactScalarReference,
                         collocation_reference, l1_distance, mean_std,
-                        monte_carlo_reference, mse)
+                        monte_carlo_reference, mse, x_profile)
 from .solver import Grid, GpcField, SemiDiscreteSystem, advance
 
 
@@ -121,7 +121,7 @@ def run_experiment(config: RunConfig, threads: int = 1, out_dir: str | None = No
         final_path = os.path.join(out_dir, "field_final.csv")
         output.write_field_csv(field, final_path, kinds=("mode",))
         stats_path = os.path.join(out_dir, "stats_final.csv")
-        output.write_field_csv(field, stats_path, kinds=("mean", "std"))
+        output.write_field_csv(field, stats_path, kinds=("mean", "std"), basis=basis)
         result.artifacts += [final_path, stats_path]
 
     reference = reference_override
@@ -150,11 +150,9 @@ def run_experiment(config: RunConfig, threads: int = 1, out_dir: str | None = No
             result.artifacts.append(env_path)
 
     if write_outputs and grid.space_dim == 2:
-        mean, std = mean_std(field)
-        row = grid.ny // 2
+        mean, std = mean_std(x_profile(field.data, grid, qoi), basis)
         prof_path = os.path.join(out_dir, "profile_x2_0.csv")
-        output.write_profile_csv(prof_path, grid.x_centers,
-                                 {"mean": mean[:, row, qoi], "std": std[:, row, qoi]})
+        output.write_profile_csv(prof_path, grid.x_centers, {"mean": mean, "std": std})
         result.artifacts.append(prof_path)
 
     result.seconds = time.perf_counter() - started

@@ -28,6 +28,13 @@ PROJECT_GAUSS_POINTS = 5
 _GAUSS_NODES, _GAUSS_WEIGHTS = leggauss(PROJECT_GAUSS_POINTS)
 
 
+def gauss_rule(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the 5-point Gauss-Legendre rule on each interval
+    [lo, hi], the five of an interval contiguous in the flat arrays."""
+    half, mid = 0.5 * (hi - lo)[..., None], 0.5 * (lo + hi)[..., None]
+    return (half * _GAUSS_NODES + mid).ravel(), (half * _GAUSS_WEIGHTS).ravel()
+
+
 @dataclass(frozen=True)
 class GalerkinTensor:
     """The shared eigenvector frame of all Galerkin matrices of a basis.
@@ -117,8 +124,8 @@ def project(t: GalerkinTensor, f: Callable[[np.ndarray], np.ndarray],
             breakpoints: Sequence[float] = ()) -> np.ndarray:
     """gPC modes of a function of xi: u_k = <f, phi_k> under the uniform law.
 
-    One pass: ``f`` is evaluated once, on the composite 5-point Gauss-Legendre
-    nodes (rule computed once, at import) of 8 panels per piece of every
+    One pass: ``f`` is evaluated once, on the composite nodes of
+    :func:`gauss_rule` (computed once, at import) on 8 panels per piece of every
     stochastic cell.  ``breakpoints`` cut a cell into pieces exactly at
     known discontinuities of ``f`` so piecewise-smooth data projects
     exactly; only breakpoints strictly inside a cell split it, and one
@@ -131,10 +138,7 @@ def project(t: GalerkinTensor, f: Callable[[np.ndarray], np.ndarray],
     lo, cells = _pieces(basis.cells, breakpoints)
     hi = np.append(lo[1:], 1.0)
     panel_edges = np.linspace(lo, hi, PROJECT_PANELS + 1, axis=1)
-    p0, p1 = panel_edges[:, :-1, None], panel_edges[:, 1:, None]
-    half = 0.5 * (p1 - p0)
-    nodes = (half * _GAUSS_NODES + 0.5 * (p0 + p1)).ravel()
-    weights = (half * _GAUSS_WEIGHTS).ravel()
+    nodes, weights = gauss_rule(panel_edges[:, :-1], panel_edges[:, 1:])
     vals = np.asarray(f(nodes), dtype=float)
     if vals.shape != nodes.shape:
         vals = np.broadcast_to(vals, nodes.shape)

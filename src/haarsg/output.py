@@ -15,6 +15,7 @@ import os
 
 import numpy as np
 
+from .basis import HaarTypeBasis
 from .reference import MonteCarloEnvelope, mean_std
 from .solver import GpcField
 
@@ -38,14 +39,15 @@ def _write_lines(path: str, lines) -> None:
             handle.write(line + "\n")
 
 
-def write_field_csv(field: GpcField, path: str, kinds: tuple[str, ...] = ("mode",)) -> None:
+def write_field_csv(field: GpcField, path: str, kinds: tuple[str, ...] = ("mode",),
+                    basis: HaarTypeBasis | None = None) -> None:
     """Dump a field (and/or its statistics) as CSV.
 
     Header is ``t,x[,y],component,kind,index,value``; ``kind`` is one of
-    mode, mean, std (mean/std always carry index 0).  The values are read
-    about ``CHUNK_LINES`` lines at a time, and each cell's lines are
-    formatted from one template straight into the file's buffer, so no
-    list of the file's lines is ever built.
+    mode, mean, std (mean/std always carry index 0, and need the field's
+    ``basis``).  The values are read about ``CHUNK_LINES`` lines at a time,
+    and each cell's lines are formatted from one template straight into the
+    file's buffer, so no list of the file's lines is ever built.
     """
     grid = field.grid
     two_d = grid.space_dim == 2
@@ -68,19 +70,20 @@ def write_field_csv(field: GpcField, path: str, kinds: tuple[str, ...] = ("mode"
         for iy, ystr in rows:
             for i in range(0, grid.nx, cells):
                 block = field.data[i:i + cells] if iy is None else field.data[i:i + cells, iy]
-                values = _line_values(block, kinds, field).reshape(len(block), -1).tolist()
+                values = _line_values(block, kinds, basis).reshape(len(block), -1).tolist()
                 handle.writelines(
                     (prefix + prefix.join(suffixes)) % tuple(cell)
                     for prefix, cell in zip((f"{tstr},{x}{ystr}" for x in xs[i:i + cells]),
                                             values))
 
 
-def _line_values(block: np.ndarray, kinds: tuple[str, ...], field: GpcField) -> np.ndarray:
+def _line_values(block: np.ndarray, kinds: tuple[str, ...],
+                 basis: HaarTypeBasis | None) -> np.ndarray:
     """Values of the lines of ``block`` (cells, components, K+1) in file
     order: per component its modes, mean and std, as ``kinds`` asks."""
     parts = [block] if "mode" in kinds else []
     if "mean" in kinds or "std" in kinds:
-        mean, std = mean_std(GpcField(grid=field.grid, data=block, time=field.time))
+        mean, std = mean_std(block, basis)
         parts += [stat[..., None] for kind, stat in (("mean", mean), ("std", std))
                   if kind in kinds]
     return np.concatenate(parts, axis=-1)

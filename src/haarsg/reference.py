@@ -5,11 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .basis import HaarTypeBasis, evaluate_wavelet
 from .errors import SolverAbort
-from .galerkin import GalerkinTensor
+from .galerkin import GalerkinTensor, gauss_rule
 from .models import ExperimentPreset
 from .solver import Grid, GpcField, SemiDiscreteSystem, advance
 
@@ -17,7 +16,6 @@ from .solver import Grid, GpcField, SemiDiscreteSystem, advance
 MSE_BLOCK_CELLS = 16
 #: Monte Carlo samples solved as one deterministic batch
 MC_CHUNK = 8
-_GAUSS_NODES, _GAUSS_WEIGHTS = leggauss(5)
 
 
 def exact_scalar(t: float, x, xi):
@@ -52,14 +50,11 @@ class ExactScalarReference:
         return exact_scalar(t, x, xi)
 
 
-def basis_matrix(basis: HaarTypeBasis, xi: np.ndarray) -> np.ndarray:
-    """Matrix of wavelet values phi_k(xi_j), shape (K+1, len(xi))."""
-    return np.stack([evaluate_wavelet(basis, k, xi) for k in range(basis.size)])
-
-
 def expansion_values(t: GalerkinTensor, modes: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """Evaluate the truncated expansion of ``modes`` at points ``xi``."""
-    return np.asarray(modes) @ basis_matrix(t.basis, np.asarray(xi, dtype=float))
+    """Evaluate the truncated expansion of ``modes`` at points ``xi``: one
+    product with the (K+1, len(xi)) matrix of wavelet values phi_k(xi_j)."""
+    xi = np.asarray(xi, dtype=float)
+    return np.asarray(modes) @ np.stack([evaluate_wavelet(t.basis, k, xi) for k in range(t.size)])
 
 
 def solve_deterministic_batch(preset: ExperimentPreset, xi: np.ndarray, grid: Grid,
@@ -81,19 +76,17 @@ class CollocationReference:
     """
 
     kind: str
-    basis: HaarTypeBasis
     xi_nodes: np.ndarray
     grid: Grid
     values: np.ndarray  # (nfine[, nfine_y], components, len(xi_nodes))
     t_final: float
 
-    def x_index(self, x) -> np.ndarray:
-        r = (np.asarray(x, dtype=float) - self.grid.x_bounds[0]) / self.grid.dx
-        return np.clip(np.floor(r + 1e-12).astype(int), 0, self.grid.nx - 1)
-
     def profile(self, x, component: int = 0) -> np.ndarray:
-        """Values at positions ``x`` for all xi nodes, shape (len(x), nodes)."""
-        return self.values[self.x_index(x), component, :]
+        """Values in the fine cells of positions ``x`` for all xi nodes, shape
+        (len(x), nodes)."""
+        r = (np.asarray(x, dtype=float) - self.grid.x_bounds[0]) / self.grid.dx
+        return self.values[np.clip(np.floor(r + 1e-12).astype(int), 0, self.grid.nx - 1),
+                           component, :]
 
 
 def collocation_reference(preset: ExperimentPreset, tensors: GalerkinTensor,
@@ -106,9 +99,8 @@ def collocation_reference(preset: ExperimentPreset, tensors: GalerkinTensor,
     fine = Grid(nx=grid.nx * refine, x_bounds=grid.x_bounds, boundary=grid.boundary)
     xi_nodes = tensors.basis.cell_midpoints()
     values = solve_deterministic_batch(preset, xi_nodes, fine, t_final, cfl)
-    return CollocationReference(kind="collocation", basis=tensors.basis,
-                                xi_nodes=xi_nodes, grid=fine, values=values,
-                                t_final=t_final)
+    return CollocationReference(kind="collocation", xi_nodes=xi_nodes, grid=fine,
+                                values=values, t_final=t_final)
 
 
 _MASK32 = (1 << 32) - 1
@@ -176,6 +168,13 @@ def _uniform_samples(seed: int, n: int) -> np.ndarray:
     return draws
 
 
+def x_profile(values: np.ndarray, grid: Grid, component: int) -> np.ndarray:
+    """The x-profile of ``component`` in per-cell ``values``: the whole line
+    in 1D, row ``ny // 2`` (y = 0 on an odd ``ny`` and symmetric bounds) in
+    2D.  Axes after the component axis are kept."""
+    return values[:, grid.ny // 2, component] if grid.space_dim == 2 else values[:, component]
+
+
 @dataclass(frozen=True)
 class MonteCarloEnvelope:
     """Pointwise min/max/mean over Monte Carlo samples along a profile."""
@@ -207,25 +206,18 @@ def monte_carlo_reference(preset: ExperimentPreset, n_samples: int, grid: Grid,
     xi = _uniform_samples(seed, n_samples)
     profiles = np.empty((n_samples, grid.nx))
     valid = np.ones(n_samples, dtype=bool)
-    row = grid.ny // 2 if grid.space_dim == 2 else None
-    component = preset.qoi_component
-
-    def extract(data):
-        if row is None:
-            return data[:, component, :].T  # (samples, nx)
-        return data[:, row, component, :].T
+    qoi = preset.qoi_component
 
     def run_chunk(start: int) -> None:
         idx = np.arange(start, min(start + MC_CHUNK, n_samples))
         try:
             data = solve_deterministic_batch(preset, xi[idx], grid, t_final, cfl)
-            profiles[idx] = extract(data)
+            profiles[idx] = x_profile(data, grid, qoi).T
         except SolverAbort:
             for i in idx:  # isolate the failing samples
                 try:
-                    data = solve_deterministic_batch(preset, xi[i:i + 1], grid,
-                                                     t_final, cfl)
-                    profiles[i] = extract(data)[0]
+                    data = solve_deterministic_batch(preset, xi[i:i + 1], grid, t_final, cfl)
+                    profiles[i] = x_profile(data, grid, qoi)[:, 0]
                 except SolverAbort:
                     valid[i] = False
 
@@ -248,50 +240,51 @@ def monte_carlo_reference(preset: ExperimentPreset, n_samples: int, grid: Grid,
 # ---------------------------------------------------------------------------
 # metrics
 
-def mean_std(field: GpcField) -> tuple[np.ndarray, np.ndarray]:
-    """Per cell and component: mean = mode 0, std = 2-norm of the details."""
-    mean = field.data[..., 0]
-    std = np.sqrt(np.sum(field.data[..., 1:] ** 2, axis=-1))
-    return mean, std
+def mean_std(modes: np.ndarray, basis: HaarTypeBasis) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and std over xi of the expansions of ``modes`` (modes on the last
+    axis): mode 0 and the 2-norm of the details for piecewise-constant kinds;
+    for piecewise-linear, the sum of the subdomain constants u_2b / sqrt(N)
+    and by Parseval sqrt(sum u_k^2 - mean^2)."""
+    if basis.is_piecewise_constant:
+        return modes[..., 0], np.sqrt(np.sum(modes[..., 1:] ** 2, axis=-1))
+    mean = np.sum(modes[..., 0::2], axis=-1) / np.sqrt(basis.subdomains)
+    return mean, np.sqrt(np.maximum(np.sum(modes ** 2, axis=-1) - mean ** 2, 0.0))
+
+
+def _errors(field: GpcField, tensors: GalerkinTensor, reference, component: int):
+    """Blocks of (SG minus reference at the x centres and xi nodes, xi weights)
+    of the xi-expectation: an exact reference at :func:`gauss_rule` in each
+    stochastic cell, ``MSE_BLOCK_CELLS`` cells per block so the temporaries
+    stay (nx, 5 * MSE_BLOCK_CELLS); a collocation reference at its own time
+    and nodes, with equal weights."""
+    xs = field.grid.x_centers
+    modes = field.data[:, component, :]
+    if isinstance(reference, ExactScalarReference):
+        ncell = tensors.basis.cells
+        for first in range(0, ncell, MSE_BLOCK_CELLS):
+            cells = np.arange(first, min(first + MSE_BLOCK_CELLS, ncell))
+            nodes, weights = gauss_rule(cells / ncell, (cells + 1) / ncell)
+            yield (expansion_values(tensors, modes, nodes)
+                   - reference.value(field.time, xs[:, None], nodes[None, :])), weights
+    elif isinstance(reference, CollocationReference):
+        if not np.isclose(reference.t_final, field.time):
+            raise ValueError("reference time does not match the field time")
+        nodes = reference.xi_nodes
+        yield (expansion_values(tensors, modes, nodes) - reference.profile(xs, component),
+               np.full(nodes.size, 1.0 / nodes.size))
+    else:
+        raise TypeError(f"unsupported reference type {type(reference).__name__}")
 
 
 def mse(field: GpcField, tensors: GalerkinTensor, reference, component: int = 0) -> float:
-    """Integrated mean squared error against a reference random field.
-
-    The xi-expectation is an exact sum over stochastic cells with 5-point
-    Gauss quadrature inside each cell (the reference may vary there),
-    evaluated ``MSE_BLOCK_CELLS`` cells at a time so the temporaries stay
-    (nx, 5 * MSE_BLOCK_CELLS); the spatial integral uses the midpoint rule
-    on the solver cells.
-    """
-    xs = field.grid.x_centers
-    if isinstance(reference, ExactScalarReference):
-        ncell = tensors.basis.cells
-        modes = field.data[:, component, :]
-        exp_err = np.zeros(xs.size)
-        for first in range(0, ncell, MSE_BLOCK_CELLS):
-            cells = np.arange(first, min(first + MSE_BLOCK_CELLS, ncell))[:, None]
-            a, b = cells / ncell, (cells + 1) / ncell
-            nodes = (0.5 * (b - a) * _GAUSS_NODES + 0.5 * (a + b)).ravel()
-            weights = (0.5 * (b - a) * _GAUSS_WEIGHTS).ravel()
-            vals = expansion_values(tensors, modes, nodes)
-            ref = reference.value(field.time, xs[:, None], nodes[None, :])
-            exp_err += ((vals - ref) ** 2) @ weights
-        return float(exp_err.sum() * field.grid.dx)
-    if isinstance(reference, CollocationReference):
-        if not np.isclose(reference.t_final, field.time):
-            raise ValueError("reference time does not match the field time")
-        vals = expansion_values(tensors, field.data[:, component, :], reference.xi_nodes)
-        ref = reference.profile(xs, component)
-        weight = 1.0 / reference.xi_nodes.size
-        return float(np.sum((vals - ref) ** 2) * weight * field.grid.dx)
-    raise TypeError(f"unsupported reference type {type(reference).__name__}")
+    """Mean squared error against an exact or collocation reference: the
+    xi-expectation of :func:`_errors`, then the midpoint rule in x."""
+    exp_err = sum((diff ** 2) @ w for diff, w in _errors(field, tensors, reference, component))
+    return float(exp_err.sum() * field.grid.dx)
 
 
-def l1_distance(field: GpcField, tensors: GalerkinTensor,
-                reference: CollocationReference, component: int = 0) -> float:
-    """L1 distance in (x, xi) against a collocation reference."""
-    xs = field.grid.x_centers
-    vals = expansion_values(tensors, field.data[:, component, :], reference.xi_nodes)
-    ref = reference.profile(xs, component)
-    return float(np.sum(np.abs(vals - ref)) * field.grid.dx / reference.xi_nodes.size)
+def l1_distance(field: GpcField, tensors: GalerkinTensor, reference,
+                component: int = 0) -> float:
+    """L1 distance in (x, xi), on the quadrature of :func:`mse`."""
+    exp_err = sum(np.abs(diff) @ w for diff, w in _errors(field, tensors, reference, component))
+    return float(exp_err.sum() * field.grid.dx)

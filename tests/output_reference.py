@@ -38,14 +38,15 @@ def write_profile_csv_reference(path: str, x, columns: dict) -> None:
     _write_lines(path, lines)
 
 
-def write_field_csv_reference(field, path: str, kinds: tuple[str, ...] = ("mode",)) -> None:
+def write_field_csv_reference(field, path: str, kinds: tuple[str, ...] = ("mode",),
+                              basis=None) -> None:
     """Dump a field (and/or its statistics) as CSV, one line at a time."""
     grid = field.grid
     two_d = grid.space_dim == 2
     header = "t,x,y,component,kind,index,value" if two_d else "t,x,component,kind,index,value"
     mean = std = None
     if "mean" in kinds or "std" in kinds:
-        mean, std = mean_std(field)
+        mean, std = mean_std(field.data, basis)
     xs = grid.x_centers
     ys = grid.y_centers if two_d else None
     tstr = _fmt(field.time)

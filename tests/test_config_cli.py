@@ -149,7 +149,7 @@ def test_write_field_csv_stats(tmp_path):
     grid = Grid(nx=1, x_bounds=(0.0, 1.0))
     field = GpcField(grid, np.array([[[2.0, 1.0]]]), 0.0)
     path = tmp_path / "stats.csv"
-    write_field_csv(field, str(path), kinds=("mean", "std"))
+    write_field_csv(field, str(path), kinds=("mean", "std"), basis=build_classical_haar(0))
     lines = path.read_text().splitlines()
     assert lines[1].endswith("mean,0,2")
     assert lines[2].endswith("std,0,1")
@@ -615,12 +615,16 @@ def test_cli_reference_at_time_zero_writes_the_initial_data(tmp_path):
 
 
 def test_cli_mse_at_time_zero(tmp_path, capsys):
+    """`run` reports no error at t = 0, so `mse` refuses that run's field."""
     cfg = _write_config(tmp_path, FULL.replace("t_final = 0.1", "t_final = 0"))
     out = tmp_path / "run0_out"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    assert json.loads((out / "run_manifest.json").read_text())["mse"] is None
     capsys.readouterr()
-    assert main(["mse", "--config", cfg, "--field", str(out / "field_final.csv")]) == 0
-    assert 0.0 < float(capsys.readouterr().out) < 1.0
+    assert main(["mse", "--config", cfg, "--field", str(out / "field_final.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "configuration error: --field has time 0" in captured.err
 
 
 SCALAR_L1 = ("[run]\npreset = scalar-oleinik\nt_final = 0.05\n"

@@ -10,7 +10,8 @@ import pytest
 from output_reference import (write_field_csv_reference, write_matrix_csv_reference,
                               write_profile_csv_reference, write_table_csv_reference)
 
-from haarsg import output
+from haarsg import (BasisKind, HaarTypeBasis, build_classical_haar, build_dct,
+                    build_piecewise_linear, output)
 from haarsg.output import write_field_csv
 from haarsg.solver import Grid, GpcField
 
@@ -33,20 +34,25 @@ def _field(two_d: bool, comps: int, modes: int, seed: int) -> GpcField:
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("kinds", KINDS, ids=["+".join(k) or "none" for k in KINDS])
-@pytest.mark.parametrize("two_d, comps, modes", [(False, 1, 8), (False, 2, 5), (True, 3, 8),
-                                                  (True, 2, 1)],
-                         ids=["1d-scalar", "1d-system", "2d-euler", "2d-one-mode"])
+@pytest.mark.parametrize("two_d, comps, basis", [
+    (False, 1, build_dct(8)), (False, 2, build_dct(5)), (True, 3, build_classical_haar(2)),
+    # the piecewise-constant basis of one mode, which no builder makes
+    (True, 2, HaarTypeBasis(BasisKind.CLASSICAL_HAAR, 1, np.ones((1, 1)))),
+    (False, 2, build_piecewise_linear(3))],
+    ids=["1d-scalar", "1d-system", "2d-euler", "2d-one-mode", "1d-piecewise-linear"])
 def test_streamed_field_csv_is_byte_identical(tmp_path, monkeypatch, kinds, two_d, comps,
-                                              modes):
+                                              basis):
+    modes = basis.size
     field = _field(two_d, comps, modes, seed=len(kinds) + 10 * comps + modes)
     expected = tmp_path / "reference.csv"
-    write_field_csv_reference(field, str(expected), kinds)
+    write_field_csv_reference(field, str(expected), kinds, basis)
     # the default chunk, one cell per chunk and chunks that end inside a row of cells
     for lines in (output.CHUNK_LINES, 1, 3 * comps * modes + 1):
         monkeypatch.setattr(output, "CHUNK_LINES", lines)
         got = tmp_path / f"streamed_{lines}.csv"
-        write_field_csv(field, str(got), kinds)
+        write_field_csv(field, str(got), kinds, basis)
         assert got.read_bytes() == expected.read_bytes()
 
 
@@ -58,7 +64,7 @@ def test_writing_a_field_holds_a_small_part_of_it(tmp_path):
     for kinds in (("mode",), ("mean", "std")):
         tracemalloc.start()
         try:
-            write_field_csv(field, str(tmp_path / "field.csv"), kinds)
+            write_field_csv(field, str(tmp_path / "field.csv"), kinds, build_classical_haar(2))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

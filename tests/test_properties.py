@@ -14,8 +14,9 @@ from hypothesis.extra.numpy import arrays
 from haarsg import (build_canonical_haar, build_classical_haar, build_dct,
                     build_piecewise_linear, build_tensors, from_spectrum,
                     parse_config, render_config, to_spectrum)
-from haarsg.config import BASIS_KINDS, BOUNDARY_NAMES, RunConfig
+from haarsg.config import BASIS_KINDS, RunConfig
 from haarsg.models import PRESETS
+from haarsg.solver import BOUNDARY_KINDS
 
 SETTINGS = settings(max_examples=40, deadline=None, database=None, derandomize=True)
 
@@ -135,7 +136,7 @@ def _configs(kind: str, preset: str):
         cfl=st.floats(0.01, 0.99),
         seed=st.integers(0, 2 ** 40),
         nx=st.none() | st.integers(8, 10 ** 5),
-        boundary=st.none() | st.sampled_from(BOUNDARY_NAMES),
+        boundary=st.none() | st.sampled_from(BOUNDARY_KINDS),
         out_dir=st.text("abcXYZ019_./-", min_size=1, max_size=24),
         stride=st.integers(0, 1000),
         reference=st.none() | st.sampled_from(spec.references),

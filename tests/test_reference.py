@@ -10,7 +10,8 @@ import pytest
 from haarsg import (ExactScalarReference, Grid, GpcField, build_classical_haar,
                     build_dct, build_piecewise_linear, build_tensors, exact_scalar, expansion_values, get_preset,
                     initial_data, l1_distance, mean_std, monte_carlo_reference,
-                    mse, parse_config, collocation_reference, SemiDiscreteSystem, advance)
+                    mse, parse_config, collocation_reference, SemiDiscreteSystem, advance,
+                    project, run_experiment, to_spectrum)
 from haarsg import reference
 from haarsg.experiments import build_grid
 from haarsg.reference import _uniform_samples, solve_deterministic_batch
@@ -54,19 +55,17 @@ def test_expansion_values_reproduces_realizations():
 
 
 def test_mean_std_examples():
-    grid = Grid(nx=1, x_bounds=(0.0, 1.0))
     data = np.zeros((1, 1, 8))
     data[0, 0, 0] = 4.0
-    mean, std = mean_std(GpcField(grid, data, 0.0))
+    mean, std = mean_std(data, T2.basis)
     assert mean[0, 0] == 4.0 and std[0, 0] == 0.0
     data2 = np.zeros((1, 1, 8))
     data2[0, 0, 1] = 1.0
-    mean, std = mean_std(GpcField(grid, data2, 0.0))
+    mean, std = mean_std(data2, T2.basis)
     assert mean[0, 0] == 0.0 and std[0, 0] == 1.0
     # (2, 1) has realizations (3, 1): mean 2, std 1
     t0 = build_tensors(build_classical_haar(0))
-    mean, std = mean_std(GpcField(Grid(nx=1, x_bounds=(0.0, 1.0)),
-                                  np.array([[[2.0, 1.0]]]), 0.0))
+    mean, std = mean_std(np.array([[[2.0, 1.0]]]), t0.basis)
     assert mean[0, 0] == pytest.approx(2.0) and std[0, 0] == pytest.approx(1.0)
     from haarsg import to_spectrum
     real = to_spectrum(t0, np.array([2.0, 1.0]))
@@ -132,9 +131,8 @@ def test_exact_mse_matches_per_cell_sum(basis):
 
 def test_mean_std_matches_cell_statistics():
     rng = np.random.default_rng(32)
-    grid = Grid(nx=3, x_bounds=(0.0, 1.0))
     data = rng.normal(size=(3, 2, 8))
-    mean, std = mean_std(GpcField(grid, data, 0.0))
+    mean, std = mean_std(data, T2.basis)
     from haarsg import to_spectrum
     real = to_spectrum(T2, data)
     assert np.allclose(mean, real.mean(axis=-1), atol=1e-12)
@@ -250,6 +248,57 @@ def test_l1_distance_self_is_small():
     out = advance(system, field, 0.05, cfl=0.45)
     # same scheme, same grid, collocation vs intrusive: near-identical here
     assert l1_distance(out, tensors, ref, component=1) < 5e-3
+
+
+@pytest.mark.parametrize("metric", [mse, l1_distance], ids=["mse", "l1"])
+def test_collocation_metrics_refuse_a_field_at_another_time(metric):
+    preset = get_preset("psystem-riemann")
+    grid = Grid(nx=20, x_bounds=(-3.0, 3.0))
+    tensors = build_tensors(build_classical_haar(0))
+    ref = collocation_reference(preset, tensors, refine=1, t_final=0.05, grid=grid, cfl=0.45)
+    field = initial_data(preset.galerkin_model(tensors), preset, tensors, grid)
+    with pytest.raises(ValueError, match="reference time"):
+        metric(field, tensors, ref, component=1)
+
+
+def test_piecewise_linear_mean_std_are_those_of_the_expansion():
+    """Mode 0 is not the mean of a piecewise-linear expansion: the mean is
+    the spectrum's average (two Gauss points per subdomain, exact on linear
+    and quadratic pieces), the std that of the spectrum and Parseval's."""
+    tensors = build_tensors(build_piecewise_linear(4))
+    modes = project(tensors, lambda xi: 2.0 + np.sin(3.0 * xi) + xi ** 2)
+    mean, std = mean_std(modes, tensors.basis)
+    spectrum = to_spectrum(tensors, modes)
+    assert mean == pytest.approx(spectrum.mean(), rel=1e-14)
+    assert std == pytest.approx(spectrum.std(), rel=1e-12)
+    assert std ** 2 == pytest.approx(np.sum(modes ** 2) - spectrum.mean() ** 2, rel=1e-12)
+    # E[2 + sin 3xi + xi^2] = 2 + (1 - cos 3) / 3 + 1 / 3; mode 0 reads 1.189
+    assert mean == pytest.approx(2.0 + (1.0 - np.cos(3.0)) / 3.0 + 1.0 / 3.0, abs=1e-3)
+    assert std == pytest.approx(0.397, abs=1e-3)
+    assert modes[0] == pytest.approx(1.189, abs=1e-3)
+
+
+def test_monte_carlo_envelope_and_sg_profile_read_the_same_row(tmp_path):
+    """On an odd ny the profile row ny // 2 is y = 0, the one row without a
+    mirror image; both the SG profile and the MC envelope must read it."""
+    ny = 9
+    config = parse_config("[run]\npreset = euler-box\nt_final = 0.05\n"
+                          "[basis]\nkind = classical-haar\nlevel = 1\n"
+                          f"[grid]\nnx = 9\nny = {ny}\n"
+                          "[reference]\nkind = monte-carlo\nsamples = 8\n")
+    result = run_experiment(config, out_dir=str(tmp_path))
+    grid = result.grid
+    assert grid.y_centers[ny // 2] == pytest.approx(0.0, abs=1e-15)
+    profile = np.loadtxt(tmp_path / "profile_x2_0.csv", delimiter=",", skiprows=1)
+    mean, _ = mean_std(result.field.data, result.tensors.basis)
+    sg_rows = [r for r in range(ny) if np.array_equal(mean[:, r, 0], profile[:, 1])]
+    samples = solve_deterministic_batch(get_preset("euler-box"),
+                                        _uniform_samples(config.seed, 8), grid,
+                                        config.t_final, config.cfl)
+    mc_rows = [r for r in range(ny) if np.allclose(samples[:, r, 0, :].mean(axis=-1),
+                                                   result.reference.mean, rtol=0.0,
+                                                   atol=1e-12)]
+    assert sg_rows == mc_rows == [ny // 2]
 
 
 def test_preset_grid_defaults():
