@@ -88,7 +88,7 @@ def _cmd_project(config, args) -> int:
     except ValueError:
         raise ConfigError(f"--breakpoints expects comma-separated finite numbers, "
                           f"got {args.breakpoints!r}") from None
-    modes = project(tensors, f, breakpoints=breakpoints)
+    modes = project(tensors, [(f, breakpoints)])[0]
     path = os.path.join(config.out_dir, "modes.csv")
     output.write_table_csv(path, ["index", "value"],
                            ([k, float(v)] for k, v in enumerate(modes)))

@@ -49,11 +49,17 @@ GAUSS_OFFSET = 0.5 / math.sqrt(3.0)  # face Gauss points at +- this, cell widths
 STRIP_BYTES = 128 * 1024
 
 
+def strip_rows(row_bytes: int, min_rows: int = 1) -> int:
+    """Rows of a full strip: as many rows of ``row_bytes`` bytes as fit in
+    ``STRIP_BYTES``, at least ``min_rows``."""
+    return max(min_rows, STRIP_BYTES // max(row_bytes, 1))
+
+
 def strips(n: int, row_bytes: int, min_rows: int = 1) -> list[tuple[int, int]]:
     """(start, stop) of consecutive strips covering ``n`` rows of ``row_bytes``
-    bytes each: as many rows per strip as fit in ``STRIP_BYTES``, at least
-    ``min_rows``; a shorter last strip joins the one before it."""
-    rows = max(min_rows, STRIP_BYTES // max(row_bytes, 1))
+    bytes each: ``strip_rows`` rows per strip; a last strip shorter than
+    ``min_rows`` joins the one before it."""
+    rows = strip_rows(row_bytes, min_rows)
     bounds = list(range(0, n, rows)) + [n]
     if len(bounds) > 2 and n - bounds[-2] < min_rows:
         del bounds[-2]
@@ -71,8 +77,8 @@ def _weight(d: float, beta: np.ndarray, eps: float, out: np.ndarray,
     return np.divide(d, den, out=out)
 
 
-def cweno3_edges(u: np.ndarray, eps: float,
-                 work: Workspace) -> tuple[np.ndarray, np.ndarray]:
+def cweno3_edges(u: np.ndarray, eps: float, work: Workspace,
+                 rows: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Edge values (at the left/right cell faces) from 3-cell stencils.
 
     ``u`` is indexed by cell along axis 0 and may carry trailing axes; the
@@ -80,22 +86,27 @@ def cweno3_edges(u: np.ndarray, eps: float,
     the input.  Returns ``(left, right)`` evaluated at x_{i-1/2}, x_{i+1/2}.
     Both are arrays of ``work``, filled strip by strip: output rows ``i:j``
     come from input rows ``i:j+2``, with about ``STRIP_BYTES`` of input
-    rows per strip.
+    rows per strip.  ``rows``, when ``u`` is a span of a longer line, is
+    the line's output row count: the work arrays are made for that line,
+    so that a widening span maps none anew.
     """
     n = u.shape[0] - 2
-    left = work.array("edges.left", (n,) + u.shape[1:])
-    right = work.array("edges.right", (n,) + u.shape[1:])
+    line = n if rows is None else rows
+    per_row = math.prod(u.shape[1:])
+    left = work.array("edges.left", (n,) + u.shape[1:], reserve=line * per_row)
+    right = work.array("edges.right", (n,) + u.shape[1:], reserve=line * per_row)
+    strip_size = min(line, strip_rows(u[0].nbytes)) * per_row
     for i, j in strips(n, u[0].nbytes):
-        _edges_strip(u[i:j + 2], eps, left[i:j], right[i:j], work)
+        _edges_strip(u[i:j + 2], eps, left[i:j], right[i:j], work, strip_size)
     return left, right
 
 
 def _edges_strip(u: np.ndarray, eps: float, left: np.ndarray, right: np.ndarray,
-                 work: Workspace) -> None:
+                 work: Workspace, reserve: int) -> None:
     """Edge values of the interior rows of ``u`` into ``left`` and ``right``;
     every intermediate goes into one of seven strip-sized scratch arrays of
-    ``work``."""
-    s = [work.array(f"edges.{i}", left.shape) for i in range(7)]
+    ``work``, made with ``reserve`` elements."""
+    s = [work.array(f"edges.{i}", left.shape, reserve) for i in range(7)]
     um, u0, up = u[:-2], u[1:-1], u[2:]
     dl = np.subtract(u0, um, out=s[0])
     dr = np.subtract(up, u0, out=s[1])

@@ -109,13 +109,13 @@ def run_experiment(config: RunConfig, threads: int = 1, out_dir: str | None = No
                         callbacks=(snapshotter,))
     result.field = field
     result.steps = step_count[0]
-    # compute_dt has checked every state but the last, unless no step ran;
-    # the last one is transformed only for a model with a constraint
+    # compute_dt has checked every state but the last (none if no step
+    # ran); the last one is transformed only for a model with a constraint,
+    # which the model tells from no values at all
     result.admissibility_min = system.admissibility_min
-    if result.steps == 0 or np.isfinite(result.admissibility_min):
+    if model.admissibility_values(field.data[:0]) is not None:
         vals = model.admissibility_values(system._to_values(field.data))
-        if vals is not None:
-            result.admissibility_min = min(result.admissibility_min, float(vals.min()))
+        result.admissibility_min = min(result.admissibility_min, float(vals.min()))
 
     if write_outputs:
         final_path = os.path.join(out_dir, "field_final.csv")

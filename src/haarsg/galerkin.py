@@ -11,6 +11,11 @@ d followed by the inverse transform, which is how the solver applies the
 model maps.  The named closed-form operations (powers, roots, |u|, p-norms,
 moments, the Galerkin product) are that one map with a fixed function; no
 run calls them, and they live in ``tests/galerkin_reference.py`` as oracles.
+
+Initial data is projected by one :func:`project` call for all the pieces
+of a preset: the Gauss nodes of the stochastic cells that no breakpoint
+splits are built once per call, and each piece's row is bit for bit the
+one that a call with that piece alone gives.
 """
 
 from __future__ import annotations
@@ -97,63 +102,89 @@ def from_spectrum(t: GalerkinTensor, spectrum: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # projection
 
-def _pieces(ncell: int, breakpoints) -> tuple[np.ndarray, np.ndarray]:
-    """Left ends and stochastic cells of the pieces between breakpoints.
+def _panel_rule(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of :func:`gauss_rule` on ``PROJECT_PANELS`` equal
+    panels of each interval [lo, hi], the nodes of an interval contiguous.
+    No interval is empty, so ``np.linspace`` takes the same branch for all
+    of them and an interval's nodes do not depend on the intervals beside
+    it."""
+    panel_edges = np.linspace(lo, hi, PROJECT_PANELS + 1, axis=1)
+    return gauss_rule(panel_edges[:, :-1], panel_edges[:, 1:])
+
+
+def _cuts(cell_edges: np.ndarray, breakpoints) -> dict[int, list]:
+    """The breakpoints that split a stochastic cell, by cell in ascending
+    order.
 
     A breakpoint splits only the cell it lies strictly inside, and is
-    dropped within 1e-15 of the previous edge of that cell.  The pieces
-    come out in ascending order, so each cell's pieces are contiguous.
+    dropped within 1e-15 of the previous edge of that cell.
     """
-    cell_edges = np.arange(ncell + 1) / ncell
-    lo, cells = [cell_edges[:-1]], [np.arange(ncell)]
-    last_edge = {}
+    ncell = len(cell_edges) - 1
+    cuts = {}
     for brk in sorted(breakpoints):
         # cell_edges[c] <= brk < cell_edges[c + 1]; the 1e-15 rule drops brk
         # on the left edge, NaN and values outside [0, 1) get no cell
         c = int(np.searchsorted(cell_edges, brk, side="right")) - 1
-        if 0 <= c < ncell and brk - last_edge.get(c, cell_edges[c]) > 1e-15:
-            last_edge[c] = brk
-            lo.append([brk])
-            cells.append([c])
-    lo, cells = np.concatenate(lo), np.concatenate(cells)
-    order = np.argsort(lo)
-    return lo[order], cells[order]
+        if 0 <= c < ncell and brk - (cuts[c][-1] if c in cuts else cell_edges[c]) > 1e-15:
+            cuts.setdefault(c, []).append(brk)
+    return cuts
 
 
-def project(t: GalerkinTensor, f: Callable[[np.ndarray], np.ndarray],
-            breakpoints: Sequence[float] = ()) -> np.ndarray:
-    """gPC modes of a function of xi: u_k = <f, phi_k> under the uniform law.
+def project(t: GalerkinTensor,
+            pieces: Sequence[tuple[Callable[[np.ndarray], np.ndarray], Sequence[float]]]
+            ) -> np.ndarray:
+    """gPC modes of functions of xi: u_k = <f, phi_k> under the uniform law,
+    one row per ``(f, breakpoints)`` piece.
 
-    One pass: ``f`` is evaluated once, on the composite nodes of
-    :func:`gauss_rule` (computed once, at import) on 8 panels per piece of every
-    stochastic cell.  ``breakpoints`` cut a cell into pieces exactly at
-    known discontinuities of ``f`` so piecewise-smooth data projects
+    Each ``f`` is evaluated once, on the composite nodes of
+    :func:`gauss_rule` (computed once, at import) on 8 panels per piece of
+    every stochastic cell.  ``breakpoints`` cut a cell into pieces exactly
+    at known discontinuities of ``f`` so piecewise-smooth data projects
     exactly; only breakpoints strictly inside a cell split it, and one
-    within 1e-15 of the previous edge is dropped.  The per-cell integrals
-    come from one segmented sum and are mapped to modes by one product
-    with ``H`` (piecewise-constant kinds) or the per-subdomain pair of
-    local modes (piecewise-linear).
+    within 1e-15 of the previous edge is dropped.  The nodes of the cells
+    that no breakpoint splits are built once per call and shared by every
+    piece; a split cell's nodes are spliced in for its piece alone.  The
+    per-cell integrals of a piece come from one segmented sum and are mapped
+    to modes by one product with ``H`` (piecewise-constant kinds) or the
+    per-subdomain pair of local modes (piecewise-linear).  So each row is
+    bit for bit what a call with that piece alone gives: nodes and weights
+    are elementwise in the interval ends, and the product has one row.
     """
     basis = t.basis
-    lo, cells = _pieces(basis.cells, breakpoints)
-    hi = np.append(lo[1:], 1.0)
-    panel_edges = np.linspace(lo, hi, PROJECT_PANELS + 1, axis=1)
-    nodes, weights = gauss_rule(panel_edges[:, :-1], panel_edges[:, 1:])
-    vals = np.asarray(f(nodes), dtype=float)
-    if vals.shape != nodes.shape:
-        vals = np.broadcast_to(vals, nodes.shape)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("projected function returned non-finite values")
-    # each cell's pieces are contiguous: segment starts where the cell changes
+    ncell = basis.cells
     per_piece = PROJECT_PANELS * PROJECT_GAUSS_POINTS
-    starts = np.flatnonzero(np.diff(cells, prepend=-1)) * per_piece
-    weighted = weights * vals
-    if basis.is_piecewise_constant:
-        return basis.H @ np.add.reduceat(weighted, starts)
-    n = basis.subdomains
-    node_cells = np.repeat(cells, per_piece)
-    modes = np.empty(basis.size)
-    modes[0::2] = np.add.reduceat(weighted * np.sqrt(n), starts)
-    modes[1::2] = np.add.reduceat(
-        weighted * (np.sqrt(3 * n) * (2 * n * nodes - 2 * node_cells - 1)), starts)
+    cell_edges = np.arange(ncell + 1) / ncell
+    shared_nodes, shared_weights = _panel_rule(cell_edges[:-1], cell_edges[1:])
+    modes = np.empty((len(pieces), basis.size))
+    for row, (f, breakpoints) in zip(modes, pieces):
+        nodes, weights = shared_nodes, shared_weights
+        counts = np.ones(ncell, dtype=int)  # pieces per cell
+        cuts = _cuts(cell_edges, breakpoints)
+        if cuts:
+            node_parts, weight_parts, done = [], [], 0
+            for c, brks in cuts.items():
+                lo = np.array([cell_edges[c], *brks])
+                split_nodes, split_weights = _panel_rule(lo, np.append(lo[1:], cell_edges[c + 1]))
+                node_parts += [shared_nodes[done:c * per_piece], split_nodes]
+                weight_parts += [shared_weights[done:c * per_piece], split_weights]
+                done = (c + 1) * per_piece
+                counts[c] += len(brks)
+            nodes = np.concatenate(node_parts + [shared_nodes[done:]])
+            weights = np.concatenate(weight_parts + [shared_weights[done:]])
+        vals = np.asarray(f(nodes), dtype=float)
+        if vals.shape != nodes.shape:
+            vals = np.broadcast_to(vals, nodes.shape)
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("projected function returned non-finite values")
+        # each cell's pieces are contiguous: a segment per cell
+        starts = np.concatenate(([0], np.cumsum(counts[:-1]))) * per_piece
+        weighted = weights * vals
+        if basis.is_piecewise_constant:
+            row[:] = basis.H @ np.add.reduceat(weighted, starts)
+            continue
+        n = basis.subdomains
+        node_cells = np.repeat(np.arange(ncell), counts * per_piece)
+        row[0::2] = np.add.reduceat(weighted * np.sqrt(n), starts)
+        row[1::2] = np.add.reduceat(
+            weighted * (np.sqrt(3 * n) * (2 * n * nodes - 2 * node_cells - 1)), starts)
     return modes

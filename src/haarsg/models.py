@@ -242,12 +242,49 @@ def check_admissible_values(model, values: np.ndarray) -> float:
         return np.inf
     vmin = vals.min()
     if vmin <= 0.0:
-        where = np.unravel_index(int(np.argmin(vals)), vals.shape)
-        raise AdmissibilityError(
-            f"{model.name}: inadmissible state, min positivity value {vmin:.6e} "
-            f"at cell {where[:-1]}, stochastic cell {where[-1]}",
-            index=int(where[-1]), where=where[:-1])
+        raise _inadmissible(model, vmin, np.unravel_index(int(np.argmin(vals)), vals.shape))
     return float(vmin)
+
+
+def _inadmissible(model, vmin, where: tuple) -> AdmissibilityError:
+    return AdmissibilityError(
+        f"{model.name}: inadmissible state, min positivity value {vmin:.6e} "
+        f"at cell {where[:-1]}, stochastic cell {where[-1]}",
+        index=int(where[-1]), where=where[:-1])
+
+
+class LowestAdmissibility:
+    """What one ``check_admissible_values`` of a whole array finds, taken
+    from blocks of it along ``axis``: the lowest admissibility value and
+    its first location in C order, or a NaN anywhere, which hides every
+    violation from the whole array's minimum."""
+
+    def __init__(self, model, axis: int):
+        self.model = model
+        self.axis = axis
+        self.value = self.where = None
+        self.nan = False
+
+    def add(self, values: np.ndarray, offset: int) -> None:
+        """Take the block of realization ``values`` that starts at index
+        ``offset`` of the whole array's ``axis``."""
+        vals = self.model.admissibility_values(values)
+        if vals is None or vals.size == 0:
+            return
+        first = int(np.argmin(vals))  # a NaN's index if there is one
+        value = vals.flat[first]
+        if np.isnan(value):
+            self.nan = True
+            return
+        where = np.unravel_index(first, vals.shape)
+        where = where[:self.axis] + (where[self.axis] + offset,) + where[self.axis + 1:]
+        if self.where is None or (value, where) < (self.value, self.where):
+            self.value, self.where = value, where
+
+    def check(self) -> None:
+        """Raise the whole array's AdmissibilityError, if it has one."""
+        if not self.nan and self.where is not None and self.value <= 0.0:
+            raise _inadmissible(self.model, self.value, self.where)
 
 
 def constant_modes(t: GalerkinTensor, value: float) -> np.ndarray:
@@ -273,8 +310,8 @@ class ExperimentPreset:
     index of each grid cell's piece, shaped like the grid, and a table that
     holds per piece and per component either a float constant or a pair
     (function of xi, breakpoints of its jumps in xi).  The SG solve
-    projects each piece once (:meth:`galerkin_initial`), a deterministic
-    batch evaluates it at its samples (:meth:`det_initial`).
+    projects all functions of the table in one call (:meth:`galerkin_initial`),
+    a deterministic batch evaluates each at its samples (:meth:`det_initial`).
 
     ``qoi_component`` is the state component that errors and Monte Carlo
     envelopes are measured on.  ``references`` lists the reference kinds the
@@ -300,7 +337,7 @@ class ExperimentPreset:
         """The model of the SG solve in the basis of ``t``."""
         if self.parameter is None:
             return self.model()
-        return self.model(to_spectrum(t, project(t, self.parameter)))
+        return self.model(to_spectrum(t, project(t, [(self.parameter, ())])[0]))
 
     def batch_model(self, xi: np.ndarray) -> ModelSystem:
         """The model of a deterministic batch at the samples ``xi``."""
@@ -310,9 +347,12 @@ class ExperimentPreset:
 
     def galerkin_initial(self, t: GalerkinTensor, grid) -> np.ndarray:
         """Initial modes in the basis of ``t``, shape (cells..., components,
-        K+1): ``constant_modes`` of a constant, ``project`` of a function."""
+        K+1): ``constant_modes`` of a constant, and of the functions one
+        ``project`` call for all of them."""
         index, table = self.pieces(grid)
-        modes = np.array([[constant_modes(t, p) if isinstance(p, float) else project(t, *p)
+        functions = [p for piece in table for p in piece if not isinstance(p, float)]
+        projected = iter(project(t, functions) if functions else ())
+        modes = np.array([[constant_modes(t, p) if isinstance(p, float) else next(projected)
                            for p in piece] for piece in table])
         return modes[index]
 
@@ -405,8 +445,8 @@ def get_preset(name: str) -> ExperimentPreset:
 
 def initial_data(model, preset: ExperimentPreset, t: GalerkinTensor, grid):
     """Galerkin initial field of the preset: its xi-dependent initial data
-    projected onto the basis of ``t``, with one ``project`` call per
-    distinct piece of :meth:`ExperimentPreset.pieces`, not per cell."""
+    projected onto the basis of ``t``, with one ``project`` call for all
+    distinct pieces of :meth:`ExperimentPreset.pieces`, not one per cell."""
     from .solver import GpcField
     if preset.space_dim != grid.space_dim:
         raise ValueError(f"preset {preset.name} needs a {preset.space_dim}D grid")

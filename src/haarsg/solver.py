@@ -16,7 +16,27 @@ each, so that their temporaries stay in cache; the operations are
 elementwise, so the strips change no result bit.  The 2D right-hand side is
 one pass over such strips: each reconstructs its faces, transforms them,
 runs the x and y LLF fluxes and writes its part of the flux divergence
-before the next strip starts.
+before the next strip starts.  A strip that meets an inadmissible state
+hands over to a check-only pass over the same strips, which raises the
+error that one strip of all rows would raise, with strip-sized arrays.
+
+In 1D the work follows the data.  The right-hand side compares each pair
+of neighbouring cells of the padded state through its int64 view, so
++0.0 and -0.0 differ; with periodic boundaries the ghost cells carry the
+wrap-around pair.  A cell whose 5-cell neighbourhood holds no differing
+pair lies in a uniform run, and so do both its faces: their fluxes are
+equal bit for bit and its right-hand side is -(f - f) / dx, -0.0 for a
+finite f.  So the reconstruction, the LLF and the transforms run only over
+the cells within two of the outermost differing pairs, at least two cells,
+and every other cell takes -(f - f) / dx from the span's outer face on its
+side.  ``compute_dt`` checks admissibility and speed bounds only from the
+first cell of the first differing pair to the last cell of the last one,
+and transforms only the strips that hold them; every uniform run keeps a
+cell there, so the minimum and the maximum do not change.  A violation
+found on the span or range is reported from the whole line, in its
+indices.  The span's work arrays are made for the whole line, so a span
+that widens from step to step maps none anew.  2D runs on the whole grid:
+on the Euler box, rounding-level differences reach nearly every cell.
 
 The mode/value transforms are one matrix product per block of rows that
 merge without a copy: one block for a 1D interface array or a whole field,
@@ -57,6 +77,7 @@ the next step.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -154,12 +175,12 @@ def _apply_boundary(padded: np.ndarray, axis: int, kind: str) -> None:
 
 
 def _component_first(work: Workspace, name: str, shape: tuple,
-                     values: np.ndarray | None = None) -> np.ndarray:
+                     values: np.ndarray | None = None, reserve: int = 0) -> np.ndarray:
     """Work array ``name`` seen with ``shape`` (..., components, m) but laid
     out (components, ..., m) in memory, holding a copy of ``values`` if
     given."""
     n = len(shape)
-    out = work.array(name, shape[-2:-1] + shape[:-2] + shape[-1:]).transpose(
+    out = work.array(name, shape[-2:-1] + shape[:-2] + shape[-1:], reserve).transpose(
         tuple(range(1, n - 1)) + (0, n - 1))
     if values is not None:
         out[...] = values
@@ -252,7 +273,7 @@ class SemiDiscreteSystem:
         return values
 
     def _llf(self, left_modes: np.ndarray, right_modes: np.ndarray, axis: int,
-             work: Workspace) -> np.ndarray:
+             work: Workspace, rows: int | None = None) -> np.ndarray:
         """Local Lax-Friedrichs flux from reconstructed interface states.
 
         Interface arrays are shaped (..., x, [y,] components, m).  The
@@ -268,39 +289,55 @@ class SemiDiscreteSystem:
         spent right values.  An uncoupled system has no transform, so its
         left values are ``left_modes`` itself and the flux overwrites them;
         ``rhs`` reads no interface value twice.
+
+        ``rows``, when the interface arrays (faces, components, m) are a
+        span of a 1D line, is the line's face count: every work array is
+        made for the line, so that a widening span maps none anew.
         """
         shape = left_modes.shape
         coupled = self.coupled
-        vl = self._to_values(left_modes, out=work.array("llf.left", shape) if coupled else None)
-        vr = self._to_values(right_modes, out=work.array("llf.right", shape) if coupled else None)
+        line = 0 if rows is None else rows * math.prod(shape[1:])
+        vl = self._to_values(
+            left_modes, out=work.array("llf.left", shape, line) if coupled else None)
+        vr = self._to_values(
+            right_modes, out=work.array("llf.right", shape, line) if coupled else None)
         from .models import check_admissible_values
         check_admissible_values(self.model, vl)
         check_admissible_values(self.model, vr)
         copy = self.model.components > 1
+        strip_rows = 0 if rows is None else min(rows, cweno.strip_rows(vl[0].nbytes))
+
+        def reserve(strip_shape):  # elements of the line's largest strip
+            return strip_rows * math.prod(strip_shape[1:])
+
         for strip in self._x_strips(vl):
             out = vl[strip]
             sl, sr = out, vr[strip]
+            size = reserve(sl.shape)
             if copy:
-                sl = _component_first(work, "llf.strip.left", sl.shape, sl)
-                sr = _component_first(work, "llf.strip.right", sr.shape, sr)
+                sl = _component_first(work, "llf.strip.left", sl.shape, sl, size)
+                sr = _component_first(work, "llf.strip.right", sr.shape, sr, size)
             fl = self.model.values_flux(
-                sl, axis, out=_component_first(work, "llf.flux.left", sl.shape))
+                sl, axis, out=_component_first(work, "llf.flux.left", sl.shape, None, size))
             fr = self.model.values_flux(
-                sr, axis, out=_component_first(work, "llf.flux.right", sl.shape))
+                sr, axis, out=_component_first(work, "llf.flux.right", sl.shape, None, size))
             speeds = sl.shape[:-2] + sl.shape[-1:]
             alpha = self.model.values_speed_bound(
-                sl, axis, out=work.array("llf.speed.left", speeds))
+                sl, axis, out=work.array("llf.speed.left", speeds, reserve(speeds)))
             np.maximum(alpha, self.model.values_speed_bound(
-                sr, axis, out=work.array("llf.speed.right", speeds)), out=alpha)
+                sr, axis, out=work.array("llf.speed.right", speeds, reserve(speeds))),
+                out=alpha)
             if coupled:
-                alpha = _stochastic_max(alpha, work.array("llf.alpha", speeds[:-1]))
+                alpha = _stochastic_max(
+                    alpha, work.array("llf.alpha", speeds[:-1], reserve(speeds[:-1])))
                 alpha = alpha[..., None, None]
             else:
                 alpha = alpha[..., None, :]
             # 0.5 * (fl + fr) - (0.5 * alpha) * (vr - vl), into the left flux,
             # or straight into the left values once they are read
             alpha *= 0.5
-            jump = np.subtract(sr, sl, out=_component_first(work, "llf.jump", sl.shape))
+            jump = np.subtract(
+                sr, sl, out=_component_first(work, "llf.jump", sl.shape, None, size))
             jump *= alpha
             combined = fl if copy else out
             np.add(fl, fr, out=combined)
@@ -330,25 +367,83 @@ class SemiDiscreteSystem:
         return self._rhs_2d(data, work)
 
     def _rhs_1d(self, data: np.ndarray, work: Workspace) -> np.ndarray:
+        """-(flux[1:] - flux[:-1]) / dx, with the reconstruction, the LLF and
+        the transforms only over the span of cells whose 5-cell
+        neighbourhood holds a differing pair (``_span_1d``).
+
+        Every other cell lies in a uniform run of the padded state, and so
+        do both its faces, whose flux is bit for bit that of the span's
+        outer face on its side: the full pass gives it -(f - f) / dx, -0.0
+        for a finite f, and so does this one, from that face.  A violation
+        of admissibility in the span re-runs the whole line, so that the
+        error names the global minimum in whole-line face indices.
+        """
+        nx = data.shape[0]
         padded = fill_ghosts(data, self.grid, work)
-        left, right = cweno.cweno3_edges(padded, self.eps, work)
-        flux = self._llf(right[:-1], left[1:], axis=0, work=work)
-        # -(flux[1:] - flux[:-1]) / dx
-        out = np.subtract(flux[1:], flux[:-1], out=work.array("rhs", data.shape))
+        lo, hi = _span_1d(padded)
+        try:
+            flux = self._flux_1d(padded, lo, hi, work)
+        except AdmissibilityError:
+            if hi - lo == nx:
+                raise
+            lo, hi = 0, nx
+            flux = self._flux_1d(padded, lo, hi, work)
+        out = work.array("rhs", data.shape)
+        np.subtract(flux[1:], flux[:-1], out=out[lo:hi])
+        np.subtract(flux[0], flux[0], out=out[:lo])
+        np.subtract(flux[-1], flux[-1], out=out[hi:])
         np.negative(out, out=out)
         out /= self.grid.dx
         return out
 
+    def _flux_1d(self, padded: np.ndarray, lo: int, hi: int, work: Workspace) -> np.ndarray:
+        """LLF fluxes of the faces of cells ``lo:hi``, from cells
+        ``lo - 2:hi + 2`` of the padded state."""
+        nx = padded.shape[0] - 2 * GHOST
+        left, right = cweno.cweno3_edges(padded[lo:hi + 4], self.eps, work, rows=nx + 2)
+        return self._llf(right[:-1], left[1:], axis=0, work=work, rows=nx + 1)
+
     def _rhs_2d(self, data: np.ndarray, work: Workspace) -> np.ndarray:
         padded = fill_ghosts(data, self.grid, work)
-        rows = data.shape[0] + 2  # reconstructed rows: cells -1 .. nx
+        strips = cweno.strips(data.shape[0] + 2, padded[0].nbytes)  # rows -1 .. nx
         try:
-            return self._rhs_2d_strips(padded, cweno.strips(rows, padded[0].nbytes), work)
+            return self._rhs_2d_strips(padded, strips, work)
         except AdmissibilityError:
-            # a strip checks only its own interface values; one strip of all
-            # rows checks each set of them at once, in the order of the
-            # whole-array pass, so the error names the global minimum
-            return self._rhs_2d_strips(padded, [(0, rows)], work)
+            # a strip checks only its own interface values; a check-only
+            # pass finds the error one strip of all rows would raise
+            self._raise_inadmissible_2d(padded, strips, work)
+        # reached only when a NaN hides the violation from the whole-grid
+        # minimum: the one strip of all rows then runs, as it always did
+        return self._rhs_2d_strips(padded, [(0, data.shape[0] + 2)], work)
+
+    def _face_strips(self, padded: np.ndarray, strips: list[tuple[int, int]],
+                     work: Workspace):
+        """Reconstruct the faces of ``strips`` of rows in turn, into one
+        strip-sized array, and yield per strip (r0, r1, x, y): the (left,
+        right) interface values of its x faces, or None, and those of the
+        y faces of its interior cells, or None.
+
+        Reconstructed row r of the strip starting at r0 sits at index
+        r - r0 + 1 of ``faces``; index 0 holds the east faces of row r0 - 1,
+        carried from the strip before once the caller is done with a strip.
+        Row 0 has no face on its left, so the x faces are r0 - 1 + lo ..
+        r1 - 2, with lo = 1 for the first strip and 0 after it; in one strip
+        of all rows, index 0 of either interface array is face (x) or cell
+        (y) max(r0 - 1, 0).
+        """
+        nx, ny = padded.shape[0] - 4, padded.shape[1] - 4
+        most = max(j - i for i, j in strips)
+        faces = work.array("rhs.faces", (4, 2, most + 1, ny + 2) + padded.shape[2:])
+        for r0, r1 in strips:
+            n = r1 - r0
+            cweno.cweno3_face_values(padded[r0:r1 + 2], self.eps, work, faces[:, :, 1:n + 1])
+            lo = 0 if r0 > 0 else 1
+            # interior rows 1..nx at indices a..b-1
+            a, b = max(r0, 1) - r0 + 1, min(r1, nx + 1) - r0 + 1
+            yield (r0, r1,
+                   (faces[1, :, lo:n, 1:-1], faces[0, :, lo + 1:n + 1, 1:-1]) if lo < n else None,
+                   (faces[3, :, a:b, :-1], faces[2, :, a:b, 1:]) if a < b else None)
+            faces[1, :, 0] = faces[1, :, n]
 
     def _rhs_2d_strips(self, padded: np.ndarray, strips: list[tuple[int, int]],
                        work: Workspace) -> np.ndarray:
@@ -357,43 +452,35 @@ class SemiDiscreteSystem:
         one pass over ``strips`` of reconstructed rows.
 
         Reconstructed row r holds the faces of cell r - 1.  Each strip
-        reconstructs its rows, runs the LLF on its x faces, stores the y
-        part of the divergence of its interior cells in ``out`` and
-        finishes every cell whose two x faces are known.  Two rows carry
-        over from one strip to the next: the east faces of its last row
-        (the left states of the next strip's first x face) and the mean
-        flux of its last x face.  So no face or interface array is larger
-        than one strip, and no row is reconstructed or transformed twice.
+        reconstructs its rows (``_face_strips``), runs the LLF on its x
+        faces, stores the y part of the divergence of its interior cells in
+        ``out`` and finishes every cell whose two x faces are known.  Two
+        rows carry over from one strip to the next: the east faces of its
+        last row (the left states of the next strip's first x face) and the
+        mean flux of its last x face.  So no face or interface array is
+        larger than one strip, and no row is reconstructed or transformed
+        twice.
         """
         nx, ny = padded.shape[0] - 4, padded.shape[1] - 4
         cell = padded.shape[2:]
         out = work.array("rhs", (nx, ny) + cell)
-        most = max(j - i for i, j in strips)
-        # row r of the strip starting at r0 sits at index r - r0 + 1; index
-        # 0 holds the east faces of row r0 - 1, and means[0] the mean flux
-        # of x face r0 - 2, carried from the strip before
-        faces = work.array("rhs.faces", (4, 2, most + 1, ny + 2) + cell)
-        means = work.array("rhs.mean", (most + 1, ny) + cell)
-        for r0, r1 in strips:
-            n = r1 - r0
-            cweno.cweno3_face_values(padded[r0:r1 + 2], self.eps, work, faces[:, :, 1:n + 1])
-            # x faces r0 - 1 + lo .. r1 - 2: east of indices lo..n-1, west of
-            # lo+1..n; row 0 has no face on its left.  Their LLF runs before
-            # the y faces', as it must in one strip of all rows.
-            lo = 0 if r0 > 0 else 1
-            m = n - lo
+        # means[0] holds the mean flux of x face r0 - 2, carried from the
+        # strip before
+        means = work.array("rhs.mean", (max(j - i for i, j in strips) + 1, ny) + cell)
+        for r0, r1, x_faces, y_faces in self._face_strips(padded, strips, work):
+            # the x faces' LLF runs before the y faces', as it must in one
+            # strip of all rows
+            m = 0 if x_faces is None else x_faces[0].shape[1]
             if m > 0:
-                f = self._llf(faces[1, :, lo:n, 1:-1], faces[0, :, lo + 1:n + 1, 1:-1],
-                              axis=0, work=work)
+                f = self._llf(*x_faces, axis=0, work=work)
                 fx = np.add(f[0], f[1], out=means[1:m + 1])
                 fx *= 0.5
-            # y faces of the interior rows at indices a..b-1: dfy into out
-            a, b = max(r0, 1) - r0 + 1, min(r1, nx + 1) - r0 + 1
-            if a < b:
-                f = self._llf(faces[3, :, a:b, :-1], faces[2, :, a:b, 1:], axis=1, work=work)
+            if y_faces is not None:  # dfy of the interior cells into out
+                f = self._llf(*y_faces, axis=1, work=work)
                 fy = np.add(f[0], f[1], out=work.array("rhs.mean.y", f.shape[1:]))
                 fy *= 0.5
-                dfy = np.subtract(fy[:, 1:], fy[:, :-1], out=out[r0 + a - 2:r0 + b - 2])
+                dfy = np.subtract(fy[:, 1:], fy[:, :-1],
+                                  out=out[max(r0, 1) - 1:min(r1, nx + 1) - 1])
                 dfy /= self.grid.dy
             # cells max(r0 - 2, 0) .. r1 - 3 now have both x faces, out =
             # part - dfy; means[0] holds face r0 - 2 once there is one
@@ -405,9 +492,27 @@ class SemiDiscreteSystem:
                 part /= self.grid.dx
                 rest = out[max(r0 - 2, 0):r1 - 2]
                 np.subtract(part, rest, out=rest)
-            faces[1, :, 0] = faces[1, :, n]
             means[0] = means[m]
         return out
+
+    def _raise_inadmissible_2d(self, padded: np.ndarray, strips: list[tuple[int, int]],
+                               work: Workspace) -> None:
+        """Check-only pass over ``strips``: raise the AdmissibilityError of
+        one strip of all rows, the first of its x-left, x-right, y-left and
+        y-right interface values whose lowest value is not positive, at the
+        location one check of all of them finds.  No flux is computed and
+        every array is strip-sized."""
+        from .models import LowestAdmissibility
+        x_left, x_right, y_left, y_right = (LowestAdmissibility(self.model, axis=1)
+                                            for _ in range(4))
+        for r0, _, x_faces, y_faces in self._face_strips(padded, strips, work):
+            for lowest, modes in (list(zip((x_left, x_right), x_faces or ()))
+                                  + list(zip((y_left, y_right), y_faces or ()))):
+                vals = self._to_values(
+                    modes, out=work.array("llf.left", modes.shape) if self.coupled else None)
+                lowest.add(vals, max(r0 - 1, 0))
+        for lowest in (x_left, x_right, y_left, y_right):
+            lowest.check()
 
     def compute_dt(self, data: np.ndarray, cfl: float, work: Workspace) -> float:
         """CFL time step from per-cell generalized speed bounds.
@@ -415,17 +520,26 @@ class SemiDiscreteSystem:
         The admissibility minimum of ``data``, checked on the way, lowers
         ``admissibility_min``.  Values and speed bounds are work arrays of
         one strip of x rows; a strip's matrix block has at least two rows,
-        since a one-row product rounds differently from a taller one.
+        since a one-row product rounds differently from a taller one.  In
+        1D the check and the speed bounds run only from the first cell of
+        the first pair of neighbours that differ in any bit to the last cell
+        of the last such pair (at least two cells), and only the strips
+        that hold a part of that range are transformed: every uniform run
+        outside keeps a cell in the range, so the maximum and the minimum
+        are unchanged.
         """
         n = data.shape[0]
-        one_row_per_cell = data[0].size == data.shape[-1]
+        cells = _range_1d(data) if self.grid.space_dim == 1 else (0, n)
+        strips = cweno.strips(n, data[0].nbytes,
+                              min_rows=2 if data[0].size == data.shape[-1] else 1)
         try:
-            lowest, top = self._dt_strips(
-                data, cweno.strips(n, data[0].nbytes, min_rows=2 if one_row_per_cell else 1),
-                work)
+            lowest, top = self._dt_strips(data, strips, cells, work)
         except AdmissibilityError:
-            # one strip checks the whole field at once: the global minimum
-            lowest, top = self._dt_strips(data, [(0, n)], work)
+            self._raise_inadmissible_dt(data, strips, work)
+            # reached only when a NaN hides the violation from the
+            # whole-field minimum: one strip of the whole field then runs,
+            # as it always did
+            lowest, top = self._dt_strips(data, [(0, n)], (0, n), work)
         self.admissibility_min = min(self.admissibility_min, lowest)
         if top == 0.0:
             return np.inf
@@ -434,25 +548,30 @@ class SemiDiscreteSystem:
         return cfl / top
 
     def _dt_strips(self, data: np.ndarray, strips: list[tuple[int, int]],
-                   work: Workspace) -> tuple[float, float]:
-        """Admissibility minimum of ``data`` and its largest speed bound (1D)
-        or rate sx / dx + sy / dy (2D), both NaN when any strip's is."""
+                   cells: tuple[int, int], work: Workspace) -> tuple[float, float]:
+        """Admissibility minimum of rows ``cells[0]:cells[1]`` of ``data`` and
+        their largest speed bound (1D) or rate sx / dx + sy / dy (2D), both
+        NaN when any strip's is; a strip with none of those rows is skipped."""
         from .models import check_admissible_values
+        lo, hi = cells
         lowest = top = None
         for i, j in strips:
+            if j <= lo or hi <= i:
+                continue
             block = data[i:j]
+            inside = slice(max(lo - i, 0), min(hi, j) - i)
             vals = self._to_values(
                 block, out=work.array("dt.values", block.shape) if self.coupled else None)
+            vals = vals[inside]
             low = check_admissible_values(self.model, vals)
             speeds = block.shape[:-2] + block.shape[-1:]
-            rate = _stochastic_max(
-                self.model.values_speed_bound(vals, 0, out=work.array("dt.speed", speeds)),
-                work.array("dt.rate", speeds[:-1]))
+            speed = work.array("dt.speed", speeds)[inside]
+            rate = _stochastic_max(self.model.values_speed_bound(vals, 0, out=speed),
+                                   work.array("dt.rate", speeds[:-1])[inside])
             if self.grid.space_dim == 2:
                 rate /= self.grid.dx
-                sy = _stochastic_max(
-                    self.model.values_speed_bound(vals, 1, out=work.array("dt.speed", speeds)),
-                    work.array("dt.rate.y", speeds[:-1]))
+                sy = _stochastic_max(self.model.values_speed_bound(vals, 1, out=speed),
+                                     work.array("dt.rate.y", speeds[:-1])[inside])
                 sy /= self.grid.dy
                 rate += sy
             high = rate.max()
@@ -460,6 +579,52 @@ class SemiDiscreteSystem:
             lowest = low if lowest is None else np.minimum(lowest, low)
             top = high if top is None else np.maximum(top, high)
         return float(lowest), float(top)
+
+    def _raise_inadmissible_dt(self, data: np.ndarray, strips: list[tuple[int, int]],
+                               work: Workspace) -> None:
+        """Check-only pass over ``strips`` of the whole field: raise the
+        AdmissibilityError one check of the whole field raises."""
+        from .models import LowestAdmissibility
+        lowest = LowestAdmissibility(self.model, axis=0)
+        for i, j in strips:
+            block = data[i:j]
+            lowest.add(self._to_values(
+                block, out=work.array("dt.values", block.shape) if self.coupled else None), i)
+        lowest.check()
+
+
+def _differing_pairs(a: np.ndarray) -> np.ndarray:
+    """Indices j at which rows j and j + 1 of ``a`` differ in any bit, so
+    that +0.0 and -0.0 differ and identical NaNs do not."""
+    bits = a.reshape(a.shape[0], -1).view(np.int64)
+    return np.flatnonzero((bits[1:] != bits[:-1]).any(axis=1))
+
+
+def _at_least_two(lo: int, hi: int, n: int) -> tuple[int, int]:
+    """Rows ``lo:hi`` widened to two of ``n``, or all ``n`` if fewer."""
+    hi = min(max(hi, lo + 2), n)
+    return max(min(lo, hi - 2), 0), hi
+
+
+def _span_1d(padded: np.ndarray) -> tuple[int, int]:
+    """The cells ``lo:hi`` of a padded 1D state whose rhs needs the
+    reconstruction: those within two cells of the outermost differing pairs
+    of the padded state, whose 5-cell neighbourhood holds a differing pair.
+    With periodic boundaries the ghost cells carry the wrap-around pair."""
+    nx = padded.shape[0] - 2 * GHOST
+    pairs = _differing_pairs(padded)  # pair j: padded cells j, j + 1
+    if len(pairs) == 0:
+        return _at_least_two(0, 0, nx)
+    return _at_least_two(max(pairs[0] - 3, 0), min(pairs[-1], nx - 1) + 1, nx)
+
+
+def _range_1d(data: np.ndarray) -> tuple[int, int]:
+    """Cells from the first cell of the first differing pair of ``data`` to
+    the last cell of the last one, at least two."""
+    pairs = _differing_pairs(data)
+    if len(pairs) == 0:
+        return _at_least_two(0, 0, data.shape[0])
+    return _at_least_two(pairs[0], pairs[-1] + 2, data.shape[0])
 
 
 def ssprk3_step(rhs: Callable[[np.ndarray, float], np.ndarray],

@@ -39,10 +39,15 @@ class Workspace:
     def __init__(self):
         self._buffers: dict[str, np.ndarray] = {}
 
-    def array(self, name: str, shape: tuple) -> np.ndarray:
+    def array(self, name: str, shape: tuple, reserve: int = 0) -> np.ndarray:
+        """Work array ``name`` with ``shape``.  A buffer that has to be made
+        holds at least ``reserve`` elements, so that a caller which will ask
+        for more under the same name (the widening span of the 1D
+        right-hand side) maps it once."""
         size = math.prod(shape)
         buf = self._buffers.get(name)
         if buf is None or buf.size < size:
-            pages = mmap.mmap(-1, max(8 * size, 1))  # 8 bytes per float64
-            buf = self._buffers[name] = np.frombuffer(pages, np.float64, count=size)
+            count = max(size, reserve)
+            pages = mmap.mmap(-1, max(8 * count, 1))  # 8 bytes per float64
+            buf = self._buffers[name] = np.frombuffer(pages, np.float64, count=count)
         return buf[:size].reshape(shape)

@@ -153,7 +153,7 @@ def scalar_initial(t, xs):
     for i, x in enumerate(xs):
         brk = x + 0.5
         bps = (brk,) if 0.0 < brk < 1.0 else ()
-        out[i, 0] = project(t, lambda xi: np.sign(x - (xi - 0.5)), breakpoints=bps)
+        out[i, 0] = project(t, [(lambda xi: np.sign(x - (xi - 0.5)), bps)])[0]
     return out
 
 
@@ -181,7 +181,7 @@ def levelset_det_initial(xi, xs, ys):
 
 def euler_initial(t, xs, ys):
     inside = box_mask(xs, ys, 1.0)
-    rho_in = project(t, lambda xi: 2.0 + xi)
+    rho_in = project(t, [(lambda xi: 2.0 + xi, ())])[0]
     rho_out = constant_modes(t, 1.0)
     out = np.zeros((xs.size, ys.size, 3, t.size))
     out[..., 0, :] = np.where(inside[..., None], rho_in, rho_out)

@@ -11,7 +11,7 @@ kept as its oracles: ``edges_reference`` of the striped ``cweno3_edges``,
 ``values_speed_bound``.  The replacements do the same elementwise operations
 in the same order, only in strips or into work arrays, so the two must agree
 bit for bit.  Oracles that stand in for a function or method accept its
-``work`` argument and ignore it.
+``work`` argument (and the line size ``rows`` of a 1D span) and ignore it.
 
 ``new_flux`` and ``new_speed_bound`` call a model's two maps into fresh arrays.
 ``transform_reference`` is the stacked product that the mode/value
@@ -44,7 +44,8 @@ def _weight(d: float, beta: np.ndarray, eps: float) -> np.ndarray:
     return d / (t * t * t)
 
 
-def edges_reference(u: np.ndarray, eps: float, work=None) -> tuple[np.ndarray, np.ndarray]:
+def edges_reference(u: np.ndarray, eps: float, work=None,
+                    rows=None) -> tuple[np.ndarray, np.ndarray]:
     """Edge values (at the left/right cell faces) from 3-cell stencils.
 
     ``u`` is indexed by cell along axis 0 and may carry trailing axes; the
@@ -248,7 +249,7 @@ def face_values_reference(u: np.ndarray, eps: float, work=None, out=None) -> np.
 
 
 def llf_reference(self, left_modes: np.ndarray, right_modes: np.ndarray,
-                  axis: int, work=None) -> np.ndarray:
+                  axis: int, work=None, rows=None) -> np.ndarray:
     """Local Lax-Friedrichs flux from reconstructed interface states.
 
     Called as a method of a ``SemiDiscreteSystem`` (``self``), over the

@@ -284,6 +284,29 @@ def test_admissibility_monitor_transforms_only_when_watching(tmp_path, monkeypat
     assert np.isfinite(result.admissibility_min) == watched
 
 
+@pytest.mark.parametrize("preset, watched", [("scalar-oleinik", False),
+                                             ("psystem-riemann", True)])
+def test_t0_run_transforms_the_field_only_for_a_model_with_a_constraint(
+        tmp_path, monkeypatch, preset, watched):
+    from haarsg.experiments import run_experiment
+    from haarsg.solver import SemiDiscreteSystem
+    config = parse_config(f"[run]\npreset = {preset}\nt_final = 0\n"
+                          "[basis]\nkind = classical-haar\nlevel = 1\n[grid]\nnx = 40\n"
+                          f"[reference]\nkind = none\n[output]\ndirectory = {tmp_path}\n")
+    transforms = []
+    to_values = SemiDiscreteSystem._to_values
+
+    def counting(self, modes, out=None):
+        transforms.append(modes.shape)
+        return to_values(self, modes, out=out)
+
+    monkeypatch.setattr(SemiDiscreteSystem, "_to_values", counting)
+    result = run_experiment(config, write_outputs=False)
+    assert result.steps == 0
+    assert transforms == ([(40, 2, 4)] if watched else [])
+    assert np.isfinite(result.admissibility_min) == watched
+
+
 @pytest.mark.parametrize("preset, grid, t_final", [
     ("psystem-riemann", "nx = 40", 0.05),  # lowest at the final state
     ("psystem-riemann", "nx = 40", 0.0),

@@ -28,7 +28,7 @@ def spectral_projection(t, func, modes):
         vals = sum(modes[k] * evaluate_wavelet(t.basis, k, xi) for k in range(t.size))
         return func(vals)
 
-    return project(t, f, breakpoints=breaks)
+    return project(t, [(f, breaks)])[0]
 
 
 def test_build_tensors_level0():
@@ -121,17 +121,17 @@ def test_spectral_identity_against_eigensolver():
 
 
 def test_project_examples():
-    assert np.allclose(project(T2, lambda xi: np.full_like(xi, 3.25)),
+    assert np.allclose(project(T2, [(lambda xi: np.full_like(xi, 3.25), ())])[0],
                        3.25 * np.eye(8)[0], atol=1e-14)
-    assert np.allclose(project(T0, lambda xi: np.sign(xi - 0.5)), [0.0, -1.0],
+    assert np.allclose(project(T0, [(lambda xi: np.sign(xi - 0.5), ())])[0], [0.0, -1.0],
                        atol=1e-15)
     for t in PC_TENSORS:
-        assert project(t, lambda xi: xi)[0] == pytest.approx(0.5, abs=1e-14)
+        assert project(t, [(lambda xi: xi, ())])[0, 0] == pytest.approx(0.5, abs=1e-14)
 
 
 def test_project_breakpoints_make_discontinuity_exact():
     brk = 0.3125  # interior to a stochastic cell of T2
-    modes = project(T2, lambda xi: np.where(xi < brk, -1.0, 1.0), breakpoints=(brk,))
+    modes = project(T2, [(lambda xi: np.where(xi < brk, -1.0, 1.0), (brk,))])[0]
     exact = np.array([evaluate_wavelet(T2.basis, k, np.array([brk / 2]))[0]
                       for k in range(8)])  # unused; direct integral below
     cell = int(8 * brk)
@@ -144,7 +144,7 @@ def test_project_breakpoints_make_discontinuity_exact():
 
 def test_project_rejects_non_finite():
     with pytest.raises(ValueError):
-        project(T0, lambda xi: np.where(xi > 0.4, np.inf, 1.0))
+        project(T0, [(lambda xi: np.where(xi > 0.4, np.inf, 1.0), ())])
 
 
 #: breakpoint sets as functions of the stochastic cell count n
@@ -171,13 +171,44 @@ def test_project_matches_per_cell_reference(basis, case):
         jumps = sum(np.where(xi < b, -1.0, 2.0) for b in breaks)
         return np.cos(3.0 * xi) + xi ** 2 + jumps
 
-    modes = project(t, f, breakpoints=breaks)
+    modes = project(t, [(f, breaks)])[0]
     assert len(calls) == 1  # one evaluation on every node, not one per cell
     expected = project_reference(t, f, breakpoints=breaks)
     assert np.abs(modes - expected).max() <= 1e-14
     # the same pieces: a dropped or extra breakpoint changes the node count
     # even where its effect on the integrals is below rounding
     assert calls[0] == sum(calls[1:])
+
+
+@pytest.mark.parametrize("basis", ALL_BASES, ids=lambda b: f"{b.kind.value}-{b.size}")
+def test_project_rows_do_not_depend_on_the_pieces_beside_them(basis):
+    """One call for several pieces: each row is bit for bit the one-piece
+    call, in any company and order, and each function is called once."""
+    t = build_tensors(basis)
+    n = basis.cells
+    cases = {"none": (), "two-in-cell": BREAKPOINT_CASES["two-in-cell"](n),
+             "past-edge-1e-15": ((n // 2) / n + 5e-16,),
+             "before-edge-1e-15": ((n // 2 + 1) / n - 5e-16,),
+             "inside": BREAKPOINT_CASES["inside"](n), "outside": (-0.2, 1.3),
+             "two-cells": (0.5 / n, (n - 0.5) / n)}
+    calls = {name: 0 for name in cases}
+
+    def piece(name, shift):
+        def f(xi):
+            calls[name] += 1
+            jumps = sum(np.where(xi < b, -1.0, 2.0) for b in cases[name])
+            return np.cos(3.0 * xi + shift) + xi ** 2 + jumps
+        return f, cases[name]
+
+    pieces = [piece(name, k) for k, name in enumerate(cases)]
+    alone = [project(t, [p])[0] for p in pieces]
+    assert all(count == 1 for count in calls.values())
+    for order in (pieces, pieces[::-1], pieces[1::2] + pieces[::2]):
+        got = project(t, order)
+        for p, row in zip(order, got):
+            assert np.array_equal(row, alone[pieces.index(p)])
+    assert all(count == 4 for count in calls.values())
+    assert project(t, []).shape == (0, t.size)
 
 
 def test_power_examples():
@@ -340,7 +371,7 @@ def test_power_consistency_decay():
     errors = []
     for level in range(5):
         t = build_tensors(build_classical_haar(level))
-        modes = power_modes(t, project(t, lambda xi: 1.0 + xi), gamma)
+        modes = power_modes(t, project(t, [(lambda xi: 1.0 + xi, ())])[0], gamma)
         nodes = np.linspace(0.0, 1.0, 4001)[:-1] + 0.5 / 4000
         approx = sum(modes[k] * evaluate_wavelet(t.basis, k, nodes)
                      for k in range(t.size))

@@ -16,6 +16,7 @@ from haarsg import (AdmissibilityError, Euler2D, Grid, LevelSet2D, PSystem1D,
                     ScalarLipschitz, SemiDiscreteSystem, build_canonical_haar,
                     build_classical_haar, build_dct, build_piecewise_linear, build_tensors,
                     from_spectrum, get_preset, initial_data, project, to_spectrum)
+from haarsg import models
 from haarsg.workspace import Workspace
 
 T0 = build_tensors(build_classical_haar(0))
@@ -134,7 +135,7 @@ def random_admissible(model, t, rng):
 
 def make_models(t):
     return [ScalarLipschitz(),
-            LevelSet2D(v_values=to_spectrum(t, project(t, lambda x: 0.5 + 0.5 * x))),
+            LevelSet2D(v_values=to_spectrum(t, project(t, [(lambda x: 0.5 + 0.5 * x, ())])[0])),
             get_preset("psystem-riemann").galerkin_model(t),
             Euler2D()]
 
@@ -402,6 +403,23 @@ def test_initial_data_pieces_match_the_per_cell_oracles(name, basis, nx):
     assert np.array_equal(np.signbit(values), np.signbit(expected_values))
     if name != "levelset-box":  # its oracle writes -1 * (+0.0) = -0.0 outside the box
         assert np.array_equal(np.signbit(modes), np.signbit(expected_modes))
+
+
+@pytest.mark.parametrize("name, calls", [("scalar-oleinik", 1), ("euler-box", 1),
+                                         ("psystem-riemann", 0), ("levelset-box", 0)])
+def test_galerkin_initial_projects_every_function_in_one_call(monkeypatch, name, calls):
+    """scalar-oleinik at nx 400 has 102 function pieces; presets whose
+    initial data is constant in xi project none."""
+    preset, seen = get_preset(name), []
+    grid = (Grid(nx=400, x_bounds=preset.domain[0]) if preset.space_dim == 1 else
+            Grid(nx=8, x_bounds=preset.domain[0], ny=8, y_bounds=preset.domain[1]))
+    project_all = models.project
+    monkeypatch.setattr(models, "project",
+                        lambda t, pieces: seen.append(len(pieces)) or project_all(t, pieces))
+    preset.galerkin_initial(T2, grid)
+    assert len(seen) == calls
+    if name == "scalar-oleinik":
+        assert seen == [102]
 
 
 def test_initial_data_dimension_mismatch():

@@ -266,7 +266,7 @@ def test_piecewise_linear_mean_std_are_those_of_the_expansion():
     the spectrum's average (two Gauss points per subdomain, exact on linear
     and quadratic pieces), the std that of the spectrum and Parseval's."""
     tensors = build_tensors(build_piecewise_linear(4))
-    modes = project(tensors, lambda xi: 2.0 + np.sin(3.0 * xi) + xi ** 2)
+    modes = project(tensors, [(lambda xi: 2.0 + np.sin(3.0 * xi) + xi ** 2, ())])[0]
     mean, std = mean_std(modes, tensors.basis)
     spectrum = to_spectrum(tensors, modes)
     assert mean == pytest.approx(spectrum.mean(), rel=1e-14)

@@ -10,7 +10,8 @@ from solver_reference import (compute_dt_reference, edges_reference, face_values
 from haarsg import (AdmissibilityError, Euler2D, Grid, ScalarLipschitz,
                     SemiDiscreteSystem, build_classical_haar, build_tensors,
                     from_spectrum)
-from haarsg.models import get_preset, initial_data
+from haarsg.models import (LowestAdmissibility, check_admissible_values, get_preset,
+                           initial_data)
 from haarsg import cweno, solver
 from haarsg.workspace import Workspace
 
@@ -146,6 +147,34 @@ def test_compute_dt_admissibility_error_names_the_global_minimum(monkeypatch, co
         system.compute_dt(data, 0.45, Workspace())
     assert (err.value.where, err.value.index) == (expected.value.where, expected.value.index)
     assert err.value.where[0] == 9
+
+
+def test_lowest_admissibility_over_blocks_equals_one_whole_array_check():
+    """Blocks along the x axis (axis 1 of 2D interface values, after the
+    Gauss node): a tie goes to the first location in C order, which may
+    lie in a later block, and a NaN anywhere hides every violation."""
+    model = Euler2D()
+    values = np.random.default_rng(21).uniform(0.5, 2.0, size=(2, 9, 4, 3, 5))
+    values[1, 2, 1, 0, 3] = -1.0  # an earlier block, the second Gauss node
+    values[0, 7, 0, 0, 2] = -1.0  # a later block, the first Gauss node: first in C order
+    values[0, 5, 2, 0, 4] = -0.5
+    with pytest.raises(AdmissibilityError) as expected:
+        check_admissible_values(model, values)
+    assert expected.value.where == (0, 7, 0)
+    for cuts in ([0, 9], [0, 3, 9], list(range(10))):
+        lowest = LowestAdmissibility(model, axis=1)
+        for i, j in zip(cuts[:-1], cuts[1:]):
+            lowest.add(values[:, i:j], i)
+        with pytest.raises(AdmissibilityError) as err:
+            lowest.check()
+        assert str(err.value) == str(expected.value)
+        assert (err.value.where, err.value.index) == (expected.value.where, expected.value.index)
+    values[1, 8, 3, 0, 0] = np.nan
+    assert np.isnan(check_admissible_values(model, values))
+    lowest = LowestAdmissibility(model, axis=1)
+    for i in range(9):
+        lowest.add(values[:, i:i + 1], i)
+    lowest.check()
 
 
 @pytest.mark.parametrize("make, coupled", [(_euler_system, True), (_euler_system, False),

@@ -11,7 +11,7 @@ from model_reference import LinearAdvection
 from solver_reference import (SourcedSystem, edges_reference, preset_grid, rhs_reference,
                               ssprk3_reference)
 
-from haarsg import (Grid, GpcField, SemiDiscreteSystem, advance,
+from haarsg import (AdmissibilityError, Grid, GpcField, SemiDiscreteSystem, advance,
                     build_classical_haar, build_tensors, parse_config, ssprk3_step)
 from haarsg import cweno, solver
 from haarsg.cweno import cweno3_edges
@@ -226,6 +226,25 @@ def test_euler_step_maps_at_most_eight_field_sizes(coupled):
     ssprk3_step(rhs, ssprk3_step(rhs, data, 0.0, dt, work), dt, dt, work)
     mapped = sum(buf.nbytes for buf in work._buffers.values())
     assert mapped <= 8 * data.nbytes
+
+
+@pytest.mark.parametrize("coupled", [True, False], ids=["galerkin", "batch"])
+def test_inadmissible_euler_state_maps_no_field_sized_face_array(coupled):
+    """A strip that finds a negative density hands over to a check-only pass
+    over the strips, which finds the global minimum with strip-sized
+    arrays: no face, interface or time-step array grows to a field size, as
+    one strip of all rows made them."""
+    system, data = _euler_100(coupled)
+    values = system._to_values(data).copy()
+    values[60, 40, 0, 3] = -0.5
+    data = system._from_values(values) if coupled else values
+    work = Workspace()
+    with pytest.raises(AdmissibilityError):
+        system.rhs(data, 0.0, work)
+    with pytest.raises(AdmissibilityError):
+        system.compute_dt(data, CFL, work)
+    full = {name for name, buf in work._buffers.items() if buf.nbytes >= data.nbytes}
+    assert full == {"ghosts", "rhs"}
 
 
 @pytest.mark.parametrize("coupled", [True, False], ids=["galerkin", "batch"])
