@@ -31,6 +31,7 @@ from .basis import HaarTypeBasis
 PROJECT_PANELS = 8
 PROJECT_GAUSS_POINTS = 5
 _GAUSS_NODES, _GAUSS_WEIGHTS = leggauss(PROJECT_GAUSS_POINTS)
+_PANEL_INDEX = np.arange(PROJECT_PANELS + 1, dtype=float)
 
 
 def gauss_rule(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -105,10 +106,15 @@ def from_spectrum(t: GalerkinTensor, spectrum: np.ndarray) -> np.ndarray:
 def _panel_rule(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of :func:`gauss_rule` on ``PROJECT_PANELS`` equal
     panels of each interval [lo, hi], the nodes of an interval contiguous.
-    No interval is empty, so ``np.linspace`` takes the same branch for all
-    of them and an interval's nodes do not depend on the intervals beside
-    it."""
-    panel_edges = np.linspace(lo, hi, PROJECT_PANELS + 1, axis=1)
+
+    The panel edges are ``np.linspace(lo, hi, PROJECT_PANELS + 1, axis=1)``
+    by its own arithmetic, k * ((hi - lo) / PROJECT_PANELS) + lo and hi at
+    the end, without its overhead per call: no interval is empty, so no
+    step is zero, which is the one case where linspace computes otherwise.
+    An interval's nodes do not depend on the intervals beside it.
+    """
+    panel_edges = _PANEL_INDEX * ((hi - lo) / PROJECT_PANELS)[:, None] + lo[:, None]
+    panel_edges[:, -1] = hi
     return gauss_rule(panel_edges[:, :-1], panel_edges[:, 1:])
 
 
@@ -155,20 +161,22 @@ def project(t: GalerkinTensor,
     per_piece = PROJECT_PANELS * PROJECT_GAUSS_POINTS
     cell_edges = np.arange(ncell + 1) / ncell
     shared_nodes, shared_weights = _panel_rule(cell_edges[:-1], cell_edges[1:])
+    shared_starts = np.arange(ncell) * per_piece
     modes = np.empty((len(pieces), basis.size))
     for row, (f, breakpoints) in zip(modes, pieces):
-        nodes, weights = shared_nodes, shared_weights
-        counts = np.ones(ncell, dtype=int)  # pieces per cell
+        # each cell's pieces are contiguous: one segment per cell
+        nodes, weights, starts = shared_nodes, shared_weights, shared_starts
         cuts = _cuts(cell_edges, breakpoints)
         if cuts:
             node_parts, weight_parts, done = [], [], 0
+            starts = shared_starts.copy()
             for c, brks in cuts.items():
                 lo = np.array([cell_edges[c], *brks])
                 split_nodes, split_weights = _panel_rule(lo, np.append(lo[1:], cell_edges[c + 1]))
                 node_parts += [shared_nodes[done:c * per_piece], split_nodes]
                 weight_parts += [shared_weights[done:c * per_piece], split_weights]
                 done = (c + 1) * per_piece
-                counts[c] += len(brks)
+                starts[c + 1:] += len(brks) * per_piece
             nodes = np.concatenate(node_parts + [shared_nodes[done:]])
             weights = np.concatenate(weight_parts + [shared_weights[done:]])
         vals = np.asarray(f(nodes), dtype=float)
@@ -176,14 +184,12 @@ def project(t: GalerkinTensor,
             vals = np.broadcast_to(vals, nodes.shape)
         if not np.all(np.isfinite(vals)):
             raise ValueError("projected function returned non-finite values")
-        # each cell's pieces are contiguous: a segment per cell
-        starts = np.concatenate(([0], np.cumsum(counts[:-1]))) * per_piece
         weighted = weights * vals
         if basis.is_piecewise_constant:
             row[:] = basis.H @ np.add.reduceat(weighted, starts)
             continue
         n = basis.subdomains
-        node_cells = np.repeat(np.arange(ncell), counts * per_piece)
+        node_cells = np.repeat(np.arange(ncell), np.diff(starts, append=nodes.size))
         row[0::2] = np.add.reduceat(weighted * np.sqrt(n), starts)
         row[1::2] = np.add.reduceat(
             weighted * (np.sqrt(3 * n) * (2 * n * nodes - 2 * node_cells - 1)), starts)
