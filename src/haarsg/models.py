@@ -269,7 +269,7 @@ class LowestAdmissibility:
         """Take the block of realization ``values`` that starts at index
         ``offset`` of the whole array's ``axis``."""
         vals = self.model.admissibility_values(values)
-        if vals is None or vals.size == 0:
+        if vals is None:
             return
         first = int(np.argmin(vals))  # a NaN's index if there is one
         value = vals.flat[first]
