@@ -255,35 +255,36 @@ def _inadmissible(model, vmin, where: tuple) -> AdmissibilityError:
 
 class LowestAdmissibility:
     """What one ``check_admissible_values`` of a whole array finds, taken
-    from blocks of it along ``axis``: the lowest admissibility value and
-    its first location in C order, or a NaN anywhere, which hides every
-    violation from the whole array's minimum."""
+    from blocks of it along ``axis``: ``value``, the lowest admissibility
+    value (inf without a constraint, NaN once a block holds a NaN, which
+    hides every violation from the whole array's minimum), and ``where``,
+    the first location in C order of a non-positive one."""
 
     def __init__(self, model, axis: int):
         self.model = model
         self.axis = axis
-        self.value = self.where = None
-        self.nan = False
+        self.value = np.inf
+        self.where = None
 
-    def add(self, values: np.ndarray, offset: int) -> None:
+    def add(self, values: np.ndarray, offset: int) -> float:
         """Take the block of realization ``values`` that starts at index
-        ``offset`` of the whole array's ``axis``."""
-        vals = self.model.admissibility_values(values)
-        if vals is None:
-            return
-        first = int(np.argmin(vals))  # a NaN's index if there is one
-        value = vals.flat[first]
-        if np.isnan(value):
-            self.nan = True
-            return
-        where = np.unravel_index(first, vals.shape)
-        where = where[:self.axis] + (where[self.axis] + offset,) + where[self.axis + 1:]
-        if self.where is None or (value, where) < (self.value, self.where):
-            self.value, self.where = value, where
+        ``offset`` of the whole array's ``axis`` and return its lowest
+        admissibility value, which ``check_admissible_values`` finds."""
+        where = None
+        try:
+            low = check_admissible_values(self.model, values)
+        except AdmissibilityError as err:
+            where = err.where + (err.index,)
+            low = self.model.admissibility_values(values)[where]
+            where = where[:self.axis] + (where[self.axis] + offset,) + where[self.axis + 1:]
+        if low < self.value or (low == self.value and where is not None and where < self.where):
+            self.where = where
+        self.value = np.minimum(self.value, low)  # keeps a NaN
+        return low
 
     def check(self) -> None:
         """Raise the whole array's AdmissibilityError, if it has one."""
-        if not self.nan and self.where is not None and self.value <= 0.0:
+        if self.value <= 0.0:
             raise _inadmissible(self.model, self.value, self.where)
 
 

@@ -190,7 +190,8 @@ def monte_carlo_reference(preset: ExperimentPreset, n_samples: int, grid: Grid,
                           t_final: float, seed: int, cfl: float,
                           threads: int = 1) -> MonteCarloEnvelope:
     """Seeded Monte Carlo envelope of the preset's quantity of interest
-    along the x-profile (y = 0 row in 2D).
+    along ``x_profile`` (row ``ny // 2`` in 2D, whose centre lies at
+    y = +dy/2 on an even ``ny`` and symmetric bounds).
 
     Samples are drawn up front from one seeded stream so the set is
     reproducible: ``_uniform_samples``, the stream of numpy's default

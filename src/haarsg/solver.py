@@ -16,9 +16,10 @@ each, so that their temporaries stay in cache; the operations are
 elementwise, so the strips change no result bit.  The 2D right-hand side is
 one pass over such strips: each reconstructs its faces, transforms them,
 runs the x and y LLF fluxes and writes its part of the flux divergence
-before the next strip starts.  A strip that meets an inadmissible state
-hands over to a check-only pass over the same strips, which raises the
-error that one strip of all rows would raise, with strip-sized arrays.
+before the next strip starts.  Each LLF strip adds its interface values
+to admissibility accumulators that its caller owns and checks after its
+last strip, so a violation is reported where one check of all rows finds
+it; a strip that violates runs no model map.
 
 In 1D the work follows the data.  The right-hand side compares each pair
 of neighbouring cells of the padded state through its int64 view, so
@@ -29,12 +30,11 @@ equal bit for bit and its right-hand side is -(f - f) / dx, -0.0 for a
 finite f.  So the reconstruction, the LLF and the transforms run only over
 the cells within two of the outermost differing pairs, at least two cells,
 and every other cell takes -(f - f) / dx from the span's outer face on its
-side.  ``compute_dt`` checks admissibility and speed bounds only from the
-first cell of the first differing pair to the last cell of the last one,
-and transforms only the strips that hold them; every uniform run keeps a
-cell there, so the minimum and the maximum do not change.  A violation
-found on the span or range is reported from the whole line, in its
-indices.  The span's work arrays are made for the whole line, so a span
+side.  ``compute_dt`` transforms and checks only from the first cell of
+the first differing pair to the last cell of the last one; every uniform
+run keeps a cell there, so the minimum and the maximum do not change.  A
+violation found on the span or range is reported from the whole line, in
+its indices.  The span's work arrays are made for the whole line, so a span
 that widens from step to step maps none anew.  2D runs on the whole grid:
 on the Euler box, rounding-level differences reach nearly every cell.
 
@@ -273,22 +273,27 @@ class SemiDiscreteSystem:
         return values
 
     def _llf(self, left_modes: np.ndarray, right_modes: np.ndarray, axis: int,
-             work: Workspace, rows: int | None = None) -> np.ndarray:
+             work: Workspace, lowest: Sequence, first: int,
+             rows: int | None = None) -> np.ndarray:
         """Local Lax-Friedrichs flux from reconstructed interface states.
 
-        Interface arrays are shaped (..., x, [y,] components, m).  The
-        admissibility checks see every state at once, so a violation is
-        reported at the global minimum; flux, speed bound and the flux
-        combination then run in strips along the x axis.  Each strip copies
-        its left and right values into work arrays laid out (components,
-        rows..., m), so that every component slice the model's maps touch
-        is contiguous; a one-component state is contiguous already and is
-        not copied.  The fluxes, speed bounds and the combination are work
-        arrays in that layout too, and one copy per strip writes the result
-        back into the spent left values.  The flux modes then go into the
-        spent right values.  An uncoupled system has no transform, so its
-        left values are ``left_modes`` itself and the flux overwrites them;
-        ``rhs`` reads no interface value twice.
+        Interface arrays are shaped (..., x, [y,] components, m).  Flux,
+        speed bound and the flux combination run in strips along the x
+        axis.  Each strip copies its left and right values into work arrays
+        laid out (components, rows..., m), so that every component slice
+        the model's maps touch is contiguous; a one-component state is
+        contiguous already and is not copied.  The copies go to the
+        caller's two ``models.LowestAdmissibility`` accumulators ``lowest``
+        (left, right), whose blocks start at x index ``first`` of the
+        caller's arrays; the caller checks them after its last strip.  A
+        strip whose lowest value is not positive, or NaN, which may hide a
+        non-positive one, runs no map and gets a NaN flux.  The fluxes,
+        speed bounds and the combination are work arrays in that layout
+        too, and one copy per strip writes the result back into the spent
+        left values.  The flux modes then go into the spent right values.
+        An uncoupled system has no transform, so its left values are
+        ``left_modes`` itself and the flux overwrites them; ``rhs`` reads no
+        interface value twice.
 
         ``rows``, when the interface arrays (faces, components, m) are a
         span of a 1D line, is the line's face count: every work array is
@@ -301,22 +306,24 @@ class SemiDiscreteSystem:
             left_modes, out=work.array("llf.left", shape, line) if coupled else None)
         vr = self._to_values(
             right_modes, out=work.array("llf.right", shape, line) if coupled else None)
-        from .models import check_admissible_values
-        check_admissible_values(self.model, vl)
-        check_admissible_values(self.model, vr)
         copy = self.model.components > 1
         strip_rows = 0 if rows is None else min(rows, cweno.strip_rows(vl[0].nbytes))
 
         def reserve(strip_shape):  # elements of the line's largest strip
             return strip_rows * math.prod(strip_shape[1:])
 
-        for strip in self._x_strips(vl):
+        for start, strip in self._x_strips(vl):
             out = vl[strip]
             sl, sr = out, vr[strip]
             size = reserve(sl.shape)
             if copy:
                 sl = _component_first(work, "llf.strip.left", sl.shape, sl, size)
                 sr = _component_first(work, "llf.strip.right", sr.shape, sr, size)
+            low_left = lowest[0].add(sl, first + start)
+            low_right = lowest[1].add(sr, first + start)
+            if not (low_left > 0.0 and low_right > 0.0):
+                out[...] = np.nan
+                continue
             fl = self.model.values_flux(
                 sl, axis, out=_component_first(work, "llf.flux.left", sl.shape, None, size))
             fr = self.model.values_flux(
@@ -347,15 +354,16 @@ class SemiDiscreteSystem:
                 out[...] = combined
         return self._from_values(vl, out=vr)
 
-    def _x_strips(self, values: np.ndarray) -> list[tuple]:
-        """Index tuples of strips of whole rows along the x axis of an
-        interface array; a single state without an x axis is one strip."""
+    def _x_strips(self, values: np.ndarray) -> list[tuple[int, tuple]]:
+        """(first x row, index tuple) of strips of whole rows along the x
+        axis of an interface array; a single state without an x axis is one
+        strip."""
         x_axis = values.ndim - 2 - self.grid.space_dim
         if x_axis < 0:
-            return [()]
+            return [(0, ())]
         n = values.shape[x_axis]
         lead = (slice(None),) * x_axis
-        return [lead + (slice(i, j),)
+        return [(i, lead + (slice(i, j),))
                 for i, j in cweno.strips(n, values.nbytes // max(n, 1))]
 
     def rhs(self, data: np.ndarray, t: float, work: Workspace) -> np.ndarray:
@@ -399,22 +407,14 @@ class SemiDiscreteSystem:
     def _flux_1d(self, padded: np.ndarray, lo: int, hi: int, work: Workspace) -> np.ndarray:
         """LLF fluxes of the faces of cells ``lo:hi``, from cells
         ``lo - 2:hi + 2`` of the padded state."""
+        from .models import LowestAdmissibility
         nx = padded.shape[0] - 2 * GHOST
         left, right = cweno.cweno3_edges(padded[lo:hi + 4], self.eps, work, rows=nx + 2)
-        return self._llf(right[:-1], left[1:], axis=0, work=work, rows=nx + 1)
-
-    def _rhs_2d(self, data: np.ndarray, work: Workspace) -> np.ndarray:
-        padded = fill_ghosts(data, self.grid, work)
-        strips = cweno.strips(data.shape[0] + 2, padded[0].nbytes)  # rows -1 .. nx
-        try:
-            return self._rhs_2d_strips(padded, strips, work)
-        except AdmissibilityError:
-            # a strip checks only its own interface values; a check-only
-            # pass finds the error one strip of all rows would raise
-            self._raise_inadmissible_2d(padded, strips, work)
-        # reached only when a NaN hides the violation from the whole-grid
-        # minimum: the one strip of all rows then runs, as it always did
-        return self._rhs_2d_strips(padded, [(0, data.shape[0] + 2)], work)
+        lowest = [LowestAdmissibility(self.model, axis=0) for _ in range(2)]
+        flux = self._llf(right[:-1], left[1:], 0, work, lowest, lo, rows=nx + 1)
+        for side in lowest:
+            side.check()
+        return flux
 
     def _face_strips(self, padded: np.ndarray, strips: list[tuple[int, int]],
                      work: Workspace):
@@ -445,11 +445,10 @@ class SemiDiscreteSystem:
                    (faces[3, :, a:b, :-1], faces[2, :, a:b, 1:]) if a < b else None)
             faces[1, :, 0] = faces[1, :, n]
 
-    def _rhs_2d_strips(self, padded: np.ndarray, strips: list[tuple[int, int]],
-                       work: Workspace) -> np.ndarray:
+    def _rhs_2d(self, data: np.ndarray, work: Workspace) -> np.ndarray:
         """-(fx[1:] - fx[:-1]) / dx - (fy[:, 1:] - fy[:, :-1]) / dy, each face
         flux the mean 0.5 * (f[0] + f[1]) of its two Gauss-node fluxes, as
-        one pass over ``strips`` of reconstructed rows.
+        one pass over strips of reconstructed rows.
 
         Reconstructed row r holds the faces of cell r - 1.  Each strip
         reconstructs its rows (``_face_strips``), runs the LLF on its x
@@ -459,24 +458,29 @@ class SemiDiscreteSystem:
         last row (the left states of the next strip's first x face) and the
         mean flux of its last x face.  So no face or interface array is
         larger than one strip, and no row is reconstructed or transformed
-        twice.
+        twice.  The x-left, x-right, y-left and y-right interface values of
+        every strip go to one accumulator each, checked in that order after
+        the pass: one strip of all rows runs the x faces' LLF first.
         """
-        nx, ny = padded.shape[0] - 4, padded.shape[1] - 4
-        cell = padded.shape[2:]
-        out = work.array("rhs", (nx, ny) + cell)
+        from .models import LowestAdmissibility
+        padded = fill_ghosts(data, self.grid, work)
+        nx, ny = data.shape[:2]
+        cell = data.shape[2:]
+        strips = cweno.strips(nx + 2, padded[0].nbytes)  # rows -1 .. nx
+        out = work.array("rhs", data.shape)
         # means[0] holds the mean flux of x face r0 - 2, carried from the
         # strip before
         means = work.array("rhs.mean", (max(j - i for i, j in strips) + 1, ny) + cell)
+        lowest = [LowestAdmissibility(self.model, axis=1) for _ in range(4)]
         for r0, r1, x_faces, y_faces in self._face_strips(padded, strips, work):
-            # the x faces' LLF runs before the y faces', as it must in one
-            # strip of all rows
+            base = max(r0 - 1, 0)  # the face (x) or cell (y) at index 0
             m = 0 if x_faces is None else x_faces[0].shape[1]
             if m > 0:
-                f = self._llf(*x_faces, axis=0, work=work)
+                f = self._llf(*x_faces, 0, work, lowest[:2], base)
                 fx = np.add(f[0], f[1], out=means[1:m + 1])
                 fx *= 0.5
             if y_faces is not None:  # dfy of the interior cells into out
-                f = self._llf(*y_faces, axis=1, work=work)
+                f = self._llf(*y_faces, 1, work, lowest[2:], base)
                 fy = np.add(f[0], f[1], out=work.array("rhs.mean.y", f.shape[1:]))
                 fy *= 0.5
                 dfy = np.subtract(fy[:, 1:], fy[:, :-1],
@@ -493,26 +497,9 @@ class SemiDiscreteSystem:
                 rest = out[max(r0 - 2, 0):r1 - 2]
                 np.subtract(part, rest, out=rest)
             means[0] = means[m]
+        for side in lowest:
+            side.check()
         return out
-
-    def _raise_inadmissible_2d(self, padded: np.ndarray, strips: list[tuple[int, int]],
-                               work: Workspace) -> None:
-        """Check-only pass over ``strips``: raise the AdmissibilityError of
-        one strip of all rows, the first of its x-left, x-right, y-left and
-        y-right interface values whose lowest value is not positive, at the
-        location one check of all of them finds.  No flux is computed and
-        every array is strip-sized."""
-        from .models import LowestAdmissibility
-        x_left, x_right, y_left, y_right = (LowestAdmissibility(self.model, axis=1)
-                                            for _ in range(4))
-        for r0, _, x_faces, y_faces in self._face_strips(padded, strips, work):
-            for lowest, modes in (list(zip((x_left, x_right), x_faces or ()))
-                                  + list(zip((y_left, y_right), y_faces or ()))):
-                vals = self._to_values(
-                    modes, out=work.array("llf.left", modes.shape) if self.coupled else None)
-                lowest.add(vals, max(r0 - 1, 0))
-        for lowest in (x_left, x_right, y_left, y_right):
-            lowest.check()
 
     def compute_dt(self, data: np.ndarray, cfl: float, work: Workspace) -> float:
         """CFL time step from per-cell generalized speed bounds.
@@ -521,76 +508,52 @@ class SemiDiscreteSystem:
         ``admissibility_min``.  Values and speed bounds are work arrays of
         one strip of x rows; a strip's matrix block has at least two rows,
         since a one-row product rounds differently from a taller one.  In
-        1D the check and the speed bounds run only from the first cell of
-        the first pair of neighbours that differ in any bit to the last cell
-        of the last such pair (at least two cells), and only the strips
-        that hold a part of that range are transformed: every uniform run
-        outside keeps a cell in the range, so the maximum and the minimum
-        are unchanged.
+        1D only the cells from the first cell of the first pair of
+        neighbours that differ in any bit to the last cell of the last such
+        pair (at least two) are transformed and checked: every uniform run
+        outside keeps a cell there, so the maximum and the minimum are
+        unchanged.  The cells before that range hold the values of its
+        first cell, which so stand for cell 0 as well: a violation there is
+        reported at cell 0, as one check of the whole field reports it.  A
+        strip that violates, or holds a NaN, computes no speed bound, and
+        the rate is NaN.
         """
+        from .models import LowestAdmissibility
         n = data.shape[0]
-        cells = _range_1d(data) if self.grid.space_dim == 1 else (0, n)
-        strips = cweno.strips(n, data[0].nbytes,
-                              min_rows=2 if data[0].size == data.shape[-1] else 1)
-        try:
-            lowest, top = self._dt_strips(data, strips, cells, work)
-        except AdmissibilityError:
-            self._raise_inadmissible_dt(data, strips, work)
-            # reached only when a NaN hides the violation from the
-            # whole-field minimum: one strip of the whole field then runs,
-            # as it always did
-            lowest, top = self._dt_strips(data, [(0, n)], (0, n), work)
-        self.admissibility_min = min(self.admissibility_min, lowest)
+        lo, hi = _range_1d(data) if self.grid.space_dim == 1 else (0, n)
+        lowest = LowestAdmissibility(self.model, axis=0)
+        top = None
+        for i, j in cweno.strips(hi - lo, data[0].nbytes,
+                                 min_rows=2 if data[0].size == data.shape[-1] else 1):
+            block = data[lo + i:lo + j]
+            vals = self._to_values(
+                block, out=work.array("dt.values", block.shape) if self.coupled else None)
+            if i == 0 < lo:  # cell lo's values are cell 0's too
+                lowest.add(vals[:1], 0)
+            if not lowest.add(vals, lo + i) > 0.0:
+                top = np.nan
+                continue
+            speeds = block.shape[:-2] + block.shape[-1:]
+            speed = work.array("dt.speed", speeds)
+            rate = _stochastic_max(self.model.values_speed_bound(vals, 0, out=speed),
+                                   work.array("dt.rate", speeds[:-1]))
+            if self.grid.space_dim == 2:
+                rate /= self.grid.dx
+                sy = _stochastic_max(self.model.values_speed_bound(vals, 1, out=speed),
+                                     work.array("dt.rate.y", speeds[:-1]))
+                sy /= self.grid.dy
+                rate += sy
+            high = rate.max()
+            # np.maximum keeps a NaN, as one whole-array reduction does
+            top = high if top is None else np.maximum(top, high)
+        lowest.check()
+        self.admissibility_min = min(self.admissibility_min, float(lowest.value))
+        top = float(top)
         if top == 0.0:
             return np.inf
         if self.grid.space_dim == 1:
             return cfl * self.grid.dx / top
         return cfl / top
-
-    def _dt_strips(self, data: np.ndarray, strips: list[tuple[int, int]],
-                   cells: tuple[int, int], work: Workspace) -> tuple[float, float]:
-        """Admissibility minimum of rows ``cells[0]:cells[1]`` of ``data`` and
-        their largest speed bound (1D) or rate sx / dx + sy / dy (2D), both
-        NaN when any strip's is; a strip with none of those rows is skipped."""
-        from .models import check_admissible_values
-        lo, hi = cells
-        lowest = top = None
-        for i, j in strips:
-            if j <= lo or hi <= i:
-                continue
-            block = data[i:j]
-            inside = slice(max(lo - i, 0), min(hi, j) - i)
-            vals = self._to_values(
-                block, out=work.array("dt.values", block.shape) if self.coupled else None)
-            vals = vals[inside]
-            low = check_admissible_values(self.model, vals)
-            speeds = block.shape[:-2] + block.shape[-1:]
-            speed = work.array("dt.speed", speeds)[inside]
-            rate = _stochastic_max(self.model.values_speed_bound(vals, 0, out=speed),
-                                   work.array("dt.rate", speeds[:-1])[inside])
-            if self.grid.space_dim == 2:
-                rate /= self.grid.dx
-                sy = _stochastic_max(self.model.values_speed_bound(vals, 1, out=speed),
-                                     work.array("dt.rate.y", speeds[:-1])[inside])
-                sy /= self.grid.dy
-                rate += sy
-            high = rate.max()
-            # np.minimum and np.maximum keep a NaN, as one whole-array reduction does
-            lowest = low if lowest is None else np.minimum(lowest, low)
-            top = high if top is None else np.maximum(top, high)
-        return float(lowest), float(top)
-
-    def _raise_inadmissible_dt(self, data: np.ndarray, strips: list[tuple[int, int]],
-                               work: Workspace) -> None:
-        """Check-only pass over ``strips`` of the whole field: raise the
-        AdmissibilityError one check of the whole field raises."""
-        from .models import LowestAdmissibility
-        lowest = LowestAdmissibility(self.model, axis=0)
-        for i, j in strips:
-            block = data[i:j]
-            lowest.add(self._to_values(
-                block, out=work.array("dt.values", block.shape) if self.coupled else None), i)
-        lowest.check()
 
 
 def _differing_pairs(a: np.ndarray) -> np.ndarray:

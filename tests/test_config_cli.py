@@ -267,12 +267,21 @@ def test_admissibility_monitor_transforms_only_when_watching(tmp_path, monkeypat
     config = parse_config(f"[run]\npreset = {preset}\nt_final = 0.05\n"
                           "[basis]\nkind = classical-haar\nlevel = 1\n[grid]\nnx = 40\n"
                           f"[reference]\nkind = none\n[output]\ndirectory = {tmp_path}\n")
-    field_transforms = []
+    calling = []  # the solver methods being run, innermost last
+    transforms = []  # per transform, the method that makes it, or its shape
+    for name in ("rhs", "compute_dt"):
+        def wrapped(self, *args, method=getattr(SemiDiscreteSystem, name), name=name,
+                    **kwargs):
+            calling.append(name)
+            try:
+                return method(self, *args, **kwargs)
+            finally:
+                calling.pop()
+        monkeypatch.setattr(SemiDiscreteSystem, name, wrapped)
     to_values = SemiDiscreteSystem._to_values
 
     def counting(self, modes, out=None):
-        if modes.shape[0] == 40:  # the whole field, not interface states
-            field_transforms.append(modes.shape)
+        transforms.append(calling[-1] if calling else modes.shape)
         return to_values(self, modes, out=out)
 
     monkeypatch.setattr(SemiDiscreteSystem, "_to_values", counting)
@@ -280,7 +289,9 @@ def test_admissibility_monitor_transforms_only_when_watching(tmp_path, monkeypat
     # compute_dt transforms the field once per step and watches the
     # admissibility on the way; only the final state, which no step
     # checks, is transformed once more, and only when there is a constraint
-    assert len(field_transforms) == result.steps + (1 if watched else 0)
+    assert transforms.count("compute_dt") == result.steps
+    assert [t for t in transforms if t not in ("rhs", "compute_dt")] == (
+        [(40, 2, 4)] if watched else [])
     assert np.isfinite(result.admissibility_min) == watched
 
 

@@ -9,6 +9,7 @@ from haarsg import (Grid, GpcField, ScalarLipschitz, SemiDiscreteSystem, SolverA
                     advance, build_classical_haar, build_piecewise_linear, build_tensors,
                     fill_ghosts, get_preset, initial_data, ssprk3_step)
 from haarsg.cweno import cweno3_edges, cweno3_face_values
+from haarsg.models import LowestAdmissibility
 from haarsg.workspace import Workspace
 
 
@@ -82,23 +83,32 @@ def test_cweno_2d_constants_and_planes_exact():
     assert vals[0, 0, i, j, 0] == pytest.approx(expected, abs=1e-12)
 
 
+def _llf(system, left, right):
+    """The LLF flux of one pair of states, its admissibility checked."""
+    lowest = [LowestAdmissibility(system.model, axis=0) for _ in range(2)]
+    flux = system._llf(left, right, 0, Workspace(), lowest, 0)
+    for side in lowest:
+        side.check()
+    return flux
+
+
 def test_llf_consistency_and_antisymmetry():
     t = build_tensors(build_classical_haar(0))
     grid = Grid(nx=8, x_bounds=(0.0, 1.0))
     system = SemiDiscreteSystem(ScalarLipschitz(), grid, tensors=t)
     u = np.array([[0.7, 0.2]])
     vals = system._to_values(u)
-    assert np.allclose(system._llf(u, u, 0, Workspace()),
+    assert np.allclose(_llf(system, u, u),
                        system._from_values(
                            ScalarLipschitz().values_flux(vals, 0, np.empty_like(vals))),
                        atol=1e-14)
     # spec example: u_L = e1, u_R = -e1 gives flux 5 in mode 0
     ul = np.array([[1.0, 0.0]])
     ur = np.array([[-1.0, 0.0]])
-    fx = system._llf(ul, ur, 0, Workspace())
+    fx = _llf(system, ul, ur)
     assert fx[0, 0] == pytest.approx(5.0)
     # dissipative part flips sign when the states swap
-    fxr = system._llf(ur, ul, 0, Workspace())
+    fxr = _llf(system, ur, ul)
     central = 0.5 * (fx + fxr)
     assert np.allclose(fx - central, -(fxr - central), atol=1e-14)
 
@@ -293,3 +303,32 @@ def test_advection_order_1d():
         errs.append(np.abs(out.data[:, 0, 0] - shifted).sum() * grid.dx)
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert min(orders) >= 2.5, (errs, orders)
+
+
+def _sine_averages(x_edges: np.ndarray, y_edges: np.ndarray, shift: tuple[float, float]):
+    """Cell averages of sin 2 pi (x - sx + y - sy) on the grid of the edges."""
+    a = 2 * np.pi
+    x = x_edges[:, None] - shift[0]
+    y = y_edges[None, :] - shift[1]
+    s = np.sin(a * (x + y))
+    area = (x_edges[1] - x_edges[0]) * (y_edges[1] - y_edges[0])
+    return -(s[1:, 1:] - s[:-1, 1:] - s[1:, :-1] + s[:-1, :-1]) / (a * a * area)
+
+
+def test_advection_order_2d():
+    """The genuinely 2D CWENO3 reconstruction keeps third order on smooth
+    periodic advection along the diagonal."""
+    speed = (1.0, 0.5)
+    t_final = 0.5
+    errs = []
+    for n in (40, 80):
+        grid = Grid(nx=n, x_bounds=(0.0, 1.0), ny=n, y_bounds=(0.0, 1.0),
+                    boundary="periodic")
+        system = SemiDiscreteSystem(LinearAdvection(speed=speed), grid)
+        edges = np.linspace(0.0, 1.0, n + 1)
+        avg = _sine_averages(edges, edges, (0.0, 0.0))
+        out = advance(system, GpcField(grid, avg[:, :, None, None], 0.0), t_final, cfl=0.45)
+        exact = _sine_averages(edges, edges, (speed[0] * t_final, speed[1] * t_final))
+        errs.append(np.abs(out.data[:, :, 0, 0] - exact).sum() * grid.dx * grid.dy)
+    order = np.log2(errs[0] / errs[1])
+    assert order >= 2.5, (errs, order)

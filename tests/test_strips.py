@@ -7,9 +7,9 @@ import pytest
 from solver_reference import (compute_dt_reference, edges_reference, face_values_reference,
                               llf_reference, preset_grid, rhs_reference)
 
-from haarsg import (AdmissibilityError, Euler2D, Grid, ScalarLipschitz,
-                    SemiDiscreteSystem, build_classical_haar, build_tensors,
-                    from_spectrum)
+from haarsg import (AdmissibilityError, Euler2D, GpcField, Grid, ScalarLipschitz,
+                    SemiDiscreteSystem, SolverAbort, advance, build_classical_haar,
+                    build_tensors, from_spectrum)
 from haarsg.models import (LowestAdmissibility, check_admissible_values, get_preset,
                            initial_data)
 from haarsg import cweno, solver
@@ -103,8 +103,11 @@ def test_admissibility_error_names_the_global_minimum(monkeypatch):
     states[1, 9, 5, 0, 1] = -2.0   # a later strip, and lower
     monkeypatch.setattr(cweno, "STRIP_BYTES", 1)
     assert len(system._x_strips(states)) == 14
+    lowest = [LowestAdmissibility(system.model, axis=1) for _ in range(2)]
+    system._llf(states, np.ones_like(states), 0, Workspace(), lowest, 0)
     with pytest.raises(AdmissibilityError) as err:
-        system._llf(states, np.ones_like(states), axis=0, work=Workspace())
+        for side in lowest:
+            side.check()
     assert err.value.where == (1, 9, 5)
     assert err.value.index == 1
 
@@ -147,6 +150,38 @@ def test_compute_dt_admissibility_error_names_the_global_minimum(monkeypatch, co
         system.compute_dt(data, 0.45, Workspace())
     assert (err.value.where, err.value.index) == (expected.value.where, expected.value.index)
     assert err.value.where[0] == 9
+
+
+@pytest.mark.parametrize("budget", [1, cweno.STRIP_BYTES], ids=["row-strips", "default"])
+@pytest.mark.parametrize("coupled", [True, False], ids=["galerkin", "batch"])
+def test_nan_hides_a_later_violation_as_one_whole_array_check_does(monkeypatch, coupled,
+                                                                   budget):
+    """A NaN density in one x strip and a negative one in a later strip:
+    one check of the whole array finds a NaN minimum and raises nothing, and
+    neither do ``rhs`` and ``compute_dt``.  No model map sees the negative
+    density, the right-hand side is not finite next to the NaN, and a step
+    ends in SolverAbort for its non-finite state."""
+    system, data = _euler_system(coupled)
+    values = system._to_values(data).copy()
+    values[2, 3, 0, 1] = np.nan
+    values[9, 5, 0, 3] = -2.0
+    data = system._from_values(values) if coupled else values
+    assert np.isnan(check_admissible_values(system.model, system._to_values(data)))
+    seen = []
+    for name in ("values_flux", "values_speed_bound"):
+        def spy(self, vals, axis, out, mapped=getattr(Euler2D, name)):
+            seen.append(vals[..., 0, :].min())
+            return mapped(self, vals, axis, out)
+        monkeypatch.setattr(Euler2D, name, spy)
+    monkeypatch.setattr(cweno, "STRIP_BYTES", budget)
+    rhs = system.rhs(data, 0.0, Workspace())
+    for i, j in ((2, 3), (1, 3), (3, 3), (2, 2), (2, 4)):
+        assert not np.isfinite(rhs[i, j]).all()
+    assert np.isnan(system.compute_dt(data, 0.45, Workspace()))
+    assert all(low > 0.0 for low in seen)
+    with pytest.raises(SolverAbort) as err:
+        advance(system, GpcField(system.grid, data, 0.0), 0.1, cfl=0.45)
+    assert err.value.cause is None
 
 
 def test_lowest_admissibility_over_blocks_equals_one_whole_array_check():

@@ -230,10 +230,10 @@ def test_euler_step_maps_at_most_eight_field_sizes(coupled):
 
 @pytest.mark.parametrize("coupled", [True, False], ids=["galerkin", "batch"])
 def test_inadmissible_euler_state_maps_no_field_sized_face_array(coupled):
-    """A strip that finds a negative density hands over to a check-only pass
-    over the strips, which finds the global minimum with strip-sized
-    arrays: no face, interface or time-step array grows to a field size, as
-    one strip of all rows made them."""
+    """A strip that finds a negative density adds it to the pass's
+    accumulators, which find the global minimum with strip-sized arrays: no
+    face, interface or time-step array grows to a field size, as one strip
+    of all rows made them."""
     system, data = _euler_100(coupled)
     values = system._to_values(data).copy()
     values[60, 40, 0, 3] = -0.5
