@@ -6,19 +6,20 @@ planes and is evaluated at the two Gauss points of every face, so that face
 flux integrals retain third order without dimensional splitting.  Nonlinear
 weights d / (eps + beta)^3 use Jiang-Shu style smoothness indicators beta.
 
-Both reconstructions run in strips of whole rows along the x axis, each
-strip about ``STRIP_BYTES`` of input, so that their intermediates stay in a
-core's cache; every operation is elementwise, so the result does not depend
-on where the strips are cut.
+The 1D edges cut strips of whole rows along the x axis, each strip about
+``STRIP_BYTES`` of input, so that their intermediates stay in a core's
+cache; the 2D faces take the rows the pass hands them, which the solver's
+2D right-hand side cuts in the same strips.  Every operation is
+elementwise, so the result does not depend on where the strips are cut.
 
 Work arrays: both reconstructions write every intermediate into arrays of
 the ``Workspace`` they are given (seven arrays of one strip's size for the
-1D edges, sixteen for the 2D faces) and allocate nothing else.  The 1D
-edges go into full-size arrays of the workspace.  The 2D faces go into
-``out``: the solver's 2D right-hand side calls ``cweno3_face_values`` once
-per strip of x rows, into a strip-sized array that keeps one more row in
-front for the east faces of the strip before, so the face values never
-exist for the whole grid at once.
+1D edges, sixteen of the rows handed over for the 2D faces) and allocate
+nothing else.  The 1D edges go into full-size arrays of the workspace.
+The 2D faces go into ``out``: the solver's 2D right-hand side calls
+``cweno3_face_values`` once per strip of x rows, into a strip-sized array
+that keeps one more row in front for the east faces of the strip before,
+so the face values never exist for the whole grid at once.
 """
 
 from __future__ import annotations
@@ -173,20 +174,11 @@ def cweno3_face_values(u: np.ndarray, eps: float, work: Workspace,
     ``u`` is indexed (x-cell, y-cell, ...) and the result drops one cell per
     side in both directions; output shape is (4, 2, nx-2, ny-2, ...) with
     face order (west, east, south, north) and Gauss points ordered by
-    increasing tangential coordinate.  ``out`` is filled strip by strip:
-    output rows ``i:j`` along x come from input rows ``i:j+2``, with about
-    ``STRIP_BYTES`` of input rows per strip; trailing axes are carried along.
+    increasing tangential coordinate; trailing axes are carried along.  All
+    rows of ``u`` are one strip: every intermediate goes into one of sixteen
+    arrays of ``work`` of the output's rows, so the caller cuts ``u`` in
+    strips of rows to keep them in cache.
     """
-    for i, j in strips(u.shape[0] - 2, u[0].nbytes):
-        _face_values_strip(u[i:j + 2], eps, out[:, :, i:j], work)
-    return out
-
-
-def _face_values_strip(u: np.ndarray, eps: float, out: np.ndarray,
-                       work: Workspace) -> None:
-    """Face values of the interior rows of ``u`` into ``out``, shaped
-    (4, 2, rows of u - 2, ny-2, ...); every intermediate goes into one of
-    sixteen strip-sized scratch arrays of ``work``."""
     shape = (u.shape[0] - 2, u.shape[1] - 2) + u.shape[2:]
     s = [work.array(f"faces.{i}", shape) for i in range(16)]
     uc = u[1:-1, 1:-1]
@@ -287,3 +279,4 @@ def _face_values_strip(u: np.ndarray, eps: float, out: np.ndarray,
         slope *= g
         np.subtract(base, slope, out=out[fi, 0])
         np.add(base, slope, out=out[fi, 1])
+    return out

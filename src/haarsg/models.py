@@ -242,15 +242,16 @@ def check_admissible_values(model, values: np.ndarray) -> float:
         return np.inf
     vmin = vals.min()
     if vmin <= 0.0:
-        raise _inadmissible(model, vmin, np.unravel_index(int(np.argmin(vals)), vals.shape))
+        where = np.unravel_index(int(np.argmin(vals)), vals.shape)
+        raise _inadmissible(model, vmin, tuple(int(i) for i in where))
     return float(vmin)
 
 
-def _inadmissible(model, vmin, where: tuple) -> AdmissibilityError:
+def _inadmissible(model, vmin, where: tuple[int, ...]) -> AdmissibilityError:
     return AdmissibilityError(
         f"{model.name}: inadmissible state, min positivity value {vmin:.6e} "
         f"at cell {where[:-1]}, stochastic cell {where[-1]}",
-        index=int(where[-1]), where=where[:-1])
+        index=where[-1], where=where[:-1])
 
 
 class LowestAdmissibility:
@@ -258,11 +259,18 @@ class LowestAdmissibility:
     from blocks of it along ``axis``: ``value``, the lowest admissibility
     value (inf without a constraint, NaN once a block holds a NaN, which
     hides every violation from the whole array's minimum), and ``where``,
-    the first location in C order of a non-positive one."""
+    the first location in C order of a non-positive one.
 
-    def __init__(self, model, axis: int):
+    The blocks need not cover the rows before ``lead``: those rows hold the
+    values of row ``lead`` bit for bit, as the uniform run before the 1D
+    solver's span or range does, so the blocks start at row ``lead`` and a
+    location found in it is reported at row 0, where one check of the whole
+    array finds it first."""
+
+    def __init__(self, model, axis: int, lead: int = 0):
         self.model = model
         self.axis = axis
+        self.lead = lead
         self.value = np.inf
         self.where = None
 
@@ -276,7 +284,8 @@ class LowestAdmissibility:
         except AdmissibilityError as err:
             where = err.where + (err.index,)
             low = self.model.admissibility_values(values)[where]
-            where = where[:self.axis] + (where[self.axis] + offset,) + where[self.axis + 1:]
+            row = where[self.axis] + offset
+            where = where[:self.axis] + (0 if row == self.lead else row,) + where[self.axis + 1:]
         if low < self.value or (low == self.value and where is not None and where < self.where):
             self.where = where
         self.value = np.minimum(self.value, low)  # keeps a NaN

@@ -32,11 +32,15 @@ the cells within two of the outermost differing pairs, at least two cells,
 and every other cell takes -(f - f) / dx from the span's outer face on its
 side.  ``compute_dt`` transforms and checks only from the first cell of
 the first differing pair to the last cell of the last one; every uniform
-run keeps a cell there, so the minimum and the maximum do not change.  A
-violation found on the span or range is reported from the whole line, in
-its indices.  The span's work arrays are made for the whole line, so a span
-that widens from step to step maps none anew.  2D runs on the whole grid:
-on the Euler box, rounding-level differences reach nearly every cell.
+run keeps a cell there, so the minimum and the maximum do not change.
+Admissibility is checked on the span or range alone.  The rows before it
+repeat its first row bit for bit, whose stencil lies in the uniform run,
+so a violation in that row is reported at row 0, where one check of the
+whole line finds it first (the ``lead`` of ``models.LowestAdmissibility``);
+the rows after it repeat its last row, which a check finds first anyway.
+The span's work arrays are made for the whole line, so a span that widens
+from step to step maps none anew.  2D runs on the whole grid: on the Euler
+box, rounding-level differences reach nearly every cell.
 
 The mode/value transforms are one matrix product per block of rows that
 merge without a copy: one block for a 1D interface array or a whole field,
@@ -86,6 +90,7 @@ import numpy as np
 from . import cweno
 from .errors import AdmissibilityError, SolverAbort
 from .galerkin import GalerkinTensor
+from .models import LowestAdmissibility
 from .workspace import Workspace
 
 GHOST = 2
@@ -356,11 +361,8 @@ class SemiDiscreteSystem:
 
     def _x_strips(self, values: np.ndarray) -> list[tuple[int, tuple]]:
         """(first x row, index tuple) of strips of whole rows along the x
-        axis of an interface array; a single state without an x axis is one
-        strip."""
+        axis of an interface array."""
         x_axis = values.ndim - 2 - self.grid.space_dim
-        if x_axis < 0:
-            return [(0, ())]
         n = values.shape[x_axis]
         lead = (slice(None),) * x_axis
         return [(i, lead + (slice(i, j),))
@@ -382,20 +384,20 @@ class SemiDiscreteSystem:
         Every other cell lies in a uniform run of the padded state, and so
         do both its faces, whose flux is bit for bit that of the span's
         outer face on its side: the full pass gives it -(f - f) / dx, -0.0
-        for a finite f, and so does this one, from that face.  A violation
-        of admissibility in the span re-runs the whole line, so that the
-        error names the global minimum in whole-line face indices.
+        for a finite f, and so does this one, from that face.  The four
+        stencil cells of face ``lo`` lie in the uniform run, so its
+        interface values and their transform are those of faces 0..lo-1
+        too: the admissibility accumulators take ``lead=lo`` and report a
+        violation there at face 0, as one check of the whole line does.
         """
         nx = data.shape[0]
         padded = fill_ghosts(data, self.grid, work)
         lo, hi = _span_1d(padded)
-        try:
-            flux = self._flux_1d(padded, lo, hi, work)
-        except AdmissibilityError:
-            if hi - lo == nx:
-                raise
-            lo, hi = 0, nx
-            flux = self._flux_1d(padded, lo, hi, work)
+        left, right = cweno.cweno3_edges(padded[lo:hi + 4], self.eps, work, rows=nx + 2)
+        lowest = [LowestAdmissibility(self.model, axis=0, lead=lo) for _ in range(2)]
+        flux = self._llf(right[:-1], left[1:], 0, work, lowest, lo, rows=nx + 1)
+        for side in lowest:
+            side.check()
         out = work.array("rhs", data.shape)
         np.subtract(flux[1:], flux[:-1], out=out[lo:hi])
         np.subtract(flux[0], flux[0], out=out[:lo])
@@ -403,18 +405,6 @@ class SemiDiscreteSystem:
         np.negative(out, out=out)
         out /= self.grid.dx
         return out
-
-    def _flux_1d(self, padded: np.ndarray, lo: int, hi: int, work: Workspace) -> np.ndarray:
-        """LLF fluxes of the faces of cells ``lo:hi``, from cells
-        ``lo - 2:hi + 2`` of the padded state."""
-        from .models import LowestAdmissibility
-        nx = padded.shape[0] - 2 * GHOST
-        left, right = cweno.cweno3_edges(padded[lo:hi + 4], self.eps, work, rows=nx + 2)
-        lowest = [LowestAdmissibility(self.model, axis=0) for _ in range(2)]
-        flux = self._llf(right[:-1], left[1:], 0, work, lowest, lo, rows=nx + 1)
-        for side in lowest:
-            side.check()
-        return flux
 
     def _face_strips(self, padded: np.ndarray, strips: list[tuple[int, int]],
                      work: Workspace):
@@ -462,7 +452,6 @@ class SemiDiscreteSystem:
         every strip go to one accumulator each, checked in that order after
         the pass: one strip of all rows runs the x faces' LLF first.
         """
-        from .models import LowestAdmissibility
         padded = fill_ghosts(data, self.grid, work)
         nx, ny = data.shape[:2]
         cell = data.shape[2:]
@@ -513,23 +502,20 @@ class SemiDiscreteSystem:
         pair (at least two) are transformed and checked: every uniform run
         outside keeps a cell there, so the maximum and the minimum are
         unchanged.  The cells before that range hold the values of its
-        first cell, which so stand for cell 0 as well: a violation there is
-        reported at cell 0, as one check of the whole field reports it.  A
-        strip that violates, or holds a NaN, computes no speed bound, and
+        first cell, so the accumulator takes ``lead=lo``: a violation there
+        is reported at cell 0, as one check of the whole field reports it.
+        A strip that violates, or holds a NaN, computes no speed bound, and
         the rate is NaN.
         """
-        from .models import LowestAdmissibility
         n = data.shape[0]
         lo, hi = _range_1d(data) if self.grid.space_dim == 1 else (0, n)
-        lowest = LowestAdmissibility(self.model, axis=0)
+        lowest = LowestAdmissibility(self.model, axis=0, lead=lo)
         top = None
         for i, j in cweno.strips(hi - lo, data[0].nbytes,
                                  min_rows=2 if data[0].size == data.shape[-1] else 1):
             block = data[lo + i:lo + j]
             vals = self._to_values(
                 block, out=work.array("dt.values", block.shape) if self.coupled else None)
-            if i == 0 < lo:  # cell lo's values are cell 0's too
-                lowest.add(vals[:1], 0)
             if not lowest.add(vals, lo + i) > 0.0:
                 top = np.nan
                 continue
@@ -564,7 +550,9 @@ def _differing_pairs(a: np.ndarray) -> np.ndarray:
 
 
 def _at_least_two(lo: int, hi: int, n: int) -> tuple[int, int]:
-    """Rows ``lo:hi`` widened to two of ``n``, or all ``n`` if fewer."""
+    """Rows ``lo:hi`` widened to two of ``n``, or all ``n`` if fewer, as
+    Python ints, so that a location offset by them prints as written."""
+    lo, hi = int(lo), int(hi)
     hi = min(max(hi, lo + 2), n)
     return max(min(lo, hi - 2), 0), hi
 
@@ -642,7 +630,9 @@ def advance(system: SemiDiscreteSystem, field: GpcField, t_final: float,
     """Integrate to ``t_final``, invoking callbacks after each accepted step.
 
     The last step is clipped to land exactly on ``t_final``.  Admissibility
-    loss aborts with time/stage diagnostics; non-finite states abort too.
+    loss aborts with time/stage diagnostics; non-finite states abort too,
+    and a time step that is not positive (NaN from a NaN in the state)
+    aborts before the step, at the time of the state.
     The call owns one ``Workspace`` for all its steps and drops it on
     return.  A callback's ``current.data`` is one of its arrays and is
     valid only until the next step; a callback that keeps it must copy it.
@@ -665,6 +655,8 @@ def advance(system: SemiDiscreteSystem, field: GpcField, t_final: float,
         except AdmissibilityError as exc:
             raise SolverAbort(f"inadmissible state at t={t:.6g}: {exc}",
                               time=t, cause=exc) from exc
+        if not dt > 0.0:  # a NaN rate, from a NaN in the state
+            raise SolverAbort(f"time step {dt} is not positive at t={t:.6g}", time=t)
         data = ssprk3_step(rhs, data, t, dt, work)
         t = t_final if t_final - (t + dt) <= 1e-14 * span else t + dt
         steps += 1

@@ -309,6 +309,16 @@ def test_psystem_maps_never_see_a_non_positive_volume(monkeypatch, bad):
     assert all(low > 0.0 for low in seen)
 
 
+def test_admissibility_location_holds_python_ints():
+    """The location prints as plain integers, as the CLI's exit line shows it."""
+    v = np.ones((4, 5, 3, 2))
+    v[2, 3, 0, 1] = -1.0
+    with pytest.raises(AdmissibilityError) as err:
+        models.check_admissible_values(Euler2D(), v)
+    assert "at cell (2, 3), stochastic cell 1" in str(err.value)
+    assert all(type(i) is int for i in err.value.where + (err.value.index,))
+
+
 #: the field of each preset's model that holds its random parameter
 PARAMETER_FIELDS = {"scalar-oleinik": None, "levelset-box": "v_values",
                     "psystem-riemann": "vstar_values", "euler-box": None}

@@ -96,17 +96,17 @@ def test_llf_consistency_and_antisymmetry():
     t = build_tensors(build_classical_haar(0))
     grid = Grid(nx=8, x_bounds=(0.0, 1.0))
     system = SemiDiscreteSystem(ScalarLipschitz(), grid, tensors=t)
-    u = np.array([[0.7, 0.2]])
+    u = np.array([[[0.7, 0.2]]])  # one face
     vals = system._to_values(u)
     assert np.allclose(_llf(system, u, u),
                        system._from_values(
                            ScalarLipschitz().values_flux(vals, 0, np.empty_like(vals))),
                        atol=1e-14)
     # spec example: u_L = e1, u_R = -e1 gives flux 5 in mode 0
-    ul = np.array([[1.0, 0.0]])
-    ur = np.array([[-1.0, 0.0]])
+    ul = np.array([[[1.0, 0.0]]])
+    ur = np.array([[[-1.0, 0.0]]])
     fx = _llf(system, ul, ur)
-    assert fx[0, 0] == pytest.approx(5.0)
+    assert fx[0, 0, 0] == pytest.approx(5.0)
     # dissipative part flips sign when the states swap
     fxr = _llf(system, ur, ul)
     central = 0.5 * (fx + fxr)

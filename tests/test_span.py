@@ -174,3 +174,37 @@ def test_inadmissible_uniform_run_is_reported_where_the_full_grid_finds_it(coupl
         assert str(err.value) == str(expected.value)
         assert (err.value.where, err.value.index) == (expected.value.where,
                                                       expected.value.index)
+
+
+@pytest.mark.parametrize("coupled", [True, False], ids=["galerkin", "batch"])
+def test_inadmissible_span_reconstructs_once(monkeypatch, coupled):
+    """The state above: one ``rhs`` reconstructs its span once, not the
+    whole line after it, and still names the whole line's minimum."""
+    system, m, to_state = _system("psystem", coupled)
+    values = np.random.default_rng(4).uniform(0.8, 1.6, size=(NX, 2, m))
+    values[:10, 1, 2] = -0.5
+    values[:10] = values[0]
+    data = to_state(values)
+    data[:10] = to_state(values[:1])
+    with pytest.raises(AdmissibilityError) as expected:
+        rhs_reference(system, data, 0.0)
+    seen = _recording_edges(monkeypatch)
+    with pytest.raises(AdmissibilityError) as err:
+        system.rhs(data, 0.0, Workspace())
+    assert len(seen) == 1 and seen[0] < NX + 4
+    assert str(err.value) == str(expected.value)
+    assert (err.value.where, err.value.index) == (expected.value.where, expected.value.index)
+
+
+def test_span_error_location_holds_python_ints():
+    """A violation inside the span and the range is located in plain
+    integers, offset by the span's first row."""
+    system, m, to_state = _system("psystem", False)
+    data = _state(system, m, to_state, (8, 20), np.random.default_rng(5))
+    data[14, 1, 3] = -0.5
+    for call in (lambda: system.rhs(data, 0.0, Workspace()),
+                 lambda: system.compute_dt(data, 0.45, Workspace())):
+        with pytest.raises(AdmissibilityError) as err:
+            call()
+        assert all(type(i) is int for i in err.value.where + (err.value.index,))
+        assert f"at cell {err.value.where}, stochastic cell 3" in str(err.value)

@@ -18,6 +18,16 @@ from haarsg.workspace import Workspace
 HUGE = 1 << 40
 
 
+def _face_values_in_strips(u: np.ndarray, eps: float, out: np.ndarray) -> np.ndarray:
+    """``cweno3_face_values`` over the strips of ``cweno.strips``, as the 2D
+    right-hand side cuts them: output rows ``i:j`` from input rows
+    ``i:j + 2``, all in one workspace."""
+    work = Workspace()
+    for i, j in cweno.strips(u.shape[0] - 2, u[0].nbytes):
+        cweno.cweno3_face_values(u[i:j + 2], eps, work, out[:, :, i:j])
+    return out
+
+
 @pytest.mark.parametrize("trailing", [(), (2,), (3, 8), (1, 128)])
 @pytest.mark.parametrize("rows_out, rows_per_strip",
                          [(6, 8), (6, 2), (7, 3), (5, 1)],
@@ -33,15 +43,14 @@ def test_face_values_match_whole_array_oracle(monkeypatch, trailing, rows_out,
     assert starts == list(range(0, rows_out, rows_per_strip))
     for eps in (1e-6, 0.01):
         out = np.empty((4, 2, rows_out, 7) + trailing)
-        got = cweno.cweno3_face_values(u, eps, Workspace(), out)
+        got = _face_values_in_strips(u, eps, out)
         assert np.array_equal(got, face_values_reference(u, eps))
 
 
 def test_face_values_default_budget_gives_several_strips():
     u = np.random.default_rng(7).normal(size=(104, 104, 3, 8))
     assert len(cweno.strips(102, u[0].nbytes)) > 1
-    assert np.array_equal(cweno.cweno3_face_values(u, 0.01, Workspace(),
-                                                   np.empty((4, 2, 102, 102, 3, 8))),
+    assert np.array_equal(_face_values_in_strips(u, 0.01, np.empty((4, 2, 102, 102, 3, 8))),
                           face_values_reference(u, 0.01))
 
 
@@ -152,6 +161,16 @@ def test_compute_dt_admissibility_error_names_the_global_minimum(monkeypatch, co
     assert err.value.where[0] == 9
 
 
+def _euler_with_nan_then_negative_density(coupled: bool):
+    """The Euler system with a NaN density in one x strip and a negative
+    one in a later strip."""
+    system, data = _euler_system(coupled)
+    values = system._to_values(data).copy()
+    values[2, 3, 0, 1] = np.nan
+    values[9, 5, 0, 3] = -2.0
+    return system, system._from_values(values) if coupled else values
+
+
 @pytest.mark.parametrize("budget", [1, cweno.STRIP_BYTES], ids=["row-strips", "default"])
 @pytest.mark.parametrize("coupled", [True, False], ids=["galerkin", "batch"])
 def test_nan_hides_a_later_violation_as_one_whole_array_check_does(monkeypatch, coupled,
@@ -159,13 +178,9 @@ def test_nan_hides_a_later_violation_as_one_whole_array_check_does(monkeypatch, 
     """A NaN density in one x strip and a negative one in a later strip:
     one check of the whole array finds a NaN minimum and raises nothing, and
     neither do ``rhs`` and ``compute_dt``.  No model map sees the negative
-    density, the right-hand side is not finite next to the NaN, and a step
-    ends in SolverAbort for its non-finite state."""
-    system, data = _euler_system(coupled)
-    values = system._to_values(data).copy()
-    values[2, 3, 0, 1] = np.nan
-    values[9, 5, 0, 3] = -2.0
-    data = system._from_values(values) if coupled else values
+    density, the right-hand side is not finite next to the NaN, and
+    ``advance`` ends in SolverAbort for its NaN time step."""
+    system, data = _euler_with_nan_then_negative_density(coupled)
     assert np.isnan(check_admissible_values(system.model, system._to_values(data)))
     seen = []
     for name in ("values_flux", "values_speed_bound"):
@@ -182,6 +197,25 @@ def test_nan_hides_a_later_violation_as_one_whole_array_check_does(monkeypatch, 
     with pytest.raises(SolverAbort) as err:
         advance(system, GpcField(system.grid, data, 0.0), 0.1, cfl=0.45)
     assert err.value.cause is None
+
+
+@pytest.mark.parametrize("coupled", [True, False], ids=["galerkin", "batch"])
+def test_nan_time_step_aborts_before_the_step(monkeypatch, coupled):
+    """The NaN state above gives a NaN time step: ``advance`` aborts at the
+    state's time and runs no right-hand side on it."""
+    system, data = _euler_with_nan_then_negative_density(coupled)
+    calls = []
+    rhs = SemiDiscreteSystem.rhs
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return rhs(self, *args, **kwargs)
+
+    monkeypatch.setattr(SemiDiscreteSystem, "rhs", counting)
+    with pytest.raises(SolverAbort) as err:
+        advance(system, GpcField(system.grid, data, 0.0), 0.1, cfl=0.45)
+    assert err.value.time == 0.0
+    assert calls == []
 
 
 def test_lowest_admissibility_over_blocks_equals_one_whole_array_check():
