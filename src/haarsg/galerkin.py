@@ -12,6 +12,17 @@ model maps.  The named closed-form operations (powers, roots, |u|, p-norms,
 moments, the Galerkin product) are that one map with a fixed function; no
 run calls them, and they live in ``tests/galerkin_reference.py`` as oracles.
 
+The frame is stored once per basis, as two C-contiguous matrices laid out
+for a product from the right (spectrum = modes @ eig_map.T); for
+piecewise-constant kinds the first is the basis matrix ``H`` itself.
+:func:`to_spectrum` and :func:`from_spectrum`, the solver's transforms
+too, run one matrix product per block of rows that merge without a copy:
+one block for a 1D interface array or a whole field, one per Gauss node
+and x row for a 2D face slice.  For a state of several components that is
+bitwise one product per (components, K+1) cell block, because a row of a
+product of two or more rows does not depend on the rows around it; a
+one-row product rounds differently, below 1e-14 relative.
+
 Initial data is projected by one :func:`project` call for all the pieces
 of a preset: the Gauss nodes of the stochastic cells that no breakpoint
 splits are built once per call, and each piece's row is bit for bit the
@@ -46,9 +57,10 @@ class GalerkinTensor:
     """The shared eigenvector frame of all Galerkin matrices of a basis.
 
     ``eig_map`` is the linear map modes -> spectrum (eigenvalues of P,
-    indexed by stochastic cell) and ``eig_inv`` its closed-form inverse.
-    The Galerkin matrix of any mode vector u follows from these as
-    eig_inv diag(eig_map u) eig_map, and M_k is that matrix for the unit
+    indexed by stochastic cell) and ``eig_inv`` its closed-form inverse,
+    each the transposed view of a C-contiguous matrix that multiplies from
+    the right.  The Galerkin matrix of any mode vector u follows from these
+    as eig_inv diag(eig_map u) eig_map, and M_k is that matrix for the unit
     vector e_k, so the (K+1)^3 triple products are never stored.
     """
 
@@ -66,38 +78,64 @@ def build_tensors(basis: HaarTypeBasis) -> GalerkinTensor:
 
     Piecewise-constant kinds have M_k = Hn diag(H[k]) Hn.T with Hn = H / sqrt(K+1),
     so every M_k is diagonalized by the same orthogonal Hn and the spectrum
-    of P(u) is H.T u, the realizations on the stochastic cells.  The
-    piecewise-linear kind has one 2x2 block sqrt(N) [[a, b], [b, a]] per
-    subdomain, all diagonalized by the block eigenvectors (1, +-1)/sqrt(2).
-    Commutation therefore holds by construction for every basis of
-    :mod:`haarsg.basis`.
+    of P(u) is H.T u, the realizations on the stochastic cells: ``eig_map``
+    is a view of ``H`` itself.  The piecewise-linear kind has one 2x2 block
+    sqrt(N) [[a, b], [b, a]] per subdomain, all diagonalized by the block
+    eigenvectors (1, +-1)/sqrt(2).  Commutation therefore holds by
+    construction for every basis of :mod:`haarsg.basis`.
     """
-    n = basis.size
     if basis.is_piecewise_constant:
-        eig_map = basis.H.T.copy()
-        eig_inv = basis.H / n
-    else:
+        forward = basis.H
+        inverse = np.ascontiguousarray(basis.H.T) / basis.size
+    else:  # both maps are symmetric
         root = np.sqrt(float(basis.subdomains))
         block = np.array([[1.0, 1.0], [1.0, -1.0]])
         eye = np.eye(basis.subdomains)
-        eig_map = np.kron(eye, root * block) + 0.0  # clear kron's negative zeros
-        eig_inv = np.kron(eye, block / (2.0 * root))
-    for a in (eig_map, eig_inv):
+        forward = np.kron(eye, root * block) + 0.0  # clear kron's negative zeros
+        inverse = np.kron(eye, block / (2.0 * root))
+    for a in (forward, inverse):
         a.setflags(write=False)
-    return GalerkinTensor(basis, eig_map, eig_inv)
+    return GalerkinTensor(basis, forward.T, inverse.T)
 
 
 # ---------------------------------------------------------------------------
 # spectral transforms
 
-def to_spectrum(t: GalerkinTensor, modes: np.ndarray) -> np.ndarray:
-    """Diagonal of Hn.T P(u) Hn, applied along the last axis."""
-    return np.asarray(modes) @ t.eig_map.T
+def _row_blocks(a: np.ndarray) -> np.ndarray:
+    """``a`` (..., m) seen as (lead..., rows, m) without a copy, with the
+    fewest leading axes that allow it: one block for a contiguous array,
+    one per Gauss node and x row of a 2D face slice."""
+    for lead in range(a.ndim):
+        try:
+            return a.reshape(a.shape[:lead] + (-1, a.shape[-1]), copy=False)
+        except ValueError:
+            pass  # lead max(a.ndim - 2, 0) always reshapes
 
 
-def from_spectrum(t: GalerkinTensor, spectrum: np.ndarray) -> np.ndarray:
+def _transform(a: np.ndarray, matrix: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """``a @ matrix`` over the last axis as one matrix product per block of
+    ``_row_blocks``, written into ``out`` if given.  ``out`` must take the
+    blocks' shape without a copy; if it cannot, reshape raises instead of
+    the product landing in a copy."""
+    a = np.asarray(a)
+    rows = _row_blocks(a)
+    if out is None:
+        return np.matmul(rows, matrix).reshape(a.shape)
+    np.matmul(rows, matrix, out=out.reshape(rows.shape, copy=False))
+    return out
+
+
+def to_spectrum(t: GalerkinTensor, modes: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """Diagonal of Hn.T P(u) Hn, applied along the last axis, written into
+    ``out`` if given."""
+    return _transform(modes, t.eig_map.T, out)
+
+
+def from_spectrum(t: GalerkinTensor, spectrum: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """Exact inverse of :func:`to_spectrum`, applied along the last axis."""
-    return np.asarray(spectrum) @ t.eig_inv.T
+    return _transform(spectrum, t.eig_inv.T, out)
 
 
 # ---------------------------------------------------------------------------

@@ -39,16 +39,11 @@ so a violation in that row is reported at row 0, where one check of the
 whole line finds it first (the ``lead`` of ``models.LowestAdmissibility``);
 the rows after it repeat its last row, which a check finds first anyway.
 The span's work arrays are made for the whole line, so a span that widens
-from step to step maps none anew.  2D runs on the whole grid: on the Euler
-box, rounding-level differences reach nearly every cell.
-
-The mode/value transforms are one matrix product per block of rows that
-merge without a copy: one block for a 1D interface array or a whole field,
-one per Gauss node and x row for a 2D face slice.  For a state of several
-components the result is bitwise that of one product per (components, K+1)
-cell block, because a row of a product of two or more rows does not depend
-on the rows around it; a one-component state changes from vector-matrix to
-matrix products and moves by rounding only (below 1e-14 relative).
+from step to step maps none anew.  2D runs on the whole grid: each stage
+widens the box of differing cells by the stencil's two cells per side, so
+on the 100x100 Euler box to t 0.1 that box covers 91 % of the grid on
+average.  The mode/value transforms are ``galerkin.to_spectrum`` and
+``galerkin.from_spectrum``.
 
 Within a strip the LLF works on copies of its interface values laid out
 (components, rows..., K+1) in memory, so that the model's maps run over
@@ -89,7 +84,7 @@ import numpy as np
 
 from . import cweno
 from .errors import AdmissibilityError, SolverAbort
-from .galerkin import GalerkinTensor
+from .galerkin import GalerkinTensor, from_spectrum, to_spectrum
 from .models import LowestAdmissibility
 from .workspace import Workspace
 
@@ -192,49 +187,6 @@ def _component_first(work: Workspace, name: str, shape: tuple,
     return out
 
 
-def _row_blocks(a: np.ndarray) -> np.ndarray:
-    """``a`` (..., m) seen as (lead..., rows, m) without a copy, with the
-    fewest leading axes that allow it: one block for a contiguous array,
-    one per Gauss node and x row of a 2D face slice."""
-    for lead in range(a.ndim):
-        try:
-            return a.reshape(a.shape[:lead] + (-1, a.shape[-1]), copy=False)
-        except ValueError:
-            pass  # lead max(a.ndim - 2, 0) always reshapes
-
-
-def _transform(a: np.ndarray, matrix: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    """``a @ matrix`` over the last axis as one matrix product per block of
-    ``_row_blocks``, written into ``out`` if given.  ``out`` must take the
-    blocks' shape without a copy; if it cannot, reshape raises instead of
-    the product landing in a copy."""
-    rows = _row_blocks(a)
-    if out is None:
-        return np.matmul(rows, matrix).reshape(a.shape)
-    np.matmul(rows, matrix, out=out.reshape(rows.shape, copy=False))
-    return out
-
-
-#: largest K+1 whose maximum over the stochastic axis runs as one
-#: ``np.maximum`` per column.  numpy's reduction runs one inner loop per K+1
-#: values: on a 2-core x86-64 machine (numpy 2.4.6) the speeds of a 100x100
-#: Euler LLF strip took 36 us by reduction and 21 us by columns at K+1 = 8,
-#: about 42 us either way at 16, and a 128-row strip at K+1 = 128 took
-#: 20 us by reduction against 152 us by columns
-MAX_COLUMNS = 16
-
-
-def _stochastic_max(a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Maximum of ``a`` over its last axis, written into ``out``; exact, so
-    either way of computing it gives the same bits."""
-    if a.shape[-1] > MAX_COLUMNS:
-        return np.max(a, axis=-1, out=out)
-    out[...] = a[..., 0]
-    for k in range(1, a.shape[-1]):
-        np.maximum(out, a[..., k], out=out)
-    return out
-
-
 class SemiDiscreteSystem:
     """Spatial operator: ghost fill, CWENO3, LLF fluxes, flux divergence.
 
@@ -256,9 +208,6 @@ class SemiDiscreteSystem:
         #: lowest admissibility value that ``compute_dt`` has checked; inf
         #: while none was checked or the model has no constraint
         self.admissibility_min = np.inf
-        if tensors is not None:
-            self._map_t = np.ascontiguousarray(tensors.eig_map.T)
-            self._inv_t = np.ascontiguousarray(tensors.eig_inv.T)
 
     @property
     def coupled(self) -> bool:
@@ -268,13 +217,13 @@ class SemiDiscreteSystem:
         """Realization values of ``modes``, written into ``out`` if given; an
         uncoupled system returns ``modes`` itself."""
         if self.coupled:
-            return _transform(modes, self._map_t, out)
+            return to_spectrum(self.tensors, modes, out)
         return modes
 
     def _from_values(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Modes of realization ``values``, the inverse of ``_to_values``."""
         if self.coupled:
-            return _transform(values, self._inv_t, out)
+            return from_spectrum(self.tensors, values, out)
         return values
 
     def _llf(self, left_modes: np.ndarray, right_modes: np.ndarray, axis: int,
@@ -340,8 +289,8 @@ class SemiDiscreteSystem:
                 sr, axis, out=work.array("llf.speed.right", speeds, reserve(speeds))),
                 out=alpha)
             if coupled:
-                alpha = _stochastic_max(
-                    alpha, work.array("llf.alpha", speeds[:-1], reserve(speeds[:-1])))
+                alpha = np.max(alpha, axis=-1,
+                               out=work.array("llf.alpha", speeds[:-1], reserve(speeds[:-1])))
                 alpha = alpha[..., None, None]
             else:
                 alpha = alpha[..., None, :]
@@ -495,9 +444,10 @@ class SemiDiscreteSystem:
 
         The admissibility minimum of ``data``, checked on the way, lowers
         ``admissibility_min``.  Values and speed bounds are work arrays of
-        one strip of x rows; a strip's matrix block has at least two rows,
-        since a one-row product rounds differently from a taller one.  In
-        1D only the cells from the first cell of the first pair of
+        one strip of x rows, made for the line's longest strip so that a
+        widening range maps none anew; a strip's matrix block has at least
+        two rows, since a one-row product rounds differently from a taller
+        one.  In 1D only the cells from the first cell of the first pair of
         neighbours that differ in any bit to the last cell of the last such
         pair (at least two) are transformed and checked: every uniform run
         outside keeps a cell there, so the maximum and the minimum are
@@ -510,23 +460,29 @@ class SemiDiscreteSystem:
         n = data.shape[0]
         lo, hi = _range_1d(data) if self.grid.space_dim == 1 else (0, n)
         lowest = LowestAdmissibility(self.model, axis=0, lead=lo)
+        min_rows = 2 if data[0].size == data.shape[-1] else 1
+        # the longest strip of any range, a joined short tail included
+        longest = min(n, cweno.strip_rows(data[0].nbytes, min_rows) + min_rows - 1)
+
+        def reserve(shape):  # elements of the longest strip
+            return longest * math.prod(shape[1:])
+
         top = None
-        for i, j in cweno.strips(hi - lo, data[0].nbytes,
-                                 min_rows=2 if data[0].size == data.shape[-1] else 1):
+        for i, j in cweno.strips(hi - lo, data[0].nbytes, min_rows):
             block = data[lo + i:lo + j]
-            vals = self._to_values(
-                block, out=work.array("dt.values", block.shape) if self.coupled else None)
+            vals = self._to_values(block, out=work.array(
+                "dt.values", block.shape, reserve(block.shape)) if self.coupled else None)
             if not lowest.add(vals, lo + i) > 0.0:
                 top = np.nan
                 continue
             speeds = block.shape[:-2] + block.shape[-1:]
-            speed = work.array("dt.speed", speeds)
-            rate = _stochastic_max(self.model.values_speed_bound(vals, 0, out=speed),
-                                   work.array("dt.rate", speeds[:-1]))
+            speed = work.array("dt.speed", speeds, reserve(speeds))
+            rate = np.max(self.model.values_speed_bound(vals, 0, out=speed), axis=-1,
+                          out=work.array("dt.rate", speeds[:-1], reserve(speeds[:-1])))
             if self.grid.space_dim == 2:
                 rate /= self.grid.dx
-                sy = _stochastic_max(self.model.values_speed_bound(vals, 1, out=speed),
-                                     work.array("dt.rate.y", speeds[:-1]))
+                sy = np.max(self.model.values_speed_bound(vals, 1, out=speed), axis=-1,
+                            out=work.array("dt.rate.y", speeds[:-1]))
                 sy /= self.grid.dy
                 rate += sy
             high = rate.max()

@@ -37,6 +37,13 @@ def test_build_tensors_level0():
     assert np.allclose(M[1], [[0.0, 1.0], [1.0, 0.0]], atol=1e-15)
 
 
+@pytest.mark.parametrize("basis", [b for b in ALL_BASES if b.is_piecewise_constant],
+                         ids=lambda b: f"{b.kind.value}-{b.size}")
+def test_piecewise_constant_frame_is_the_basis_matrix(basis):
+    """The modes -> values map is ``H`` itself, not a copy of it."""
+    assert np.shares_memory(build_tensors(basis).eig_map.T, basis.H)
+
+
 def test_m0_is_identity_for_piecewise_constant():
     for t in PC_TENSORS:
         assert np.abs(triple_products(t.basis)[0] - np.eye(t.size)).max() < 1e-15

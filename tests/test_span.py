@@ -153,6 +153,27 @@ def test_span_rhs_maps_no_new_array_as_it_widens():
         assert {name: buf.nbytes for name, buf in work._buffers.items()} == sizes
 
 
+@pytest.mark.parametrize("rows", [None, 3], ids=["one-strip", "3-row-strips"])
+@pytest.mark.parametrize("name", ["scalar", "psystem"])
+def test_compute_dt_maps_no_new_array_as_its_range_widens(monkeypatch, name, rows):
+    """``compute_dt``'s strip arrays are made for the line's longest strip,
+    a joined short tail included, so a wider range on the same workspace
+    maps nothing new.  In 3-row strips the scalar's ranges of 3 and 4 rows
+    are one strip of 3 and one of 4, its short tail joined."""
+    system, m, to_state = _system(name, True)
+    rng = np.random.default_rng(10)
+    states = [_state(system, m, to_state, runs, rng)
+              for runs in ((10, 11), (10, 12), (8, 14), (7, 16), (4, 20), (0, NX))]
+    if rows is not None:
+        monkeypatch.setattr(cweno, "STRIP_BYTES", rows * states[0][0].nbytes)
+    work = Workspace()
+    system.compute_dt(states[0], 0.45, work)
+    sizes = {key: buf.nbytes for key, buf in work._buffers.items()}
+    for data in states[1:]:
+        system.compute_dt(data, 0.45, work)
+        assert {key: buf.nbytes for key, buf in work._buffers.items()} == sizes
+
+
 @pytest.mark.parametrize("coupled", [True, False], ids=["galerkin", "batch"])
 def test_inadmissible_uniform_run_is_reported_where_the_full_grid_finds_it(coupled):
     """A negative specific volume all along the left run: its first cell,

@@ -12,7 +12,7 @@ from haarsg import (AdmissibilityError, Euler2D, GpcField, Grid, ScalarLipschitz
                     build_tensors, from_spectrum)
 from haarsg.models import (LowestAdmissibility, check_admissible_values, get_preset,
                            initial_data)
-from haarsg import cweno, solver
+from haarsg import cweno
 from haarsg.workspace import Workspace
 
 HUGE = 1 << 40
@@ -268,15 +268,6 @@ def test_strips_keep_min_rows_and_join_a_short_tail():
     assert cweno.strips(6, cweno.STRIP_BYTES, min_rows=2) == [(0, 2), (2, 4), (4, 6)]
     assert cweno.strips(1, cweno.STRIP_BYTES, min_rows=2) == [(0, 1)]
     assert cweno.strips(0, 8) == []
-
-
-@pytest.mark.parametrize("m", [1, 2, 8, 16, 17, 128])
-def test_stochastic_max_equals_the_reduction(m):
-    a = np.random.default_rng(m).normal(size=(2, 5, 7, m))
-    a[1, 2, 3, m // 2] = np.nan
-    a[0, 1, 1, :] = -np.inf
-    got = solver._stochastic_max(a, np.empty(a.shape[:-1]))
-    assert np.array_equal(got, np.max(a, axis=-1), equal_nan=True)
 
 
 def test_compute_dt_never_transforms_a_one_row_block(monkeypatch):

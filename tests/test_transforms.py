@@ -2,6 +2,7 @@
 rows that merge without a copy, and the 1D reconstruction runs in strips;
 both must agree with the oracles in ``solver_reference``."""
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -9,9 +10,10 @@ import pytest
 from solver_reference import edges_reference, transform_reference
 from test_basis import ALL_BASES
 
-from haarsg import Grid, ScalarLipschitz, SemiDiscreteSystem, build_classical_haar, build_tensors
+from haarsg import (Grid, ScalarLipschitz, SemiDiscreteSystem, build_classical_haar, build_tensors,
+                    from_spectrum, to_spectrum)
 from haarsg import cweno
-from haarsg.solver import _row_blocks
+from haarsg.galerkin import _row_blocks
 from haarsg.workspace import Workspace
 
 BASES = ALL_BASES + [build_classical_haar(j) for j in (5, 6)]
@@ -52,6 +54,12 @@ def test_row_blocks_merge_every_row_that_needs_no_copy():
     assert _row_blocks(np.ones(8)).shape == (1, 8)
     for view in slices.values():
         assert np.shares_memory(_row_blocks(view), view)
+
+
+def test_coupled_system_keeps_no_matrix_of_its_own():
+    """The system maps through its tensors' eigenframe, not a copy of it."""
+    system = _system(build_classical_haar(3))
+    assert not [name for name, v in vars(system).items() if isinstance(v, np.ndarray)]
 
 
 @pytest.mark.parametrize("basis", BASES, ids=lambda b: f"{b.kind.value}-{b.size}")
@@ -106,7 +114,8 @@ def test_out_that_cannot_take_the_blocks_raises_untouched(bad):
         out = np.full((9, 4, 8), np.nan)[:, :3]
     else:
         out = np.full((8, 3, 9), np.nan).T
-    for transform, _ in _maps(system):
+    direct = [functools.partial(f, system.tensors) for f in (to_spectrum, from_spectrum)]
+    for transform in [t for t, _ in _maps(system)] + direct:
         with pytest.raises(ValueError):
             transform(a, out=out)
         assert np.isnan(out).all()
