@@ -11,15 +11,18 @@ The 1D edges cut strips of whole rows along the x axis, each strip about
 cache; the 2D faces take the rows the pass hands them, which the solver's
 2D right-hand side cuts in the same strips.  Every operation is
 elementwise, so the result does not depend on where the strips are cut.
+``strips`` keeps each strip within the budget where it can, and a work
+buffer maps at least one budget, so no strip-sized array maps anew.
 
 Work arrays: both reconstructions write every intermediate into arrays of
 the ``Workspace`` they are given (seven arrays of one strip's size for the
-1D edges, sixteen of the rows handed over for the 2D faces) and allocate
-nothing else.  The 1D edges go into full-size arrays of the workspace.
-The 2D faces go into ``out``: the solver's 2D right-hand side calls
-``cweno3_face_values`` once per strip of x rows, into a strip-sized array
-that keeps one more row in front for the east faces of the strip before,
-so the face values never exist for the whole grid at once.
+1D edges, sixteen of the rows handed over for the 2D faces) and their
+result into the caller's ``out``, modes of a Galerkin field and values of
+a batch alike: the solver maps the result to values.  Its 1D right-hand
+side hands ``cweno3_edges`` a span of a line-sized work array; the 2D one
+calls ``cweno3_face_values`` once per strip of x rows, into a strip-sized
+array that keeps one more row in front for the east faces of the strip
+before, so the face values never exist for the whole grid at once.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import math
 
 import numpy as np
 
-from .workspace import Workspace
+from .workspace import STRIP_BYTES, Workspace
 
 #: optimal linear weights: central / one-sided
 D_CENTRAL_1D = 0.5
@@ -38,32 +41,19 @@ D_SECTOR_2D = 0.125
 
 GAUSS_OFFSET = 0.5 / math.sqrt(3.0)  # face Gauss points at +- this, cell widths normalized
 
-#: byte budget of one strip of rows in the reconstructions, the LLF flux, the
-#: 2D right-hand side and the time step.  With the reconstruction in work
-#: arrays, 128 KiB gave the fastest 100x100 Euler right-hand side (about
-#: 85 ms against 100 ms at 512 KiB) and the smallest set of strip-sized
-#: arrays; it also keeps the
-#: temporaries of the model's flux and speed bound in the 1D LLF (400 cells x
-#: 128 modes, four strips) small enough that the allocator reuses their pages
-#: instead of returning and re-faulting them (a scalar level-6 run: 26k minor
-#: page faults at 128 KiB, 200k at 256 KiB, 360k at 512 KiB).
-STRIP_BYTES = 128 * 1024
-
-
-def strip_rows(row_bytes: int, min_rows: int = 1) -> int:
-    """Rows of a full strip: as many rows of ``row_bytes`` bytes as fit in
-    ``STRIP_BYTES``, at least ``min_rows``."""
-    return max(min_rows, STRIP_BYTES // max(row_bytes, 1))
-
 
 def strips(n: int, row_bytes: int, min_rows: int = 1) -> list[tuple[int, int]]:
     """(start, stop) of consecutive strips covering ``n`` rows of ``row_bytes``
-    bytes each: ``strip_rows`` rows per strip; a last strip shorter than
-    ``min_rows`` joins the one before it."""
-    rows = strip_rows(row_bytes, min_rows)
+    bytes each, as many rows as fit in ``STRIP_BYTES`` and at least
+    ``min_rows``.  A last strip shorter than ``min_rows`` takes rows from the
+    strip before, or joins it if that has none to spare."""
+    rows = max(min_rows, STRIP_BYTES // max(row_bytes, 1))
     bounds = list(range(0, n, rows)) + [n]
     if len(bounds) > 2 and n - bounds[-2] < min_rows:
-        del bounds[-2]
+        if n - bounds[-3] >= 2 * min_rows:
+            bounds[-2] = n - min_rows
+        else:
+            del bounds[-2]
     return list(zip(bounds[:-1], bounds[1:]))
 
 
@@ -79,35 +69,27 @@ def _weight(d: float, beta: np.ndarray, eps: float, out: np.ndarray,
 
 
 def cweno3_edges(u: np.ndarray, eps: float, work: Workspace,
-                 rows: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+                 out: np.ndarray) -> np.ndarray:
     """Edge values (at the left/right cell faces) from 3-cell stencils.
 
     ``u`` is indexed by cell along axis 0 and may carry trailing axes; the
     result drops one cell on each end: entry i corresponds to cell i+1 of
-    the input.  Returns ``(left, right)`` evaluated at x_{i-1/2}, x_{i+1/2}.
-    Both are arrays of ``work``, filled strip by strip: output rows ``i:j``
-    come from input rows ``i:j+2``, with about ``STRIP_BYTES`` of input
-    rows per strip.  ``rows``, when ``u`` is a span of a longer line, is
-    the line's output row count: the work arrays are made for that line,
-    so that a widening span maps none anew.
+    the input.  The edges go into ``out``, shaped (2, n-2, ...): ``out[0]``
+    at x_{i-1/2} (left), ``out[1]`` at x_{i+1/2} (right), filled strip by
+    strip: output rows ``i:j`` come from input rows ``i:j+2``, with about
+    ``STRIP_BYTES`` of input rows per strip.
     """
-    n = u.shape[0] - 2
-    line = n if rows is None else rows
-    per_row = math.prod(u.shape[1:])
-    left = work.array("edges.left", (n,) + u.shape[1:], reserve=line * per_row)
-    right = work.array("edges.right", (n,) + u.shape[1:], reserve=line * per_row)
-    strip_size = min(line, strip_rows(u[0].nbytes)) * per_row
-    for i, j in strips(n, u[0].nbytes):
-        _edges_strip(u[i:j + 2], eps, left[i:j], right[i:j], work, strip_size)
-    return left, right
+    for i, j in strips(u.shape[0] - 2, u[0].nbytes):
+        _edges_strip(u[i:j + 2], eps, out[0, i:j], out[1, i:j], work)
+    return out
 
 
 def _edges_strip(u: np.ndarray, eps: float, left: np.ndarray, right: np.ndarray,
-                 work: Workspace, reserve: int) -> None:
+                 work: Workspace) -> None:
     """Edge values of the interior rows of ``u`` into ``left`` and ``right``;
     every intermediate goes into one of seven strip-sized scratch arrays of
-    ``work``, made with ``reserve`` elements."""
-    s = [work.array(f"edges.{i}", left.shape, reserve) for i in range(7)]
+    ``work``."""
+    s = [work.array(f"edges.{i}", left.shape) for i in range(7)]
     um, u0, up = u[:-2], u[1:-1], u[2:]
     dl = np.subtract(u0, um, out=s[0])
     dr = np.subtract(up, u0, out=s[1])

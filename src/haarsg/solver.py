@@ -11,7 +11,7 @@ the viscosity is applied per sample).
 All operations are plain numpy array transformations with a fixed evaluation
 order, so results are bitwise reproducible and independent of any outer
 parallelism.  The reconstructions, the LLF flux, the 2D flux divergence and
-the time step run in strips of rows along x, about ``cweno.STRIP_BYTES``
+the time step run in strips of rows along x, about ``workspace.STRIP_BYTES``
 each, so that their temporaries stay in cache; the operations are
 elementwise, so the strips change no result bit.  The 2D right-hand side is
 one pass over such strips: each reconstructs its faces, transforms them,
@@ -38,20 +38,24 @@ repeat its first row bit for bit, whose stencil lies in the uniform run,
 so a violation in that row is reported at row 0, where one check of the
 whole line finds it first (the ``lead`` of ``models.LowestAdmissibility``);
 the rows after it repeat its last row, which a check finds first anyway.
-The span's work arrays are made for the whole line, so a span that widens
-from step to step maps none anew.  2D runs on the whole grid: each stage
-widens the box of differing cells by the stencil's two cells per side, so
-on the 100x100 Euler box to t 0.1 that box covers 91 % of the grid on
-average.  The mode/value transforms are ``galerkin.to_spectrum`` and
-``galerkin.from_spectrum``.
+The span's edges and their values are line-shaped work arrays sliced to
+the span, and its strips fit in the budget that every work buffer maps
+at least (``workspace.STRIP_BYTES``), so a span that widens from step to
+step maps none anew.  2D runs on the whole grid: each stage widens the box
+of differing cells by the stencil's two cells per side, so on the 100x100
+Euler box to t 0.1 that box covers 91 % of the grid on average.
 
-Within a strip the LLF works on copies of its interface values laid out
-(components, rows..., K+1) in memory, so that the model's maps run over
-contiguous component slices instead of one short inner loop per K+1
-values; one copy per strip writes the flux back.  Galerkin fields and
-deterministic batches take the same path: they differ only in the
-transform, which a batch skips, and in the viscosity, one maximum over the
-stochastic axis per face or one per sample.
+The LLF works on realization values; the mode/value transforms
+(``galerkin.to_spectrum`` and ``galerkin.from_spectrum``) run around it.
+The 1D right-hand side maps both edge arrays of its span in one product
+and the flux back once, the 2D one each strip's faces and fluxes, and
+``compute_dt`` each of its strips.  Galerkin fields and deterministic
+batches differ only in the transform, which a batch skips, and in the
+viscosity, one maximum over the stochastic axis per face or one per
+sample.  Within a strip the LLF works on copies of its interface values
+laid out (components, rows..., K+1) in memory, so that the model's maps
+run over contiguous component slices instead of one short inner loop per
+K+1 values; one copy per strip writes the flux back.
 
 Work arrays: each ``advance`` call owns one ``Workspace``, created when it
 starts and dropped when it returns, never kept by a module or by the
@@ -59,9 +63,10 @@ starts and dropped when it returns, never kept by a module or by the
 It passes the workspace to ``compute_dt`` (one strip's values and speed
 bounds), ``ssprk3_step`` (the stage states, alternating between two arrays
 from step to step) and ``rhs``.  Of the right-hand side's arrays only the
-padded state and the flux divergence are full size, and SSPRK3 combines
-its later stages in the divergence itself, so a solve maps four full-size
-arrays: those two and the two stage states.  In 2D the face
+padded state and the flux divergence are full size (in 1D also the
+line-shaped edges and their values), and SSPRK3 combines its later stages
+in the divergence itself, so a 2D solve maps four full-size arrays: those
+two and the two stage states.  In 2D the face
 values, the interface values, the LLF's strip copies, fluxes and speed
 bounds and the mean face fluxes all hold one strip; two one-row arrays
 carry over from a strip to the next, the east faces of its last
@@ -76,7 +81,6 @@ the next step.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -175,12 +179,12 @@ def _apply_boundary(padded: np.ndarray, axis: int, kind: str) -> None:
 
 
 def _component_first(work: Workspace, name: str, shape: tuple,
-                     values: np.ndarray | None = None, reserve: int = 0) -> np.ndarray:
+                     values: np.ndarray | None = None) -> np.ndarray:
     """Work array ``name`` seen with ``shape`` (..., components, m) but laid
     out (components, ..., m) in memory, holding a copy of ``values`` if
     given."""
     n = len(shape)
-    out = work.array(name, shape[-2:-1] + shape[:-2] + shape[-1:], reserve).transpose(
+    out = work.array(name, shape[-2:-1] + shape[:-2] + shape[-1:]).transpose(
         tuple(range(1, n - 1)) + (0, n - 1))
     if values is not None:
         out[...] = values
@@ -226,10 +230,18 @@ class SemiDiscreteSystem:
             return from_spectrum(self.tensors, values, out)
         return values
 
-    def _llf(self, left_modes: np.ndarray, right_modes: np.ndarray, axis: int,
-             work: Workspace, lowest: Sequence, first: int,
-             rows: int | None = None) -> np.ndarray:
-        """Local Lax-Friedrichs flux from reconstructed interface states.
+    def _values(self, modes: np.ndarray, work: Workspace, name: str) -> np.ndarray:
+        """Realization values of ``modes`` in work array ``name``; a batch's
+        modes are its values, returned unchanged with no array made."""
+        if not self.coupled:
+            return modes
+        return self._to_values(modes, out=work.array(name, modes.shape))
+
+    def _llf(self, vl: np.ndarray, vr: np.ndarray, axis: int, work: Workspace,
+             lowest: Sequence, first: int) -> np.ndarray:
+        """Local Lax-Friedrichs flux values from the realization values
+        ``vl`` and ``vr`` on the two sides of each interface, written over
+        the spent ``vl``, which it returns.
 
         Interface arrays are shaped (..., x, [y,] components, m).  Flux,
         speed bound and the flux combination run in strips along the x
@@ -243,62 +255,38 @@ class SemiDiscreteSystem:
         strip whose lowest value is not positive, or NaN, which may hide a
         non-positive one, runs no map and gets a NaN flux.  The fluxes,
         speed bounds and the combination are work arrays in that layout
-        too, and one copy per strip writes the result back into the spent
-        left values.  The flux modes then go into the spent right values.
-        An uncoupled system has no transform, so its left values are
-        ``left_modes`` itself and the flux overwrites them; ``rhs`` reads no
-        interface value twice.
-
-        ``rows``, when the interface arrays (faces, components, m) are a
-        span of a 1D line, is the line's face count: every work array is
-        made for the line, so that a widening span maps none anew.
+        too, and one copy per strip writes the result back into ``vl``.
         """
-        shape = left_modes.shape
-        coupled = self.coupled
-        line = 0 if rows is None else rows * math.prod(shape[1:])
-        vl = self._to_values(
-            left_modes, out=work.array("llf.left", shape, line) if coupled else None)
-        vr = self._to_values(
-            right_modes, out=work.array("llf.right", shape, line) if coupled else None)
         copy = self.model.components > 1
-        strip_rows = 0 if rows is None else min(rows, cweno.strip_rows(vl[0].nbytes))
-
-        def reserve(strip_shape):  # elements of the line's largest strip
-            return strip_rows * math.prod(strip_shape[1:])
-
         for start, strip in self._x_strips(vl):
             out = vl[strip]
             sl, sr = out, vr[strip]
-            size = reserve(sl.shape)
             if copy:
-                sl = _component_first(work, "llf.strip.left", sl.shape, sl, size)
-                sr = _component_first(work, "llf.strip.right", sr.shape, sr, size)
+                sl = _component_first(work, "llf.strip.left", sl.shape, sl)
+                sr = _component_first(work, "llf.strip.right", sr.shape, sr)
             low_left = lowest[0].add(sl, first + start)
             low_right = lowest[1].add(sr, first + start)
             if not (low_left > 0.0 and low_right > 0.0):
                 out[...] = np.nan
                 continue
             fl = self.model.values_flux(
-                sl, axis, out=_component_first(work, "llf.flux.left", sl.shape, None, size))
+                sl, axis, out=_component_first(work, "llf.flux.left", sl.shape))
             fr = self.model.values_flux(
-                sr, axis, out=_component_first(work, "llf.flux.right", sl.shape, None, size))
+                sr, axis, out=_component_first(work, "llf.flux.right", sl.shape))
             speeds = sl.shape[:-2] + sl.shape[-1:]
             alpha = self.model.values_speed_bound(
-                sl, axis, out=work.array("llf.speed.left", speeds, reserve(speeds)))
+                sl, axis, out=work.array("llf.speed.left", speeds))
             np.maximum(alpha, self.model.values_speed_bound(
-                sr, axis, out=work.array("llf.speed.right", speeds, reserve(speeds))),
-                out=alpha)
-            if coupled:
-                alpha = np.max(alpha, axis=-1,
-                               out=work.array("llf.alpha", speeds[:-1], reserve(speeds[:-1])))
+                sr, axis, out=work.array("llf.speed.right", speeds)), out=alpha)
+            if self.coupled:
+                alpha = np.max(alpha, axis=-1, out=work.array("llf.alpha", speeds[:-1]))
                 alpha = alpha[..., None, None]
             else:
                 alpha = alpha[..., None, :]
             # 0.5 * (fl + fr) - (0.5 * alpha) * (vr - vl), into the left flux,
             # or straight into the left values once they are read
             alpha *= 0.5
-            jump = np.subtract(
-                sr, sl, out=_component_first(work, "llf.jump", sl.shape, None, size))
+            jump = np.subtract(sr, sl, out=_component_first(work, "llf.jump", sl.shape))
             jump *= alpha
             combined = fl if copy else out
             np.add(fl, fr, out=combined)
@@ -306,7 +294,16 @@ class SemiDiscreteSystem:
             combined -= jump
             if copy:
                 out[...] = combined
-        return self._from_values(vl, out=vr)
+        return vl
+
+    def _face_flux(self, faces: tuple, axis: int, work: Workspace, lowest: Sequence,
+                   first: int) -> np.ndarray:
+        """LLF flux modes of one strip's (left, right) interface modes
+        ``faces``: both mapped to values, the flux mapped back into the
+        spent right values."""
+        vl = self._values(faces[0], work, "rhs.values.left")
+        vr = self._values(faces[1], work, "rhs.values.right")
+        return self._from_values(self._llf(vl, vr, axis, work, lowest, first), out=vr)
 
     def _x_strips(self, values: np.ndarray) -> list[tuple[int, tuple]]:
         """(first x row, index tuple) of strips of whole rows along the x
@@ -335,18 +332,26 @@ class SemiDiscreteSystem:
         outer face on its side: the full pass gives it -(f - f) / dx, -0.0
         for a finite f, and so does this one, from that face.  The four
         stencil cells of face ``lo`` lie in the uniform run, so its
-        interface values and their transform are those of faces 0..lo-1
-        too: the admissibility accumulators take ``lead=lo`` and report a
-        violation there at face 0, as one check of the whole line does.
+        interface values are those of faces 0..lo-1 too: the admissibility
+        accumulators take ``lead=lo`` and report a violation there at face
+        0, as one check of the whole line does.  The edges and their values
+        are line-shaped work arrays sliced to the span.
         """
         nx = data.shape[0]
         padded = fill_ghosts(data, self.grid, work)
         lo, hi = _span_1d(padded)
-        left, right = cweno.cweno3_edges(padded[lo:hi + 4], self.eps, work, rows=nx + 2)
+        line = (2, nx + 2) + data.shape[1:]
+        span = (slice(None), slice(hi - lo + 2))
+        edges = cweno.cweno3_edges(padded[lo:hi + 4], self.eps, work,
+                                   work.array("rhs.edges", line)[span])
+        values = edges
+        if self.coupled:
+            values = self._to_values(edges, out=work.array("rhs.values", line)[span])
         lowest = [LowestAdmissibility(self.model, axis=0, lead=lo) for _ in range(2)]
-        flux = self._llf(right[:-1], left[1:], 0, work, lowest, lo, rows=nx + 1)
+        flux = self._llf(values[1, :-1], values[0, 1:], 0, work, lowest, lo)
         for side in lowest:
             side.check()
+        flux = self._from_values(flux, out=edges[1, :-1])
         out = work.array("rhs", data.shape)
         np.subtract(flux[1:], flux[:-1], out=out[lo:hi])
         np.subtract(flux[0], flux[0], out=out[:lo])
@@ -414,11 +419,11 @@ class SemiDiscreteSystem:
             base = max(r0 - 1, 0)  # the face (x) or cell (y) at index 0
             m = 0 if x_faces is None else x_faces[0].shape[1]
             if m > 0:
-                f = self._llf(*x_faces, 0, work, lowest[:2], base)
+                f = self._face_flux(x_faces, 0, work, lowest[:2], base)
                 fx = np.add(f[0], f[1], out=means[1:m + 1])
                 fx *= 0.5
             if y_faces is not None:  # dfy of the interior cells into out
-                f = self._llf(*y_faces, 1, work, lowest[2:], base)
+                f = self._face_flux(y_faces, 1, work, lowest[2:], base)
                 fy = np.add(f[0], f[1], out=work.array("rhs.mean.y", f.shape[1:]))
                 fy *= 0.5
                 dfy = np.subtract(fy[:, 1:], fy[:, :-1],
@@ -443,42 +448,36 @@ class SemiDiscreteSystem:
         """CFL time step from per-cell generalized speed bounds.
 
         The admissibility minimum of ``data``, checked on the way, lowers
-        ``admissibility_min``.  Values and speed bounds are work arrays of
-        one strip of x rows, made for the line's longest strip so that a
-        widening range maps none anew; a strip's matrix block has at least
-        two rows, since a one-row product rounds differently from a taller
-        one.  In 1D only the cells from the first cell of the first pair of
-        neighbours that differ in any bit to the last cell of the last such
-        pair (at least two) are transformed and checked: every uniform run
-        outside keeps a cell there, so the maximum and the minimum are
-        unchanged.  The cells before that range hold the values of its
-        first cell, so the accumulator takes ``lead=lo``: a violation there
-        is reported at cell 0, as one check of the whole field reports it.
-        A strip that violates, or holds a NaN, computes no speed bound, and
-        the rate is NaN.
+        ``admissibility_min``.  Each strip of x rows is mapped to values
+        (``_values``) in a work array, and so are its speed bounds; a strip
+        fits in one ``STRIP_BYTES`` buffer, so a widening range maps none
+        anew.  A strip's matrix block has at least two rows, since a
+        one-row product rounds differently from a taller one.  In 1D only
+        the cells from the first cell of the first pair of neighbours that
+        differ in any bit to the last cell of the last such pair (at least
+        two) are transformed and checked: every uniform run outside keeps a
+        cell there, so the maximum and the minimum are unchanged.  The cells
+        before that range hold the values of its first cell, so the
+        accumulator takes ``lead=lo``: a violation there is reported at cell
+        0, as one check of the whole field reports it.  A strip that
+        violates, or holds a NaN, computes no speed bound, and the rate is
+        NaN.
         """
         n = data.shape[0]
         lo, hi = _range_1d(data) if self.grid.space_dim == 1 else (0, n)
         lowest = LowestAdmissibility(self.model, axis=0, lead=lo)
         min_rows = 2 if data[0].size == data.shape[-1] else 1
-        # the longest strip of any range, a joined short tail included
-        longest = min(n, cweno.strip_rows(data[0].nbytes, min_rows) + min_rows - 1)
-
-        def reserve(shape):  # elements of the longest strip
-            return longest * math.prod(shape[1:])
-
         top = None
         for i, j in cweno.strips(hi - lo, data[0].nbytes, min_rows):
             block = data[lo + i:lo + j]
-            vals = self._to_values(block, out=work.array(
-                "dt.values", block.shape, reserve(block.shape)) if self.coupled else None)
+            vals = self._values(block, work, "dt.values")
             if not lowest.add(vals, lo + i) > 0.0:
                 top = np.nan
                 continue
             speeds = block.shape[:-2] + block.shape[-1:]
-            speed = work.array("dt.speed", speeds, reserve(speeds))
+            speed = work.array("dt.speed", speeds)
             rate = np.max(self.model.values_speed_bound(vals, 0, out=speed), axis=-1,
-                          out=work.array("dt.rate", speeds[:-1], reserve(speeds[:-1])))
+                          out=work.array("dt.rate", speeds[:-1]))
             if self.grid.space_dim == 2:
                 rate /= self.grid.dx
                 sy = np.max(self.model.values_speed_bound(vals, 1, out=speed), axis=-1,

@@ -19,6 +19,17 @@ import mmap
 
 import numpy as np
 
+#: byte budget of one strip of rows in the reconstructions, the LLF flux, the
+#: 2D right-hand side and the time step, and the smallest buffer a
+#: ``Workspace`` maps.  With the reconstruction in work arrays, 128 KiB gave
+#: the fastest 100x100 Euler right-hand side (about 85 ms against 100 ms at
+#: 512 KiB) and the smallest set of strip-sized arrays; it also keeps the
+#: temporaries of the model's flux and speed bound in the 1D LLF (400 cells x
+#: 128 modes, four strips) small enough that the allocator reuses their pages
+#: instead of returning and re-faulting them (a scalar level-6 run: 26k minor
+#: page faults at 128 KiB, 200k at 256 KiB, 360k at 512 KiB).
+STRIP_BYTES = 128 * 1024
+
 
 class Workspace:
     """Named work arrays, allocated on first use and reused after that.
@@ -34,20 +45,22 @@ class Workspace:
     freed buffers of a level-6 scalar solve (about 7 MB) stayed resident
     behind the returned state and raised the peak RSS of the output
     written after the solve above that of the solve itself.
+
+    A buffer maps at least ``STRIP_BYTES``, so any strip of
+    ``cweno.strips`` fits in it however the strips of the 1D span and range
+    fall from call to call, and no caller says how large a name will grow;
+    a page never written is never resident.
     """
 
     def __init__(self):
         self._buffers: dict[str, np.ndarray] = {}
 
-    def array(self, name: str, shape: tuple, reserve: int = 0) -> np.ndarray:
-        """Work array ``name`` with ``shape``.  A buffer that has to be made
-        holds at least ``reserve`` elements, so that a caller which will ask
-        for more under the same name (the widening span of the 1D
-        right-hand side) maps it once."""
+    def array(self, name: str, shape: tuple) -> np.ndarray:
+        """Work array ``name`` with ``shape``."""
         size = math.prod(shape)
         buf = self._buffers.get(name)
         if buf is None or buf.size < size:
-            count = max(size, reserve)
-            pages = mmap.mmap(-1, max(8 * count, 1))  # 8 bytes per float64
-            buf = self._buffers[name] = np.frombuffer(pages, np.float64, count=count)
+            count = max(size, STRIP_BYTES // 8)  # 8 bytes per float64
+            buf = self._buffers[name] = np.frombuffer(
+                mmap.mmap(-1, 8 * count), np.float64, count=count)
         return buf[:size].reshape(shape)

@@ -11,8 +11,11 @@ kept as its oracles: ``edges_reference`` of the striped ``cweno3_edges``,
 ``values_speed_bound``.  The replacements do the same elementwise operations
 in the same order, only in strips or into work arrays, so the two must agree
 bit for bit.  Oracles that stand in for a function or method accept its
-``work`` argument (and the line size ``rows`` of a 1D span, and the LLF's
-admissibility accumulators and their first row) and ignore them.
+``work`` argument (and the LLF's admissibility accumulators and their
+first row) and ignore them; ``edges_reference`` writes into ``out`` when
+given one, as ``cweno3_edges`` does.  ``llf_reference`` works on
+realization values, as ``_llf`` does; ``rhs_reference`` maps its interface
+modes to values and its flux back to modes around it.
 
 ``new_flux`` and ``new_speed_bound`` call a model's two maps into fresh arrays.
 ``transform_reference`` is the stacked product that the mode/value
@@ -45,13 +48,13 @@ def _weight(d: float, beta: np.ndarray, eps: float) -> np.ndarray:
     return d / (t * t * t)
 
 
-def edges_reference(u: np.ndarray, eps: float, work=None,
-                    rows=None) -> tuple[np.ndarray, np.ndarray]:
+def edges_reference(u: np.ndarray, eps: float, work=None, out=None):
     """Edge values (at the left/right cell faces) from 3-cell stencils.
 
     ``u`` is indexed by cell along axis 0 and may carry trailing axes; the
     result drops one cell on each end: entry i corresponds to cell i+1 of
-    the input.  Returns ``(left, right)`` evaluated at x_{i-1/2}, x_{i+1/2}.
+    the input.  Returns ``(left, right)`` evaluated at x_{i-1/2}, x_{i+1/2},
+    or ``out`` holding them in ``out[0]`` and ``out[1]`` if given.
     """
     um, u0, up = u[:-2], u[1:-1], u[2:]
     dl = u0 - um
@@ -79,7 +82,10 @@ def edges_reference(u: np.ndarray, eps: float, work=None,
 
     left = wl * pl_left + wr * pr_left + wc * pc_left
     right = wl * pl_right + wr * pr_right + wc * pc_right
-    return left, right
+    if out is None:
+        return left, right
+    out[0], out[1] = left, right
+    return out
 
 
 def fill_ghosts_reference(data: np.ndarray, grid) -> np.ndarray:
@@ -100,14 +106,14 @@ def rhs_reference(self, data: np.ndarray, t: float, work=None,
     padded = fill_ghosts_reference(data, self.grid)
     if self.grid.space_dim == 1:
         left, right = edges_reference(padded, self.eps)
-        flux = llf_reference(self, right[:-1], left[1:], axis=0)
+        flux = _modal_llf(self, right[:-1], left[1:], axis=0)
         out = -(flux[1:] - flux[:-1]) / self.grid.dx
     else:
         west, east, south, north = face_values_reference(padded, self.eps)
         # x-faces: gauss-node fluxes averaged with equal weights
-        fx = llf_reference(self, east[:, :-1, 1:-1], west[:, 1:, 1:-1], axis=0)
+        fx = _modal_llf(self, east[:, :-1, 1:-1], west[:, 1:, 1:-1], axis=0)
         fx = 0.5 * (fx[0] + fx[1])
-        fy = llf_reference(self, north[:, 1:-1, :-1], south[:, 1:-1, 1:], axis=1)
+        fy = _modal_llf(self, north[:, 1:-1, :-1], south[:, 1:-1, 1:], axis=1)
         fy = 0.5 * (fy[0] + fy[1])
         out = (-(fx[1:] - fx[:-1]) / self.grid.dx
                - (fy[:, 1:] - fy[:, :-1]) / self.grid.dy)
@@ -249,15 +255,14 @@ def face_values_reference(u: np.ndarray, eps: float, work=None, out=None) -> np.
     return out
 
 
-def llf_reference(self, left_modes: np.ndarray, right_modes: np.ndarray,
-                  axis: int, work=None, lowest=None, first=None, rows=None) -> np.ndarray:
-    """Local Lax-Friedrichs flux from reconstructed interface states.
+def llf_reference(self, vl: np.ndarray, vr: np.ndarray, axis: int, work=None,
+                  lowest=None, first=None) -> np.ndarray:
+    """Local Lax-Friedrichs flux values from the realization values of the
+    interface states.
 
     Called as a method of a ``SemiDiscreteSystem`` (``self``), over the
     whole interface arrays at once.
     """
-    vl = self._to_values(left_modes)
-    vr = self._to_values(right_modes)
     check_admissible_values(self.model, vl)
     check_admissible_values(self.model, vr)
     fl = new_flux(self.model, vl, axis)
@@ -268,8 +273,14 @@ def llf_reference(self, left_modes: np.ndarray, right_modes: np.ndarray,
         alpha = alpha.max(axis=-1)[..., None, None]
     else:
         alpha = alpha[..., None, :]
-    flux_vals = 0.5 * (fl + fr) - 0.5 * alpha * (vr - vl)
-    return self._from_values(flux_vals)
+    return 0.5 * (fl + fr) - 0.5 * alpha * (vr - vl)
+
+
+def _modal_llf(self, left_modes: np.ndarray, right_modes: np.ndarray,
+               axis: int) -> np.ndarray:
+    """``llf_reference`` between interface modes: the flux modes."""
+    return self._from_values(llf_reference(
+        self, self._to_values(left_modes), self._to_values(right_modes), axis))
 
 
 def new_flux(model, vals: np.ndarray, axis: int) -> np.ndarray:

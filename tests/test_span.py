@@ -5,11 +5,12 @@ oracles in ``solver_reference`` bit for bit, -0.0 included."""
 
 import numpy as np
 import pytest
-from solver_reference import compute_dt_reference, rhs_reference
+from solver_reference import (compute_dt_reference, fill_ghosts_reference, preset_grid,
+                              rhs_reference)
 
 from haarsg import (AdmissibilityError, Grid, PSystem1D, ScalarLipschitz, SemiDiscreteSystem,
-                    build_classical_haar, build_tensors, from_spectrum)
-from haarsg import cweno, solver
+                    build_classical_haar, build_tensors, from_spectrum, get_preset)
+from haarsg import cweno, solver, workspace
 from haarsg.workspace import Workspace
 
 NX = 24
@@ -65,9 +66,9 @@ def _recording_edges(monkeypatch) -> list[int]:
     seen = []
     edges = cweno.cweno3_edges
 
-    def recording(u, eps, work, rows=None):
+    def recording(u, eps, work, out):
         seen.append(u.shape[0])
-        return edges(u, eps, work, rows=rows)
+        return edges(u, eps, work, out)
 
     monkeypatch.setattr(cweno, "cweno3_edges", recording)
     return seen
@@ -156,10 +157,10 @@ def test_span_rhs_maps_no_new_array_as_it_widens():
 @pytest.mark.parametrize("rows", [None, 3], ids=["one-strip", "3-row-strips"])
 @pytest.mark.parametrize("name", ["scalar", "psystem"])
 def test_compute_dt_maps_no_new_array_as_its_range_widens(monkeypatch, name, rows):
-    """``compute_dt``'s strip arrays are made for the line's longest strip,
-    a joined short tail included, so a wider range on the same workspace
-    maps nothing new.  In 3-row strips the scalar's ranges of 3 and 4 rows
-    are one strip of 3 and one of 4, its short tail joined."""
+    """``compute_dt``'s strip arrays fit in the smallest buffer a workspace
+    maps, so a wider range on the same workspace maps nothing new.  In
+    3-row strips the scalar's range of 4 rows is two strips of 2, its short
+    tail taking a row from the strip before."""
     system, m, to_state = _system(name, True)
     rng = np.random.default_rng(10)
     states = [_state(system, m, to_state, runs, rng)
@@ -229,3 +230,42 @@ def test_span_error_location_holds_python_ints():
             call()
         assert all(type(i) is int for i in err.value.where + (err.value.index,))
         assert f"at cell {err.value.where}, stochastic cell 3" in str(err.value)
+
+
+def test_scalar_level_6_maps_no_new_array_at_the_default_budget(monkeypatch):
+    """Scalar-oleinik at level 6, nx 400: 1 KiB rows, 128-row strips.  The
+    one-row tail of a 129-row range takes a row from the strip before, where
+    joining it would make a strip of 129 rows, more than one budget.  On one
+    workspace, ranges and spans of 120, 129, 130 and 257 rows map nothing
+    after the first."""
+    preset = get_preset("scalar-oleinik")
+    tensors = build_tensors(build_classical_haar(6))
+    system = SemiDiscreteSystem(preset.galerkin_model(tensors), preset_grid(preset),
+                                tensors=tensors)
+    values = np.random.default_rng(12).uniform(-1.0, 1.0, size=(400, 1, tensors.size))
+    base = from_spectrum(tensors, values)
+    assert cweno.strips(129, base[0].nbytes, min_rows=2) == [(0, 127), (127, 129)]
+
+    def state(first: int, stop: int) -> np.ndarray:
+        """Uniform on cells :first + 1 and stop - 1:, so that its range is
+        cells first:stop and its span cells first - 1:stop + 1."""
+        data = base.copy()
+        data[:first] = data[first]
+        data[stop:] = data[stop - 1]
+        return data
+
+    work = Workspace()
+    maps = []
+    for count, rows in enumerate((120, 129, 130, 257)):
+        if count == 1:
+            new_map = workspace.mmap.mmap
+            monkeypatch.setattr(workspace.mmap, "mmap",
+                                lambda *args: maps.append(args) or new_map(*args))
+        for first, stop in ((50, 50 + rows), (50, 48 + rows)):  # range, span of rows
+            data = state(first, stop)
+            assert solver._range_1d(data) == (first, stop)
+            assert solver._span_1d(fill_ghosts_reference(data, system.grid)) == (
+                first - 1, stop + 1)
+            system.compute_dt(data, 0.45, work)
+            system.rhs(data, 0.0, work)
+    assert maps == []

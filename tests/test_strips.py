@@ -267,6 +267,8 @@ def test_strips_keep_min_rows_and_join_a_short_tail():
     assert cweno.strips(7, cweno.STRIP_BYTES, min_rows=2) == [(0, 2), (2, 4), (4, 7)]
     assert cweno.strips(6, cweno.STRIP_BYTES, min_rows=2) == [(0, 2), (2, 4), (4, 6)]
     assert cweno.strips(1, cweno.STRIP_BYTES, min_rows=2) == [(0, 1)]
+    # a strip before with a row to spare gives it to the tail instead
+    assert cweno.strips(9, cweno.STRIP_BYTES // 4, min_rows=2) == [(0, 4), (4, 7), (7, 9)]
     assert cweno.strips(0, 8) == []
 
 

@@ -135,7 +135,7 @@ def test_edges_match_oracle_at_any_strip_budget(monkeypatch, trailing, budget):
     expected_strips = {"row-strips": 7, "ragged-strip": 3, "one-strip": 1}[budget]
     assert len(cweno.strips(7, row)) == expected_strips
     for eps in (1e-6, 0.01):
-        left, right = cweno.cweno3_edges(u, eps, Workspace())
+        left, right = cweno.cweno3_edges(u, eps, Workspace(), np.empty((2,) + u[2:].shape))
         ref_left, ref_right = edges_reference(u, eps)
         assert np.array_equal(left, ref_left)
         assert np.array_equal(right, ref_right)

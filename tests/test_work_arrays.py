@@ -94,22 +94,36 @@ def test_edges_match_allocating_oracle(trailing):
         u[n // 2:] += 3.0  # a jump, so the nonlinear weights differ from cell to cell
         for eps in (1e-6, 0.01, 0.1):
             expected = edges_reference(u, eps)
-            got = cweno3_edges(u, eps, work)
+            got = cweno3_edges(u, eps, work, np.empty((2,) + u[2:].shape))
             assert np.array_equal(got[0], expected[0])
             assert np.array_equal(got[1], expected[1])
 
 
+#: the work arrays that hold transformed values: the 1D line of edge values,
+#: the 2D face strips' left and right values and the time step's strip
+TRANSFORMED = {"rhs.values", "rhs.values.left", "rhs.values.right", "dt.values"}
+
+
 def test_batch_maps_no_arrays_for_transformed_values():
     """A deterministic batch has no transform, so its right-hand side and
-    time step map no work array for transformed values.  On the 48x40 Euler
-    batch of 7 samples the workspace then maps 14.7 field sizes; at this
-    size one strip holds 17 of the 50 reconstructed rows, so the strip's
-    face values alone are 3.2 of them."""
-    system, field = _preset_system("euler-box", coupled=False)
-    work = Workspace()
-    system.rhs(field.data, 0.0, work)
-    system.compute_dt(field.data, CFL, work)
-    assert not {"llf.left", "llf.right", "dt.values"} & set(work._buffers)
+    time step map no work array for transformed values, in 1D (the
+    p-system) as in 2D (Euler), while the Galerkin systems map every one of
+    them.  On the 48x40 Euler batch of 7 samples the workspace then maps
+    17.1 field sizes, 14.7 of them before every buffer mapped at least one
+    strip budget; at this size one strip holds 17 of the 50 reconstructed
+    rows, so the strip's face values alone are 3.2 of them."""
+    made = set()
+    for name in ("psystem-riemann", "euler-box"):
+        for coupled in (True, False):
+            system, field = _preset_system(name, coupled=coupled)
+            work = Workspace()
+            system.rhs(field.data, 0.0, work)
+            system.compute_dt(field.data, CFL, work)
+            if coupled:
+                made |= TRANSFORMED & set(work._buffers)
+            else:
+                assert not TRANSFORMED & set(work._buffers), name
+    assert made == TRANSFORMED
     mapped = sum(buf.nbytes for buf in work._buffers.values())
     assert mapped <= 21 * field.data.nbytes
 
