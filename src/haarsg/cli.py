@@ -110,11 +110,11 @@ def _parse_sweep(text: str) -> tuple[int, int]:
 def _cmd_run(config, args) -> int:
     if args.level_sweep:
         lo, hi = _parse_sweep(args.level_sweep)
-        results = run_level_sweep(config, lo, hi, threads=args.threads)
+        results = run_level_sweep(config, lo, hi)
         for res in results:
             print(f"level dir {res.out_dir}: steps={res.steps} mse={res.mse_value}")
     else:
-        res = run_experiment(config, threads=args.threads)
+        res = run_experiment(config)
         print(f"wrote {len(res.artifacts) + 1} artifacts to {res.out_dir} "
               f"(steps={res.steps})")
     return 0
@@ -126,7 +126,7 @@ def _cmd_reference(config, args) -> int:
         raise ConfigError(f"preset {preset.name} has no reference configured")
     tensors = build_tensors(build_basis(config))
     grid = build_grid(config)
-    ref = build_reference(config, tensors, grid, config.t_final, threads=args.threads)
+    ref = build_reference(config, tensors, grid, config.t_final)
     out_dir = config.out_dir
     os.makedirs(out_dir, exist_ok=True)
     if isinstance(ref, (ExactScalarReference, CollocationReference)):
@@ -188,8 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     def solving(p):
         common(p)
         p.add_argument("--seed", type=int, help="seed override")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for sweeps and sampling")
 
     p_basis = sub.add_parser("basis", help="dump H and the eigenframe maps eig_map, "
                              "eig_inv as CSV")

@@ -142,6 +142,7 @@ _ATTR_TO_KEY = {attr: sk for sk, (attr, _) in _SCHEMA.items()}
 def parse_config(text: str) -> RunConfig:
     """Parse and validate configuration text."""
     values: dict[str, object] = {}
+    seen: dict[str, int] = {}  # dotted key -> the line that set it
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -165,6 +166,10 @@ def parse_config(text: str) -> RunConfig:
         if (section, key) not in _SCHEMA:
             raise ConfigError(f"line {lineno}: unknown key `{dotted}`",
                               line=lineno, key=dotted)
+        if dotted in seen:
+            raise ConfigError(f"line {lineno}: `{dotted}` is already set on line "
+                              f"{seen[dotted]}", line=lineno, key=dotted)
+        seen[dotted] = lineno
         attr, cast = _SCHEMA[(section, key)]
         try:
             values[attr] = cast(value)
@@ -217,6 +222,11 @@ def _validate(config: RunConfig, preset: ExperimentPreset) -> None:
                           key="reference.kind")
     if config.stride < 0:
         raise ConfigError("`output.stride` must be >= 0", key="output.stride")
+    out = config.out_dir
+    if "#" in out or out != out.strip() or len(out.splitlines()) > 1:
+        # parse_config would read such a value back cut, so render_config cannot hold it
+        raise ConfigError(f"`output.directory` may hold no '#', line break or outer "
+                          f"whitespace, got {out!r}", key="output.directory")
     if config.ref_samples < 1:
         raise ConfigError("`reference.samples` must be >= 1", key="reference.samples")
     if config.seed < 0:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,7 +32,7 @@ def build_grid(config: RunConfig) -> Grid:
 
 
 def build_reference(config: RunConfig, tensors: GalerkinTensor | None, grid: Grid,
-                    t_final: float, threads: int = 1):
+                    t_final: float):
     """The reference a configuration asks for at ``t_final``; None for "none".
 
     A collocation reference solves at the stochastic nodes of the classical
@@ -50,7 +49,7 @@ def build_reference(config: RunConfig, tensors: GalerkinTensor | None, grid: Gri
                                      t_final=t_final, grid=grid, cfl=config.cfl)
     if config.reference == "monte-carlo":
         return monte_carlo_reference(preset, config.ref_samples, grid, t_final,
-                                     config.seed, cfl=config.cfl, threads=threads)
+                                     config.seed, cfl=config.cfl)
     return None
 
 
@@ -75,8 +74,12 @@ def run_experiment(config: RunConfig, threads: int = 1, out_dir: str | None = No
     """Run one configured experiment and write its artifacts.
 
     ``reference_override`` injects a precomputed reference (used by level
-    sweeps so every member is compared against the same one).
+    sweeps so every member is compared against the same one).  ``threads``
+    must be 1: a run uses one thread.
     """
+    # only perfbench passes threads (=1); ROADMAP direction 4 drops it there, then here
+    if threads != 1:
+        raise ValueError(f"a run uses one thread, got threads={threads}")
     started = time.perf_counter()
     preset = get_preset(config.preset)
     basis = build_basis(config)
@@ -126,7 +129,7 @@ def run_experiment(config: RunConfig, threads: int = 1, out_dir: str | None = No
 
     reference = reference_override
     if config.t_final > 0.0 and reference is None:
-        reference = build_reference(config, tensors, grid, config.t_final, threads=threads)
+        reference = build_reference(config, tensors, grid, config.t_final)
     result.reference = reference
 
     qoi = preset.qoi_component
@@ -176,8 +179,7 @@ def run_experiment(config: RunConfig, threads: int = 1, out_dir: str | None = No
     return result
 
 
-def run_level_sweep(config: RunConfig, level_lo: int, level_hi: int,
-                    threads: int = 1) -> list[ExperimentResult]:
+def run_level_sweep(config: RunConfig, level_lo: int, level_hi: int) -> list[ExperimentResult]:
     """Run the experiment over a range of levels and tabulate the errors.
 
     The reference is built once, from the finest level's configuration, so
@@ -193,23 +195,10 @@ def run_level_sweep(config: RunConfig, level_lo: int, level_hi: int,
         finest = replace(finest, ref_level=level_hi)
     reference_override = None
     if config.t_final > 0.0:
-        reference_override = build_reference(finest, None, build_grid(finest), config.t_final,
-                                             threads=threads)
-
-    member_configs = [with_level(config, j) for j in levels]
-    results: list[ExperimentResult | None] = [None] * len(levels)
-
-    def run_member(i: int) -> None:
-        sub_dir = os.path.join(config.out_dir, f"level_{levels[i]}")
-        results[i] = run_experiment(member_configs[i], out_dir=sub_dir,
-                                    reference_override=reference_override)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_member, range(len(levels))))
-    else:
-        for i in range(len(levels)):
-            run_member(i)
+        reference_override = build_reference(finest, None, build_grid(finest), config.t_final)
+    results = [run_experiment(with_level(config, j),
+                              out_dir=os.path.join(config.out_dir, f"level_{j}"),
+                              reference_override=reference_override) for j in levels]
 
     rows = []
     for level, res in zip(levels, results):
@@ -221,4 +210,4 @@ def run_level_sweep(config: RunConfig, level_lo: int, level_hi: int,
     header = ["level", "size", "mse"] + (["l1"] if len(rows[0]) == 4 else [])
     os.makedirs(config.out_dir, exist_ok=True)
     output.write_table_csv(os.path.join(config.out_dir, "mse_vs_level.csv"), header, rows)
-    return list(results)
+    return results

@@ -59,10 +59,11 @@ K+1 values; one copy per strip writes the flux back.
 
 Work arrays: each ``advance`` call owns one ``Workspace``, created when it
 starts and dropped when it returns, never kept by a module or by the
-``SemiDiscreteSystem``, so concurrent calls on other threads share nothing.
-It passes the workspace to ``compute_dt`` (one strip's values and speed
-bounds), ``ssprk3_step`` (the stage states, alternating between two arrays
-from step to step) and ``rhs``.  Of the right-hand side's arrays only the
+``SemiDiscreteSystem``, so their pages leave the process when the
+integration ends (see ``workspace.Workspace``).  It passes the workspace
+to ``compute_dt`` (one strip's values and speed bounds), ``ssprk3_step``
+(the stage states, alternating between two arrays from step to step) and
+``rhs``.  Of the right-hand side's arrays only the
 padded state and the flux divergence are full size (in 1D also the
 line-shaped edges and their values), and SSPRK3 combines its later stages
 in the divergence itself, so a 2D solve maps four full-size arrays: those

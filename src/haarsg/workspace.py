@@ -8,8 +8,7 @@ optional, and none of them has a form that allocates its result.
 
 ``solver.advance`` creates one ``Workspace`` per call and drops it when it
 returns, so its arrays live exactly as long as one integration: every RK
-stage of every step reuses them, and nothing outlives the call or is shared
-between threads.
+stage of every step reuses them, and nothing outlives the call.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from haarsg import (ConfigError, build_canonical_haar, build_classical_haar, bui
                     build_piecewise_linear, build_tensors, parse_config, render_config)
 from haarsg.cli import main
 from haarsg.config import RunConfig, with_level
-from haarsg.experiments import build_grid
+from haarsg.experiments import build_grid, run_experiment
 from haarsg.models import PRESETS
 from haarsg.output import read_field_csv, write_field_csv
 from haarsg.solver import Grid, GpcField
@@ -123,6 +124,31 @@ def test_render_roundtrip():
     assert parse_config(render_config(minimal)) == minimal
 
 
+def test_repeated_key_names_both_lines():
+    with pytest.raises(ConfigError) as err:
+        parse_config("[run]\npreset = scalar-oleinik\nt_final = 0.1\n[grid]\nnx = 40\n"
+                     "[run]\nt_final = 0.3\n")
+    assert err.value.line == 7
+    assert err.value.key == "run.t_final"
+    assert "line 7: `run.t_final` is already set on line 3" in str(err.value)
+
+
+@pytest.mark.parametrize("directory", ["runs/a#1", "runs/a\nb", "runs/a\rb", " runs/a",
+                                       "runs/a\t"],
+                         ids=["hash", "newline", "return", "leading-space", "trailing-tab"])
+def test_output_directory_that_cannot_be_rendered_is_a_config_error(tmp_path, monkeypatch,
+                                                                    directory):
+    """parse_config(render_config(c)) == c: a '#', a line break or outer
+    whitespace would come back cut, so the manifest's config would name
+    another directory."""
+    with pytest.raises(ConfigError) as err:
+        replace(parse_config(FULL), out_dir=directory)
+    assert err.value.key == "output.directory"
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--config", _write_config(tmp_path, FULL), "--out", directory]) == 2
+    assert os.listdir(tmp_path) == ["run.cfg"]
+
+
 def test_with_level_variants():
     config = parse_config(MINIMAL)
     assert with_level(config, 3).basis_level == 3
@@ -200,13 +226,16 @@ def test_cli_basis_dump(tmp_path):
             assert np.array_equal(m_k, galerkin_matrix(tensors, e_k)), (basis.kind, k)
 
 
-@pytest.mark.parametrize("flag", [["--threads", "2"], ["--seed", "3"]])
-@pytest.mark.parametrize("command", [["basis"], ["project", "--expr", "xi"],
-                                     ["mse", "--field", "field.csv"]])
+@pytest.mark.parametrize("command, flag", [
+    pytest.param(command, flag, id=f"{command[0]}-{flag[0][2:]}")
+    for command in (["basis"], ["project", "--expr", "xi"], ["mse", "--field", "field.csv"])
+    for flag in (["--threads", "2"], ["--seed", "3"])
+] + [pytest.param([command], ["--threads", "2"], id=f"{command}-threads")
+     for command in ("run", "reference")])
 def test_cli_seed_and_threads_only_where_read(tmp_path, capsys, command, flag):
-    """Only run and reference draw samples or start threads; the other
-    subcommands reject the flags as usage errors (exit 2) before reading
-    the config."""
+    """Only run and reference draw samples, and no subcommand starts
+    threads; a flag that a subcommand does not read is a usage error (exit
+    2) before the config is read."""
     cfg = _write_config(tmp_path, FULL)
     with pytest.raises(SystemExit) as exc:
         main(command + ["--config", cfg, "--out", str(tmp_path / "out")] + flag)
@@ -243,6 +272,13 @@ def test_cli_project_bad_input_is_a_config_error(tmp_path, flags):
     with np.errstate(invalid="ignore"):
         assert main(["project", "--config", cfg, "--out", str(out)] + flags) == 2
     assert not (out / "modes.csv").exists()
+
+
+def test_run_experiment_refuses_more_than_one_thread_before_any_output(tmp_path):
+    config = replace(parse_config(FULL), out_dir=str(tmp_path / "out"))
+    with pytest.raises(ValueError, match="one thread"):
+        run_experiment(config, threads=2)
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_run_tiny_experiment(tmp_path):

@@ -14,7 +14,7 @@ from haarsg import (ExactScalarReference, Grid, GpcField, build_classical_haar,
                     project, run_experiment, to_spectrum)
 from haarsg import reference
 from haarsg.experiments import build_grid
-from haarsg.reference import _uniform_samples, solve_deterministic_batch
+from haarsg.reference import _uniform_samples, solve_deterministic_batch, x_profile
 
 T2 = build_tensors(build_classical_haar(2))
 
@@ -188,15 +188,29 @@ def test_monte_carlo_single_sample_and_deterministic_envelope():
     assert np.all(sub.maximum - sub.minimum >= 0.0)
 
 
-def test_monte_carlo_reproducible_and_thread_invariant(monkeypatch):
-    preset = get_preset("scalar-oleinik")
-    grid = Grid(nx=50, x_bounds=(-2.0, 2.0))
+def test_monte_carlo_reproducible_and_chunked_in_draw_order(monkeypatch):
+    """The envelope is min/max/mean over batches of MC_CHUNK draws in draw
+    order (on the p-system at t 0.1 one batch of all six gives another
+    mean); the same seed gives the same envelope, another seed another."""
+    preset = get_preset("psystem-riemann")
+    grid = Grid(nx=50, x_bounds=(-3.0, 3.0))
     monkeypatch.setattr(reference, "MC_CHUNK", 2)
-    a = monte_carlo_reference(preset, 6, grid, 0.05, seed=42, cfl=0.45)
-    b = monte_carlo_reference(preset, 6, grid, 0.05, seed=42, cfl=0.45, threads=3)
+    a = monte_carlo_reference(preset, 6, grid, 0.1, seed=42, cfl=0.45)
+    xi = _uniform_samples(42, 6)
+
+    def profiles(batch):
+        data = solve_deterministic_batch(preset, batch, grid, 0.1, 0.45)
+        return x_profile(data, grid, preset.qoi_component).T
+
+    chunks = np.concatenate([profiles(xi[i:i + 2]) for i in range(0, 6, 2)])
+    assert np.array_equal(a.minimum, chunks.min(axis=0))
+    assert np.array_equal(a.maximum, chunks.max(axis=0))
+    assert np.array_equal(a.mean, chunks.mean(axis=0))
+    assert a.failed == 0
+    b = monte_carlo_reference(preset, 6, grid, 0.1, seed=42, cfl=0.45)
     assert np.array_equal(a.mean, b.mean)
     assert np.array_equal(a.minimum, b.minimum)
-    c = monte_carlo_reference(preset, 6, grid, 0.05, seed=43, cfl=0.45)
+    c = monte_carlo_reference(preset, 6, grid, 0.1, seed=43, cfl=0.45)
     assert not np.array_equal(a.mean, c.mean)
 
 
@@ -250,13 +264,17 @@ def test_l1_distance_self_is_small():
     assert l1_distance(out, tensors, ref, component=1) < 5e-3
 
 
+@pytest.mark.parametrize("time", [0.0, 0.05 * (1 + 1e-9)], ids=["t0", "t_ref_1e-9_later"])
 @pytest.mark.parametrize("metric", [mse, l1_distance], ids=["mse", "l1"])
-def test_collocation_metrics_refuse_a_field_at_another_time(metric):
+def test_collocation_metrics_refuse_a_field_at_another_time(metric, time):
+    """Every run lands exactly on its reference's time, so a field a
+    billionth later is at another time too."""
     preset = get_preset("psystem-riemann")
     grid = Grid(nx=20, x_bounds=(-3.0, 3.0))
     tensors = build_tensors(build_classical_haar(0))
     ref = collocation_reference(preset, tensors, refine=1, t_final=0.05, grid=grid, cfl=0.45)
     field = initial_data(preset.galerkin_model(tensors), preset, tensors, grid)
+    field = GpcField(grid=grid, data=field.data, time=time)
     with pytest.raises(ValueError, match="reference time"):
         metric(field, tensors, ref, component=1)
 

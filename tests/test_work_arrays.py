@@ -15,7 +15,8 @@ from haarsg import (AdmissibilityError, Grid, GpcField, SemiDiscreteSystem, adva
                     build_classical_haar, build_tensors, parse_config, ssprk3_step)
 from haarsg import cweno, solver
 from haarsg.cweno import cweno3_edges
-from haarsg.experiments import run_level_sweep
+from haarsg.config import with_level
+from haarsg.experiments import run_experiment, run_level_sweep
 from haarsg.models import PRESETS, get_preset, initial_data
 from haarsg import workspace
 from haarsg.workspace import Workspace
@@ -169,16 +170,15 @@ def test_source_term_enters_rhs_once_per_call():
     assert not np.allclose(system.rhs(data, 0.3, Workspace()), plain.rhs(data, 0.3, Workspace()))
 
 
-def test_level_sweep_fields_do_not_depend_on_threads(tmp_path):
-    fields = {}
-    for threads in (1, 2):
-        config = parse_config(
-            "[run]\npreset = psystem-riemann\nt_final = 0.05\n"
-            "[basis]\nkind = classical-haar\nlevel = 0\n[grid]\nnx = 40\n"
-            f"[reference]\nkind = none\n[output]\ndirectory = {tmp_path / str(threads)}\n")
-        fields[threads] = [r.field.data for r in run_level_sweep(config, 0, 2, threads=threads)]
-    for one, two in zip(fields[1], fields[2]):
-        assert np.array_equal(one, two)
+def test_level_sweep_members_equal_single_runs(tmp_path):
+    """A sweep member is the run of its level's config, bit for bit."""
+    config = parse_config(
+        "[run]\npreset = psystem-riemann\nt_final = 0.05\n"
+        "[basis]\nkind = classical-haar\nlevel = 0\n[grid]\nnx = 40\n"
+        f"[reference]\nkind = none\n[output]\ndirectory = {tmp_path}\n")
+    for j, member in enumerate(run_level_sweep(config, 0, 2)):
+        alone = run_experiment(with_level(config, j), write_outputs=False)
+        assert np.array_equal(member.field.data, alone.field.data), j
 
 
 def test_second_step_allocates_at_most_eight_field_sizes(monkeypatch):
