@@ -11,12 +11,12 @@ reference solutions, and the experiment CLI.  The closed-form nonlinear gPC
 operations (Galerkin product, powers, roots, |u|, p-norms, moments) are the
 same spectrum map with a fixed function; no run calls them, so they live in
 ``tests/galerkin_reference.py`` as test oracles, beside the dense Galerkin
-matrix and the custom bases that only tests build.
+matrix, the custom bases that only tests build, and the pointwise wavelets
+and expansion, since runs are scored on spectrum values.
 """
 
 from .basis import (BasisKind, HaarTypeBasis, build_canonical_haar,
-                    build_classical_haar, build_dct, build_piecewise_linear,
-                    evaluate_wavelet)
+                    build_classical_haar, build_dct, build_piecewise_linear)
 from .errors import (AdmissibilityError, BasisError, ConfigError, HaarsgError,
                      SolverAbort)
 from .galerkin import GalerkinTensor, build_tensors, from_spectrum, project, to_spectrum
@@ -24,8 +24,8 @@ from .models import (Euler2D, ExperimentPreset, LevelSet2D, ModelSystem, PSystem
                      ScalarLipschitz, constant_modes, get_preset, initial_data)
 from .reference import (CollocationReference, ExactScalarReference,
                         MonteCarloEnvelope, collocation_reference, exact_scalar,
-                        expansion_values, l1_distance, mean_std,
-                        monte_carlo_reference, mse, solve_deterministic_batch)
+                        l1_distance, mean_std, monte_carlo_reference, mse,
+                        solve_deterministic_batch)
 from .solver import Grid, GpcField, SemiDiscreteSystem, advance, fill_ghosts, ssprk3_step
 from .config import RunConfig, parse_config, render_config
 from .experiments import run_experiment, run_level_sweep

@@ -7,8 +7,8 @@ of the wavelet ``phi_k`` on the K+1 equal subintervals of [0, 1); the
 wavelets are orthonormal under the uniform law.  The piecewise-linear kind
 is the exception: it stores the block eigenvector matrix of its Galerkin
 blocks directly, with orthonormal rows.  The four kinds here are those a
-run configuration can name; the tests build their custom matrices in
-``tests/galerkin_reference.py``.
+run configuration can name; the tests build their custom matrices, and
+evaluate wavelets pointwise, in ``tests/galerkin_reference.py``.
 """
 
 from __future__ import annotations
@@ -160,24 +160,3 @@ def build_piecewise_linear(subdomains: int) -> HaarTypeBasis:
     return HaarTypeBasis(BasisKind.PIECEWISE_LINEAR, 2 * subdomains, _freeze(H),
                          subdomains=subdomains)
 
-
-def evaluate_wavelet(basis: HaarTypeBasis, k: int, xi) -> float | np.ndarray:
-    """Value of wavelet ``k`` at points ``xi`` in [0, 1)."""
-    if not 0 <= k < basis.size:
-        raise BasisError(f"wavelet index {k} out of range for size {basis.size}")
-    xi_arr = np.asarray(xi, dtype=float)
-    if np.any(xi_arr < 0.0) or np.any(xi_arr >= 1.0):
-        raise BasisError("wavelet argument must lie in [0, 1)")
-    if basis.is_piecewise_constant:
-        cell = np.minimum((basis.size * xi_arr).astype(int), basis.size - 1)
-        out = basis.H[k][cell]
-    else:
-        n = basis.subdomains
-        block, local = divmod(k, 2)
-        inside = (xi_arr >= block / n) & (xi_arr < (block + 1) / n)
-        if local == 0:
-            vals = math.sqrt(n) * np.ones_like(xi_arr)
-        else:
-            vals = math.sqrt(3 * n) * (2 * n * xi_arr - 2 * block - 1)
-        out = np.where(inside, vals, 0.0)
-    return float(out) if np.isscalar(xi) else out

@@ -77,7 +77,7 @@ def run_experiment(config: RunConfig, threads: int = 1, out_dir: str | None = No
     sweeps so every member is compared against the same one).  ``threads``
     must be 1: a run uses one thread.
     """
-    # only perfbench passes threads (=1); ROADMAP direction 4 drops it there, then here
+    # only perfbench passes threads (=1); ROADMAP direction 7 drops it there first, then here
     if threads != 1:
         raise ValueError(f"a run uses one thread, got threads={threads}")
     started = time.perf_counter()

@@ -1,14 +1,17 @@
-"""Reference solutions, Monte Carlo envelopes, and error/statistics metrics."""
+"""Reference solutions, Monte Carlo envelopes, and error/statistics metrics.
+
+Runs are scored on the spectrum, the expansion at ``cell_midpoints``."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import HaarTypeBasis, evaluate_wavelet
+from .basis import HaarTypeBasis
 from .errors import SolverAbort
-from .galerkin import GalerkinTensor, gauss_rule
+from .galerkin import GalerkinTensor, gauss_rule, to_spectrum
 from .models import ExperimentPreset
 from .solver import Grid, GpcField, SemiDiscreteSystem, advance
 
@@ -50,13 +53,6 @@ class ExactScalarReference:
         return exact_scalar(t, x, xi)
 
 
-def expansion_values(t: GalerkinTensor, modes: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """Evaluate the truncated expansion of ``modes`` at points ``xi``: one
-    product with the (K+1, len(xi)) matrix of wavelet values phi_k(xi_j)."""
-    xi = np.asarray(xi, dtype=float)
-    return np.asarray(modes) @ np.stack([evaluate_wavelet(t.basis, k, xi) for k in range(t.size)])
-
-
 def solve_deterministic_batch(preset: ExperimentPreset, xi: np.ndarray, grid: Grid,
                               t_final: float, cfl: float) -> np.ndarray:
     """Run the deterministic solver for each xi sample (batched, per-sample
@@ -83,7 +79,10 @@ class CollocationReference:
 
     def profile(self, x, component: int = 0) -> np.ndarray:
         """Values in the fine cells of positions ``x`` for all xi nodes, shape
-        (len(x), nodes)."""
+        (len(x), nodes).  A position within 1e-12 cells of a fine-cell edge
+        reads the cell to its right, so the centre of coarse cell i of a grid
+        refined by ``refine`` reads fine cell ``refine * i + refine // 2``: at
+        an even refine the centre is an edge and that cell lies right of it."""
         r = (np.asarray(x, dtype=float) - self.grid.x_bounds[0]) / self.grid.dx
         return self.values[np.clip(np.floor(r + 1e-12).astype(int), 0, self.grid.nx - 1),
                            component, :]
@@ -248,26 +247,44 @@ def mean_std(modes: np.ndarray, basis: HaarTypeBasis) -> tuple[np.ndarray, np.nd
     return mean, np.sqrt(np.maximum(np.sum(modes ** 2, axis=-1) - mean ** 2, 0.0))
 
 
+def _node_values(basis: HaarTypeBasis, spectrum: np.ndarray, xi: np.ndarray,
+                 cell: np.ndarray) -> np.ndarray:
+    """The expansion whose node values are ``spectrum`` (x rows, K+1) at
+    points ``xi`` in stochastic cells ``cell``: the cell's value for
+    piecewise-constant kinds; for piecewise-linear the line through the
+    subdomain's (upper, lower) Gauss-point pair, at tau = 2 N xi - 2 b - 1."""
+    if basis.is_piecewise_constant:
+        return spectrum[:, cell]
+    upper, lower = spectrum[:, 2 * cell], spectrum[:, 2 * cell + 1]
+    tau = 2.0 * basis.subdomains * xi - 2 * cell - 1
+    return 0.5 * (upper + lower) + (0.5 * math.sqrt(3.0) * tau) * (upper - lower)
+
+
 def _errors(field: GpcField, tensors: GalerkinTensor, reference, component: int):
     """Blocks of (SG minus reference at the x centres and xi nodes, xi weights)
-    of the xi-expectation: an exact reference at :func:`gauss_rule` in each
-    stochastic cell, ``MSE_BLOCK_CELLS`` cells per block so the temporaries
-    stay (nx, 5 * MSE_BLOCK_CELLS); a collocation reference at its own time
-    and nodes, with equal weights."""
+    of the xi-expectation.  The SG expansion at the nodes is read from one
+    ``to_spectrum`` of ``component`` per call (:func:`_node_values`).  An
+    exact reference is taken at :func:`gauss_rule` in each stochastic cell,
+    ``MSE_BLOCK_CELLS`` cells per block so the temporaries stay
+    (nx, 5 * MSE_BLOCK_CELLS); a collocation reference at its own time and
+    nodes, with equal weights, each node in cell min(int(cells xi), cells - 1)."""
     xs = field.grid.x_centers
-    modes = field.data[:, component, :]
+    basis = tensors.basis
+    ncell = basis.cells
+    spectrum = to_spectrum(tensors, field.data[:, component, :])
     if isinstance(reference, ExactScalarReference):
-        ncell = tensors.basis.cells
         for first in range(0, ncell, MSE_BLOCK_CELLS):
             cells = np.arange(first, min(first + MSE_BLOCK_CELLS, ncell))
             nodes, weights = gauss_rule(cells / ncell, (cells + 1) / ncell)
-            yield (expansion_values(tensors, modes, nodes)
+            cell = np.repeat(cells, nodes.size // cells.size)
+            yield (_node_values(basis, spectrum, nodes, cell)
                    - reference.value(field.time, xs[:, None], nodes[None, :])), weights
     elif isinstance(reference, CollocationReference):
         if reference.t_final != field.time:
             raise ValueError("reference time does not match the field time")
         nodes = reference.xi_nodes
-        yield (expansion_values(tensors, modes, nodes) - reference.profile(xs, component),
+        cell = np.minimum((ncell * nodes).astype(int), ncell - 1)
+        yield (_node_values(basis, spectrum, nodes, cell) - reference.profile(xs, component),
                np.full(nodes.size, 1.0 / nodes.size))
     else:
         raise TypeError(f"unsupported reference type {type(reference).__name__}")

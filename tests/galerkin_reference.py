@@ -2,6 +2,9 @@
 
 They compute from the wavelets themselves what ``haarsg.galerkin`` derives
 from the shared eigenframe, so tests can check the one against the other.
+``evaluate_wavelet`` and ``expansion_values`` give the wavelets and the
+truncated expansion pointwise: the oracle of the node read-out that
+``haarsg.reference`` scores runs with.
 The dense Galerkin matrix P(u), the orthogonal eigenvector matrix Hn and
 the custom bases (a user matrix, or canonical Haar with its wavelet rows
 rotated by an orthogonal block) live here too: no run builds them.
@@ -25,10 +28,38 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from haarsg import (AdmissibilityError, BasisError, BasisKind, GalerkinTensor,
-                    HaarTypeBasis, build_canonical_haar, evaluate_wavelet, from_spectrum,
-                    to_spectrum)
+                    HaarTypeBasis, build_canonical_haar, from_spectrum, to_spectrum)
 from haarsg.basis import ORTHOGONALITY_TOL, _check_rows
 from haarsg.galerkin import PROJECT_GAUSS_POINTS, PROJECT_PANELS
+
+
+def evaluate_wavelet(basis: HaarTypeBasis, k: int, xi) -> float | np.ndarray:
+    """Value of wavelet ``k`` at points ``xi`` in [0, 1)."""
+    if not 0 <= k < basis.size:
+        raise BasisError(f"wavelet index {k} out of range for size {basis.size}")
+    xi_arr = np.asarray(xi, dtype=float)
+    if np.any(xi_arr < 0.0) or np.any(xi_arr >= 1.0):
+        raise BasisError("wavelet argument must lie in [0, 1)")
+    if basis.is_piecewise_constant:
+        cell = np.minimum((basis.size * xi_arr).astype(int), basis.size - 1)
+        out = basis.H[k][cell]
+    else:
+        n = basis.subdomains
+        block, local = divmod(k, 2)
+        inside = (xi_arr >= block / n) & (xi_arr < (block + 1) / n)
+        if local == 0:
+            vals = math.sqrt(n) * np.ones_like(xi_arr)
+        else:
+            vals = math.sqrt(3 * n) * (2 * n * xi_arr - 2 * block - 1)
+        out = np.where(inside, vals, 0.0)
+    return float(out) if np.isscalar(xi) else out
+
+
+def expansion_values(t: GalerkinTensor, modes: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """Evaluate the truncated expansion of ``modes`` at points ``xi``: one
+    product with the (K+1, len(xi)) matrix of wavelet values phi_k(xi_j)."""
+    xi = np.asarray(xi, dtype=float)
+    return np.asarray(modes) @ np.stack([evaluate_wavelet(t.basis, k, xi) for k in range(t.size)])
 
 
 def custom_basis(H: np.ndarray) -> HaarTypeBasis:

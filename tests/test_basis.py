@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from galerkin_reference import (custom_basis, galerkin_matrix, normalized,
+from galerkin_reference import (custom_basis, evaluate_wavelet, galerkin_matrix, normalized,
                                 rotated_canonical_haar, triple_products, worst_commutator)
 from haarsg import (BasisError, build_canonical_haar, build_classical_haar,
-                    build_dct, build_piecewise_linear, build_tensors, evaluate_wavelet)
+                    build_dct, build_piecewise_linear, build_tensors)
 
 ALL_BASES = (
     [build_classical_haar(j) for j in range(5)]

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from galerkin_reference import (Admissibility, abs_modes, convex_root_objective,
-                                eigen_derivative_check, galerkin_matrix, galerkin_product,
-                                is_admissible, jacobian_abs, jacobian_pnorm, jacobian_power,
-                                moment_modes, normalized, nth_root_modes, pnorm_modes,
-                                power_modes, project_reference, sign_modes, triple_products,
-                                worst_commutator)
+                                eigen_derivative_check, evaluate_wavelet, galerkin_matrix,
+                                galerkin_product, is_admissible, jacobian_abs,
+                                jacobian_pnorm, jacobian_power, moment_modes, normalized,
+                                nth_root_modes, pnorm_modes, power_modes, project_reference,
+                                sign_modes, triple_products, worst_commutator)
 from haarsg import (AdmissibilityError, build_classical_haar, build_dct,
-                    build_piecewise_linear, build_tensors, evaluate_wavelet,
-                    from_spectrum, project, to_spectrum)
+                    build_piecewise_linear, build_tensors, from_spectrum, project,
+                    to_spectrum)
 from test_basis import ALL_BASES
 
 T0 = build_tensors(build_classical_haar(0))

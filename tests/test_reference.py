@@ -7,8 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from haarsg import (ExactScalarReference, Grid, GpcField, build_classical_haar,
-                    build_dct, build_piecewise_linear, build_tensors, exact_scalar, expansion_values, get_preset,
+from galerkin_reference import expansion_values
+from haarsg import (CollocationReference, ExactScalarReference, Grid, GpcField,
+                    build_canonical_haar, build_classical_haar, build_dct,
+                    build_piecewise_linear, build_tensors, exact_scalar, get_preset,
                     initial_data, l1_distance, mean_std, monte_carlo_reference,
                     mse, parse_config, collocation_reference, SemiDiscreteSystem, advance,
                     project, run_experiment, to_spectrum)
@@ -45,13 +47,54 @@ def test_exact_scalar_continuous_at_branch_joins():
         assert abs(above - below) < 1e-11
 
 
-def test_expansion_values_reproduces_realizations():
+def _zero_collocation(xi_nodes, grid, components, t_final):
+    """A collocation reference that is 0 everywhere: the errors against it
+    are the SG expansion at its nodes."""
+    values = np.zeros((grid.nx, components, len(xi_nodes)))
+    return CollocationReference(kind="collocation", xi_nodes=np.asarray(xi_nodes), grid=grid,
+                                values=values, t_final=t_final)
+
+
+@pytest.mark.parametrize("basis", [build_classical_haar(2), build_canonical_haar(5),
+                                   build_dct(6), build_piecewise_linear(3)],
+                         ids=lambda b: f"{b.kind.value}-{b.size}")
+def test_expansion_values_reproduces_realizations(basis):
+    """The wavelet expansion is the spectrum at the cell midpoints, and the
+    node read-out of ``_errors`` is that expansion there and at random xi."""
+    t = build_tensors(basis)
     rng = np.random.default_rng(31)
-    modes = rng.normal(size=8)
-    mids = T2.basis.cell_midpoints()
-    from haarsg import to_spectrum
-    assert np.allclose(expansion_values(T2, modes, mids), to_spectrum(T2, modes),
-                       atol=1e-13)
+    grid = Grid(nx=4, x_bounds=(-1.0, 1.0))
+    data = rng.normal(size=(4, 2, t.size))
+    mids = basis.cell_midpoints()
+    assert np.allclose(expansion_values(t, data[:, 1, :], mids), to_spectrum(t, data[:, 1, :]),
+                       rtol=0.0, atol=1e-13)
+    for xi in (mids, rng.uniform(0.0, 1.0, 200)):
+        (diff, _), = reference._errors(GpcField(grid, data, 0.1), t,
+                                       _zero_collocation(xi, grid, 2, 0.1), component=1)
+        assert np.allclose(diff, expansion_values(t, data[:, 1, :], xi), rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("metric", [mse, l1_distance], ids=["mse", "l1"])
+@pytest.mark.parametrize("kind", ["exact", "collocation"])
+def test_metrics_take_one_spectrum_per_call(monkeypatch, metric, kind):
+    """One ``to_spectrum`` per call, not one per block of cells: each is a
+    (K+1)^2 product per x cell."""
+    grid = Grid(nx=10, x_bounds=(-2.0, 2.0))
+    t = build_tensors(build_classical_haar(5))  # 64 cells: 4 blocks of MSE_BLOCK_CELLS
+    field = GpcField(grid, np.random.default_rng(5).normal(size=(10, 1, t.size)), 0.2)
+    if kind == "exact":
+        ref = ExactScalarReference()
+    else:
+        ref = _zero_collocation(build_classical_haar(3).cell_midpoints(), grid, 1, 0.2)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return to_spectrum(*args, **kwargs)
+
+    monkeypatch.setattr(reference, "to_spectrum", counting)
+    assert metric(field, t, ref) > 0.0
+    assert len(calls) == 1
 
 
 def test_mean_std_examples():
@@ -149,6 +192,23 @@ def test_collocation_reference_deterministic_data_identical_nodes():
     # initial data is xi-independent and v* barely matters by t=0.05 away
     # from the kink region, but the runs share dt: just check finiteness here
     assert np.all(np.isfinite(ref.values))
+
+
+@pytest.mark.parametrize("refine", [1, 2, 3, 4])
+@pytest.mark.parametrize("nx, bounds", [(400, (-3.0, 3.0)), (40, (-3.0, 3.0)),
+                                        (25, (-1.0, 3.0))])
+def test_collocation_profile_reads_the_right_hand_fine_cell(nx, bounds, refine):
+    """At SG centre i the profile reads fine cell refine * i + refine // 2.
+    At an even refine the centre is a fine-cell edge (within 2.3e-13 of one
+    at the p-system's defaults, nx 400 and refine 4), and the cell to its
+    right is read."""
+    coarse = Grid(nx=nx, x_bounds=bounds)
+    fine = Grid(nx=nx * refine, x_bounds=bounds)
+    ref = CollocationReference(kind="collocation", xi_nodes=np.array([0.5]), grid=fine,
+                               values=np.arange(fine.nx, dtype=float)[:, None, None],
+                               t_final=0.0)
+    assert np.array_equal(ref.profile(coarse.x_centers)[:, 0],
+                          refine * np.arange(nx) + refine // 2)
 
 
 def test_collocation_reference_matches_exact_scalar():
