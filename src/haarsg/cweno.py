@@ -244,20 +244,31 @@ def cweno3_face_values(u: np.ndarray, eps: float, work: Workspace,
     for coef in (DXX, DYY, F):
         coef *= wc
 
-    g = GAUSS_OFFSET
-    base, slope = s[0], s[1]  # bxw and bxe are spent
     # west/east faces: xi = -+1/2, eta = -+g; south/north: eta = -+1/2, xi = -+g.
     # base = A + normal * h + normal2 * h^2 + tangent2 * g^2,
-    # slope = (tangent + F * h) * g
-    for fi, h, (normal, tangent, normal2, tangent2) in (
-            (0, -0.5, (B, C, DXX, DYY)), (1, 0.5, (B, C, DXX, DYY)),
-            (2, -0.5, (C, B, DYY, DXX)), (3, 0.5, (C, B, DYY, DXX))):
-        np.multiply(normal, h, out=base)
-        np.add(A, base, out=base)
-        base += np.multiply(normal2, h * h, out=slope)
-        base += np.multiply(tangent2, g * g, out=slope)
-        np.multiply(F, h, out=slope)
-        np.add(tangent, slope, out=slope)
+    # slope = (tangent + F * h) * g, with h = -+1/2.  The products B/2,
+    # C/2, F/2, DXX/4, DYY/4, DXX g^2 and DYY g^2 are made once for all
+    # four faces: x * (-0.5) is -(x * 0.5) and a + (-b) is a - b exactly,
+    # so a face adds or subtracts them with the bits of its own products.
+    g = GAUSS_OFFSET
+    half_b = np.multiply(B, 0.5, out=s[0])  # bxw, bxe, bys and byn are spent
+    half_c = np.multiply(C, 0.5, out=s[1])
+    quarter_dxx = np.multiply(DXX, 0.25, out=s[2])
+    quarter_dyy = np.multiply(DYY, 0.25, out=s[3])
+    g2_dxx, g2_dyy, half_f = DXX, DYY, F  # in place: no face reads them unscaled
+    g2_dxx *= g * g
+    g2_dyy *= g * g
+    half_f *= 0.5
+    base, slope = s[9], s[10]  # wnw and wc are spent
+    for fi, sign, (normal, tangent, normal2, tangent2) in (
+            (0, np.subtract, (half_b, C, quarter_dxx, g2_dyy)),
+            (1, np.add, (half_b, C, quarter_dxx, g2_dyy)),
+            (2, np.subtract, (half_c, B, quarter_dyy, g2_dxx)),
+            (3, np.add, (half_c, B, quarter_dyy, g2_dxx))):
+        sign(A, normal, out=base)
+        base += normal2
+        base += tangent2
+        sign(tangent, half_f, out=slope)
         slope *= g
         np.subtract(base, slope, out=out[fi, 0])
         np.add(base, slope, out=out[fi, 1])

@@ -13,9 +13,12 @@ order, so results are bitwise reproducible and independent of any outer
 parallelism.  The reconstructions, the LLF flux, the 2D flux divergence and
 the time step run in strips of rows along x, about ``workspace.STRIP_BYTES``
 each, so that their temporaries stay in cache; the operations are
-elementwise, so the strips change no result bit.  The 2D right-hand side is
-one pass over such strips: each reconstructs its faces, transforms them,
-runs the x and y LLF fluxes and writes its part of the flux divergence
+elementwise, so the strips change no result bit.  The LLF takes the strip
+its caller hands it in one pass.  The 1D right-hand side cuts its span's
+interface values into strips of at most that budget; the 2D one is one
+pass over strips of reconstructed rows: each reconstructs its faces,
+transforms them, runs the LLF once on its x faces and once on its y faces,
+both Gauss points together, and writes its part of the flux divergence
 before the next strip starts.  Each LLF strip adds its interface values
 to admissibility accumulators that its caller owns and checks after its
 last strip, so a violation is reported where one check of all rows finds
@@ -55,7 +58,12 @@ viscosity, one maximum over the stochastic axis per face or one per
 sample.  Within a strip the LLF works on copies of its interface values
 laid out (components, rows..., K+1) in memory, so that the model's maps
 run over contiguous component slices instead of one short inner loop per
-K+1 values; one copy per strip writes the flux back.
+K+1 values; the jump goes into the right copy once its flux and speed
+bound are read, and one copy per strip writes the flux back.  The shared
+maximum (``_stochastic_max``, also the time step's) goes column by column
+over a short stochastic axis, where ``np.max`` would run one inner loop
+per face, and is spread back over the K+1 columns, so that it scales the
+jump at full width as a batch's viscosity does.
 
 Work arrays: each ``advance`` call owns one ``Workspace``, created when it
 starts and dropped when it returns, never kept by a module or by the
@@ -192,6 +200,28 @@ def _component_first(work: Workspace, name: str, shape: tuple,
     return out
 
 
+#: widest stochastic axis whose maximum ``_stochastic_max`` takes column by
+#: column.  One ``np.max`` over a short last axis runs one inner loop per
+#: row; m - 1 ``np.maximum`` passes over whole columns run m - 1.  Measured
+#: on one core (numpy 2.4): at m = 8 a (2, 6, 100, 8) LLF strip took 13 us
+#: by columns against 80 us by ``np.max``, at m = 16 (255, 16) 10 against
+#: 20 us, at m = 32 the columns lost on (255, 32) (23 against 21 us), and
+#: at m = 128 (255, 128) they took 91 us against 29 us.
+MAX_LOOPED_COLUMNS = 16
+
+
+def _stochastic_max(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``np.max(a, axis=-1)`` bit for bit, NaN kept, into ``out``: column
+    by column up to ``MAX_LOOPED_COLUMNS`` columns, in the order numpy's
+    reduction takes them, and by ``np.max`` above."""
+    if a.shape[-1] > MAX_LOOPED_COLUMNS:
+        return np.max(a, axis=-1, out=out)
+    out[...] = a[..., 0]
+    for k in range(1, a.shape[-1]):
+        np.maximum(out, a[..., k], out=out)
+    return out
+
+
 class SemiDiscreteSystem:
     """Spatial operator: ghost fill, CWENO3, LLF fluxes, flux divergence.
 
@@ -242,59 +272,66 @@ class SemiDiscreteSystem:
              lowest: Sequence, first: int) -> np.ndarray:
         """Local Lax-Friedrichs flux values from the realization values
         ``vl`` and ``vr`` on the two sides of each interface, written over
-        the spent ``vl``, which it returns.
+        the spent ``vl``, which it returns; ``vr`` is spent too.
 
-        Interface arrays are shaped (..., x, [y,] components, m).  Flux,
-        speed bound and the flux combination run in strips along the x
-        axis.  Each strip copies its left and right values into work arrays
-        laid out (components, rows..., m), so that every component slice
-        the model's maps touch is contiguous; a one-component state is
-        contiguous already and is not copied.  The copies go to the
-        caller's two ``models.LowestAdmissibility`` accumulators ``lowest``
-        (left, right), whose blocks start at x index ``first`` of the
-        caller's arrays; the caller checks them after its last strip.  A
-        strip whose lowest value is not positive, or NaN, which may hide a
-        non-positive one, runs no map and gets a NaN flux.  The fluxes,
-        speed bounds and the combination are work arrays in that layout
-        too, and one copy per strip writes the result back into ``vl``.
+        Interface arrays are shaped (..., x, [y,] components, m) and are one
+        strip of the caller's x rows, taken in one pass.  Left and right
+        values are copied into work arrays laid out (components, rows...,
+        m), so that every component slice the model's maps touch is
+        contiguous; a one-component state is contiguous already and is not
+        copied.  The copies go to the caller's two
+        ``models.LowestAdmissibility`` accumulators ``lowest`` (left,
+        right), whose blocks start at x index ``first`` of the caller's
+        arrays; the caller checks them after its last strip.  A strip whose
+        lowest value is not positive, or NaN, which may hide a non-positive
+        one, runs no map and gets a NaN flux.  The fluxes and speed bounds
+        are work arrays in that layout too; the right speed bound is spent
+        before the right flux takes its array, the jump goes into the right
+        values once their flux is made, and one copy writes the result back
+        into ``vl``.
+
+        A Galerkin field's viscosity is one maximum over the stochastic
+        axis per face, by ``_stochastic_max``: m - 1 ``np.maximum`` passes
+        over whole columns up to ``MAX_LOOPED_COLUMNS`` columns (the Euler
+        box at m = 8), ``np.max`` above (the scalar law at m = 128).  It is
+        spread back over the m columns, so that it scales the jump at full
+        width, as a batch's per-sample viscosity does: a broadcast of one
+        value per face would run one m-wide inner loop per face.
         """
         copy = self.model.components > 1
-        for start, strip in self._x_strips(vl):
-            out = vl[strip]
-            sl, sr = out, vr[strip]
-            if copy:
-                sl = _component_first(work, "llf.strip.left", sl.shape, sl)
-                sr = _component_first(work, "llf.strip.right", sr.shape, sr)
-            low_left = lowest[0].add(sl, first + start)
-            low_right = lowest[1].add(sr, first + start)
-            if not (low_left > 0.0 and low_right > 0.0):
-                out[...] = np.nan
-                continue
-            fl = self.model.values_flux(
-                sl, axis, out=_component_first(work, "llf.flux.left", sl.shape))
-            fr = self.model.values_flux(
-                sr, axis, out=_component_first(work, "llf.flux.right", sl.shape))
-            speeds = sl.shape[:-2] + sl.shape[-1:]
-            alpha = self.model.values_speed_bound(
-                sl, axis, out=work.array("llf.speed.left", speeds))
-            np.maximum(alpha, self.model.values_speed_bound(
-                sr, axis, out=work.array("llf.speed.right", speeds)), out=alpha)
-            if self.coupled:
-                alpha = np.max(alpha, axis=-1, out=work.array("llf.alpha", speeds[:-1]))
-                alpha = alpha[..., None, None]
-            else:
-                alpha = alpha[..., None, :]
-            # 0.5 * (fl + fr) - (0.5 * alpha) * (vr - vl), into the left flux,
-            # or straight into the left values once they are read
+        sl, sr = vl, vr
+        if copy:
+            sl = _component_first(work, "llf.left", vl.shape, vl)
+            sr = _component_first(work, "llf.right", vr.shape, vr)
+        low_left = lowest[0].add(sl, first)
+        low_right = lowest[1].add(sr, first)
+        if not (low_left > 0.0 and low_right > 0.0):
+            vl[...] = np.nan
+            return vl
+        speeds = sl.shape[:-2] + sl.shape[-1:]
+        alpha = self.model.values_speed_bound(sl, axis, out=work.array("llf.speed", speeds))
+        # the right speed bound is spent before the right flux takes its array
+        np.maximum(alpha, self.model.values_speed_bound(
+            sr, axis, out=work.array("llf.flux.right", speeds)), out=alpha)
+        fl = self.model.values_flux(
+            sl, axis, out=_component_first(work, "llf.flux.left", sl.shape))
+        fr = self.model.values_flux(
+            sr, axis, out=_component_first(work, "llf.flux.right", sl.shape))
+        # 0.5 * (fl + fr) - (0.5 * alpha) * (vr - vl), into the left flux,
+        # or straight into the left values once they are read
+        if self.coupled:
+            shared = _stochastic_max(alpha, out=work.array("llf.alpha", speeds[:-1]))
+            np.multiply(shared[..., None], 0.5, out=alpha)
+        else:
             alpha *= 0.5
-            jump = np.subtract(sr, sl, out=_component_first(work, "llf.jump", sl.shape))
-            jump *= alpha
-            combined = fl if copy else out
-            np.add(fl, fr, out=combined)
-            combined *= 0.5
-            combined -= jump
-            if copy:
-                out[...] = combined
+        jump = np.subtract(sr, sl, out=sr)
+        jump *= alpha[..., None, :]
+        combined = fl if copy else vl
+        np.add(fl, fr, out=combined)
+        combined *= 0.5
+        combined -= jump
+        if copy:
+            vl[...] = combined
         return vl
 
     def _face_flux(self, faces: tuple, axis: int, work: Workspace, lowest: Sequence,
@@ -305,15 +342,6 @@ class SemiDiscreteSystem:
         vl = self._values(faces[0], work, "rhs.values.left")
         vr = self._values(faces[1], work, "rhs.values.right")
         return self._from_values(self._llf(vl, vr, axis, work, lowest, first), out=vr)
-
-    def _x_strips(self, values: np.ndarray) -> list[tuple[int, tuple]]:
-        """(first x row, index tuple) of strips of whole rows along the x
-        axis of an interface array."""
-        x_axis = values.ndim - 2 - self.grid.space_dim
-        n = values.shape[x_axis]
-        lead = (slice(None),) * x_axis
-        return [(i, lead + (slice(i, j),))
-                for i, j in cweno.strips(n, values.nbytes // max(n, 1))]
 
     def rhs(self, data: np.ndarray, t: float, work: Workspace) -> np.ndarray:
         """Semi-discrete right-hand side of ``data``: an array of ``work``,
@@ -336,7 +364,8 @@ class SemiDiscreteSystem:
         interface values are those of faces 0..lo-1 too: the admissibility
         accumulators take ``lead=lo`` and report a violation there at face
         0, as one check of the whole line does.  The edges and their values
-        are line-shaped work arrays sliced to the span.
+        are line-shaped work arrays sliced to the span, whose faces go
+        through the LLF in strips of at most ``STRIP_BYTES``.
         """
         nx = data.shape[0]
         padded = fill_ghosts(data, self.grid, work)
@@ -349,10 +378,12 @@ class SemiDiscreteSystem:
         if self.coupled:
             values = self._to_values(edges, out=work.array("rhs.values", line)[span])
         lowest = [LowestAdmissibility(self.model, axis=0, lead=lo) for _ in range(2)]
-        flux = self._llf(values[1, :-1], values[0, 1:], 0, work, lowest, lo)
+        left, right = values[1, :-1], values[0, 1:]
+        for i, j in cweno.strips(len(left), left[0].nbytes):
+            self._llf(left[i:j], right[i:j], 0, work, lowest, lo + i)
         for side in lowest:
             side.check()
-        flux = self._from_values(flux, out=edges[1, :-1])
+        flux = self._from_values(left, out=edges[1, :-1])
         out = work.array("rhs", data.shape)
         np.subtract(flux[1:], flux[:-1], out=out[lo:hi])
         np.subtract(flux[0], flux[0], out=out[:lo])
@@ -453,7 +484,11 @@ class SemiDiscreteSystem:
         (``_values``) in a work array, and so are its speed bounds; a strip
         fits in one ``STRIP_BYTES`` buffer, so a widening range maps none
         anew.  A strip's matrix block has at least two rows, since a
-        one-row product rounds differently from a taller one.  In 1D only
+        one-row product rounds differently from a taller one.  Each cell's
+        rate takes the maximum of its speed bounds over the trailing axis
+        by ``_stochastic_max``: column by column up to
+        ``MAX_LOOPED_COLUMNS`` columns (the Euler box at K+1 = 8), by
+        ``np.max`` above (the scalar law at K+1 = 128).  In 1D only
         the cells from the first cell of the first pair of neighbours that
         differ in any bit to the last cell of the last such pair (at least
         two) are transformed and checked: every uniform run outside keeps a
@@ -477,12 +512,12 @@ class SemiDiscreteSystem:
                 continue
             speeds = block.shape[:-2] + block.shape[-1:]
             speed = work.array("dt.speed", speeds)
-            rate = np.max(self.model.values_speed_bound(vals, 0, out=speed), axis=-1,
-                          out=work.array("dt.rate", speeds[:-1]))
+            rate = _stochastic_max(self.model.values_speed_bound(vals, 0, out=speed),
+                                   out=work.array("dt.rate", speeds[:-1]))
             if self.grid.space_dim == 2:
                 rate /= self.grid.dx
-                sy = np.max(self.model.values_speed_bound(vals, 1, out=speed), axis=-1,
-                            out=work.array("dt.rate.y", speeds[:-1]))
+                sy = _stochastic_max(self.model.values_speed_bound(vals, 1, out=speed),
+                                     out=work.array("dt.rate.y", speeds[:-1]))
                 sy /= self.grid.dy
                 rate += sy
             high = rate.max()

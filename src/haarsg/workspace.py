@@ -26,7 +26,10 @@ import numpy as np
 #: temporaries of the model's flux and speed bound in the 1D LLF (400 cells x
 #: 128 modes, four strips) small enough that the allocator reuses their pages
 #: instead of returning and re-faulting them (a scalar level-6 run: 26k minor
-#: page faults at 128 KiB, 200k at 256 KiB, 360k at 512 KiB).
+#: page faults at 128 KiB, 200k at 256 KiB, 360k at 512 KiB).  With the 2D
+#: LLF taking each face strip, both Gauss points, in one pass, it still gives
+#: the fastest 100x100 Euler Galerkin right-hand side (96 KiB 3 % slower,
+#: 192 KiB 2 %, 256 KiB 9 %; best of 32 calls in one process).
 STRIP_BYTES = 128 * 1024
 
 

@@ -8,6 +8,7 @@ from solver_reference import SourcedSystem, source_quadrature
 from haarsg import (Grid, GpcField, ScalarLipschitz, SemiDiscreteSystem, SolverAbort,
                     advance, build_classical_haar, build_piecewise_linear, build_tensors,
                     fill_ghosts, get_preset, initial_data, ssprk3_step)
+from haarsg import solver
 from haarsg.cweno import cweno3_edges, cweno3_face_values
 from haarsg.models import LowestAdmissibility
 from haarsg.workspace import Workspace
@@ -113,6 +114,28 @@ def test_llf_consistency_and_antisymmetry():
     fxr = _llf(system, ur, ul)
     central = 0.5 * (fx + fxr)
     assert np.allclose(fx - central, -(fxr - central), atol=1e-14)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 7, 8, 16, 128])
+@pytest.mark.parametrize("lead", [(), (5,), (2, 3, 4)], ids=["no-lead", "one-axis", "three-axes"])
+def test_stochastic_max_is_np_max_bit_for_bit(m, lead):
+    """Column by column below the crossover and by ``np.max`` above it, the
+    shared maximum is ``np.max(a, axis=-1)`` in every bit: a NaN is kept,
+    +-inf and ties, signed zeros included, give the reduction's value."""
+    assert 1 <= solver.MAX_LOOPED_COLUMNS < 128
+    rng = np.random.default_rng(m * 10 + len(lead))
+    a = rng.normal(size=lead + (6, m))
+    a[..., 0, :] = rng.choice([0.0, -0.0], size=lead + (m,))  # signed zero ties
+    a[..., 1, :] = 2.5  # equal values
+    a[..., 2, -1] = np.inf
+    a[..., 3, 0] = -np.inf
+    a[..., 4, :] = -np.inf
+    a[..., 5, 0] = np.inf
+    a[..., 5, m // 2] = np.nan
+    got = solver._stochastic_max(a, out=np.empty(a.shape[:-1]))
+    expected = np.max(a, axis=-1)
+    assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
+    assert np.isnan(got[..., 5]).all()
 
 
 def test_ssprk3_properties():

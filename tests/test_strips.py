@@ -54,13 +54,13 @@ def test_face_values_default_budget_gives_several_strips():
                           face_values_reference(u, 0.01))
 
 
-def _euler_system(coupled: bool):
-    grid = Grid(nx=13, x_bounds=(-1.0, 1.0), ny=10, y_bounds=(-1.0, 1.5))
+def _euler_system(coupled: bool, nx: int = 13, ny: int = 10, samples: int = 5):
+    grid = Grid(nx=nx, x_bounds=(-1.0, 1.0), ny=ny, y_bounds=(-1.0, 1.5))
     rng = np.random.default_rng(11 if coupled else 12)
-    m = 8 if coupled else 5
-    values = np.empty((13, 10, 3, m))
-    values[..., 0, :] = rng.uniform(0.5, 2.0, size=(13, 10, m))
-    values[..., 1:, :] = rng.normal(scale=0.3, size=(13, 10, 2, m))
+    m = 8 if coupled else samples
+    values = np.empty((nx, ny, 3, m))
+    values[..., 0, :] = rng.uniform(0.5, 2.0, size=(nx, ny, m))
+    values[..., 1:, :] = rng.normal(scale=0.3, size=(nx, ny, 2, m))
     if not coupled:
         return SemiDiscreteSystem(Euler2D(), grid), values
     tensors = build_tensors(build_classical_haar(2))
@@ -101,24 +101,70 @@ def test_rhs_is_strip_invariant_and_matches_whole_array_oracle(monkeypatch, make
     assert np.array_equal(got[1], got[HUGE])
     monkeypatch.setattr(cweno, "cweno3_edges", edges_reference)
     monkeypatch.setattr(cweno, "cweno3_face_values", face_values_reference)
-    monkeypatch.setattr(SemiDiscreteSystem, "_llf", llf_reference)
+    monkeypatch.setattr(SemiDiscreteSystem, "_llf", _llf_oracle)
     assert np.array_equal(got[1], system.rhs(data, 0.0, Workspace()))
 
 
+def _llf_oracle(self, vl, vr, axis, work, lowest, first):
+    """``llf_reference`` written over ``vl``, where ``_llf`` writes its
+    flux, and returned."""
+    vl[...] = llf_reference(self, vl, vr, axis)
+    return vl
+
+
+def _counting(monkeypatch, owner, name: str) -> list:
+    """Replace ``owner.name`` by a wrapper that appends the arguments of
+    every call to the returned list."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("coupled", [True, False], ids=["galerkin", "batch"])
+def test_2d_llf_takes_each_face_strip_in_one_pass(monkeypatch, coupled):
+    """At the default budget a 40x40 Euler state at K+1 = 8 (or 8 samples)
+    reconstructs its 42 rows in strips of several rows; each strip's x and
+    y faces go through the LLF whole, so the model's flux runs exactly four
+    times per strip (x and y faces, left and right), and the result is the
+    whole-array oracle's bit for bit."""
+    system, data = _euler_system(coupled, nx=40, ny=40, samples=8)
+    strips = cweno.strips(42, 44 * data[0, 0].nbytes)
+    assert len(strips) > 1 and min(j - i for i, j in strips) > 1
+    faces = _counting(monkeypatch, cweno, "cweno3_face_values")
+    fluxes = _counting(monkeypatch, Euler2D, "values_flux")
+    got = system.rhs(data, 0.0, Workspace())
+    assert [len(args[0]) - 2 for args in faces] == [j - i for i, j in strips]
+    assert len(fluxes) == 4 * len(strips)
+    monkeypatch.undo()
+    assert np.array_equal(got, rhs_reference(system, data, 0.0))
+
+
 def test_admissibility_error_names_the_global_minimum(monkeypatch):
-    system, _ = _euler_system(coupled=False)
-    states = np.ones((2, 14, 10, 3, 4))
-    states[0, 1, 2, 0, 3] = -0.5   # first strip
-    states[1, 9, 5, 0, 1] = -2.0   # a later strip, and lower
+    """The 1D right-hand side runs the LLF in strips of x rows, one row
+    each at a budget of one byte; two negative specific volumes in
+    different strips, the later one lower, are reported as one check of
+    the whole line reports them."""
+    system, data = _psystem_system(coupled=False)
+    data = data.copy()
+    data[5, 1, 3] = -0.5    # an early strip
+    data[30, 1, 1] = -2.0   # a later strip, and lower
+    with pytest.raises(AdmissibilityError) as expected:
+        rhs_reference(system, data, 0.0)
+    assert expected.value.where[0] > 20 and expected.value.index == 1
     monkeypatch.setattr(cweno, "STRIP_BYTES", 1)
-    assert len(system._x_strips(states)) == 14
-    lowest = [LowestAdmissibility(system.model, axis=1) for _ in range(2)]
-    system._llf(states, np.ones_like(states), 0, Workspace(), lowest, 0)
+    llf_calls = _counting(monkeypatch, SemiDiscreteSystem, "_llf")
     with pytest.raises(AdmissibilityError) as err:
-        for side in lowest:
-            side.check()
-    assert err.value.where == (1, 9, 5)
-    assert err.value.index == 1
+        system.rhs(data, 0.0, Workspace())
+    assert len(llf_calls) > 20 and {len(args[1]) for args in llf_calls} == {1}
+    assert err.value.where == expected.value.where
+    assert err.value.index == expected.value.index
+    assert str(err.value) == str(expected.value)
 
 
 def _euler_with_two_negative_densities(coupled: bool):
@@ -204,14 +250,7 @@ def test_nan_time_step_aborts_before_the_step(monkeypatch, coupled):
     """The NaN state above gives a NaN time step: ``advance`` aborts at the
     state's time and runs no right-hand side on it."""
     system, data = _euler_with_nan_then_negative_density(coupled)
-    calls = []
-    rhs = SemiDiscreteSystem.rhs
-
-    def counting(self, *args, **kwargs):
-        calls.append(1)
-        return rhs(self, *args, **kwargs)
-
-    monkeypatch.setattr(SemiDiscreteSystem, "rhs", counting)
+    calls = _counting(monkeypatch, SemiDiscreteSystem, "rhs")
     with pytest.raises(SolverAbort) as err:
         advance(system, GpcField(system.grid, data, 0.0), 0.1, cfl=0.45)
     assert err.value.time == 0.0
