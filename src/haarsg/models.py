@@ -259,18 +259,12 @@ class LowestAdmissibility:
     from blocks of it along ``axis``: ``value``, the lowest admissibility
     value (inf without a constraint, NaN once a block holds a NaN, which
     hides every violation from the whole array's minimum), and ``where``,
-    the first location in C order of a non-positive one.
+    once that value is not positive, its location: the first in C order
+    among equal ones, as the whole array's ``np.argmin`` finds it."""
 
-    The blocks need not cover the rows before ``lead``: those rows hold the
-    values of row ``lead`` bit for bit, as the uniform run before the 1D
-    solver's span or range does, so the blocks start at row ``lead`` and a
-    location found in it is reported at row 0, where one check of the whole
-    array finds it first."""
-
-    def __init__(self, model, axis: int, lead: int = 0):
+    def __init__(self, model, axis: int):
         self.model = model
         self.axis = axis
-        self.lead = lead
         self.value = np.inf
         self.where = None
 
@@ -284,8 +278,7 @@ class LowestAdmissibility:
         except AdmissibilityError as err:
             where = err.where + (err.index,)
             low = self.model.admissibility_values(values)[where]
-            row = where[self.axis] + offset
-            where = where[:self.axis] + (0 if row == self.lead else row,) + where[self.axis + 1:]
+            where = where[:self.axis] + (where[self.axis] + offset,) + where[self.axis + 1:]
         if low < self.value or (low == self.value and where is not None and where < self.where):
             self.where = where
         self.value = np.minimum(self.value, low)  # keeps a NaN

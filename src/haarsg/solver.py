@@ -24,29 +24,28 @@ to admissibility accumulators that its caller owns and checks after its
 last strip, so a violation is reported where one check of all rows finds
 it; a strip that violates runs no model map.
 
-In 1D the work follows the data.  The right-hand side compares each pair
-of neighbouring cells of the padded state through its int64 view, so
-+0.0 and -0.0 differ; with periodic boundaries the ghost cells carry the
+In 1D the right-hand side follows the data.  It compares each pair of
+neighbouring cells of the padded state through its int64 view, so +0.0
+and -0.0 differ; with periodic boundaries the ghost cells carry the
 wrap-around pair.  A cell whose 5-cell neighbourhood holds no differing
 pair lies in a uniform run, and so do both its faces: their fluxes are
 equal bit for bit and its right-hand side is -(f - f) / dx, -0.0 for a
 finite f.  So the reconstruction, the LLF and the transforms run only over
 the cells within two of the outermost differing pairs, at least two cells,
 and every other cell takes -(f - f) / dx from the span's outer face on its
-side.  ``compute_dt`` transforms and checks only from the first cell of
-the first differing pair to the last cell of the last one; every uniform
-run keeps a cell there, so the minimum and the maximum do not change.
-Admissibility is checked on the span or range alone.  The rows before it
-repeat its first row bit for bit, whose stencil lies in the uniform run,
-so a violation in that row is reported at row 0, where one check of the
-whole line finds it first (the ``lead`` of ``models.LowestAdmissibility``);
-the rows after it repeat its last row, which a check finds first anyway.
-The span's edges and their values are line-shaped work arrays sliced to
-the span, and its strips fit in the budget that every work buffer maps
-at least (``workspace.STRIP_BYTES``), so a span that widens from step to
-step maps none anew.  2D runs on the whole grid: each stage widens the box
-of differing cells by the stencil's two cells per side, so on the 100x100
-Euler box to t 0.1 that box covers 91 % of the grid on average.
+side.  Admissibility is checked on the span alone.  The faces before it
+repeat its first face bit for bit, whose stencil lies in the uniform run,
+so that face's interface values are also checked at face 0, where one
+check of the whole line finds a violation first; the faces after it
+repeat its last face, which a check finds first anyway.  The span's edges
+and their values are line-shaped work arrays sliced to the span, and its
+strips fit in the budget that every work buffer maps at least
+(``workspace.STRIP_BYTES``), so a span that widens from step to step maps
+none anew.  ``compute_dt`` maps, checks and bounds the whole state, in 1D
+as in 2D.  The 2D right-hand side runs on the whole grid too: each stage
+widens the box of differing cells by the stencil's two cells per side, so
+on the 100x100 Euler box to t 0.1 that box covers 91 % of the grid on
+average.
 
 The LLF works on realization values; the mode/value transforms
 (``galerkin.to_spectrum`` and ``galerkin.from_spectrum``) run around it.
@@ -362,10 +361,11 @@ class SemiDiscreteSystem:
         for a finite f, and so does this one, from that face.  The four
         stencil cells of face ``lo`` lie in the uniform run, so its
         interface values are those of faces 0..lo-1 too: the admissibility
-        accumulators take ``lead=lo`` and report a violation there at face
-        0, as one check of the whole line does.  The edges and their values
-        are line-shaped work arrays sliced to the span, whose faces go
-        through the LLF in strips of at most ``STRIP_BYTES``.
+        accumulators take them at face 0 before the strips, so a violation
+        there is reported at face 0, as one check of the whole line does.
+        The edges and their values are line-shaped work arrays sliced to the
+        span, whose faces go through the LLF in strips of at most
+        ``STRIP_BYTES``.
         """
         nx = data.shape[0]
         padded = fill_ghosts(data, self.grid, work)
@@ -377,8 +377,11 @@ class SemiDiscreteSystem:
         values = edges
         if self.coupled:
             values = self._to_values(edges, out=work.array("rhs.values", line)[span])
-        lowest = [LowestAdmissibility(self.model, axis=0, lead=lo) for _ in range(2)]
+        lowest = [LowestAdmissibility(self.model, axis=0) for _ in range(2)]
         left, right = values[1, :-1], values[0, 1:]
+        if lo > 0:  # faces 0..lo-1 repeat face lo
+            lowest[0].add(left[:1], 0)
+            lowest[1].add(right[:1], 0)
         for i, j in cweno.strips(len(left), left[0].nbytes):
             self._llf(left[i:j], right[i:j], 0, work, lowest, lo + i)
         for side in lowest:
@@ -482,32 +485,23 @@ class SemiDiscreteSystem:
         The admissibility minimum of ``data``, checked on the way, lowers
         ``admissibility_min``.  Each strip of x rows is mapped to values
         (``_values``) in a work array, and so are its speed bounds; a strip
-        fits in one ``STRIP_BYTES`` buffer, so a widening range maps none
-        anew.  A strip's matrix block has at least two rows, since a
+        fits in one ``STRIP_BYTES`` buffer, the least a work array maps, so
+        a larger state maps none anew.  A strip's matrix block has at least two rows, since a
         one-row product rounds differently from a taller one.  Each cell's
         rate takes the maximum of its speed bounds over the trailing axis
         by ``_stochastic_max``: column by column up to
         ``MAX_LOOPED_COLUMNS`` columns (the Euler box at K+1 = 8), by
-        ``np.max`` above (the scalar law at K+1 = 128).  In 1D only
-        the cells from the first cell of the first pair of neighbours that
-        differ in any bit to the last cell of the last such pair (at least
-        two) are transformed and checked: every uniform run outside keeps a
-        cell there, so the maximum and the minimum are unchanged.  The cells
-        before that range hold the values of its first cell, so the
-        accumulator takes ``lead=lo``: a violation there is reported at cell
-        0, as one check of the whole field reports it.  A strip that
-        violates, or holds a NaN, computes no speed bound, and the rate is
-        NaN.
+        ``np.max`` above (the scalar law at K+1 = 128).  The strips cover
+        every row, in 1D as in 2D.  A strip that violates, or holds a NaN,
+        computes no speed bound, and the rate is NaN.
         """
-        n = data.shape[0]
-        lo, hi = _range_1d(data) if self.grid.space_dim == 1 else (0, n)
-        lowest = LowestAdmissibility(self.model, axis=0, lead=lo)
+        lowest = LowestAdmissibility(self.model, axis=0)
         min_rows = 2 if data[0].size == data.shape[-1] else 1
         top = None
-        for i, j in cweno.strips(hi - lo, data[0].nbytes, min_rows):
-            block = data[lo + i:lo + j]
+        for i, j in cweno.strips(data.shape[0], data[0].nbytes, min_rows):
+            block = data[i:j]
             vals = self._values(block, work, "dt.values")
-            if not lowest.add(vals, lo + i) > 0.0:
+            if not lowest.add(vals, i) > 0.0:
                 top = np.nan
                 continue
             speeds = block.shape[:-2] + block.shape[-1:]
@@ -533,40 +527,23 @@ class SemiDiscreteSystem:
         return cfl / top
 
 
-def _differing_pairs(a: np.ndarray) -> np.ndarray:
-    """Indices j at which rows j and j + 1 of ``a`` differ in any bit, so
-    that +0.0 and -0.0 differ and identical NaNs do not."""
-    bits = a.reshape(a.shape[0], -1).view(np.int64)
-    return np.flatnonzero((bits[1:] != bits[:-1]).any(axis=1))
-
-
-def _at_least_two(lo: int, hi: int, n: int) -> tuple[int, int]:
-    """Rows ``lo:hi`` widened to two of ``n``, or all ``n`` if fewer, as
-    Python ints, so that a location offset by them prints as written."""
-    lo, hi = int(lo), int(hi)
-    hi = min(max(hi, lo + 2), n)
-    return max(min(lo, hi - 2), 0), hi
-
-
 def _span_1d(padded: np.ndarray) -> tuple[int, int]:
     """The cells ``lo:hi`` of a padded 1D state whose rhs needs the
     reconstruction: those within two cells of the outermost differing pairs
-    of the padded state, whose 5-cell neighbourhood holds a differing pair.
-    With periodic boundaries the ghost cells carry the wrap-around pair."""
+    of the padded state, whose 5-cell neighbourhood holds a differing pair,
+    widened to two cells, or all if fewer.  Pair j, padded cells j and
+    j + 1, differs in any bit, so +0.0 and -0.0 differ and identical NaNs
+    do not; with periodic boundaries the ghost cells carry the wrap-around
+    pair.  The bounds are Python ints, so that a location offset by them
+    prints as written."""
     nx = padded.shape[0] - 2 * GHOST
-    pairs = _differing_pairs(padded)  # pair j: padded cells j, j + 1
-    if len(pairs) == 0:
-        return _at_least_two(0, 0, nx)
-    return _at_least_two(max(pairs[0] - 3, 0), min(pairs[-1], nx - 1) + 1, nx)
-
-
-def _range_1d(data: np.ndarray) -> tuple[int, int]:
-    """Cells from the first cell of the first differing pair of ``data`` to
-    the last cell of the last one, at least two."""
-    pairs = _differing_pairs(data)
-    if len(pairs) == 0:
-        return _at_least_two(0, 0, data.shape[0])
-    return _at_least_two(pairs[0], pairs[-1] + 2, data.shape[0])
+    bits = padded.reshape(padded.shape[0], -1).view(np.int64)
+    pairs = np.flatnonzero((bits[1:] != bits[:-1]).any(axis=1))
+    lo = hi = 0
+    if len(pairs) > 0:
+        lo, hi = int(max(pairs[0] - 3, 0)), int(min(pairs[-1], nx - 1)) + 1
+    hi = min(max(hi, lo + 2), nx)
+    return max(min(lo, hi - 2), 0), hi
 
 
 def ssprk3_step(rhs: Callable[[np.ndarray, float], np.ndarray],

@@ -8,6 +8,8 @@ truncated expansion pointwise: the oracle of the node read-out that
 The dense Galerkin matrix P(u), the orthogonal eigenvector matrix Hn and
 the custom bases (a user matrix, or canonical Haar with its wavelet rows
 rotated by an orthogonal block) live here too: no run builds them.
+``check_rows`` is the row check that a custom matrix must pass and that
+the tests run on the builders' closed forms.
 ``project_reference`` is the cell-by-cell projection that the vectorized
 ``haarsg.project`` replaced, kept as its oracle.
 
@@ -29,8 +31,17 @@ from numpy.polynomial.legendre import leggauss
 
 from haarsg import (AdmissibilityError, BasisError, BasisKind, GalerkinTensor,
                     HaarTypeBasis, build_canonical_haar, from_spectrum, to_spectrum)
-from haarsg.basis import ORTHOGONALITY_TOL, _check_rows
 from haarsg.galerkin import PROJECT_GAUSS_POINTS, PROJECT_PANELS
+
+ORTHOGONALITY_TOL = 1e-12
+
+
+def check_rows(H: np.ndarray, size: int) -> None:
+    """Raise BasisError unless the rows of ``H`` are orthogonal with norm
+    sqrt(``size``), to ``ORTHOGONALITY_TOL`` in H @ H.T / size."""
+    resid = np.abs(H @ H.T / size - np.eye(size)).max()
+    if resid > ORTHOGONALITY_TOL:
+        raise BasisError(f"rows are not orthogonal with norm sqrt({size}): residual {resid:.3e}")
 
 
 def evaluate_wavelet(basis: HaarTypeBasis, k: int, xi) -> float | np.ndarray:
@@ -77,7 +88,7 @@ def custom_basis(H: np.ndarray) -> HaarTypeBasis:
     size = H.shape[0]
     if np.abs(H[0] - 1.0).max() > ORTHOGONALITY_TOL:
         raise BasisError("custom basis must have an all-ones first row")
-    _check_rows(H, size)
+    check_rows(H, size)
     H.setflags(write=False)
     return HaarTypeBasis(BasisKind.CANONICAL_HAAR, size, H)
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from galerkin_reference import (custom_basis, evaluate_wavelet, galerkin_matrix, normalized,
-                                rotated_canonical_haar, triple_products, worst_commutator)
+from galerkin_reference import (check_rows, custom_basis, evaluate_wavelet, galerkin_matrix,
+                                normalized, rotated_canonical_haar, triple_products,
+                                worst_commutator)
 from haarsg import (BasisError, build_canonical_haar, build_classical_haar,
                     build_dct, build_piecewise_linear, build_tensors)
 
@@ -84,6 +85,18 @@ def test_dct_orthogonality_size4():
 
 def test_dct_size8_tensors_commute():
     assert worst_commutator(triple_products(build_dct(8))) < 1e-10
+
+
+@pytest.mark.parametrize("size", [2, 3, 5, 6, 12, 1024])
+@pytest.mark.parametrize("build", [build_dct, build_canonical_haar],
+                         ids=["dct", "canonical-haar"])
+def test_closed_form_rows_are_orthogonal(build, size):
+    """The builders run no row check: their closed forms pass the one that
+    a custom matrix must pass, at odd, even and large sizes."""
+    basis = build(size)
+    assert basis.size == size
+    assert np.array_equal(basis.H[0], np.ones(size))
+    check_rows(basis.H, size)
 
 
 def test_size_validation():

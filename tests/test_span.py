@@ -1,7 +1,7 @@
 """The 1D right-hand side reconstructs only the span of cells whose
-neighbourhood holds a differing pair, and ``compute_dt`` checks only the
-range between the outermost differing pairs; both must equal the full-grid
-oracles in ``solver_reference`` bit for bit, -0.0 included."""
+neighbourhood holds a differing pair, and ``compute_dt`` maps every row of
+the state once, in strips; both must equal the full-grid oracles in
+``solver_reference`` bit for bit, -0.0 included."""
 
 import numpy as np
 import pytest
@@ -48,6 +48,12 @@ def _state(system, m: int, to_state, runs: tuple[int, int], rng, zeros: bool = F
 
 def _bits(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a).view(np.int64)
+
+
+def _differing_pairs(a: np.ndarray) -> np.ndarray:
+    """Indices j at which rows j and j + 1 of ``a`` differ in any bit."""
+    bits = a.reshape(a.shape[0], -1).view(np.int64)
+    return np.flatnonzero((bits[1:] != bits[:-1]).any(axis=1))
 
 
 CASES = {  # uniform runs (left cells, first cell of the right run)
@@ -104,7 +110,7 @@ def test_periodic_span_carries_the_wrap_around_pair(monkeypatch, name, coupled):
     which the ghost cells carry to both ends of the span."""
     system, m, to_state = _system(name, coupled, boundary="periodic")
     data = _state(system, m, to_state, (NX // 2, NX // 2), np.random.default_rng(3))
-    assert len(solver._differing_pairs(data)) == 1
+    assert len(_differing_pairs(data)) == 1
     rows = _recording_edges(monkeypatch)
     got = system.rhs(data, 0.0, Workspace())
     assert rows == [NX + 4]
@@ -154,13 +160,40 @@ def test_span_rhs_maps_no_new_array_as_it_widens():
         assert {name: buf.nbytes for name, buf in work._buffers.items()} == sizes
 
 
+@pytest.mark.parametrize("name", ["scalar", "psystem"])
+def test_compute_dt_maps_every_row_once(monkeypatch, name):
+    """On a state uniform on most of the line, ``compute_dt`` maps every
+    cell once, in matrix blocks of at least two rows: at the default budget
+    (one block), in 5-row strips and in one-row strips, where a scalar
+    block takes two cells and a p-system block one cell of two components."""
+    system, m, to_state = _system(name, True)
+    data = _state(system, m, to_state, CASES["both-ends"], np.random.default_rng(11))
+    cells, rows_mapped = [], []
+    to_values = system._to_values
+
+    def recording(modes, out=None):
+        cells.append(modes.shape[0])
+        rows_mapped.append(modes[..., 0].size)
+        return to_values(modes, out)
+
+    monkeypatch.setattr(system, "_to_values", recording)
+    for rows in (None, 5, 1):
+        if rows is not None:
+            monkeypatch.setattr(cweno, "STRIP_BYTES", rows * data[0].nbytes)
+        cells.clear()
+        rows_mapped.clear()
+        system.compute_dt(data, 0.45, Workspace())
+        assert sum(cells) == NX
+        assert min(rows_mapped) >= 2
+
+
 @pytest.mark.parametrize("rows", [None, 3], ids=["one-strip", "3-row-strips"])
 @pytest.mark.parametrize("name", ["scalar", "psystem"])
-def test_compute_dt_maps_no_new_array_as_its_range_widens(monkeypatch, name, rows):
+def test_compute_dt_maps_no_new_array_on_a_used_workspace(monkeypatch, name, rows):
     """``compute_dt``'s strip arrays fit in the smallest buffer a workspace
-    maps, so a wider range on the same workspace maps nothing new.  In
-    3-row strips the scalar's range of 4 rows is two strips of 2, its short
-    tail taking a row from the strip before."""
+    maps, so states that vary on ever more cells map nothing new on the
+    same workspace: at the default budget the 24 rows are one strip, in
+    3-row strips eight."""
     system, m, to_state = _system(name, True)
     rng = np.random.default_rng(10)
     states = [_state(system, m, to_state, runs, rng)
@@ -234,10 +267,10 @@ def test_span_error_location_holds_python_ints():
 
 def test_scalar_level_6_maps_no_new_array_at_the_default_budget(monkeypatch):
     """Scalar-oleinik at level 6, nx 400: 1 KiB rows, 128-row strips.  The
-    one-row tail of a 129-row range takes a row from the strip before, where
-    joining it would make a strip of 129 rows, more than one budget.  On one
-    workspace, ranges and spans of 120, 129, 130 and 257 rows map nothing
-    after the first."""
+    one-row tail of 129 rows, as in the time step at nx 129, takes a row
+    from the strip before, where joining it would make a strip of 129 rows,
+    more than one budget.  On one workspace, spans of 120, 129, 130 and 257
+    rows, and the time steps of their states, map nothing after the first."""
     preset = get_preset("scalar-oleinik")
     tensors = build_tensors(build_classical_haar(6))
     system = SemiDiscreteSystem(preset.galerkin_model(tensors), preset_grid(preset),
@@ -247,8 +280,8 @@ def test_scalar_level_6_maps_no_new_array_at_the_default_budget(monkeypatch):
     assert cweno.strips(129, base[0].nbytes, min_rows=2) == [(0, 127), (127, 129)]
 
     def state(first: int, stop: int) -> np.ndarray:
-        """Uniform on cells :first + 1 and stop - 1:, so that its range is
-        cells first:stop and its span cells first - 1:stop + 1."""
+        """Uniform on cells :first + 1 and stop - 1:, so that its span is
+        cells first - 1:stop + 1."""
         data = base.copy()
         data[:first] = data[first]
         data[stop:] = data[stop - 1]
@@ -261,9 +294,8 @@ def test_scalar_level_6_maps_no_new_array_at_the_default_budget(monkeypatch):
             new_map = workspace.mmap.mmap
             monkeypatch.setattr(workspace.mmap, "mmap",
                                 lambda *args: maps.append(args) or new_map(*args))
-        for first, stop in ((50, 50 + rows), (50, 48 + rows)):  # range, span of rows
+        for first, stop in ((50, 50 + rows), (50, 48 + rows)):  # spans of rows + 2, rows
             data = state(first, stop)
-            assert solver._range_1d(data) == (first, stop)
             assert solver._span_1d(fill_ghosts_reference(data, system.grid)) == (
                 first - 1, stop + 1)
             system.compute_dt(data, 0.45, work)
