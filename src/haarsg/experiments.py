@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -13,11 +14,12 @@ from . import output
 from .basis import HaarTypeBasis, build_classical_haar
 from .config import BASIS_KINDS, RunConfig, render_config, with_level
 from .galerkin import GalerkinTensor, build_tensors
-from .models import get_preset, initial_data
+from .models import LowestAdmissibility, get_preset, initial_data
 from .reference import (CollocationReference, ExactScalarReference,
                         collocation_reference, l1_distance, mean_std,
                         monte_carlo_reference, mse, x_profile)
 from .solver import Grid, GpcField, SemiDiscreteSystem, advance
+from .workspace import Workspace
 
 
 def build_basis(config: RunConfig) -> HaarTypeBasis:
@@ -112,13 +114,14 @@ def run_experiment(config: RunConfig, threads: int = 1, out_dir: str | None = No
                         callbacks=(snapshotter,))
     result.field = field
     result.steps = step_count[0]
-    # compute_dt has checked every state but the last (none if no step
-    # ran); the last one is transformed only for a model with a constraint,
-    # which the model tells from no values at all
+    # compute_dt has checked every state but the last (none if no step ran);
+    # the last is read in its strips, for a model with a constraint (which the
+    # model tells from no values at all), and a violation or NaN is not raised
     result.admissibility_min = system.admissibility_min
     if model.admissibility_values(field.data[:0]) is not None:
-        vals = model.admissibility_values(system._to_values(field.data))
-        result.admissibility_min = min(result.admissibility_min, float(vals.min()))
+        lowest = LowestAdmissibility(model, axis=0)
+        deque(system.value_strips(field.data, Workspace(), lowest), maxlen=0)  # keeps no strip
+        result.admissibility_min = min(result.admissibility_min, float(lowest.value))
 
     if write_outputs:
         final_path = os.path.join(out_dir, "field_final.csv")

@@ -42,10 +42,10 @@ and their values are line-shaped work arrays sliced to the span, and its
 strips fit in the budget that every work buffer maps at least
 (``workspace.STRIP_BYTES``), so a span that widens from step to step maps
 none anew.  ``compute_dt`` maps, checks and bounds the whole state, in 1D
-as in 2D.  The 2D right-hand side runs on the whole grid too: each stage
-widens the box of differing cells by the stencil's two cells per side, so
-on the 100x100 Euler box to t 0.1 that box covers 91 % of the grid on
-average.
+as in 2D, and the same strip walk reads the final state's admissibility.
+The 2D right-hand side runs on the whole grid too: each stage widens the
+box of differing cells by the stencil's two cells per side, so on the
+100x100 Euler box to t 0.1 that box covers 91 % of the grid on average.
 
 The LLF works on realization values; the mode/value transforms
 (``galerkin.to_spectrum`` and ``galerkin.from_spectrum``) run around it.
@@ -479,29 +479,35 @@ class SemiDiscreteSystem:
             side.check()
         return out
 
+    def value_strips(self, data: np.ndarray, work: Workspace, lowest: LowestAdmissibility):
+        """Yield each strip of x rows of ``data``, its values in work array
+        ``dt.values`` and their lowest admissibility value, which ``lowest``
+        takes and does not raise.  A strip fits in one ``STRIP_BYTES``
+        buffer, the least a work array maps, so a larger state maps none
+        anew; its matrix block has at least two rows, since a one-row
+        product rounds differently from a taller one."""
+        min_rows = 2 if data[0].size == data.shape[-1] else 1
+        for i, j in cweno.strips(data.shape[0], data[0].nbytes, min_rows):
+            vals = self._values(data[i:j], work, "dt.values")
+            yield data[i:j], vals, lowest.add(vals, i)
+
     def compute_dt(self, data: np.ndarray, cfl: float, work: Workspace) -> float:
         """CFL time step from per-cell generalized speed bounds.
 
         The admissibility minimum of ``data``, checked on the way, lowers
-        ``admissibility_min``.  Each strip of x rows is mapped to values
-        (``_values``) in a work array, and so are its speed bounds; a strip
-        fits in one ``STRIP_BYTES`` buffer, the least a work array maps, so
-        a larger state maps none anew.  A strip's matrix block has at least two rows, since a
-        one-row product rounds differently from a taller one.  Each cell's
-        rate takes the maximum of its speed bounds over the trailing axis
-        by ``_stochastic_max``: column by column up to
+        ``admissibility_min``.  ``value_strips`` maps each strip of x rows to
+        values in a work array before its speed bounds go into others.  Each
+        cell's rate takes the maximum of its speed bounds over the trailing
+        axis by ``_stochastic_max``: column by column up to
         ``MAX_LOOPED_COLUMNS`` columns (the Euler box at K+1 = 8), by
-        ``np.max`` above (the scalar law at K+1 = 128).  The strips cover
-        every row, in 1D as in 2D.  A strip that violates, or holds a NaN,
-        computes no speed bound, and the rate is NaN.
+        ``np.max`` above (the scalar law at K+1 = 128).  A strip that
+        violates, or holds a NaN, computes no speed bound, and the rate is
+        NaN.
         """
         lowest = LowestAdmissibility(self.model, axis=0)
-        min_rows = 2 if data[0].size == data.shape[-1] else 1
         top = None
-        for i, j in cweno.strips(data.shape[0], data[0].nbytes, min_rows):
-            block = data[i:j]
-            vals = self._values(block, work, "dt.values")
-            if not lowest.add(vals, i) > 0.0:
+        for block, vals, low in self.value_strips(data, work, lowest):
+            if not low > 0.0:
                 top = np.nan
                 continue
             speeds = block.shape[:-2] + block.shape[-1:]

@@ -371,6 +371,87 @@ def test_admissibility_min_equals_the_per_step_monitor(preset, grid, t_final):
     assert np.isfinite(result.admissibility_min) == (preset != "scalar-oleinik")
 
 
+@pytest.mark.parametrize("preset, level, grid, t_final, n_strips", [
+    ("euler-box", 2, "nx = 60\nny = 60", 0.01, 6),  # 11-row strips at the default budget
+    ("euler-box", 2, "nx = 60\nny = 60", 0.0, 6),
+    ("psystem-riemann", 6, "nx = 400", 0.05, 7),  # 64-row strips
+], ids=["euler-box", "euler-box-t0", "psystem-riemann"])
+def test_final_admissibility_is_read_in_strips(monkeypatch, preset, level, grid, t_final,
+                                               n_strips):
+    """The final state's admissibility is read in compute_dt's strips, each
+    mapped into a work array, and finds the whole field's minimum bit for bit."""
+    from haarsg import experiments
+    from haarsg.galerkin import to_spectrum
+    from haarsg.solver import SemiDiscreteSystem
+    from haarsg.workspace import STRIP_BYTES
+    config = parse_config(f"[run]\npreset = {preset}\nt_final = {t_final}\n"
+                          f"[basis]\nkind = classical-haar\nlevel = {level}\n"
+                          f"[grid]\n{grid}\n[reference]\nkind = none\n")
+    after = [t_final == 0.0]  # no advance runs at t = 0
+    calls = []  # (rows, given out) of each transform once advance returned
+    advance, to_values = experiments.advance, SemiDiscreteSystem._to_values
+
+    def advancing(*args, **kwargs):
+        field = advance(*args, **kwargs)
+        after[0] = True
+        return field
+
+    def spying(self, modes, out=None):
+        if after[0]:
+            calls.append((modes.shape[0], out is not None))
+        return to_values(self, modes, out=out)
+
+    monkeypatch.setattr(experiments, "advance", advancing)
+    monkeypatch.setattr(SemiDiscreteSystem, "_to_values", spying)
+    result = run_experiment(config, write_outputs=False)
+    data = result.field.data
+    min_rows = 2 if data[0].size == data.shape[-1] else 1
+    rows = [r for r, _ in calls]
+    assert len(calls) == n_strips and sum(rows) == config.nx
+    assert all(min_rows <= r <= max(min_rows, STRIP_BYTES // data[0].nbytes) for r in rows)
+    assert all(given for _, given in calls)
+    model = PRESETS[preset].galerkin_model(result.tensors)
+    whole = model.admissibility_values(to_spectrum(result.tensors, data))
+    assert result.admissibility_min == float(whole.min())
+
+
+def test_no_field_sized_array_outlives_the_read_out(monkeypatch):
+    """Between the solve and the Monte Carlo reference, where a run peaks,
+    the final state's admissibility read-out leaves no field-sized array
+    behind.  Work buffers are memory maps, which tracemalloc does not see."""
+    import tracemalloc
+
+    from haarsg import experiments
+    config = parse_config("[run]\npreset = euler-box\nt_final = 0.01\n"
+                          "[basis]\nkind = classical-haar\nlevel = 2\n"
+                          "[grid]\nnx = 60\nny = 60\n"
+                          "[reference]\nkind = monte-carlo\nsamples = 1\n")
+    traced = []
+    kept = []  # the initial field, whose release would offset what the read-out keeps
+    advance, build_reference = experiments.advance, experiments.build_reference
+
+    def advancing(system, field, *args, **kwargs):
+        kept.append(field)
+        final = advance(system, field, *args, **kwargs)
+        traced.append(tracemalloc.get_traced_memory()[0])
+        return final
+
+    def building(*args, **kwargs):
+        traced.append(tracemalloc.get_traced_memory()[0])
+        return build_reference(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "advance", advancing)
+    monkeypatch.setattr(experiments, "build_reference", building)
+    tracemalloc.start()
+    try:
+        result = run_experiment(config, write_outputs=False)
+    finally:
+        tracemalloc.stop()
+    field_bytes = result.field.data.nbytes
+    assert len(traced) == 2
+    assert traced[1] - traced[0] < field_bytes
+
+
 def test_cli_run_t_final_zero_dumps_initial_data(tmp_path):
     cfg = _write_config(tmp_path, FULL.replace("t_final = 0.1", "t_final = 0.0"))
     out = str(tmp_path / "dump_out")
